@@ -399,11 +399,24 @@ def build_parser(env_max_facts: int) -> argparse.ArgumentParser:
     return top
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    env_max_facts = int(os.environ.get(_ENV_MAX_FACTS, 1_000_000))
-    parser = build_parser(env_max_facts)
-    args = parser.parse_args(argv)
+def _env_max_facts() -> int:
+    raw = os.environ.get(_ENV_MAX_FACTS)
+    if raw is None:
+        return 1_000_000
     try:
+        value: Optional[int] = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise DdliteError(
+            f"{_ENV_MAX_FACTS} must be a non-negative integer, got {raw!r}"
+        )
+    return value
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        args = build_parser(_env_max_facts()).parse_args(argv)
         return args.func(args)
     except DdliteError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -8,6 +8,9 @@ by stratification is already complete for the negated predicate; a negated
 literal still carrying variables is deferred to the end of the body and
 then read as "no stored fact unifies".
 
+Joins take facts in insertion order; sort_key order is imposed only where
+users see it, by FactStore.facts, sorted_facts and matching.
+
 Proof trees are ordinary terms built by the programs themselves through
 the pt/2 builtin (or mechanically via auto_pt); the ProofTree class only
 converts between that term shape and a typed tree for rendering.
@@ -440,17 +443,69 @@ def _principal(t: Term):
     return None
 
 
-class FactStore:
-    """Ground atoms indexed by predicate and by (predicate, position,
-    principal functor); delta holds the additions of the latest iteration."""
+class FactIndex:
+    """Ground atoms grouped by predicate and indexed by (predicate,
+    position, principal functor), each group in insertion order.
+
+    Probes yield facts in that order, which is all a join needs; a
+    semi-naive delta is one of these holding a single iteration's facts.
+    """
+
+    def __init__(self, facts: Iterable[Atom] = ()):
+        """facts: canonical ground atoms, none repeated."""
+        self._by_pred: dict[PredKey, list[Atom]] = {}
+        self._index: dict[tuple[PredKey, int, tuple], list[Atom]] = {}
+        for fact in facts:
+            self._file(fact)
+
+    def _file(self, fact: Atom) -> None:
+        key = fact.key
+        self._by_pred.setdefault(key, []).append(fact)
+        for i, arg in enumerate(fact.args):
+            pk = _principal(arg)
+            if pk is not None:
+                self._index.setdefault((key, i, pk), []).append(fact)
+
+    def has_predicate(self, key: PredKey) -> bool:
+        return key in self._by_pred
+
+    def _bucket(self, query: Atom, s: Subst) -> Optional[tuple]:
+        """Index key of query's first argument that has a principal symbol
+        under s; None when every argument is an unbound variable."""
+        for i, arg in enumerate(query.args):
+            if isinstance(arg, Var):
+                arg = s.get(arg.name, arg)
+            pk = _principal(arg)
+            if pk is not None:
+                return (query.key, i, pk)
+        return None
+
+    def probe(self, query: Atom, s: Optional[Subst] = None) -> Iterator[Subst]:
+        """Extensions of s unifying query with a fact, in insertion order."""
+        s = s or {}
+        bucket = self._bucket(query, s)
+        if bucket is None:
+            candidates = self._by_pred.get(query.key, [])
+        else:
+            candidates = self._index.get(bucket, [])
+        for fact in candidates:
+            out = mgu(query, fact, s)
+            if out is not None:
+                yield out
+
+
+class FactStore(FactIndex):
+    """The model: a FactIndex without duplicates, with each fact's origin.
+
+    Order is imposed here and only here, for what users see: facts(),
+    sorted_facts() and matching() yield in sort_key order.
+    """
 
     def __init__(self):
-        self._by_pred: dict[PredKey, list[Atom]] = {}
+        super().__init__()
         self._all: set[Atom] = set()
-        self._index: dict[tuple[PredKey, int, tuple], list[Atom]] = {}
         self._sorted_cache: dict[PredKey, list[Atom]] = {}
         self._origin: dict[Atom, str] = {}
-        self.delta: set[Atom] = set()
         self._frozen = False
 
     def __len__(self) -> int:
@@ -481,12 +536,8 @@ class FactStore:
         if fact in self._all:
             return False
         self._all.add(fact)
-        self._by_pred.setdefault(fact.key, []).append(fact)
+        self._file(fact)
         self._sorted_cache.pop(fact.key, None)
-        for i, arg in enumerate(fact.args):
-            pk = _principal(arg)
-            if pk is not None:
-                self._index.setdefault((fact.key, i, pk), []).append(fact)
         if origin is not None:
             self._origin[fact] = origin
         return True
@@ -519,21 +570,15 @@ class FactStore:
     ) -> Iterator[tuple[Atom, Subst]]:
         """All (fact, extended substitution) pairs unifying with query.
 
-        Facts are tried in sorted order; restrict narrows the candidates
-        (semi-naive delta joins pass the delta here).
+        Facts are tried in sort_key order; restrict, when given, narrows
+        the candidates to the facts in it.
         """
         s = s or {}
-        bound = apply(s, query)
-        candidates: Optional[list[Atom]] = None
-        for i, arg in enumerate(bound.args):
-            pk = _principal(arg)
-            if pk is not None:
-                candidates = sorted(
-                    self._index.get((bound.key, i, pk), []), key=sort_key
-                )
-                break
-        if candidates is None:
-            candidates = self.facts(bound.key)
+        bucket = self._bucket(query, s)
+        if bucket is None:
+            candidates = self.facts(query.key)
+        else:
+            candidates = sorted(self._index.get(bucket, []), key=sort_key)
         for fact in candidates:
             if restrict is not None and fact not in restrict:
                 continue
@@ -542,7 +587,7 @@ class FactStore:
                 yield fact, out
 
     def unifies_any(self, query: Atom, s: Optional[Subst] = None) -> bool:
-        for _ in self.matching(query, s):
+        for _ in self.probe(query, s):
             return True
         return False
 
@@ -579,10 +624,11 @@ def solve_body(
     body: Sequence[Literal],
     store: FactStore,
     s: Optional[Subst] = None,
-    delta: Optional[set[Atom]] = None,
+    delta: Optional[FactIndex] = None,
     delta_pos: Optional[int] = None,
 ) -> Iterator[Subst]:
-    """All substitutions solving the body left to right against store.
+    """All substitutions solving the body left to right against store,
+    in no promised order.
 
     With delta/delta_pos set, the literal at delta_pos only matches facts
     in delta (the semi-naive restriction).
@@ -614,8 +660,8 @@ def solve_body(
         if atom.key in _CONTROL:
             yield from step(i + 1, s, pending)
             return
-        restrict = delta if i == delta_pos else None
-        for _, s2 in store.matching(atom, s, restrict):
+        source = delta if i == delta_pos else store
+        for s2 in source.probe(atom, s):
             yield from step(i + 1, s2, pending)
 
     yield from step(0, s or {}, [])
@@ -641,7 +687,7 @@ def _wrap_rule_errors(rule: Rule, err: DdliteError) -> DdliteError:
 def _rule_heads(
     rule: Rule,
     store: FactStore,
-    delta: Optional[set[Atom]] = None,
+    delta: Optional[FactIndex] = None,
     delta_pos: Optional[int] = None,
 ) -> Iterator[Atom]:
     try:
@@ -697,7 +743,7 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
 
     store = FactStore()
 
-    def limit_check(stratum: int, batch: set[Atom]):
+    def limit_check(stratum: int, batch: Iterable[Atom]):
         if len(store) > opts.max_facts:
             sample = sorted(batch, key=sort_key)[:5]
             raise ResourceLimitExceeded(
@@ -710,42 +756,50 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
         rules = by_stratum.get(stratum, [])
         if not rules:
             continue
-        # first pass: plain T_P over everything derived so far
-        new: set[Atom] = set()
-        pairs: list[tuple[Atom, str]] = []
-        for rule in rules:
-            for head in _rule_heads(rule, store):
-                if not store.has(head) and head not in new:
-                    new.add(head)
-                    pairs.append((head, rule.name))
-        for head, origin in pairs:
-            store.add(head, origin)
-        store.delta = set(new)
-        limit_check(stratum, new)
+        positions = [_positive_positions(rule) for rule in rules]
+        read = {
+            rule.body[j].atom.key
+            for rule, rule_positions in zip(rules, positions)
+            for j in rule_positions
+        }
+        # the first pass is plain T_P over everything derived so far; after
+        # it a rule runs once per positive literal whose predicate gained
+        # facts in the previous pass, that literal matching only those
+        # facts, so the delta holds only predicates some literal reads
+        delta: Optional[FactIndex] = None
         iteration = 1
-        while store.delta:
+        while True:
+            # derivation order, kept so that join order (and which fact an
+            # error names) never depends on hashing
+            new: dict[Atom, str] = {}
+            for rule, rule_positions in zip(rules, positions):
+                if delta is None:
+                    runs: list[Optional[int]] = [None]
+                else:
+                    runs = [
+                        j
+                        for j in rule_positions
+                        if delta.has_predicate(rule.body[j].atom.key)
+                    ]
+                for j in runs:
+                    for head in _rule_heads(rule, store, delta, j):
+                        if head not in new and not store.has(head):
+                            new[head] = rule.name
+            for head, origin in new.items():
+                store.add(head, origin)
+            limit_check(stratum, new)
+            if not new:
+                break
             iteration += 1
             if iteration > opts.max_iterations:
-                sample = sorted(store.delta, key=sort_key)[:5]
+                sample = sorted(new, key=sort_key)[:5]
                 raise ResourceLimitExceeded(
                     f"iteration limit {opts.max_iterations} exceeded "
                     f"in stratum {stratum}",
                     stratum=stratum,
                     delta_sample=sample,
                 )
-            delta = store.delta
-            new = set()
-            pairs = []
-            for rule in rules:
-                for j in _positive_positions(rule):
-                    for head in _rule_heads(rule, store, delta, j):
-                        if not store.has(head) and head not in new:
-                            new.add(head)
-                            pairs.append((head, rule.name))
-            for head, origin in pairs:
-                store.add(head, origin)
-            store.delta = set(new)
-            limit_check(stratum, new)
+            delta = FactIndex(head for head in new if head.key in read)
     return store.freeze()
 
 
@@ -780,7 +834,6 @@ def evaluate_naive(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
                 break
             for head in sorted(new, key=sort_key):
                 store.add(head)
-            store.delta = set(new)
             if len(store) > opts.max_facts:
                 raise ResourceLimitExceeded(
                     f"fact limit {opts.max_facts} exceeded in stratum {stratum}",

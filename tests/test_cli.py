@@ -1,6 +1,9 @@
 """End-to-end command line coverage, run in process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -254,6 +257,50 @@ def test_eval_fact_limit_from_env(capsys, tmp_path, monkeypatch):
     assert err == "error: fact limit 25 exceeded in stratum 0\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", ""])
+def test_eval_rejects_a_bad_fact_limit_in_the_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("DDLITE_MAX_FACTS", value)
+    code, out, err = run(capsys, "eval", fx("route.dl"))
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: DDLITE_MAX_FACTS must be a non-negative integer, got {value!r}\n"
+    )
+
+
+def test_eval_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # ten r/1 facts enter one delta together; the first to reach the
+    # builtin names itself in the error, so the delta's order must not
+    # come from a set
+    bad = tmp_path / "bad.dl"
+    bad.write_text(
+        "".join(f"e(a, b{i}).\n" for i in range(10))
+        + "r(Y) :- e(a, Y).\n"
+        + "s(Y) :- r(Y), prolog:(Z is Y + 1).\n",
+        encoding="utf-8",
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        env.pop("DDLITE_MAX_FACTS", None)
+        outputs = []
+        for argv in (
+            ["eval", fx("route.dl"), "--format", "json"],
+            ["eval", fx("route_plain.dl"), "--auto-pt"],
+            ["eval", str(bad)],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ddlite.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            outputs.append((proc.returncode, proc.stdout, proc.stderr))
+        runs.append(outputs)
+    assert runs[0] == runs[1]
+    code, out, err = runs[0][2]
+    assert code == 1 and out == ""
+    assert err.endswith(":12:1: in rule r12: not an arithmetic expression: b0\n")
+
+
 # ===========================================================================
 # swrl
 # ===========================================================================
@@ -401,6 +448,14 @@ def test_prove_fact_without_embedded_tree(capsys):
                          "--atom", "uncle(a, Z)")
     assert code == 0
     assert out == "t(uncle(a, c), r1)\n"
+
+
+def test_prove_picks_the_sort_first_match(capsys, tmp_path):
+    f = tmp_path / "q.dl"
+    f.write_text("p(c). p(a). p(b).\nq(X) :- p(X).\n", encoding="utf-8")
+    code, out, err = run(capsys, "prove", str(f), "--atom", "q(X)")
+    assert code == 0
+    assert out == "t(q(a), r4)\n"
 
 
 def test_prove_no_proof(capsys):

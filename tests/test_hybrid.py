@@ -34,7 +34,7 @@ from ddlite.hybrid import (
     rows_to_json,
     solve_goal,
 )
-from ddlite.kernel import Atom, Const, Literal, Num, Var, apply
+from ddlite.kernel import Atom, Const, Literal, Num, Var, apply, term_text
 
 from oracles import sum_hours_by_dept
 
@@ -251,6 +251,19 @@ def test_solve_goal_is_conjunct_order_insensitive():
     a = solve_goal(parse_goal(HOURS_GOAL), None, employee_store(), works_on_docs())
     b = solve_goal(parse_goal(reordered), None, employee_store(), works_on_docs())
     assert answer_pairs(a) == answer_pairs(b)
+
+
+def test_solve_goal_fact_matches_come_sorted():
+    store = FactStore()
+    for a, b in [("b", "y"), ("y", "q"), ("a", "z"), ("b", "x"), ("z", "r"),
+                 ("a", "y"), ("x", "p"), ("y", "p")]:
+        store.add(Atom("e", (Const(a), Const(b))))
+    answers = solve_goal(parse_goal("e(X, Y), e(Y, Z)"), None, store)
+    found = [tuple(term_text(apply(s, Var(v))) for v in "XYZ") for s in answers]
+    assert found == [
+        ("a", "y", "p"), ("a", "y", "q"), ("a", "z", "r"),
+        ("b", "x", "p"), ("b", "y", "p"), ("b", "y", "q"),
+    ]
 
 
 def test_solve_goal_defers_non_ground_negation():
