@@ -18,11 +18,9 @@ from .engine import (
     check_safety,
     dump_facts,
     evaluate,
-    evaluate_naive,
     facts_as_rules,
     render_proof_tree,
     stratify,
-    tp_step,
     tree_of,
     validate_fact,
     validate_store,

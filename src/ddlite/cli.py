@@ -48,7 +48,7 @@ from .hybrid import (
     render_rows,
     rows_to_json,
 )
-from .kernel import PredKey, Program, mgu, term_text
+from .kernel import PredKey, Program, mgu
 from .syntax import (
     TermParser,
     lloyd_topor,
@@ -125,8 +125,10 @@ def _add_eval_flags(sub, env_default: int):
                      help="load CSV rows as facts of PRED")
     sub.add_argument("--xml", action="append", metavar="NAME=PATH",
                      help="register an XML document under NAME")
-    sub.add_argument("--max-iterations", type=int, default=10000)
-    sub.add_argument("--max-facts", type=int, default=env_default)
+    sub.add_argument("--max-iterations", default=10000,
+                     type=lambda raw: _non_negative_int("--max-iterations", raw))
+    sub.add_argument("--max-facts", default=env_default,
+                     type=lambda raw: _non_negative_int("--max-facts", raw))
     sub.add_argument("--auto-pt", action="store_true",
                      help="add proof-tree arguments to every defined predicate")
 
@@ -399,19 +401,22 @@ def build_parser(env_max_facts: int) -> argparse.ArgumentParser:
     return top
 
 
+def _non_negative_int(name: str, raw: str) -> int:
+    """A limit read from a flag or the environment; name is its source."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise DdliteError(f"{name} must be a non-negative integer, got {raw!r}")
+    return value
+
+
 def _env_max_facts() -> int:
     raw = os.environ.get(_ENV_MAX_FACTS)
     if raw is None:
         return 1_000_000
-    try:
-        value: Optional[int] = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise DdliteError(
-            f"{_ENV_MAX_FACTS} must be a non-negative integer, got {raw!r}"
-        )
-    return value
+    return _non_negative_int(_ENV_MAX_FACTS, raw)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

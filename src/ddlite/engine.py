@@ -1,7 +1,8 @@
 """Bottom-up evaluation with embedded builtin calls.
 
 The pipeline is: check_safety -> stratify -> per-stratum semi-naive
-fixpoint.  Body literals are solved left to right against the fact store;
+fixpoint.  Body literals are solved left to right against the fact store
+by solve_body, which also answers hybrid goals (hybrid.solve_goal);
 goals with a `prolog:` prefix call into a small builtin registry instead
 of matching facts.  Negated literals are checked against the store, which
 by stratification is already complete for the negated predicate; a negated
@@ -18,7 +19,7 @@ converts between that term shape and a typed tree for rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .graphs import NOT, PredNode, build_pdg
 from .kernel import (
+    CONTROL,
     Atom,
     Compound,
     Const,
@@ -44,7 +46,6 @@ from .kernel import (
     Term,
     Var,
     apply,
-    canonical,
     is_ground,
     list_elements,
     mgu,
@@ -55,10 +56,6 @@ from .kernel import (
     term_text,
     term_vars,
 )
-
-# body atoms that are control noise rather than calls
-_CONTROL = {PredKey(None, "!", 0), PredKey(None, "true", 0)}
-
 
 # ===========================================================================
 # Builtin registry
@@ -148,7 +145,7 @@ def _bi_different_from(args: tuple[Term, ...], s: Subst) -> list[Subst]:
     a, b = args
     if not (is_ground(a) and is_ground(b)):
         raise InstantiationError("different_from: both arguments must be ground")
-    return [dict(s)] if canonical(a) != canonical(b) else []
+    return [dict(s)] if a != b else []
 
 
 def _bi_create_owl_thing(args: tuple[Term, ...], s: Subst) -> list[Subst]:
@@ -443,6 +440,14 @@ def _principal(t: Term):
     return None
 
 
+def _unifiers(query: Atom, facts: Iterable[Atom], s: Subst) -> Iterator[Subst]:
+    """Extensions of s unifying query with each of the facts, in turn."""
+    for fact in facts:
+        out = mgu(query, fact, s)
+        if out is not None:
+            yield out
+
+
 class FactIndex:
     """Ground atoms grouped by predicate and indexed by (predicate,
     position, principal functor), each group in insertion order.
@@ -452,7 +457,7 @@ class FactIndex:
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
-        """facts: canonical ground atoms, none repeated."""
+        """facts: ground atoms, none repeated."""
         self._by_pred: dict[PredKey, list[Atom]] = {}
         self._index: dict[tuple[PredKey, int, tuple], list[Atom]] = {}
         for fact in facts:
@@ -488,10 +493,7 @@ class FactIndex:
             candidates = self._by_pred.get(query.key, [])
         else:
             candidates = self._index.get(bucket, [])
-        for fact in candidates:
-            out = mgu(query, fact, s)
-            if out is not None:
-                yield out
+        return _unifiers(query, candidates, s)
 
 
 class FactStore(FactIndex):
@@ -525,12 +527,6 @@ class FactStore(FactIndex):
         """Insert one ground atom; False if it was already present."""
         if self._frozen:
             raise EvalTypeError("fact store is frozen")
-        fact = Atom(
-            fact.predicate,
-            tuple(canonical(a) for a in fact.args),
-            fact.module_prefix,
-            fact.span,
-        )
         if not is_ground(fact):
             raise EvalTypeError(f"non-ground fact {term_text(_atom_term(fact))}")
         if fact in self._all:
@@ -552,39 +548,20 @@ class FactStore(FactIndex):
         return cached
 
     def has(self, fact: Atom) -> bool:
-        fact = Atom(
-            fact.predicate,
-            tuple(canonical(a) for a in fact.args),
-            fact.module_prefix,
-        )
         return fact in self._all
 
     def origin(self, fact: Atom) -> Optional[str]:
         return self._origin.get(fact)
 
-    def matching(
-        self,
-        query: Atom,
-        s: Optional[Subst] = None,
-        restrict: Optional[set[Atom]] = None,
-    ) -> Iterator[tuple[Atom, Subst]]:
-        """All (fact, extended substitution) pairs unifying with query.
-
-        Facts are tried in sort_key order; restrict, when given, narrows
-        the candidates to the facts in it.
-        """
+    def matching(self, query: Atom, s: Optional[Subst] = None) -> Iterator[Subst]:
+        """Like probe, but the facts are tried in sort_key order."""
         s = s or {}
         bucket = self._bucket(query, s)
         if bucket is None:
             candidates = self.facts(query.key)
         else:
             candidates = sorted(self._index.get(bucket, []), key=sort_key)
-        for fact in candidates:
-            if restrict is not None and fact not in restrict:
-                continue
-            out = mgu(query, fact, s)
-            if out is not None:
-                yield fact, out
+        return _unifiers(query, candidates, s)
 
     def unifies_any(self, query: Atom, s: Optional[Subst] = None) -> bool:
         for _ in self.probe(query, s):
@@ -621,18 +598,24 @@ def deferred_negation_ok(pending: list[Atom], s: Subst, store: FactStore) -> boo
 
 
 def solve_body(
-    body: Sequence[Literal],
+    body: Sequence,
     store: FactStore,
     s: Optional[Subst] = None,
     delta: Optional[FactIndex] = None,
     delta_pos: Optional[int] = None,
+    probe: Optional[Callable[[Atom, Subst], Iterable[Subst]]] = None,
+    solve_item: Optional[Callable[[object, Subst], Iterable[Subst]]] = None,
 ) -> Iterator[Subst]:
-    """All substitutions solving the body left to right against store,
-    in no promised order.
+    """All substitutions solving the body (a rule body or a goal) left to
+    right against store.
 
-    With delta/delta_pos set, the literal at delta_pos only matches facts
-    in delta (the semi-naive restriction).
+    A positive literal reads the store through probe, store.probe (in
+    insertion order) unless given; answers come in the order it yields
+    facts.  With delta/delta_pos set, the literal at delta_pos only
+    matches facts in delta (the semi-naive restriction).  Body items
+    that are not Literals are answered by solve_item.
     """
+    probe = probe or store.probe
 
     def step(i: int, s: Subst, pending: list[Atom]) -> Iterator[Subst]:
         if i == len(body):
@@ -640,6 +623,10 @@ def solve_body(
                 yield s
             return
         lit = body[i]
+        if not isinstance(lit, Literal):
+            for s2 in solve_item(lit, s):
+                yield from step(i + 1, s2, pending)
+            return
         atom = lit.atom
         if lit.is_negated():
             if atom.module_prefix is not None:
@@ -657,11 +644,11 @@ def solve_body(
             for s2 in call_builtin(atom, s):
                 yield from step(i + 1, s2, pending)
             return
-        if atom.key in _CONTROL:
+        if atom.key in CONTROL:
             yield from step(i + 1, s, pending)
             return
-        source = delta if i == delta_pos else store
-        for s2 in source.probe(atom, s):
+        source = delta.probe if i == delta_pos else probe
+        for s2 in source(atom, s):
             yield from step(i + 1, s2, pending)
 
     yield from step(0, s or {}, [])
@@ -702,27 +689,13 @@ def _rule_heads(
         raise _wrap_rule_errors(rule, err) from err
 
 
-def tp_step(p: Program, store: FactStore) -> set[Atom]:
-    """One immediate-consequence pass: every rule against the full store.
-
-    Returns the derived atoms not yet stored; the store is not modified.
-    """
-    new: set[Atom] = set()
-    for rule in p.rules:
-        fresh = rename_apart(rule, "_t") if rule.body else rule
-        for head in _rule_heads(fresh, store):
-            if not store.has(head):
-                new.add(head)
-    return new
-
-
 def _positive_positions(rule: Rule) -> list[int]:
     return [
         i
         for i, lit in enumerate(rule.body)
         if not lit.is_negated()
         and not lit.is_builtin()
-        and lit.atom.key not in _CONTROL
+        and lit.atom.key not in CONTROL
     ]
 
 
@@ -803,46 +776,6 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
     return store.freeze()
 
 
-def evaluate_naive(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
-    """Plain naive iteration of tp_step to the fixpoint, stratum by
-    stratum; reference semantics for the semi-naive engine."""
-    opts = opts or EvalOptions()
-    violations = check_safety(p)
-    if violations:
-        raise SafetyError(violations)
-    strata = stratify(p)
-    by_stratum: dict[int, list[Rule]] = {}
-    for rule in p.rules:
-        by_stratum.setdefault(strata.of(rule.head.key), []).append(rule)
-    store = FactStore()
-    for stratum in range(strata.max_stratum + 1):
-        rules = by_stratum.get(stratum, [])
-        if not rules:
-            continue
-        sub = Program(tuple(rules))
-        iteration = 0
-        while True:
-            iteration += 1
-            if iteration > opts.max_iterations:
-                raise ResourceLimitExceeded(
-                    f"iteration limit {opts.max_iterations} exceeded "
-                    f"in stratum {stratum}",
-                    stratum=stratum,
-                )
-            new = tp_step(sub, store)
-            if not new:
-                break
-            for head in sorted(new, key=sort_key):
-                store.add(head)
-            if len(store) > opts.max_facts:
-                raise ResourceLimitExceeded(
-                    f"fact limit {opts.max_facts} exceeded in stratum {stratum}",
-                    stratum=stratum,
-                    delta_sample=sorted(new, key=sort_key)[:5],
-                )
-    return store.freeze()
-
-
 def facts_as_rules(
     facts: Iterable[Atom], taken: Iterable[str] = ()
 ) -> tuple[Rule, ...]:
@@ -876,7 +809,6 @@ class ProofTree:
 
     @staticmethod
     def from_term(t: Term) -> "ProofTree":
-        t = canonical(t)
         if not _is_tree_term(t):
             raise EvalTypeError(f"not a proof tree term: {term_text(t)}")
         conclusion = _conclusion_atom(t.args[0])
@@ -924,7 +856,7 @@ def _conclusion_atom(t: Term) -> Atom:
 
 def tree_of(fact: Atom) -> Optional[ProofTree]:
     """The proof tree carried in the fact's last argument, if any."""
-    if fact.args and _is_tree_term(canonical(fact.args[-1])):
+    if fact.args and _is_tree_term(fact.args[-1]):
         return ProofTree.from_term(fact.args[-1])
     return None
 

@@ -17,7 +17,7 @@ Contracting the rule and call nodes of an RPG yields exactly the PDG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import (
     BuiltinLiteralError,
@@ -27,6 +27,7 @@ from .errors import (
     NotUnifiableError,
 )
 from .kernel import (
+    CONTROL,
     Atom,
     Compound,
     Const,
@@ -55,9 +56,6 @@ DEFAULT_META: dict[PredKey, tuple[int, ...]] = {
     PredKey(None, "not", 1): (0,),
     PredKey(None, "findall", 3): (1,),
 }
-
-# control atoms that carry no dependency information
-_CONTROL = {PredKey(None, "!", 0), PredKey(None, "true", 0)}
 
 
 @dataclass(frozen=True)
@@ -174,7 +172,7 @@ def _body_targets(
         return (PredKey(None, "not", 1), inner, NOT)
     if lit.is_builtin():
         return None
-    if atom.key in _CONTROL:
+    if atom.key in CONTROL:
         return None
     positions = meta.get(atom.key)
     if positions is not None:

@@ -24,14 +24,14 @@ from .errors import (
     TemplateVarUnbound,
     UnboundFilterError,
 )
-from .engine import BUILTINS, FactStore, call_builtin, deferred_negation_ok
+from .engine import BUILTINS, FactStore, solve_body
 from .kernel import (
+    CONTROL,
     Atom,
     Compound,
     Const,
     Literal,
     Num,
-    PredKey,
     Program,
     Subst,
     Term,
@@ -47,9 +47,6 @@ from .kernel import (
 )
 from .syntax import TermParser, tokenize
 from .xmlterm import XmlTerm, parse_xml
-
-_CONTROL = {PredKey(None, "!", 0), PredKey(None, "true", 0)}
-
 
 # ===========================================================================
 # Documents as terms
@@ -293,7 +290,7 @@ def parse_goal(text: str, filename: str = "<goal>") -> list[GoalItem]:
     return [
         item
         for item in items
-        if not (isinstance(item, Literal) and item.atom.key in _CONTROL)
+        if not (isinstance(item, Literal) and item.atom.key in CONTROL)
     ]
 
 
@@ -343,6 +340,25 @@ class _DocRegistry:
             self.docs[name] = load_xml(os.path.join(self.base_dir, name))
         return self.docs[name]
 
+    def solve_path(self, item: PathBinding, s: Subst) -> Iterator[Subst]:
+        """Extensions of s binding item.var to each hit, in document order."""
+        if item.doc is not None:
+            root = self.get(item.doc)
+        else:
+            bound = apply(s, Var(item.from_var))
+            if isinstance(bound, Var):
+                raise PathError(f"path source variable {item.from_var} is unbound")
+            if not isinstance(bound, XmlNode):
+                raise PathError(
+                    f"path source variable {item.from_var} is not a document node"
+                )
+            root = bound.node
+        for hit, _ in path_eval(root, item.expr, s):
+            value: Term = XmlNode(hit) if isinstance(hit, XmlTerm) else hit
+            s2 = mgu(Var(item.var), value, s)
+            if s2 is not None:
+                yield s2
+
 
 def _item_vars(item: GoalItem) -> set[str]:
     if isinstance(item, Literal):
@@ -364,62 +380,12 @@ def solve_goal(
     base_dir: str = ".",
 ) -> list[Subst]:
     """All answers of the goal against the store and the named documents,
-    left to right; fact matches come sorted, path hits in document order."""
+    left to right, solved as a rule body is; fact matches come sorted,
+    path hits in document order.  program is not read."""
     registry = _DocRegistry(docs, base_dir)
-    items = list(goal)
-
-    def step(i: int, s: Subst, pending: list[Atom]) -> Iterator[Subst]:
-        if i == len(items):
-            if deferred_negation_ok(pending, s, store):
-                yield s
-            return
-        item = items[i]
-        if isinstance(item, PathBinding):
-            if item.doc is not None:
-                root = registry.get(item.doc)
-            else:
-                bound = apply(s, Var(item.from_var))
-                if isinstance(bound, Var):
-                    raise PathError(
-                        f"path source variable {item.from_var} is unbound"
-                    )
-                if not isinstance(bound, XmlNode):
-                    raise PathError(
-                        f"path source variable {item.from_var} is not a "
-                        f"document node"
-                    )
-                root = bound.node
-            for hit, _ in path_eval(root, item.expr, s):
-                value: Term = XmlNode(hit) if isinstance(hit, XmlTerm) else hit
-                s2 = mgu(Var(item.var), value, s)
-                if s2 is not None:
-                    yield from step(i + 1, s2, pending)
-            return
-        lit = item
-        atom = lit.atom
-        if lit.is_negated():
-            if atom.module_prefix is not None:
-                if not call_builtin(atom, s):
-                    yield from step(i + 1, s, pending)
-                return
-            bound = apply(s, atom)
-            if is_ground(bound):
-                if not store.has(bound):
-                    yield from step(i + 1, s, pending)
-            else:
-                yield from step(i + 1, s, pending + [atom])
-            return
-        if lit.is_builtin():
-            for s2 in call_builtin(atom, s):
-                yield from step(i + 1, s2, pending)
-            return
-        if atom.key in _CONTROL:
-            yield from step(i + 1, s, pending)
-            return
-        for _, s2 in store.matching(atom, s):
-            yield from step(i + 1, s2, pending)
-
-    return list(step(0, {}, []))
+    return list(
+        solve_body(goal, store, probe=store.matching, solve_item=registry.solve_path)
+    )
 
 
 # ===========================================================================

@@ -1,16 +1,18 @@
 """Core term algebra: terms, atoms, literals, rules, substitutions.
 
-Terms are immutable.  Substitutions are plain dicts mapping variable names
-to terms, kept in triangular solved form so that applying one twice equals
-applying it once.  mgu() performs syntactic unification with the occurs
-check; failure is an ordinary None result, not an exception.
+Terms are immutable; a list is a chain of '.'/2 cons cells (mklist builds
+one), and there is no other list form.  Substitutions are plain dicts
+mapping variable names to terms, kept in triangular solved form so that
+applying one twice equals applying it once.  mgu() performs syntactic
+unification with the occurs check; failure is an ordinary None result,
+not an exception.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 # ===========================================================================
 # Source positions
@@ -102,31 +104,8 @@ class Compound(Term):
         return f"Compound({self.functor!r}, {self.args!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class List(Term):
-    """Convenience list constructor.
-
-    [a, b | T] is sugar for '.'(a, '.'(b, T)); canonical() performs the
-    expansion and both spellings compare (and hash) equal.
-    """
-
-    elements: tuple[Term, ...]
-    tail: Term = NIL
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Term):
-            return NotImplemented
-        return canonical(self) == canonical(other)
-
-    def __hash__(self) -> int:
-        return hash(canonical(self))
-
-    def __repr__(self) -> str:
-        return f"List({self.elements!r}, {self.tail!r})"
-
-
 def mklist(elements: Iterable[Term], tail: Term = NIL) -> Term:
-    """Build the canonical cons-cell chain for the given elements."""
+    """Build the cons-cell chain '.'(e1, '.'(e2, ... tail)), the one list form."""
     out = tail
     for el in reversed(list(elements)):
         out = Compound(".", (el, out))
@@ -154,24 +133,11 @@ def parse_number(text: str) -> Optional[Num]:
     return Num(value)
 
 
-def canonical(t: Term) -> Term:
-    """Expand List sugar into cons cells, recursively."""
-    if isinstance(t, List):
-        return mklist([canonical(e) for e in t.elements], canonical(t.tail))
-    if isinstance(t, Compound):
-        args = tuple(canonical(a) for a in t.args)
-        if args == t.args:
-            return t
-        return Compound(t.functor, args)
-    return t
-
-
 def list_elements(t: Term) -> Optional[tuple[list[Term], Term]]:
     """Decompose a cons chain into (elements, tail); None if t is no chain.
 
     A proper list ends with tail == Const('[]').
     """
-    t = canonical(t)
     elements: list[Term] = []
     while isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
         elements.append(t.args[0])
@@ -197,6 +163,10 @@ class PredKey(NamedTuple):
         if self.module:
             return f"{self.module}:{self.name}/{self.arity}"
         return f"{self.name}/{self.arity}"
+
+
+# body atoms that are control noise rather than calls
+CONTROL = frozenset({PredKey(None, "!", 0), PredKey(None, "true", 0)})
 
 
 @dataclass(frozen=True)
@@ -258,16 +228,6 @@ class Program:
         """Predicates appearing in some head."""
         return frozenset(r.head.key for r in self.rules)
 
-    def edb(self) -> frozenset[PredKey]:
-        """Predicates only ever called, never defined."""
-        heads = self.idb()
-        return frozenset(
-            lit.atom.key
-            for r in self.rules
-            for lit in r.body
-            if not lit.is_builtin() and lit.atom.key not in heads
-        )
-
     def pred_keys(self) -> frozenset[PredKey]:
         keys = set(self.idb())
         for r in self.rules:
@@ -275,12 +235,6 @@ class Program:
                 if not lit.is_builtin():
                     keys.add(lit.atom.key)
         return frozenset(keys)
-
-    def rule_by_name(self, name: str) -> Optional[Rule]:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        return None
 
 
 # ===========================================================================
@@ -303,10 +257,6 @@ def _collect_vars(t, out: set[str]) -> None:
     elif isinstance(t, Compound):
         for a in t.args:
             _collect_vars(a, out)
-    elif isinstance(t, List):
-        for a in t.elements:
-            _collect_vars(a, out)
-        _collect_vars(t.tail, out)
     elif isinstance(t, Atom):
         for a in t.args:
             _collect_vars(a, out)
@@ -321,11 +271,11 @@ def _collect_vars(t, out: set[str]) -> None:
 def apply(s: Subst, t):
     """Apply substitution s to a Term, Atom, Literal, or Rule."""
     if isinstance(t, Term):
-        return _apply_term(s, canonical(t))
+        return _apply_term(s, t)
     if isinstance(t, Atom):
         return Atom(
             t.predicate,
-            tuple(_apply_term(s, canonical(a)) for a in t.args),
+            tuple(_apply_term(s, a) for a in t.args),
             t.module_prefix,
             t.span,
         )
@@ -348,15 +298,6 @@ def is_ground(t) -> bool:
     return not term_vars(t)
 
 
-def compose(s1: Subst, s2: Subst) -> Subst:
-    """s2 after s1: apply(compose(s1,s2), t) == apply(s2, apply(s1, t))."""
-    out = {v: apply(s2, t) for v, t in s1.items()}
-    for v, t in s2.items():
-        if v not in out:
-            out[v] = t
-    return out
-
-
 def _occurs(name: str, t: Term) -> bool:
     if isinstance(t, Var):
         return t.name == name
@@ -375,12 +316,11 @@ def mgu(a, b, s: Optional[Subst] = None) -> Optional[Subst]:
     if isinstance(a, Atom) and isinstance(b, Atom):
         if a.key != b.key:
             return None
-        pairs = list(zip(a.args, b.args))
+        stack = list(zip(a.args, b.args))
     elif isinstance(a, Term) and isinstance(b, Term):
-        pairs = [(a, b)]
+        stack = [(a, b)]
     else:
         return None
-    stack = [(canonical(x), canonical(y)) for x, y in pairs]
     while stack:
         x, y = stack.pop()
         x = _apply_term(s, x) if isinstance(x, Var) else x
@@ -452,7 +392,6 @@ def sort_key(t):
             len(t.args),
             tuple(sort_key(a) for a in t.args),
         )
-    t = canonical(t)
     if isinstance(t, Num):
         return (0, float(t.value), 0 if t.is_int() else 1)
     if isinstance(t, Const):
@@ -499,7 +438,6 @@ def term_text(t, quoted: bool = True) -> str:
             return prefix + "(" + _infix_text(t.predicate, t.args, quoted) + ")"
         args = ", ".join(term_text(a, quoted) for a in t.args)
         return f"{prefix}{_functor_text(t.predicate, quoted)}({args})"
-    t = canonical(t)
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Num):
@@ -532,7 +470,6 @@ def _infix_text(op: str, args: tuple[Term, ...], quoted: bool) -> str:
 def _operand_text(t: Term, max_prec: int, quoted: bool) -> str:
     """Render an operand of an infix operator, adding parentheses only when
     the operand's own operator binds more loosely than the slot allows."""
-    t = canonical(t)
     if isinstance(t, Compound) and t.functor in _INFIX and len(t.args) == 2:
         inner = _infix_text(t.functor, t.args, quoted)
         prec, _ = _INFIX[t.functor]

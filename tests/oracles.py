@@ -18,7 +18,6 @@ from ddlite.kernel import (
     Const,
     Num,
     Var,
-    canonical,
     term_text,
 )
 
@@ -32,7 +31,6 @@ def _match(pattern, fact_args, env):
     """Extend env so the pattern args equal the ground fact args, or None."""
     out = dict(env)
     for p, f in zip(pattern, fact_args):
-        p = canonical(p)
         if isinstance(p, Var):
             bound = out.get(p.name)
             if bound is None:
@@ -45,7 +43,6 @@ def _match(pattern, fact_args, env):
 
 
 def _ground(t, env):
-    t = canonical(t)
     if isinstance(t, Var):
         return env[t.name]
     if isinstance(t, Compound):
@@ -143,7 +140,7 @@ def ground_model(program):
             """Extended env (or None for failure) after one builtin call."""
             name = atom.predicate
             if name == "create_owl_thing":
-                b = canonical(atom.args[0])
+                b = atom.args[0]
                 assert isinstance(b, Var)
                 args = tuple(_ground(a, env) for a in atom.args[1:])
                 out = dict(env)

@@ -20,7 +20,6 @@ from ddlite.cli import main
 from ddlite.engine import (
     auto_pt,
     evaluate,
-    evaluate_naive,
     render_proof_tree,
     tree_of,
     validate_store,
@@ -45,6 +44,7 @@ from ddlite.syntax import (
     swrl_to_datalog,
 )
 
+from naive import evaluate_naive
 from oracles import (
     ground_model,
     model_of_store,

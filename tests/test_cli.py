@@ -267,6 +267,14 @@ def test_eval_rejects_a_bad_fact_limit_in_the_env(capsys, monkeypatch, value):
     )
 
 
+@pytest.mark.parametrize("flag", ["--max-facts", "--max-iterations"])
+@pytest.mark.parametrize("value", ["-1", "-5", "abc"])
+def test_eval_rejects_a_bad_limit_flag(capsys, flag, value):
+    code, out, err = run(capsys, "eval", fx("route.dl"), flag, value)
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be a non-negative integer, got {value!r}\n"
+
+
 def test_eval_output_does_not_depend_on_the_hash_seed(tmp_path):
     # ten r/1 facts enter one delta together; the first to reach the
     # builtin names itself in the error, so the delta's order must not
@@ -399,6 +407,17 @@ def test_query_over_derived_facts(capsys):
     )
     assert code == 0
     assert out == "[[295]]\n"
+
+
+def test_query_sums_fact_matches_in_sort_key_order(capsys, tmp_path):
+    # float addition is not associative: 0.1 + 0.2 + 0.3 (sorted) differs
+    # from 0.3 + 0.2 + 0.1 (insertion order) in the last digit
+    f = tmp_path / "h.dl"
+    f.write_text("h(a, 0.3). h(a, 0.2). h(a, 0.1).\n", encoding="utf-8")
+    code, out, err = run(capsys, "query", str(f),
+                         "--goal", "h(K, V)", "--template", "[K, sum(V)]")
+    assert code == 0
+    assert out == "[[a, 0.6000000000000001]]\n"
 
 
 def test_query_bad_template_is_a_domain_error(capsys):

@@ -17,13 +17,11 @@ from ddlite.engine import (
     deferred_negation_ok,
     dump_facts,
     evaluate,
-    evaluate_naive,
     facts_as_rules,
     facts_to_json,
     render_proof_tree,
     solve_body,
     stratify,
-    tp_step,
     tree_of,
     validate_fact,
     validate_store,
@@ -48,12 +46,12 @@ from ddlite.kernel import (
     Rule,
     Var,
     apply,
-    canonical,
     mklist,
     term_text,
 )
 from ddlite.syntax import lloyd_topor, parse_program, parse_swrl, print_program, swrl_to_datalog
 
+from naive import evaluate_naive, tp_step
 from oracles import ground_model, model_of_store, random_program
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -193,7 +191,7 @@ def test_create_owl_thing_is_deterministic():
 def test_append_flattens_a_list_of_lists():
     lists = mklist([mklist([Const("a"), Const("b")]), mklist([Const("c")])])
     (s,) = call_builtin(bi("append", lists, Var("Xs")))
-    assert s["Xs"] == canonical(mklist([Const("a"), Const("b"), Const("c")]))
+    assert s["Xs"] == mklist([Const("a"), Const("b"), Const("c")])
 
 
 def test_append_argument_errors():
@@ -330,10 +328,7 @@ def test_store_matching_narrows_by_first_bound_argument():
     query = Atom("edge", (Const("n2"), Var("Y")))
     results = list(store.matching(query))
     assert len(results) == 1
-    fact, s = results[0]
-    assert apply(s, Var("Y")) == Const("n3")
-    restricted = list(store.matching(query, restrict=set()))
-    assert restricted == []
+    assert apply(results[0], Var("Y")) == Const("n3")
 
 
 def test_store_matching_yields_sort_key_order_whatever_the_insertion_order():
@@ -342,7 +337,7 @@ def test_store_matching_yields_sort_key_order_whatever_the_insertion_order():
         store.add(Atom("edge", (Const("n0"), Const(y))))
     store.add(Atom("edge", (Const("n1"), Const("a"))))
     query = Atom("edge", (Const("n0"), Var("Y")))
-    found = [term_text(apply(s, Var("Y"))) for _, s in store.matching(query)]
+    found = [term_text(apply(s, Var("Y"))) for s in store.matching(query)]
     assert found == ["a", "b", "c", "d", "e"]
 
 
@@ -634,7 +629,7 @@ def test_proof_tree_term_roundtrip_keeps_side_conditions():
     assert tree.tag == "r"
     assert [c.tag for c in tree.children] == ["f1", "e"]
     assert len(tree.side_conditions) == 1
-    assert canonical(tree.to_term()) == canonical(term)
+    assert tree.to_term() == term
 
 
 def test_proof_tree_rejects_malformed_terms():

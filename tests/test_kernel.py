@@ -6,15 +6,12 @@ from ddlite.kernel import (
     Atom,
     Compound,
     Const,
-    List,
     Literal,
     Num,
     PredKey,
     Rule,
     Var,
     apply,
-    canonical,
-    compose,
     is_ground,
     list_elements,
     mgu,
@@ -30,16 +27,8 @@ from oracles import random_term
 
 
 # ---------------------------------------------------------------------------
-# terms and canonical form
+# terms
 # ---------------------------------------------------------------------------
-
-
-def test_list_sugar_canonicalizes_to_cons_cells():
-    sugar = List((Num(1), Num(2)))
-    cells = canonical(sugar)
-    assert isinstance(cells, Compound) and cells.functor == "."
-    assert canonical(cells) is cells
-    assert cells == mklist([Num(1), Num(2)])
 
 
 def test_list_elements_roundtrip_and_partial_tail():
@@ -99,7 +88,7 @@ def test_mgu_clash_on_functor_and_arity():
 
 
 def test_mgu_unifies_atoms_and_list_sugar():
-    s = mgu(Atom("p", (List((Var("X"),)),)), Atom("p", (mklist([Num(3)]),)))
+    s = mgu(Atom("p", (mklist([Var("X")]),)), Atom("p", (mklist([Num(3)]),)))
     assert apply(s, Var("X")) == Num(3)
 
 
@@ -116,11 +105,6 @@ def test_mgu_idempotent_on_random_pairs():
         assert sa == sb
         assert apply(s, sa) == sa
     assert unified > 30
-
-
-def test_compose_applies_left_then_right():
-    s = compose({"X": Var("Y")}, {"Y": Const("a")})
-    assert apply(s, Var("X")) == Const("a")
 
 
 def test_rename_apart_suffixes_every_variable():
