@@ -110,7 +110,8 @@ def _meta_dict(spec: Optional[str]) -> dict:
         name, _, arity = entry.rpartition("/")
         if not name or not arity.isdigit():
             raise DdliteError(f"--meta-list expects name/arity, got {entry!r}")
-        meta[PredKey(None, name, int(arity))] = tuple(range(int(arity)))
+        # a range, not a tuple: the arity is user input and may be huge
+        meta[PredKey(None, name, int(arity))] = range(int(arity))
     return meta
 
 
@@ -245,19 +246,15 @@ def cmd_diff(args) -> int:
     if report.is_empty():
         print("no differences")
     else:
-        def node_id(n):
-            return getattr(n, "id", str(n))
-
         for label, nodes, edges in (
             ("left", report.nodes_only_left, report.edges_only_left),
             ("right", report.nodes_only_right, report.edges_only_right),
         ):
             for n in nodes:
-                print(f"only in {label}: node {node_id(n)}")
+                print(f"only in {label}: node {n.id}")
             for e in edges:
                 mark = " [not]" if e.mark == "not" else ""
-                print(f"only in {label}: edge {node_id(e.src)} -> "
-                      f"{node_id(e.dst)}{mark}")
+                print(f"only in {label}: edge {e.src.id} -> {e.dst.id}{mark}")
     if equivalent is not None:
         print(f"equivalent modulo helpers: {'true' if equivalent else 'false'}")
     return 0

@@ -19,6 +19,7 @@ converts between that term shape and a typed tree for rendering.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -31,7 +32,7 @@ from .errors import (
     SafetyError,
     UnknownBuiltin,
 )
-from .graphs import NOT, PredNode, build_pdg
+from .graphs import NOT, Edge, Node, PredNode, build_pdg
 from .kernel import (
     CONTROL,
     Atom,
@@ -303,19 +304,19 @@ class Strata:
         return self.assignment.get(key, 0)
 
 
-def _sccs(nodes: list[PredKey], out: dict[PredKey, list[PredKey]]) -> list[list[PredKey]]:
+def _sccs(nodes: list[Node], out: dict[Node, list[Edge]]) -> list[list[Node]]:
     """Tarjan's algorithm, iterative; components are emitted callees-first."""
-    index: dict[PredKey, int] = {}
-    low: dict[PredKey, int] = {}
-    on_stack: set[PredKey] = set()
-    stack: list[PredKey] = []
-    result: list[list[PredKey]] = []
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    on_stack: set[Node] = set()
+    stack: list[Node] = []
+    result: list[list[Node]] = []
     counter = [0]
 
     for root in nodes:
         if root in index:
             continue
-        work: list[tuple[PredKey, int]] = [(root, 0)]
+        work: list[tuple[Node, int]] = [(root, 0)]
         while work:
             node, child_i = work[-1]
             if child_i == 0:
@@ -324,9 +325,9 @@ def _sccs(nodes: list[PredKey], out: dict[PredKey, list[PredKey]]) -> list[list[
                 stack.append(node)
                 on_stack.add(node)
             advanced = False
-            successors = out.get(node, [])
+            successors = out.get(node, ())
             for k in range(child_i, len(successors)):
-                succ = successors[k]
+                succ = successors[k].dst
                 if succ not in index:
                     work[-1] = (node, k + 1)
                     work.append((succ, 0))
@@ -359,27 +360,22 @@ def stratify(p: Program) -> Strata:
     negated dependency lies on a cycle.
     """
     g = build_pdg(p)
-    keys = sorted(
-        {n.key for n in g.nodes if isinstance(n, PredNode)} | set(p.pred_keys()),
-        key=lambda k: (k.module or "", k.name, k.arity),
+    out = g.adjacency.out
+    nodes = sorted(
+        set(g.nodes) | {PredNode(k) for k in p.pred_keys()},
+        key=lambda n: (n.key.module or "", n.key.name, n.key.arity),
     )
-    out: dict[PredKey, list[PredKey]] = {k: [] for k in keys}
-    marks: dict[tuple[PredKey, PredKey], bool] = {}
-    for e in g.edges:
-        src, dst = e.src.key, e.dst.key
-        if dst not in out[src]:
-            out[src].append(dst)
-        marks[(src, dst)] = marks.get((src, dst), False) or (e.mark == NOT)
 
-    comp_of: dict[PredKey, int] = {}
-    comps = _sccs(keys, out)
+    comp_of: dict[Node, int] = {}
+    comps = _sccs(nodes, out)
     for i, comp in enumerate(comps):
-        for k in comp:
-            comp_of[k] = i
+        for n in comp:
+            comp_of[n] = i
 
-    for (src, dst), negated in sorted(marks.items()):
-        if negated and comp_of[src] == comp_of[dst]:
-            raise CycleError(_cycle_path(src, dst, out, comp_of))
+    bad = [e for e in g.edges if e.mark == NOT and comp_of[e.src] == comp_of[e.dst]]
+    if bad:
+        first = min(bad, key=lambda e: (e.src.key, e.dst.key))
+        raise CycleError(_cycle_path(first.src, first.dst, out, comp_of))
 
     # components come out callees-first, so dependencies are already ranked
     stratum_of_comp: list[int] = [0] * len(comps)
@@ -387,32 +383,32 @@ def stratify(p: Program) -> Strata:
     for i, comp in enumerate(comps):
         level = 0
         for src in comp:
-            for dst in out.get(src, ()):
-                if comp_of[dst] == i:
+            for e in out.get(src, ()):
+                if comp_of[e.dst] == i:
                     continue
-                step = 1 if marks.get((src, dst)) else 0
-                level = max(level, stratum_of_comp[comp_of[dst]] + step)
+                step = 1 if e.mark == NOT else 0
+                level = max(level, stratum_of_comp[comp_of[e.dst]] + step)
         stratum_of_comp[i] = level
-        for k in comp:
-            assignment[k] = level
+        for n in comp:
+            assignment[n.key] = level
     return Strata(assignment)
 
 
 def _cycle_path(src, dst, out, comp_of) -> list[PredKey]:
     """A dst -> ... -> src walk inside one component, closing the bad edge."""
     target_comp = comp_of[src]
-    prev: dict[PredKey, PredKey] = {}
-    queue = [dst]
+    prev: dict[Node, Node] = {}
+    queue = deque([dst])
     seen = {dst}
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         if cur == src:
             break
-        for nxt in out.get(cur, ()):
-            if comp_of.get(nxt) == target_comp and nxt not in seen:
-                seen.add(nxt)
-                prev[nxt] = cur
-                queue.append(nxt)
+        for e in out[cur]:
+            if comp_of[e.dst] == target_comp and e.dst not in seen:
+                seen.add(e.dst)
+                prev[e.dst] = cur
+                queue.append(e.dst)
     path = [src]
     cur = src
     while cur != dst and cur in prev:
@@ -421,7 +417,7 @@ def _cycle_path(src, dst, out, comp_of) -> list[PredKey]:
     if path[-1] != dst:
         path.append(dst)
     path.reverse()  # dst ... src
-    return [src] + path  # src, dst, ..., src
+    return [n.key for n in [src] + path]  # src, dst, ..., src
 
 
 # ===========================================================================

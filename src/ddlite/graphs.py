@@ -16,8 +16,10 @@ Contracting the rule and call nodes of an RPG yields exactly the PDG.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BuiltinLiteralError,
@@ -104,6 +106,13 @@ class Edge(NamedTuple):
     mark: str = PLAIN
 
 
+class Adjacency(NamedTuple):
+    """The edges leaving (out) and entering (into) each node, in edge order."""
+
+    out: dict[Node, list[Edge]]
+    into: dict[Node, list[Edge]]
+
+
 @dataclass(frozen=True, eq=False)
 class DepGraph:
     kind: str
@@ -122,8 +131,17 @@ class DepGraph:
     def __hash__(self) -> int:
         return hash((self.kind, frozenset(self.nodes), frozenset(self.edges)))
 
+    @cached_property
+    def adjacency(self) -> Adjacency:
+        """Built on first use; every graph walk reads it."""
+        adj = Adjacency({n: [] for n in self.nodes}, {n: [] for n in self.nodes})
+        for e in self.edges:
+            adj.out[e.src].append(e)
+            adj.into[e.dst].append(e)
+        return adj
+
     def successors(self, node: Node) -> list[Node]:
-        return [e.dst for e in self.edges if e.src == node]
+        return [e.dst for e in self.adjacency.out.get(node, ())]
 
 
 class _Builder:
@@ -159,7 +177,7 @@ def _inner_goals(t: Term) -> list[PredKey]:
 
 
 def _body_targets(
-    lit: Literal, meta: dict[PredKey, tuple[int, ...]]
+    lit: Literal, meta: dict[PredKey, Sequence[int]]
 ) -> Optional[tuple[Optional[PredKey], list[PredKey], str]]:
     """Classify a body literal for graph building.
 
@@ -230,47 +248,46 @@ def pdg_from_rpg(g: DepGraph) -> DepGraph:
     if g.kind != RPG:
         raise GraphKindError(f"expected an rpg, got {g.kind}")
     b = _Builder(PDG)
-    out: dict[Node, list[Edge]] = {}
-    for e in g.edges:
-        out.setdefault(e.src, []).append(e)
-    for n in g.nodes:
-        if isinstance(n, PredNode):
-            b.node(n)
-    for n in g.nodes:
-        if not isinstance(n, PredNode):
-            continue
+    out = g.adjacency.out
+    preds = [n for n in g.nodes if isinstance(n, PredNode)]
+    for n in preds:
+        b.node(n)
+    for n in preds:
         # walk through non-predicate nodes, or-ing marks along the way
-        stack = [(e.dst, e.mark == NOT) for e in out.get(n, ())]
+        queue = deque((e.dst, e.mark == NOT) for e in out[n])
         seen = set()
-        while stack:
-            cur, marked = stack.pop(0)
+        while queue:
+            cur, marked = queue.popleft()
             if isinstance(cur, PredNode):
                 b.edge(n, cur, NOT if marked else PLAIN)
                 continue
             if (cur, marked) in seen:
                 continue
             seen.add((cur, marked))
-            for e in out.get(cur, ()):
-                stack.append((e.dst, marked or e.mark == NOT))
+            queue.extend((e.dst, marked or e.mark == NOT) for e in out[cur])
     return b.done()
+
+
+def _reach(g: DepGraph, start: Node) -> set[Node]:
+    """Nodes reachable from start through at least one edge; start is in
+    the result only when it lies on a cycle."""
+    out = g.adjacency.out
+    seen: set[Node] = set()
+    stack = [start]
+    while stack:
+        for e in out.get(stack.pop(), ()):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return seen
 
 
 def reachable(g: DepGraph, start: Node) -> frozenset[Node]:
     """Nodes strictly reachable from start (start itself excluded; for an
     RPG the result is filtered to predicate nodes)."""
-    if start not in set(g.nodes):
+    if start not in g.adjacency.out:
         raise NodeNotFound(f"node {getattr(start, 'id', start)!r} not in graph")
-    out: dict[Node, list[Node]] = {}
-    for e in g.edges:
-        out.setdefault(e.src, []).append(e.dst)
-    seen: set[Node] = set()
-    stack = list(out.get(start, ()))
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(out.get(cur, ()))
+    seen = _reach(g, start)
     seen.discard(start)
     if g.kind == RPG:
         seen = {n for n in seen if isinstance(n, PredNode)}
@@ -279,20 +296,7 @@ def reachable(g: DepGraph, start: Node) -> frozenset[Node]:
 
 def on_cycle(g: DepGraph, node: Node) -> bool:
     """True if node can reach itself through at least one edge."""
-    out: dict[Node, list[Node]] = {}
-    for e in g.edges:
-        out.setdefault(e.src, []).append(e.dst)
-    seen: set[Node] = set()
-    stack = list(out.get(node, ()))
-    while stack:
-        cur = stack.pop()
-        if cur == node:
-            return True
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(out.get(cur, ()))
-    return False
+    return node in _reach(g, node)
 
 
 # ===========================================================================
@@ -367,22 +371,25 @@ class DiffReport:
         )
 
 
+def _call_descriptor(g: DepGraph, m: MetaCallNode) -> tuple:
+    """A meta-call site by what it calls: its key plus the sorted keys of
+    the predicates called inside."""
+    inner = sorted(
+        str(e.dst.key) for e in g.adjacency.out[m] if isinstance(e.dst, PredNode)
+    )
+    return (str(m.key), tuple(inner))
+
+
 def _rule_shape(g: DepGraph, rnode: RuleNode):
     """Sort key describing a rule node: head key plus body target multiset."""
     heads = sorted(
-        str(e.src.key) for e in g.edges if e.dst == rnode and isinstance(e.src, PredNode)
+        str(e.src.key) for e in g.adjacency.into[rnode] if isinstance(e.src, PredNode)
     )
     body = []
-    for e in g.edges:
-        if e.src != rnode:
-            continue
+    for e in g.adjacency.out[rnode]:
         if isinstance(e.dst, MetaCallNode):
-            inner = sorted(
-                str(e2.dst.key)
-                for e2 in g.edges
-                if e2.src == e.dst and isinstance(e2.dst, PredNode)
-            )
-            body.append(("m", str(e.dst.key), e.mark, tuple(inner)))
+            key, inner = _call_descriptor(g, e.dst)
+            body.append(("m", key, e.mark, inner))
         elif isinstance(e.dst, PredNode):
             body.append(("p", str(e.dst.key), e.mark, ()))
     return (tuple(heads), tuple(sorted(body)))
@@ -391,7 +398,8 @@ def _rule_shape(g: DepGraph, rnode: RuleNode):
 def _canonicalize(g: DepGraph) -> tuple[DepGraph, dict[Node, Node]]:
     """Renumber rule and meta-call nodes by shape so that reordering
     clauses does not show up as a difference.  Returns the renamed graph
-    and the mapping canonical -> original."""
+    and the mapping canonical -> original.  Linear in the edges, plus the
+    sort."""
     rule_nodes = [n for n in g.nodes if isinstance(n, RuleNode)]
     order = sorted(
         range(len(rule_nodes)), key=lambda i: (_rule_shape(g, rule_nodes[i]), i)
@@ -406,22 +414,12 @@ def _canonicalize(g: DepGraph) -> tuple[DepGraph, dict[Node, Node]]:
     # within one rule, by call descriptor so body order does not matter
     meta_nodes = []
     for idx in order:
-        rnode = rule_nodes[idx]
         calls = [
             e.dst
-            for e in g.edges
-            if e.src == rnode and isinstance(e.dst, MetaCallNode)
+            for e in g.adjacency.out[rule_nodes[idx]]
+            if isinstance(e.dst, MetaCallNode)
         ]
-
-        def descriptor(m: MetaCallNode):
-            inner = sorted(
-                str(e.dst.key)
-                for e in g.edges
-                if e.src == m and isinstance(e.dst, PredNode)
-            )
-            return (str(m.key), tuple(inner))
-
-        meta_nodes.extend(sorted(calls, key=descriptor))
+        meta_nodes.extend(sorted(calls, key=lambda m: _call_descriptor(g, m)))
     for k, m in enumerate(meta_nodes, start=1):
         canon = MetaCallNode(m.key, k)
         mapping[m] = canon
@@ -450,18 +448,19 @@ def graph_diff(
         if not helpers:
             return g
         helper_pred = lambda n: isinstance(n, PredNode) and n.key in helpers
+        out, into = g.adjacency
         # a rule node headed by a helper goes away with the helper, and so
         # do meta-call sites that belong to such a rule
         dead = {
             n
             for n in g.nodes
-            if isinstance(n, RuleNode)
-            and any(helper_pred(e.src) for e in g.edges if e.dst == n)
+            if isinstance(n, RuleNode) and any(helper_pred(e.src) for e in into[n])
         }
         dead.update(
             e.dst
-            for e in g.edges
-            if e.src in dead and isinstance(e.dst, MetaCallNode)
+            for n in list(dead)
+            for e in out[n]
+            if isinstance(e.dst, MetaCallNode)
         )
         keep = lambda n: not (helper_pred(n) or n in dead)
         nodes = tuple(n for n in g.nodes if keep(n))
@@ -473,31 +472,21 @@ def graph_diff(
     n1, n2 = set(c1.nodes), set(c2.nodes)
     e1, e2 = set(c1.edges), set(c2.edges)
 
-    def orig_node(back, n):
-        return back.get(n, n)
-
     def orig_edge(back, e):
         return Edge(back.get(e.src, e.src), back.get(e.dst, e.dst), e.mark)
 
-    key = lambda n: _node_sort_key(n)
     return DiffReport(
         nodes_only_left=tuple(
-            sorted((orig_node(back1, n) for n in n1 - n2), key=key)
+            sorted((back1.get(n, n) for n in n1 - n2), key=_node_key)
         ),
         nodes_only_right=tuple(
-            sorted((orig_node(back2, n) for n in n2 - n1), key=key)
+            sorted((back2.get(n, n) for n in n2 - n1), key=_node_key)
         ),
         edges_only_left=tuple(
-            sorted(
-                (orig_edge(back1, e) for e in e1 - e2),
-                key=lambda e: (key(e.src), key(e.dst), e.mark),
-            )
+            sorted((orig_edge(back1, e) for e in e1 - e2), key=_edge_key)
         ),
         edges_only_right=tuple(
-            sorted(
-                (orig_edge(back2, e) for e in e2 - e1),
-                key=lambda e: (key(e.src), key(e.dst), e.mark),
-            )
+            sorted((orig_edge(back2, e) for e in e2 - e1), key=_edge_key)
         ),
         equivalent_modulo=frozenset(helpers),
     )
@@ -512,17 +501,20 @@ def schema_graph(x: XmlTerm, include_attrs: bool = True) -> DepGraph:
     """Tag-level summary of a document: parent tag -> child tag, plus
     "@name" attribute leaves when include_attrs is set."""
     b = _Builder(SCHEMA)
-
-    def walk(node: XmlTerm):
-        src = b.node(TagNode(node.tag))
+    # (parent tag node, element): an explicit stack keeps deep documents
+    # off the recursion limit and visits elements in document order
+    stack: list[tuple[Optional[TagNode], XmlTerm]] = [(None, x)]
+    while stack:
+        parent, node = stack.pop()
+        src = TagNode(node.tag)
+        if parent is None:
+            b.node(src)
+        else:
+            b.edge(parent, src)
         if include_attrs:
             for attr in node.attributes:
                 b.edge(src, TagNode(f"@{attr}"))
-        for child in node.child_elements():
-            b.edge(src, TagNode(child.tag))
-            walk(child)
-
-    walk(x)
+        stack.extend((src, child) for child in reversed(node.child_elements()))
     return b.done()
 
 
@@ -531,14 +523,18 @@ def schema_graph(x: XmlTerm, include_attrs: bool = True) -> DepGraph:
 # ===========================================================================
 
 
-def _node_sort_key(n: Node) -> tuple:
-    return (getattr(n, "id", str(n)),)
+def _node_key(n: Node) -> str:
+    return n.id
+
+
+def _edge_key(e: Edge) -> tuple:
+    return (e.src.id, e.dst.id, e.mark)
 
 
 def _node_label(n: Node) -> str:
     if isinstance(n, MetaCallNode):
         return str(n.key)
-    return getattr(n, "id", str(n))
+    return n.id
 
 
 def to_dot(g: DepGraph) -> str:
@@ -548,7 +544,7 @@ def to_dot(g: DepGraph) -> str:
     text; edges from negated literals carry label="not".
     """
     lines = ["digraph G {"]
-    for n in sorted(g.nodes, key=_node_sort_key):
+    for n in sorted(g.nodes, key=_node_key):
         nid = _node_label_id(n)
         if isinstance(n, RuleNode):
             lines.append(f'  "{nid}" [shape=box];')
@@ -556,9 +552,7 @@ def to_dot(g: DepGraph) -> str:
             lines.append(f'  "{nid}" [shape=plaintext, label="{_node_label(n)}"];')
         else:
             lines.append(f'  "{nid}" [shape=ellipse];')
-    for e in sorted(
-        g.edges, key=lambda e: (_node_sort_key(e.src), _node_sort_key(e.dst), e.mark)
-    ):
+    for e in sorted(g.edges, key=_edge_key):
         attr = ' [label="not"]' if e.mark == NOT else ""
         lines.append(f'  "{_node_label_id(e.src)}" -> "{_node_label_id(e.dst)}"{attr};')
     lines.append("}")
@@ -566,7 +560,7 @@ def to_dot(g: DepGraph) -> str:
 
 
 def _node_label_id(n: Node) -> str:
-    return getattr(n, "id", str(n)).replace('"', '\\"')
+    return n.id.replace('"', '\\"')
 
 
 def _node_type(n: Node) -> str:
@@ -578,43 +572,30 @@ def _node_type(n: Node) -> str:
     }[type(n)]
 
 
+def _node_json(n: Node) -> dict:
+    return {"id": n.id, "type": _node_type(n)}
+
+
+def _edge_json(e: Edge) -> dict:
+    return {"from": e.src.id, "to": e.dst.id, "mark": e.mark}
+
+
 def graph_to_json(g: DepGraph) -> dict:
     """Plain-data form: {kind, nodes: [{id,type}...], edges: [{from,to,mark}...]}
     with stable lexicographic ordering."""
-    nodes = [
-        {"id": getattr(n, "id", str(n)), "type": _node_type(n)}
-        for n in sorted(g.nodes, key=_node_sort_key)
-    ]
-    edges = [
-        {
-            "from": getattr(e.src, "id", str(e.src)),
-            "to": getattr(e.dst, "id", str(e.dst)),
-            "mark": e.mark,
-        }
-        for e in sorted(
-            g.edges,
-            key=lambda e: (_node_sort_key(e.src), _node_sort_key(e.dst), e.mark),
-        )
-    ]
-    return {"kind": g.kind, "nodes": nodes, "edges": edges}
+    return {
+        "kind": g.kind,
+        "nodes": [_node_json(n) for n in sorted(g.nodes, key=_node_key)],
+        "edges": [_edge_json(e) for e in sorted(g.edges, key=_edge_key)],
+    }
 
 
 def diff_to_json(d: DiffReport) -> dict:
-    def node(n):
-        return {"id": getattr(n, "id", str(n)), "type": _node_type(n)}
-
-    def edge(e):
-        return {
-            "from": getattr(e.src, "id", str(e.src)),
-            "to": getattr(e.dst, "id", str(e.dst)),
-            "mark": e.mark,
-        }
-
     return {
-        "nodes_only_left": [node(n) for n in d.nodes_only_left],
-        "nodes_only_right": [node(n) for n in d.nodes_only_right],
-        "edges_only_left": [edge(e) for e in d.edges_only_left],
-        "edges_only_right": [edge(e) for e in d.edges_only_right],
+        "nodes_only_left": [_node_json(n) for n in d.nodes_only_left],
+        "nodes_only_right": [_node_json(n) for n in d.nodes_only_right],
+        "edges_only_left": [_edge_json(e) for e in d.edges_only_left],
+        "edges_only_right": [_edge_json(e) for e in d.edges_only_right],
         "helpers": sorted(str(k) for k in d.equivalent_modulo),
         "identical": d.is_empty(),
     }

@@ -153,6 +153,23 @@ class _XmlScanner:
         return root
 
     def element(self) -> XmlTerm:
+        """One element with everything inside it.  Open elements live on an
+        explicit stack, so nesting depth is not bounded by the recursion
+        limit."""
+        root, has_content = self.start_tag()
+        stack = [root] if has_content else []
+        while stack:
+            if self.content(stack[-1]):
+                child, has_content = self.start_tag()
+                stack[-1].children.append(child)
+                if has_content:
+                    stack.append(child)
+            else:
+                stack.pop()
+        return root
+
+    def start_tag(self) -> tuple[XmlTerm, bool]:
+        """`<tag attr="v"...>` or `<tag .../>`; True when content follows."""
         self.expect("<")
         tag = self.name()
         attributes: dict[str, str] = {}
@@ -161,10 +178,10 @@ class _XmlScanner:
                 self.pos += 1
             if self.peek(2) == "/>":
                 self.pos += 2
-                return XmlTerm(tag, attributes, [])
+                return XmlTerm(tag, attributes, []), False
             if self.peek() == ">":
                 self.pos += 1
-                break
+                return XmlTerm(tag, attributes, []), True
             key = self.name()
             while not self.eof() and self.src[self.pos].isspace():
                 self.pos += 1
@@ -174,8 +191,6 @@ class _XmlScanner:
             if key in attributes:
                 self.fail(f"duplicate attribute {key!r}")
             attributes[key] = self.attr_value()
-        children = self.content(tag)
-        return XmlTerm(tag, attributes, children)
 
     def attr_value(self) -> str:
         quote = self.peek()
@@ -198,13 +213,16 @@ class _XmlScanner:
                 out.append(c)
                 self.pos += 1
 
-    def content(self, tag: str) -> list:
-        children: list = []
+    def content(self, node: XmlTerm) -> bool:
+        """Read node's character data, comments and processing instructions
+        up to its next child element (True, left at its '<') or through its
+        closing tag (False)."""
+        tag = node.tag
         buf: list[str] = []
 
         def flush():
             if buf:
-                children.append(Text("".join(buf)))
+                node.children.append(Text("".join(buf)))
                 buf.clear()
 
         while True:
@@ -221,7 +239,7 @@ class _XmlScanner:
                     while not self.eof() and self.src[self.pos].isspace():
                         self.pos += 1
                     self.expect(">")
-                    return children
+                    return False
                 if self.peek(4) == "<!--":
                     end = self.src.find("-->", self.pos + 4)
                     if end < 0:
@@ -237,7 +255,7 @@ class _XmlScanner:
                 if self.peek(2) == "<!":
                     self.fail("DTD declarations are not supported")
                 flush()
-                children.append(self.element())
+                return True
             elif c == "&":
                 buf.append(self.entity())
             else:

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from ddlite.cli import main
+from ddlite.cli import _meta_dict, main
+from ddlite.kernel import PredKey
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -141,6 +143,25 @@ def test_graph_meta_list_validation(capsys):
                          "--meta-list", "nonsense")
     assert code == 1
     assert "expects name/arity" in err
+
+
+def test_meta_list_arity_allocates_no_position_list():
+    tracemalloc.start()
+    try:
+        meta = _meta_dict("p/1000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(meta[PredKey(None, "p", 1000000)][:3]) == [0, 1, 2]
+    assert peak < 64 * 1024, f"peak {peak} bytes"
+
+
+def test_graph_schema_of_a_deeply_nested_document(capsys, tmp_path):
+    f = tmp_path / "deep.xml"
+    f.write_text("<a>" * 3000 + "</a>" * 3000, encoding="utf-8")
+    code, out, err = run(capsys, "graph", str(f), "--kind", "schema")
+    assert (code, err) == (0, "")
+    assert out == "schema graph: 1 nodes, 1 edges\n  node a (tag)\n  edge a -> a\n"
 
 
 # ===========================================================================

@@ -1,6 +1,7 @@
 """Dependency graphs, rule graphs, diffing, unfolding, schema graphs."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,7 @@ from ddlite.graphs import (
     to_dot,
     unfold_helper,
 )
-from ddlite.kernel import PredKey
+from ddlite.kernel import PredKey, Program
 from ddlite.syntax import parse_program
 from ddlite.xmlterm import parse_xml
 
@@ -314,6 +315,70 @@ def test_graph_diff_helpers_show_unfolding_residue():
         ("r3", "d/0"),
     }
     assert d.equivalent_modulo == frozenset({key("h/0")})
+
+
+def test_rpg_diff_against_a_rule_shuffled_copy_is_empty():
+    rng = random.Random(404)
+    for _ in range(200):
+        p = random_program(rng, allow_negation=True)
+        rules = list(p.rules)
+        rng.shuffle(rules)
+        shuffled = Program(tuple(rules))
+        assert graph_diff(build_rpg(p), build_rpg(shuffled)).is_empty()
+
+
+def swrl_shaped_rules(rng, n):
+    """(head, body literals) of n rules like the generated SWRL rule bases:
+    two chained properties, sometimes a class test, a negated class test
+    or a findall over a property and a class."""
+    props = [f"prop{i}" for i in range(n // 3)]
+    classes = [f"cls{i}" for i in range(n // 20)]
+    rules = []
+    for _ in range(n):
+        body = [f"{rng.choice(props)}(X, Y)", f"{rng.choice(props)}(Y, Z)"]
+        if rng.random() < 0.3:
+            body.append(f"{rng.choice(classes)}(X)")
+        if rng.random() < 0.1:
+            body.append(f"not {rng.choice(classes)}(Z)")
+        if rng.random() < 0.1:
+            body.append(
+                f"findall(W, ({rng.choice(props)}(X, W), {rng.choice(classes)}(W)), L)"
+            )
+        rules.append((rng.choice(props), body))
+    return rules
+
+
+def test_rpg_diff_of_a_large_shuffled_rule_base_is_empty_and_fast():
+    rng = random.Random(2000)
+    rules = swrl_shaped_rules(rng, 2000)
+    shuffled = [(head, rng.sample(body, len(body))) for head, body in rules]
+    rng.shuffle(shuffled)
+
+    def text(rules):
+        return "".join(f"{h}(X, Z) :- {', '.join(body)}.\n" for h, body in rules)
+
+    p1, p2 = parse_program(text(rules)), parse_program(text(shuffled))
+    t0 = time.perf_counter()
+    d = graph_diff(build_rpg(p1), build_rpg(p2))
+    elapsed = time.perf_counter() - t0
+    assert d.is_empty()
+    # renumbering is linear in the edges plus a sort; a rescan of the edge
+    # list per rule took about 20 s here
+    assert elapsed < 3.0, f"rpg diff of 2,000 rules took {elapsed:.2f} s"
+
+
+def test_adjacency_lists_edges_per_node_in_edge_order():
+    g = build_rpg(parse_program("p(X) :- q(X), not(r(X)).\np(X) :- r(X)."))
+    out, into = g.adjacency
+    assert set(out) == set(into) == set(g.nodes)
+    assert out[PredNode(key("p/1"))] == [
+        e for e in g.edges if e.src == PredNode(key("p/1"))
+    ]
+    assert [e.src.id for e in into[PredNode(key("r/1"))]] == ["not/1#1", "r2"]
+    assert g.successors(RuleNode("r1")) == [
+        PredNode(key("q/1")),
+        MetaCallNode(key("not/1"), 1),
+    ]
 
 
 # ---------------------------------------------------------------------------
