@@ -104,9 +104,11 @@ class PathExpr:
     steps: tuple[Step, ...]
 
     def __post_init__(self):
-        for step in self.steps[:-1]:
-            if isinstance(step, AttrAccess):
+        for before, step in zip((None,) + self.steps, self.steps):
+            if isinstance(before, AttrAccess):
                 raise PathError("attribute access must be the final step")
+            if isinstance(step, Filter) and not isinstance(before, Child):
+                raise PathError("a filter must follow a child step")
 
 
 @dataclass(frozen=True)
@@ -129,42 +131,79 @@ def _attr_text(t: Term) -> str:
     return term_text(t, quoted=False)
 
 
+class _ChildIndex:
+    """The children of each probed element, grouped by tag and, per (tag,
+    attribute), by attribute value; every group keeps document order.  An
+    element's groups are built the first time it is probed, so a filter
+    step is one dict lookup per parent.  Keyed by element identity, like
+    XmlNode, so the index must not outlive the documents it indexes."""
+
+    def __init__(self):
+        self._tags: dict[int, dict[str, list[XmlTerm]]] = {}
+        self._values: dict[tuple[int, str, str], dict[str, list[XmlTerm]]] = {}
+
+    def children(self, parent: XmlTerm, tag: str) -> list[XmlTerm]:
+        by_tag = self._tags.get(id(parent))
+        if by_tag is None:
+            by_tag = self._tags[id(parent)] = {}
+            for child in parent.child_elements():
+                by_tag.setdefault(child.tag, []).append(child)
+        return by_tag.get(tag, [])
+
+    def with_value(
+        self, parent: XmlTerm, tag: str, attr: str, wanted: str
+    ) -> list[XmlTerm]:
+        key = (id(parent), tag, attr)
+        by_value = self._values.get(key)
+        if by_value is None:
+            by_value = self._values[key] = {}
+            for child in self.children(parent, tag):
+                if attr in child.attributes:
+                    by_value.setdefault(child.attributes[attr], []).append(child)
+        return by_value.get(wanted, [])
+
+    def walk(
+        self, doc: XmlTerm, expr: PathExpr, env: Subst
+    ) -> list[Union[XmlTerm, Term]]:
+        """The hits of the steps from doc: elements, or Consts for a final
+        attribute access.  A filter is applied with the child step it
+        follows, so every item before the last step is an element."""
+        items: list = [doc]
+        for step, after in zip(expr.steps, expr.steps[1:] + (None,)):
+            if isinstance(step, Child) and isinstance(after, Filter):
+                wanted = _filter_text(after, env)
+                items = [
+                    hit
+                    for it in items
+                    for hit in self.with_value(it, step.tag, after.attr, wanted)
+                ]
+            elif isinstance(step, Child):
+                items = [hit for it in items for hit in self.children(it, step.tag)]
+            elif isinstance(step, AttrAccess):
+                items = [
+                    Const(it.attributes[step.name])
+                    for it in items
+                    if step.name in it.attributes
+                ]
+        return items
+
+
+def _filter_text(step: Filter, env: Subst) -> str:
+    value = apply(env, step.value)
+    if not is_ground(value):
+        names = ", ".join(sorted(term_vars(value)))
+        raise UnboundFilterError(f"filter variable {names} is unbound")
+    return _attr_text(value)
+
+
 def path_eval(
     doc: XmlTerm, expr: PathExpr, env: Optional[Subst] = None
 ) -> list[tuple[Union[XmlTerm, Term], Subst]]:
-    """Walk the steps from the document root; the result pairs each hit
-    (an element, or a Const for attribute access) with the unchanged env."""
+    """Walk the steps from the document root through a fresh child index;
+    the result pairs each hit (an element, or a Const for attribute
+    access) with the unchanged env."""
     env = env or {}
-    items: list[Union[XmlTerm, Term]] = [doc]
-    for step in expr.steps:
-        if isinstance(step, Child):
-            items = [
-                child
-                for it in items
-                if isinstance(it, XmlTerm)
-                for child in it.child_elements()
-                if child.tag == step.tag
-            ]
-        elif isinstance(step, Filter):
-            value = apply(env, step.value)
-            if not is_ground(value):
-                names = ", ".join(sorted(term_vars(value)))
-                raise UnboundFilterError(f"filter variable {names} is unbound")
-            wanted = _attr_text(value)
-            items = [
-                it
-                for it in items
-                if isinstance(it, XmlTerm) and it.attributes.get(step.attr) == wanted
-            ]
-        else:  # AttrAccess
-            out: list[Union[XmlTerm, Term]] = []
-            for it in items:
-                if not isinstance(it, XmlTerm):
-                    raise PathError("attribute access on a text node")
-                if step.name in it.attributes:
-                    out.append(Const(it.attributes[step.name]))
-            items = out
-    return [(item, env) for item in items]
+    return [(hit, env) for hit in _ChildIndex().walk(doc, expr, env)]
 
 
 # ===========================================================================
@@ -331,9 +370,12 @@ def parse_template(text: str, filename: str = "<template>") -> AggTemplate:
 
 
 class _DocRegistry:
+    """The documents and the child index of one query."""
+
     def __init__(self, docs: Optional[dict[str, XmlTerm]], base_dir: str):
         self.docs = dict(docs or {})
         self.base_dir = base_dir
+        self.index = _ChildIndex()
 
     def get(self, name: str) -> XmlTerm:
         if name not in self.docs:
@@ -353,7 +395,7 @@ class _DocRegistry:
                     f"path source variable {item.from_var} is not a document node"
                 )
             root = bound.node
-        for hit, _ in path_eval(root, item.expr, s):
+        for hit in self.index.walk(root, item.expr, s):
             value: Term = XmlNode(hit) if isinstance(hit, XmlTerm) else hit
             s2 = mgu(Var(item.var), value, s)
             if s2 is not None:

@@ -43,20 +43,28 @@ def parse_xml(source: str, filename: str = "<xml>") -> XmlTerm:
 
 
 def xml_to_text(node: XmlTerm) -> str:
-    """Serialize back to markup; parse_xml(xml_to_text(x)) == x."""
-    parts = [f"<{node.tag}"]
-    for k, v in node.attributes.items():
-        parts.append(f' {k}="{_escape(v, attr=True)}"')
-    if not node.children:
-        parts.append("/>")
-        return "".join(parts)
-    parts.append(">")
-    for c in node.children:
-        if isinstance(c, Text):
-            parts.append(_escape(c.value))
+    """Serialize back to markup; parse_xml(xml_to_text(x)) == x.  Walks
+    with an explicit stack of pending items (elements, text, and the
+    closing tags of open elements), so depth is not bounded by the
+    recursion limit."""
+    parts: list[str] = []
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Text):
+            parts.append(_escape(item.value))
         else:
-            parts.append(xml_to_text(c))
-    parts.append(f"</{node.tag}>")
+            parts.append(f"<{item.tag}")
+            for k, v in item.attributes.items():
+                parts.append(f' {k}="{_escape(v, attr=True)}"')
+            if not item.children:
+                parts.append("/>")
+                continue
+            parts.append(">")
+            stack.append(f"</{item.tag}>")
+            stack.extend(reversed(item.children))
     return "".join(parts)
 
 

@@ -12,6 +12,7 @@ import csv
 import math
 import xml.etree.ElementTree as ET
 
+from ddlite.hybrid import AttrAccess, Child, Filter
 from ddlite.kernel import (
     Atom,
     Compound,
@@ -20,6 +21,7 @@ from ddlite.kernel import (
     Var,
     term_text,
 )
+from ddlite.xmlterm import XmlTerm
 
 
 # ===========================================================================
@@ -241,6 +243,46 @@ def sum_hours_by_dept(employee_csv, works_on_xml):
                 continue
             groups.setdefault(dno, []).append(hours)
     return [[dno, math.fsum(groups[dno])] for dno in sorted(groups)]
+
+
+# ===========================================================================
+# Path expression oracle (every step scans every child of every item)
+# ===========================================================================
+
+
+def scan_path_eval(doc, expr, env=None):
+    """path_eval by scanning: each step walks all children of all items.
+    Filter values must be ground constants or numbers after env."""
+    env = env or {}
+    items = [doc]
+    for step in expr.steps:
+        if isinstance(step, Child):
+            items = [
+                child
+                for it in items
+                if isinstance(it, XmlTerm)
+                for child in it.children
+                if isinstance(child, XmlTerm) and child.tag == step.tag
+            ]
+        elif isinstance(step, Filter):
+            value = env.get(step.value.name) if isinstance(step.value, Var) else step.value
+            if isinstance(value, Num):
+                wanted = str(value.value) if isinstance(value.value, int) else repr(value.value)
+            else:
+                wanted = value.symbol
+            items = [
+                it
+                for it in items
+                if isinstance(it, XmlTerm) and it.attributes.get(step.attr) == wanted
+            ]
+        else:
+            assert isinstance(step, AttrAccess)
+            items = [
+                Const(it.attributes[step.name])
+                for it in items
+                if step.name in it.attributes
+            ]
+    return [(item, env) for item in items]
 
 
 # ===========================================================================

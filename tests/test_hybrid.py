@@ -1,5 +1,7 @@
 """Path expressions, hybrid goals, grouped aggregation, CSV relations."""
 
+import random
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from ddlite.hybrid import (
     PathBinding,
     PathExpr,
     XmlNode,
+    _DocRegistry,
     ddbase_aggregate,
     load_facts_csv,
     load_xml,
@@ -35,8 +38,9 @@ from ddlite.hybrid import (
     solve_goal,
 )
 from ddlite.kernel import Atom, Const, Literal, Num, Var, apply, term_text
+from ddlite.xmlterm import XmlTerm, parse_xml
 
-from oracles import sum_hours_by_dept
+from oracles import scan_path_eval, sum_hours_by_dept
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EMPLOYEE_CSV = str(FIXTURES / "employee.csv")
@@ -118,6 +122,100 @@ def test_path_eval_misses_are_empty_not_errors():
 def test_path_expr_rejects_attribute_access_mid_path():
     with pytest.raises(PathError, match="final step"):
         PathExpr((AttrAccess("ESSN"), Child("row")))
+
+
+def test_path_expr_rejects_a_filter_that_follows_no_child():
+    with pytest.raises(PathError, match="filter must follow a child step"):
+        PathExpr((Filter("ESSN", Const("22")),))
+    with pytest.raises(PathError, match="filter must follow a child step"):
+        PathExpr((Child("row"), Filter("ESSN", Const("22")), Filter("PNO", Const("2"))))
+
+
+# Attribute values repeat, look alike as numbers ("33" and "33.0") or are
+# missing; text and comments sit between the children.
+_VALUES = ("33", "33.0", "7", "2.5", "x")
+
+
+def _random_element(rng, tag, depth, width):
+    attrs = "".join(
+        f' {name}="{rng.choice(_VALUES)}"'
+        for name in ("ESSN", "PNO", "k")
+        if rng.random() < 0.7
+    )
+    if depth == 0 or rng.random() < 0.2:
+        return f"<{tag}{attrs}/>"
+    inner = []
+    for _ in range(rng.randrange(width)):
+        if rng.random() < 0.2:
+            inner.append(rng.choice(("text", " ", "a &amp; b", "<!-- c -->")))
+        else:
+            child = rng.choice(("row", "row", "cell", "note"))
+            inner.append(_random_element(rng, child, depth - 1, 6))
+    return f"<{tag}{attrs}>{''.join(inner)}</{tag}>"
+
+
+def _random_paths(rng):
+    filters = [Const(v) for v in _VALUES] + [
+        Num(33), Num(33.0), Num(7), Num(2.5), Const("nope"), Var("S"),
+    ]
+    paths = []
+    for _ in range(20):
+        steps = []
+        for _ in range(rng.randrange(1, 3)):
+            steps.append(Child(rng.choice(("row", "row", "cell", "note", "nosuch"))))
+            if rng.random() < 0.6:
+                steps.append(Filter(rng.choice(("ESSN", "PNO", "k")), rng.choice(filters)))
+        if rng.random() < 0.5:
+            steps.append(AttrAccess(rng.choice(("ESSN", "PNO", "k", "nope"))))
+        paths.append(PathExpr(tuple(steps)))
+    return paths
+
+
+def _terms(pairs):
+    """Hits as terms: elements as XmlNodes, which compare by identity."""
+    return [XmlNode(hit) if isinstance(hit, XmlTerm) else hit for hit, _ in pairs]
+
+
+def test_indexed_path_eval_matches_the_scan_on_generated_documents():
+    rng = random.Random(20170501)
+    for _ in range(100):
+        doc = parse_xml(_random_element(rng, "table", 3, 30))
+        # one registry, so its index serves every path over the document
+        registry = _DocRegistry({"d.xml": doc}, ".")
+        for expr in _random_paths(rng):
+            env = {"S": rng.choice((Num(33), Num(33.0), Const("x")))}
+            want = _terms(scan_path_eval(doc, expr, env))
+            assert _terms(path_eval(doc, expr, env)) == want
+            bound = registry.solve_path(PathBinding("X", "d.xml", None, expr), env)
+            assert [apply(s, Var("X")) for s in bound] == want
+
+
+def test_paths_from_a_bound_node_keep_their_parents_apart():
+    doc = parse_xml(
+        '<table>'
+        '<row ESSN="1"><cell k="33" v="a"/>t<cell k="7" v="b"/><cell k="33" v="c"/></row>'
+        '<note/>'
+        '<row ESSN="2"><cell k="33" v="d"/><cell v="e"/><cell k="33.0" v="f"/></row>'
+        '</table>'
+    )
+    rows = doc.child_elements()
+    cells = PathExpr((Child("cell"), Filter("k", Num(33)), AttrAccess("v")))
+    for row in (rows[0], rows[2]):
+        assert _terms(path_eval(row, cells)) == _terms(scan_path_eval(row, cells))
+    answers = solve_goal(
+        parse_goal("W := doc('d.xml')/row, X := W/cell::[@'k' = 33]@'v'"),
+        None,
+        FactStore(),
+        docs={"d.xml": doc},
+    )
+    got = [(apply(s, Var("W")), apply(s, Var("X"))) for s in answers]
+    want = [
+        (XmlNode(row), value)
+        for row, _ in scan_path_eval(doc, PathExpr((Child("row"),)))
+        for value in _terms(scan_path_eval(row, cells))
+    ]
+    assert got == want
+    assert [x for _, x in got] == [Const("a"), Const("c"), Const("d")]
 
 
 # ===========================================================================
@@ -311,6 +409,47 @@ def test_aggregate_sums_hours_by_department():
     assert render_rows(rows) == "[[1, 12.5], [4, 30.0], [5, 47.5]]"
     oracle = sum_hours_by_dept(EMPLOYEE_CSV, WORKS_ON_XML)
     assert [[g, s] for g, s in ((r[0].value, r[1].value) for r in rows)] == oracle
+
+
+def test_hours_join_is_linear_in_rows_plus_employees(tmp_path):
+    """3,200 employees x 6,400 rows, 10% NULL hours and 5% stray ESSNs:
+    a per-employee scan of the rows takes several seconds here."""
+    rng = random.Random(5)
+    n_emp, n_rows = 3200, 6400
+    ssns = [str(v) for v in rng.sample(range(100000, 1000000), n_emp + n_rows // 20)]
+    emp_ssns, stray = ssns[:n_emp], ssns[n_emp:]
+    employee_csv = tmp_path / "employee.csv"
+    employee_csv.write_text(
+        "".join(
+            f"E{i},{ssn},1950-01-01,F,40000,null,{1 + i % 20}\n"
+            for i, ssn in enumerate(emp_ssns)
+        ),
+        encoding="utf-8",
+    )
+    n_null, n_stray = n_rows // 10, n_rows // 20
+    rows = []
+    for i in range(n_rows):
+        essn = stray[i] if i < n_stray else emp_ssns[i % n_emp]
+        null = n_stray <= i < n_stray + n_null
+        hours = "NULL" if null else f"{rng.randrange(1, 81) * 0.5:.1f}"
+        rows.append(f'<row ESSN="{essn}" PNO="{rng.randrange(1, 40)}" HOURS="{hours}"/>')
+    rng.shuffle(rows)
+    works_on_xml = tmp_path / "works_on.xml"
+    works_on_xml.write_text(
+        '<table name="works_on">\n' + "\n".join(rows) + "\n</table>\n", encoding="utf-8"
+    )
+    store = FactStore()
+    for fact in load_facts_csv(str(employee_csv), "employee"):
+        store.add(fact)
+    docs = {"works_on.xml": load_xml(str(works_on_xml))}
+    template, goal = parse_template("[D, sum(H)]"), parse_goal(HOURS_GOAL)
+    t0 = time.perf_counter()
+    result = ddbase_aggregate(template, goal, None, store, docs)
+    elapsed = time.perf_counter() - t0
+    oracle = sum_hours_by_dept(str(employee_csv), str(works_on_xml))
+    assert [[r[0].value, r[1].value] for r in result] == oracle
+    assert len(oracle) == 20
+    assert elapsed < 3.0, f"hours join took {elapsed:.2f} s"
 
 
 def test_aggregate_count_min_max_avg():

@@ -321,6 +321,12 @@ def test_xml_to_text_roundtrip():
     assert [type(c) for c in again.children] == [type(c) for c in root.children]
 
 
+def test_xml_to_text_of_a_deeply_nested_document():
+    # compare strings: XmlTerm equality recurses per level too
+    source = '<a n="1">' * 3000 + "x &amp; y" + "</a>" * 3000
+    assert xml_to_text(parse_xml(source)) == source
+
+
 def test_parse_ruleml_uncle_matches_abstract_syntax():
     ontology = parse_ruleml_xml(fixture("uncle.xml"))
     assert ontology.name == "people"
