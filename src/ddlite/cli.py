@@ -99,6 +99,14 @@ def _load_docs(args) -> dict:
     return docs
 
 
+def _pred_key(entry: str) -> Optional[PredKey]:
+    """The predicate a `name/arity` entry names, or None for another form."""
+    name, _, arity = entry.rpartition("/")
+    if name and arity.isdecimal():
+        return PredKey(None, name, int(arity))
+    return None
+
+
 def _meta_dict(spec: Optional[str]) -> dict:
     """--meta-list name/arity,...: extra call-node predicates (inner goals
     are read from every argument position)."""
@@ -107,11 +115,11 @@ def _meta_dict(spec: Optional[str]) -> dict:
         return meta
     for entry in spec.split(","):
         entry = entry.strip()
-        name, _, arity = entry.rpartition("/")
-        if not name or not arity.isdigit():
+        key = _pred_key(entry)
+        if key is None:
             raise DdliteError(f"--meta-list expects name/arity, got {entry!r}")
         # a range, not a tuple: the arity is user input and may be huge
-        meta[PredKey(None, name, int(arity))] = range(int(arity))
+        meta[key] = range(key.arity)
     return meta
 
 
@@ -194,14 +202,12 @@ def _resolve_helpers(spec: Optional[str], programs: list[Program]) -> frozenset:
     out = set()
     for entry in spec.split(","):
         entry = entry.strip()
-        name, _, arity = entry.rpartition("/")
-        if name and arity.isdigit():
-            out.add(PredKey(None, name, int(arity)))
-        else:
+        key = _pred_key(entry)
+        if key is None:
             matched = {k for k in keys if k.name == entry and k.module is None}
-            if not matched:
-                matched = {PredKey(None, entry, 0)}
-            out |= matched
+            out |= matched or {PredKey(None, entry, 0)}
+        else:
+            out.add(key)
     return frozenset(out)
 
 
@@ -226,10 +232,8 @@ def cmd_diff(args) -> int:
                     raise DdliteError("--helpers needs a --root on an empty program")
                 root = p1.rules[0].head.key
             else:
-                name, _, arity = root_name.rpartition("/")
-                if name and arity.isdigit():
-                    root = PredKey(None, name, int(arity))
-                else:
+                root = _pred_key(root_name)
+                if root is None:
                     candidates = sorted(
                         k for k in p1.pred_keys() if k.name == root_name
                     )
@@ -308,8 +312,8 @@ def cmd_prove(args) -> int:
     p = _load_program(args)
     store = evaluate(p, _eval_options(args))
     parser = TermParser(tokenize(args.atom, "<atom>"), "<atom>")
-    parser.begin_clause()
     query = parser.goal_atom()
+    parser.expect_end()
     match = None
     for fact in store.facts(query.key):
         if mgu(query, fact) is not None:

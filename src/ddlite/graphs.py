@@ -166,14 +166,19 @@ class _Builder:
 
 
 def _inner_goals(t: Term) -> list[PredKey]:
-    """Predicates called inside a meta-argument, through conjunctions."""
-    if isinstance(t, Compound) and t.functor == "," and len(t.args) == 2:
-        return _inner_goals(t.args[0]) + _inner_goals(t.args[1])
-    if isinstance(t, Compound):
-        return [PredKey(None, t.functor, len(t.args))]
-    if isinstance(t, Const):
-        return [PredKey(None, t.symbol, 0)]
-    return []
+    """Predicates called inside a meta-argument, through conjunctions, left
+    to right; an explicit stack, so a long conjunction needs no recursion."""
+    out: list[PredKey] = []
+    stack: list[Term] = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Compound) and t.functor == "," and len(t.args) == 2:
+            stack += (t.args[1], t.args[0])
+        elif isinstance(t, Compound):
+            out.append(PredKey(None, t.functor, len(t.args)))
+        elif isinstance(t, Const):
+            out.append(PredKey(None, t.symbol, 0))
+    return out
 
 
 def _body_targets(

@@ -242,9 +242,17 @@ class AggTemplate:
 
 
 def _name_token(parser: TermParser) -> str:
+    """A tag or attribute name: an atom, a quoted atom, or prefix:local,
+    whose local part may lex as a variable (owlx:Class, ruleml:_body)."""
     tok = parser.next()
     if tok.kind not in ("atom", "quoted"):
         parser.fail(f"expected a name, found {tok.value!r}", tok)
+    if tok.kind == "atom" and parser.at_punct(":"):
+        parser.next()
+        local = parser.next()
+        if local.kind not in ("atom", "var"):
+            parser.fail(f"expected a name, found {local.value!r}", local)
+        return f"{tok.value}:{local.value}"
     return tok.value
 
 
@@ -255,12 +263,12 @@ def _path_steps(parser: TermParser) -> list[Step]:
         steps.append(Child(_name_token(parser)))
         if parser.at_punct("::"):
             parser.next()
-            parser.expect_punct("[")
-            parser.expect_punct("@")
+            parser.expect("[")
+            parser.expect("@")
             attr = _name_token(parser)
-            parser.expect_punct("=")
+            parser.expect("=")
             steps.append(Filter(attr, parser.primary()))
-            parser.expect_punct("]")
+            parser.expect("]")
     if parser.at_punct("@"):
         parser.next()
         steps.append(AttrAccess(_name_token(parser)))
@@ -269,7 +277,7 @@ def _path_steps(parser: TermParser) -> list[Step]:
 
 def _path_binding(parser: TermParser) -> PathBinding:
     var_tok = parser.next()
-    parser.expect_punct(":=")
+    parser.expect(":=")
     src = parser.peek()
     doc_name = None
     from_var = None
@@ -278,9 +286,9 @@ def _path_binding(parser: TermParser) -> PathBinding:
         from_var = src.value
     elif src.kind == "atom" and src.value == "doc":
         parser.next()
-        parser.expect_punct("(")
+        parser.expect("(")
         doc_name = _name_token(parser)
-        parser.expect_punct(")")
+        parser.expect(")")
     else:
         parser.fail("path source must be doc('...') or a bound variable", src)
     steps = _path_steps(parser)
@@ -302,29 +310,21 @@ def _as_builtin(lit: Literal) -> Literal:
 def parse_goal(text: str, filename: str = "<goal>") -> list[GoalItem]:
     """Parse a conjunctive goal; `V := path` items mix with literals."""
     parser = TermParser(tokenize(text, filename), filename)
-    parser.begin_clause()
     wrapped = parser.at_punct("(")
     if wrapped:
         parser.next()
     items: list[GoalItem] = []
     while True:
-        tok = parser.peek()
-        if tok.kind == "var" and parser.tokens[parser.i + 1].kind == "punct" \
-                and parser.tokens[parser.i + 1].value == ":=":
+        if parser.peek().kind == "var" and parser.at_punct(":=", k=1):
             items.append(_path_binding(parser))
         else:
             items.append(_as_builtin(parser.literal()))
-        if parser.at_punct(","):
-            parser.next()
-            continue
-        break
+        if not parser.at_punct(","):
+            break
+        parser.next()
     if wrapped:
-        parser.expect_punct(")")
-    tok = parser.next()
-    if tok.kind not in ("end", "eof"):
-        parser.fail(f"unexpected trailing {tok.value!r}", tok)
-    if tok.kind == "end" and parser.peek().kind != "eof":
-        parser.fail("goal must be a single conjunction")
+        parser.expect(")")
+    parser.expect_end("goal must be a single conjunction")
     # `true` alone is the empty conjunction
     return [
         item
@@ -335,12 +335,9 @@ def parse_goal(text: str, filename: str = "<goal>") -> list[GoalItem]:
 
 def parse_template(text: str, filename: str = "<template>") -> AggTemplate:
     parser = TermParser(tokenize(text, filename), filename)
-    parser.begin_clause()
     tok = parser.peek()
     term = parser.term(999)
-    nxt = parser.next()
-    if nxt.kind not in ("end", "eof"):
-        parser.fail(f"unexpected trailing {nxt.value!r}", nxt)
+    parser.expect_end()
     decomposed = list_elements(term)
     if decomposed is None or decomposed[1] != Const("[]"):
         raise ParseError("template must be a list", tok.span(filename))

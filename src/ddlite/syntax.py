@@ -35,8 +35,8 @@ from .kernel import (
     SourceSpan,
     Term,
     Var,
-    literal_text,
     mklist,
+    rule_text,
     term_text,
 )
 from .xmlterm import Text, XmlTerm, parse_xml
@@ -50,12 +50,13 @@ _PUNCT1 = "()[],|.:<>=+-*/@!"
 _DIRECTIVE = re.compile(r"%\s*name:\s*(\S+)\s*$")
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
-    kind: str  # atom var num quoted punct directive end eof
+    kind: str  # atom var num quoted punct directive end eof; SWRL: name str bad
     value: object
     line: int
     col: int
+    pos: int  # offset in the source text
 
     def span(self, filename: str) -> SourceSpan:
         return SourceSpan(filename, self.line, self.col)
@@ -87,7 +88,7 @@ def tokenize(text: str, filename: str = "<string>") -> list[Token]:
             m = _DIRECTIVE.match(comment)
             if m:
                 l, co = pos()
-                tokens.append(Token("directive", m.group(1), l, co))
+                tokens.append(Token("directive", m.group(1), l, co, i))
             i = end
             continue
         l, co = pos()
@@ -111,7 +112,7 @@ def tokenize(text: str, filename: str = "<string>") -> list[Token]:
                     while j < n and text[j].isdigit():
                         j += 1
             lit = text[i:j]
-            tokens.append(Token("num", float(lit) if is_float else int(lit), l, co))
+            tokens.append(Token("num", float(lit) if is_float else int(lit), l, co, i))
             i = j
             continue
         if c == "'":
@@ -134,7 +135,7 @@ def tokenize(text: str, filename: str = "<string>") -> list[Token]:
                     break
                 buf.append(ch)
                 j += 1
-            tokens.append(Token("quoted", "".join(buf), l, co))
+            tokens.append(Token("quoted", "".join(buf), l, co, i))
             i = j + 1
             continue
         if c.isalpha() or c == "_":
@@ -143,33 +144,33 @@ def tokenize(text: str, filename: str = "<string>") -> list[Token]:
                 j += 1
             word = text[i:j]
             kind = "var" if (c == "_" or c.isupper()) else "atom"
-            tokens.append(Token(kind, word, l, co))
+            tokens.append(Token(kind, word, l, co, i))
             i = j
             continue
         two = text[i : i + 3]
         if two == "=:=" or two == "=\\=":
-            tokens.append(Token("punct", two, l, co))
+            tokens.append(Token("punct", two, l, co, i))
             i += 3
             continue
         two = text[i : i + 2]
         if two in _PUNCT2:
-            tokens.append(Token("punct", two, l, co))
+            tokens.append(Token("punct", two, l, co, i))
             i += 2
             continue
         if c == ".":
             nxt = text[i + 1] if i + 1 < n else ""
             if nxt == "" or nxt.isspace() or nxt == "%":
-                tokens.append(Token("end", ".", l, co))
+                tokens.append(Token("end", ".", l, co, i))
             else:
-                tokens.append(Token("punct", ".", l, co))
+                tokens.append(Token("punct", ".", l, co, i))
             i += 1
             continue
         if c in _PUNCT1:
-            tokens.append(Token("punct", c, l, co))
+            tokens.append(Token("punct", c, l, co, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {c!r}", SourceSpan(filename, l, co))
-    tokens.append(Token("eof", None, line, n - bol + 1))
+    tokens.append(Token("eof", None, line, n - bol + 1, n))
     return tokens
 
 
@@ -191,41 +192,61 @@ OPERATORS = {
 }
 
 
-class TermParser:
-    """Recursive-descent / precedence-climbing parser over a token list."""
+class TokenCursor:
+    """A position in a token list; rule text, goals, templates, `--atom`
+    and SWRL are all read through it.  A "bad" token holds a lexical error
+    that is raised only when a reader reaches it, so an earlier syntax
+    error is the one reported."""
 
     def __init__(self, tokens: list[Token], filename: str = "<string>"):
         self.tokens = tokens
         self.i = 0
         self.filename = filename
-        self._anon = 0
-        self._clause_vars: set[str] = set()
 
-    # -- token plumbing ----------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def peek(self, k: int = 0) -> Token:
+        """The token k places ahead; the last token (eof) past the end."""
+        tok = self.tokens[min(self.i + k, len(self.tokens) - 1)]
+        if tok.kind == "bad":
+            self.fail(tok.value, tok)
+        return tok
 
     def next(self) -> Token:
-        tok = self.tokens[self.i]
+        tok = self.peek()
         self.i += 1
         return tok
 
-    def at_punct(self, *values: str) -> bool:
-        tok = self.peek()
+    def at_punct(self, *values: str, k: int = 0) -> bool:
+        tok = self.peek(k)
         return tok.kind == "punct" and tok.value in values
 
-    def expect_punct(self, value: str) -> Token:
+    def expect(self, value: str, kind: str = "punct") -> Token:
         tok = self.next()
-        if tok.kind != "punct" or tok.value != value:
-            raise ParseError(
-                f"expected {value!r}, found {tok.value!r}", tok.span(self.filename)
-            )
+        if tok.kind != kind or tok.value != value:
+            self.fail(f"expected {value!r}, found {tok.value!r}", tok)
         return tok
+
+    def expect_end(self, after_dot: Optional[str] = None):
+        """An optional '.', then the end of input; after_dot replaces the
+        message for input that follows the '.'."""
+        tok = self.next()
+        msg = None
+        if tok.kind == "end":
+            tok, msg = self.next(), after_dot
+        if tok.kind != "eof":
+            self.fail(msg or f"unexpected trailing {tok.value!r}", tok)
 
     def fail(self, msg: str, tok: Optional[Token] = None):
         tok = tok or self.peek()
         raise ParseError(msg, tok.span(self.filename))
+
+
+class TermParser(TokenCursor):
+    """Recursive-descent / precedence-climbing parser over a token list."""
+
+    def __init__(self, tokens: list[Token], filename: str = "<string>"):
+        super().__init__(tokens, filename)
+        self._anon = 0
+        self._clause_vars: set[str] = set()
 
     def begin_clause(self):
         self._clause_vars = set()
@@ -240,23 +261,34 @@ class TermParser:
 
     # -- terms ---------------------------------------------------------------
 
+    def infix_op(self) -> Optional[str]:
+        tok = self.peek()
+        if tok.kind in ("punct", "atom") and tok.value in OPERATORS:
+            return tok.value
+        return None
+
     def term(self, max_prec: int = 999) -> Term:
         left = self.primary()
         while True:
-            tok = self.peek()
-            op = None
-            if tok.kind == "punct" and tok.value in OPERATORS:
-                op = tok.value
-            elif tok.kind == "atom" and tok.value in OPERATORS:
-                op = tok.value
-            if op is None:
+            op = self.infix_op()
+            if op is None or OPERATORS[op][0] > max_prec:
                 return left
             prec, assoc = OPERATORS[op]
-            if prec > max_prec:
-                return left
             self.next()
-            right = self.term(prec if assoc == "xfy" else prec - 1)
-            left = Compound(op, (left, right))
+            if assoc != "xfy":
+                left = Compound(op, (left, self.term(prec - 1)))
+                continue
+            # read the whole chain, then fold it to the right, so a long
+            # conjunction costs no recursion per operand; the same tree as
+            # recursing with term(prec) while no other operator has the
+            # priority of an xfy one
+            operands = [left, self.term(prec - 1)]
+            while self.infix_op() == op:
+                self.next()
+                operands.append(self.term(prec - 1))
+            left = operands.pop()
+            while operands:
+                left = Compound(op, (operands.pop(), left))
 
     def primary(self) -> Term:
         tok = self.next()
@@ -275,7 +307,7 @@ class TermParser:
         if tok.kind == "punct":
             if tok.value == "(":
                 inner = self.term(1200)
-                self.expect_punct(")")
+                self.expect(")")
                 return inner
             if tok.value == "[":
                 return self.list_term()
@@ -290,12 +322,12 @@ class TermParser:
         self.fail(f"unexpected token {tok.value!r}", tok)
 
     def arg_list(self) -> tuple[Term, ...]:
-        self.expect_punct("(")
+        self.expect("(")
         args = [self.term(999)]
         while self.at_punct(","):
             self.next()
             args.append(self.term(999))
-        self.expect_punct(")")
+        self.expect(")")
         return tuple(args)
 
     def list_term(self) -> Term:
@@ -310,7 +342,7 @@ class TermParser:
         if self.at_punct("|"):
             self.next()
             tail = self.term(999)
-        self.expect_punct("]")
+        self.expect("]")
         return mklist(elements, tail)
 
     # -- literals and clauses ------------------------------------------------
@@ -318,21 +350,12 @@ class TermParser:
     def goal_atom(self) -> Atom:
         """One callable goal, with an optional module prefix."""
         tok = self.peek()
-        module = None
-        if tok.kind == "atom" and self.tokens[self.i + 1].kind == "punct" \
-                and self.tokens[self.i + 1].value == ":":
-            module = tok.value
+        if tok.kind == "atom" and self.at_punct(":", k=1):
             self.next()
             self.next()
-            if self.at_punct("("):
-                self.next()
-                inner = self.term(1200)
-                self.expect_punct(")")
-                return self.to_atom(inner, module, tok)
-            inner = self.primary()
-            return self.to_atom(inner, module, tok)
-        inner = self.term(999)
-        return self.to_atom(inner, module, tok)
+            # a parenthesized goal is a primary too: prolog:(L is N+M)
+            return self.to_atom(self.primary(), tok.value, tok)
+        return self.to_atom(self.term(999), None, tok)
 
     def to_atom(self, t: Term, module: Optional[str], tok: Token) -> Atom:
         span = tok.span(self.filename)
@@ -345,14 +368,14 @@ class TermParser:
     def literal(self) -> Literal:
         tok = self.peek()
         if tok.kind == "atom" and tok.value == "not":
-            nxt = self.tokens[self.i + 1]
+            nxt = self.peek(1)
             if nxt.kind == "punct" and nxt.value == "(":
                 self.next()
                 self.next()
                 inner = self.goal_atom()
                 if self.at_punct(","):
                     self.fail("not/1 takes a single goal")
-                self.expect_punct(")")
+                self.expect(")")
                 return Literal(inner, NEGATED)
             starts_term = nxt.kind in ("atom", "var", "num", "quoted") or (
                 nxt.kind == "punct" and nxt.value in ("(", "[", "-", "!")
@@ -423,12 +446,7 @@ def print_program(p: Program) -> str:
     for i, r in enumerate(p.rules):
         if r.name != f"r{i + 1}":
             lines.append(f"% name: {r.name}")
-        head = term_text(r.head)
-        if r.body:
-            body = ", ".join(literal_text(l) for l in r.body)
-            lines.append(f"{head} :- {body}.")
-        else:
-            lines.append(f"{head}.")
+        lines.append(rule_text(r))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -504,153 +522,124 @@ class SwrlOntology:
 
 
 _SWRL_TOKEN = re.compile(
-    r"""\s*(?:
+    r"""(?P<space>\s*)(?:
         (?P<num>\d+(?:\.\d+)?)
       | "(?P<str>[^"]*)"
       | (?P<name>[A-Za-z_][A-Za-z0-9_:.\-]*)
       | (?P<punct>[()])
+      | (?P<eof>\Z)
     )""",
     re.VERBOSE,
 )
 
 
-class _SwrlParser:
+def _swrl_tokens(text: str) -> list[Token]:
+    """Lex SWRL text in one pass.  The end of input is an eof token valued
+    '' and unreadable input a bad token that ends the list; both sit right
+    after the previous token, where the reader reports them."""
+    tokens: list[Token] = []
+    pos, line, bol, seen = 0, 1, 0, 0
+    while True:
+        m = _SWRL_TOKEN.match(text, pos)
+        kind = m.lastgroup if m else "bad"
+        at = pos if kind in ("eof", "bad") else m.end("space")
+        line += text.count("\n", seen, at)
+        bol = max(bol, text.rfind("\n", seen, at) + 1)
+        seen = at
+        value = m.group(kind) if m else "unexpected input"
+        tokens.append(Token(kind, value, line, at - bol + 1, at))
+        if kind in ("eof", "bad"):
+            return tokens
+        pos = m.end()
+
+
+class _SwrlReader(TokenCursor):
     def __init__(self, text: str, filename: str):
+        super().__init__(_swrl_tokens(text), filename)
         self.text = text
-        self.filename = filename
-        self.pos = 0
-
-    def _span(self, at: Optional[int] = None) -> SourceSpan:
-        at = self.pos if at is None else at
-        line = self.text.count("\n", 0, at) + 1
-        col = at - (self.text.rfind("\n", 0, at) + 1) + 1
-        return SourceSpan(self.filename, line, col)
-
-    def next(self) -> tuple[str, str, int]:
-        while True:
-            rest = self.text[self.pos :]
-            if not rest.strip():
-                return ("eof", "", self.pos)
-            m = _SWRL_TOKEN.match(self.text, self.pos)
-            if not m:
-                raise ParseError("unexpected input", self._span())
-            at = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
-            self.pos = m.end()
-            if m.group("num") is not None:
-                return ("num", m.group("num"), at)
-            if m.group("str") is not None:
-                return ("str", m.group("str"), at)
-            if m.group("name") is not None:
-                return ("name", m.group("name"), at)
-            return ("punct", m.group("punct"), at)
-
-    def peek(self) -> tuple[str, str, int]:
-        saved = self.pos
-        tok = self.next()
-        self.pos = saved
-        return tok
-
-    def expect_name(self, expected: str):
-        kind, value, at = self.next()
-        if kind != "name" or value != expected:
-            raise ParseError(f"expected {expected!r}, found {value!r}", self._span(at))
-
-    def expect_punct(self, expected: str):
-        kind, value, at = self.next()
-        if kind != "punct" or value != expected:
-            raise ParseError(f"expected {expected!r}, found {value!r}", self._span(at))
 
     def rules(self) -> list[SwrlRule]:
         out = []
-        while self.peek()[0] != "eof":
+        while self.peek().kind != "eof":
             out.append(self.rule())
         return out
 
     def rule(self) -> SwrlRule:
-        self.expect_name("Implies")
-        self.expect_punct("(")
+        self.expect("Implies", "name")
+        self.expect("(")
         annotations = []
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "name" and value == "annotation":
-                self.next()
-                annotations.append(self.balanced())
-            else:
-                break
-        self.expect_name("Antecedent")
+        while self.peek().kind == "name" and self.peek().value == "annotation":
+            self.next()
+            annotations.append(self.balanced())
+        self.expect("Antecedent", "name")
         antecedent = self.atom_list()
-        self.expect_name("Consequent")
+        self.expect("Consequent", "name")
         consequent = self.atom_list()
-        self.expect_punct(")")
+        self.expect(")")
         return SwrlRule(tuple(annotations), tuple(antecedent), tuple(consequent))
 
     def balanced(self) -> str:
         """Capture a balanced parenthesized chunk verbatim (annotations)."""
-        start = self.pos
-        self.expect_punct("(")
+        start = self.expect("(")
         depth = 1
         while depth:
-            kind, value, at = self.next()
-            if kind == "eof":
-                raise ParseError("unterminated annotation", self._span(at))
-            if kind == "punct":
-                depth += 1 if value == "(" else -1
-        return self.text[start : self.pos].strip()
+            tok = self.next()
+            if tok.kind == "eof":
+                self.fail("unterminated annotation", tok)
+            if tok.kind == "punct":
+                depth += 1 if tok.value == "(" else -1
+        return self.text[start.pos : tok.pos + 1]
 
     def atom_list(self) -> list[SwrlAtom]:
-        self.expect_punct("(")
+        self.expect("(")
         atoms = []
-        while True:
-            kind, value, at = self.peek()
-            if kind == "punct" and value == ")":
-                self.next()
-                return atoms
-            if kind != "name":
-                raise ParseError(f"expected an atom, found {value!r}", self._span(at))
+        while not self.at_punct(")"):
+            tok = self.peek()
+            if tok.kind != "name":
+                self.fail(f"expected an atom, found {tok.value!r}", tok)
             atoms.append(self.atom())
+        self.next()
+        return atoms
 
     def atom(self) -> SwrlAtom:
-        kind, name, at = self.next()
-        self.expect_punct("(")
+        name = self.next()
+        self.expect("(")
         objs = []
-        while True:
-            k, v, a = self.peek()
-            if k == "punct" and v == ")":
-                self.next()
-                break
+        while not self.at_punct(")"):
             objs.append(self.obj())
-        return self.classify(name, objs, at)
+        self.next()
+        return self.classify(name, objs)
 
     def obj(self) -> SwrlObj:
-        kind, value, at = self.next()
-        if kind == "num":
-            return SwrlLiteral(float(value) if "." in value else int(value))
-        if kind == "str":
-            return SwrlLiteral(value)
-        if kind == "name":
-            if value in ("I-variable", "D-variable"):
-                self.expect_punct("(")
-                k, v, a = self.next()
-                if k != "name":
-                    raise ParseError("expected a variable name", self._span(a))
-                self.expect_punct(")")
-                return SwrlVar(v)
-            return SwrlIndividual(value)
-        raise ParseError(f"unexpected {value!r} in atom arguments", self._span(at))
+        tok = self.next()
+        if tok.kind == "num":
+            return SwrlLiteral(float(tok.value) if "." in tok.value else int(tok.value))
+        if tok.kind == "str":
+            return SwrlLiteral(tok.value)
+        if tok.kind == "name":
+            if tok.value in ("I-variable", "D-variable"):
+                self.expect("(")
+                var = self.next()
+                if var.kind != "name":
+                    self.fail("expected a variable name", var)
+                self.expect(")")
+                return SwrlVar(var.value)
+            return SwrlIndividual(tok.value)
+        self.fail(f"unexpected {tok.value!r} in atom arguments", tok)
 
-    def classify(self, name: str, objs: list[SwrlObj], at: int) -> SwrlAtom:
-        span = self._span(at)
+    def classify(self, tok: Token, objs: list[SwrlObj]) -> SwrlAtom:
+        name = tok.value
         if name in ("sameAs", "same_as"):
             if len(objs) != 2:
-                raise ParseError("sameAs takes two arguments", span)
+                self.fail("sameAs takes two arguments", tok)
             return SameAs(objs[0], objs[1])
         if name in ("differentFrom", "different_from"):
             if len(objs) != 2:
-                raise ParseError("differentFrom takes two arguments", span)
+                self.fail("differentFrom takes two arguments", tok)
             return DifferentFrom(objs[0], objs[1])
         if name == "builtin":
             if not objs or not isinstance(objs[0], SwrlIndividual):
-                raise ParseError("builtin needs a builtin name first", span)
+                self.fail("builtin needs a builtin name first", tok)
             return BuiltinAtom(objs[0].name, tuple(objs[1:]))
         if ":" in name:
             return BuiltinAtom(name, tuple(objs))
@@ -658,12 +647,12 @@ class _SwrlParser:
             return ClassAtom(name, objs[0])
         if len(objs) == 2:
             return PropertyAtom(name, objs[0], objs[1])
-        raise ParseError(f"unknown atom form {name}/{len(objs)}", span)
+        self.fail(f"unknown atom form {name}/{len(objs)}", tok)
 
 
 def parse_swrl(text: str, filename: str = "<string>") -> list[SwrlRule]:
     """Parse SWRL rules written in the Implies(...) abstract syntax."""
-    return _SwrlParser(text, filename).rules()
+    return _SwrlReader(text, filename).rules()
 
 
 # ===========================================================================

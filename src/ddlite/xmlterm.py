@@ -103,26 +103,34 @@ class _XmlScanner:
     def eof(self) -> bool:
         return self.pos >= len(self.src)
 
+    def skip_markup(self) -> bool:
+        """Skip the comment or processing instruction at the cursor; False
+        when none starts here.  A DTD declaration is an error."""
+        if self.peek(4) == "<!--":
+            end = self.src.find("-->", self.pos + 4)
+            if end < 0:
+                self.fail("unterminated comment")
+            self.pos = end + 3
+        elif self.peek(2) == "<?":
+            end = self.src.find("?>", self.pos + 2)
+            if end < 0:
+                self.fail("unterminated processing instruction")
+            self.pos = end + 2
+        elif self.peek(2) == "<!":
+            self.fail("DTD declarations are not supported")
+        else:
+            return False
+        return True
+
+    def skip_space(self):
+        while not self.eof() and self.src[self.pos].isspace():
+            self.pos += 1
+
     def skip_misc(self):
         """Skip whitespace, comments, and processing instructions."""
-        while not self.eof():
-            c = self.src[self.pos]
-            if c.isspace():
-                self.pos += 1
-            elif self.peek(4) == "<!--":
-                end = self.src.find("-->", self.pos + 4)
-                if end < 0:
-                    self.fail("unterminated comment")
-                self.pos = end + 3
-            elif self.peek(2) == "<?":
-                end = self.src.find("?>", self.pos + 2)
-                if end < 0:
-                    self.fail("unterminated processing instruction")
-                self.pos = end + 2
-            elif self.peek(2) == "<!":
-                self.fail("DTD declarations are not supported")
-            else:
-                return
+        self.skip_space()
+        while self.skip_markup():
+            self.skip_space()
 
     def name(self) -> str:
         start = self.pos
@@ -182,8 +190,7 @@ class _XmlScanner:
         tag = self.name()
         attributes: dict[str, str] = {}
         while True:
-            while not self.eof() and self.src[self.pos].isspace():
-                self.pos += 1
+            self.skip_space()
             if self.peek(2) == "/>":
                 self.pos += 2
                 return XmlTerm(tag, attributes, []), False
@@ -191,11 +198,9 @@ class _XmlScanner:
                 self.pos += 1
                 return XmlTerm(tag, attributes, []), True
             key = self.name()
-            while not self.eof() and self.src[self.pos].isspace():
-                self.pos += 1
+            self.skip_space()
             self.expect("=")
-            while not self.eof() and self.src[self.pos].isspace():
-                self.pos += 1
+            self.skip_space()
             if key in attributes:
                 self.fail(f"duplicate attribute {key!r}")
             attributes[key] = self.attr_value()
@@ -244,24 +249,11 @@ class _XmlScanner:
                     closing = self.name()
                     if closing != tag:
                         self.fail(f"mismatched closing tag </{closing}> for <{tag}>")
-                    while not self.eof() and self.src[self.pos].isspace():
-                        self.pos += 1
+                    self.skip_space()
                     self.expect(">")
                     return False
-                if self.peek(4) == "<!--":
-                    end = self.src.find("-->", self.pos + 4)
-                    if end < 0:
-                        self.fail("unterminated comment")
-                    self.pos = end + 3
+                if self.skip_markup():
                     continue
-                if self.peek(2) == "<?":
-                    end = self.src.find("?>", self.pos + 2)
-                    if end < 0:
-                        self.fail("unterminated processing instruction")
-                    self.pos = end + 2
-                    continue
-                if self.peek(2) == "<!":
-                    self.fail("DTD declarations are not supported")
                 flush()
                 return True
             elif c == "&":

@@ -145,6 +145,14 @@ def test_graph_meta_list_validation(capsys):
     assert "expects name/arity" in err
 
 
+def test_graph_meta_list_rejects_a_superscript_arity(capsys):
+    # "\u00b2" passes str.isdigit but not int()
+    code, out, err = run(capsys, "graph", fx("ancestor.dl"), "--kind", "rpg",
+                         "--meta-list", "p/\u00b2")
+    assert code == 1
+    assert err == "error: --meta-list expects name/arity, got 'p/\u00b2'\n"
+
+
 def test_meta_list_arity_allocates_no_position_list():
     tracemalloc.start()
     try:
@@ -162,6 +170,18 @@ def test_graph_schema_of_a_deeply_nested_document(capsys, tmp_path):
     code, out, err = run(capsys, "graph", str(f), "--kind", "schema")
     assert (code, err) == (0, "")
     assert out == "schema graph: 1 nodes, 1 edges\n  node a (tag)\n  edge a -> a\n"
+
+
+def test_graph_and_diff_of_a_long_conjunction(capsys, tmp_path):
+    f = tmp_path / "long.dl"
+    goals = ", ".join(f"q{i}(X)" for i in range(1200))
+    f.write_text(f"p(L) :- findall(X, ({goals}), L).\n", encoding="utf-8")
+    code, out, err = run(capsys, "graph", str(f), "--kind", "rpg")
+    assert code == 0 and err == ""
+    assert out.startswith("rpg graph: 1203 nodes, 1202 edges\n")
+    assert "  edge findall/3#1 -> q1199/1\n" in out
+    code, out, err = run(capsys, "diff", str(f), str(f), "--kind", "rpg")
+    assert (code, out, err) == (0, "no differences\n", "")
 
 
 # ===========================================================================
@@ -441,6 +461,25 @@ def test_query_sums_fact_matches_in_sort_key_order(capsys, tmp_path):
     assert out == "[[a, 0.6000000000000001]]\n"
 
 
+def test_query_reads_prefixed_tags_in_path_steps(capsys):
+    code, out, err = run(
+        capsys, "query", "--base-dir", str(FIXTURES),
+        "--goal", "C := doc('people.xml')/swrlx:classAtom/owlx:Class@owlx:name",
+        "--template", "[C]",
+    )
+    assert (code, out, err) == (0, "[[person]]\n", "")
+
+
+def test_query_template_rejects_input_after_the_dot(capsys):
+    code, out, err = run(
+        capsys, "query", fx("route.dl"),
+        "--goal", "route('KT', 'Mue', L, T)",
+        "--template", "[L]. junk",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: <template>:1:6: unexpected trailing 'junk'\n"
+
+
 def test_query_bad_template_is_a_domain_error(capsys):
     code, out, err = run(
         capsys, "query", fx("route.dl"),
@@ -496,6 +535,16 @@ def test_prove_picks_the_sort_first_match(capsys, tmp_path):
     code, out, err = run(capsys, "prove", str(f), "--atom", "q(X)")
     assert code == 0
     assert out == "t(q(a), r4)\n"
+
+
+def test_prove_atom_takes_one_atom(capsys):
+    code, out, err = run(capsys, "prove", fx("route.dl"),
+                         "--atom", "route(KT, Mue, L, T) foo")
+    assert (code, out) == (1, "")
+    assert err == "error: <atom>:1:22: unexpected trailing 'foo'\n"
+    code, out, err = run(capsys, "prove", fx("route.dl"),
+                         "--atom", "route('KT', 'Mue', L, T).")
+    assert code == 0 and out == ROUTE_TREE + "\n"
 
 
 def test_prove_no_proof(capsys):

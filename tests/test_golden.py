@@ -1,0 +1,235 @@
+"""Golden CLI transcripts.
+
+Every command runs in process through cli.main on every fixture, in each
+output format, plus error cases for SWRL, goals, templates, `--atom`,
+rule text and XML.  tests/golden/cli.json holds argv, stdout, stderr and
+exit code of each call; the test replays the calls and compares.
+
+After an intended output change, rewrite the transcripts with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+
+and review the diff of tests/golden/cli.json.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import sys
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from ddlite.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "cli.json"
+FX = "tests/fixtures"
+INPUTS = "tests/golden/inputs"
+
+HOURS_GOAL = (
+    "employee(Name, SSN, BDate, Sex, Salary, Super, D), "
+    "R := doc('works_on.xml')/row::[@'ESSN' = SSN]@'HOURS', "
+    "atom_number(R, H)"
+)
+EMPLOYEES = f"employee={FX}/employee.csv"
+ROUTE = f"{FX}/route.dl"
+
+
+def _files(directory: str, suffix: str) -> list[str]:
+    return sorted(
+        f"{directory}/{p.name}" for p in (ROOT / directory).glob(f"*{suffix}")
+    )
+
+
+def cases() -> list[list[str]]:
+    dl = _files(FX, ".dl")
+    swrl = _files(FX, ".swrl")
+    xml = _files(FX, ".xml")
+    out: list[list[str]] = []
+
+    # parse: every fixture, the malformed rule files, a missing file
+    everything = sorted(
+        f"{FX}/{p.name}" for p in (ROOT / FX).iterdir() if p.is_file()
+    )
+    for f in everything + _files(INPUTS, ".dl"):
+        out.append(["parse", f])
+    out.append(["parse", f"{FX}/missing.dl"])
+
+    # graph
+    for f in dl:
+        for kind in ("pdg", "rpg"):
+            for fmt in ("text", "json", "dot"):
+                out.append(["graph", f, "--kind", kind, "--format", fmt])
+    for f in xml + _files(INPUTS, ".xml"):
+        for fmt in ("text", "json", "dot"):
+            out.append(["graph", f, "--kind", "schema", "--format", fmt])
+        out.append(["graph", f, "--kind", "schema", "--no-attrs"])
+    ancestor = f"{FX}/ancestor.dl"
+    for spec in ("append/2", "append/2, parent/2", "foo", "p/x", "/2", "p/", "p/\u00b2"):
+        out.append(["graph", ancestor, "--kind", "rpg", "--meta-list", spec])
+    out.append(["graph", ancestor, "--kind", "bogus"])
+    out.append(["graph"])
+
+    # diff: each program against itself and against its neighbour
+    for i, left in enumerate(dl):
+        for right in (left, dl[(i + 1) % len(dl)]):
+            for kind in ("pdg", "rpg"):
+                for fmt in ("text", "json"):
+                    out.append(["diff", left, right, "--kind", kind, "--format", fmt])
+    h1, h2 = f"{FX}/h1.dl", f"{FX}/h2.dl"
+    for extra in (
+        ["--helpers", "h"],
+        ["--helpers", "h/0"],
+        ["--helpers", "h, zz"],
+        ["--helpers", "h", "--root", "a"],
+        ["--helpers", "h", "--root", "a/0"],
+        ["--helpers", "h", "--root", "zz"],
+        ["--helpers", "h", "--format", "json"],
+        ["--helpers", "h", "--kind", "rpg"],
+        ["--meta-list", "p/x"],
+    ):
+        out.append(["diff", h1, h2] + extra)
+    out.append(["diff", f"{INPUTS}/empty.dl", h2, "--helpers", "h"])
+    out.append(["diff", f"{INPUTS}/empty.dl", h2, "--helpers", "h", "--root", "a/0"])
+    for left, right in ((xml[0], xml[1]), (xml[1], xml[2]), (xml[0], xml[0])):
+        for extra in ([], ["--format", "json"], ["--no-attrs"]):
+            out.append(["diff", left, right, "--kind", "schema"] + extra)
+
+    # eval
+    for f in dl:
+        for fmt in ("text", "json"):
+            out.append(["eval", f, "--format", fmt])
+    plain = f"{FX}/route_plain.dl"
+    for fmt in ("text", "json"):
+        out.append(["eval", plain, "--auto-pt", "--format", fmt])
+    uncle_csv = ["--csv", f"parent={FX}/parent.csv", "--csv", f"brother={FX}/brother.csv"]
+    out.append(["eval", f"{FX}/uncle.dl"] + uncle_csv)
+    out.append(["eval", f"{FX}/uncle.dl", "--csv", "parent"])
+    out.append(["eval", plain, "--max-facts", "3"])
+    out.append(["eval", plain, "--max-iterations", "-1"])
+
+    # swrl: fixtures in both forms, then the malformed and edge-case inputs
+    for f in swrl + xml:
+        for emit in ("datalog", "report"):
+            out.append(["swrl", f, "--emit", emit])
+    for f in _files(INPUTS, ".swrl"):
+        out.append(["swrl", f])
+
+    # query
+    hours = ["query", "--csv", EMPLOYEES, "--base-dir", FX, "--goal", HOURS_GOAL]
+    for template in (
+        "[D, sum(H)]",
+        "[D, sum(H)].",
+        "[D, count(H), avg(H), min(H), max(H)]",
+        "[D, sum(H)]. junk",
+        "[D, sum(H)] junk",
+        "[D, sum(H)].junk",
+        "[D, sum(H)]. [D]",
+        "D",
+        "[foo(D)]",
+        "[]",
+        "[Z]",
+        "[D, sum(Name)]",
+    ):
+        out.append(hours + ["--template", template])
+    out.append(hours + ["--template", "[D, sum(H)]", "--format", "json"])
+    out.append(["query", "--csv", EMPLOYEES, "--xml", f"works_on.xml={FX}/works_on.xml",
+                "--goal", HOURS_GOAL, "--template", "[D, sum(H)]"])
+    for goal in (
+        "route('KT', 'Mue', L, T)",
+        "route('KT', 'Mue', L, T).",
+        "(route(A, B, L, T), L > 100)",
+        "route(A, B, L, T), not street(A, B, L, T)",
+        "route(A, B, L, T). street(A, B, L, T)",
+        "route(A, B, L, T) junk",
+        "route(A, B, L, T), ",
+        "(route(A, B, L, T)",
+        "X := foo/bar",
+        "X := doc('people.xml')",
+        "true",
+    ):
+        out.append(["query", ROUTE, "--goal", goal, "--template", "[L]"])
+    for goal in (
+        "C := doc('people.xml')/'swrlx:classAtom'/'owlx:Class'@'owlx:name'",
+        "C := doc('people.xml')/swrlx:classAtom/owlx:Class@owlx:name",
+        "C := doc('people.xml')/ruleml:imp/ruleml:_body/swrlx:individualPropertyAtom"
+        "::[@swrlx:property = parent]@swrlx:property",
+        "C := doc('people.xml')/swrlx:classAtom/owlx:",
+        "C := doc('missing.xml')/a",
+        "C := doc('inputs/mismatched.xml')/a",
+        "C := X/a",
+        "C := doc('works_on.xml')/row::[@'ESSN' = S]@'HOURS'",
+    ):
+        base = "tests/golden" if "inputs/" in goal else FX
+        out.append(["query", "--base-dir", base, "--goal", goal, "--template", "[C]"])
+
+    # prove
+    for fmt in ("term", "ascii", "dot"):
+        out.append(["prove", ROUTE, "--atom", "route('KT', 'Mue', L, T)", "--format", fmt])
+        out.append(["prove", plain, "--auto-pt", "--atom", "route(A, B, L, T)",
+                    "--format", fmt])
+    out.append(["prove", f"{FX}/uncle.dl", "--atom", "uncle(a, Z)"] + uncle_csv)
+    for atom in (
+        "route(KT, Mue, L, T)",
+        "route(KT, Mue, L, T).",
+        "route(KT, Mue, L, T) foo",
+        "route(KT, Mue, L, T), foo",
+        "route(KT, Mue, L, T). foo",
+        "route('Mue', 'KT', L, T)",
+        "route(KT",
+        "[a]",
+        "X",
+        "prolog:route(A, B, L, T)",
+        "",
+    ):
+        out.append(["prove", ROUTE, "--atom", atom])
+    return out
+
+
+@contextmanager
+def _at_root():
+    saved_dir, saved_env = os.getcwd(), os.environ.pop("DDLITE_MAX_FACTS", None)
+    os.chdir(ROOT)
+    try:
+        yield
+    finally:
+        os.chdir(saved_dir)
+        if saved_env is not None:
+            os.environ["DDLITE_MAX_FACTS"] = saved_env
+
+
+def transcript(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def record() -> list[dict]:
+    with _at_root():
+        return [transcript(argv) for argv in cases()]
+
+
+def test_cli_transcripts_match_the_golden_file():
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [t["argv"] for t in expected] == cases()
+    mismatched = [
+        (want, got)
+        for want, got in zip(expected, record())
+        if want != got
+    ]
+    assert not mismatched, "\n\n".join(
+        f"{want['argv']}\n  want {want}\n  got  {got}" for want, got in mismatched[:5]
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN.relative_to(ROOT)}")

@@ -124,6 +124,13 @@ def test_meta_positions_scan_conjunctions_only_at_listed_arguments():
     }
 
 
+def test_inner_goals_keep_left_to_right_order_through_nesting():
+    p = parse_program("p :- findall(X, ((a, (b, c)), d, (e, f)), L).")
+    g = build_rpg(p)
+    call = [e.dst.id for e in g.edges if e.src.id == "findall/3#1"]
+    assert call == ["a/0", "b/0", "c/0", "d/0", "e/0", "f/0"]
+
+
 def test_direct_recursion_is_a_self_edge():
     g = build_pdg(parse_program("p(X) :- p(X)."))
     assert edge_ids(g) == {("p/1", "p/1", PLAIN)}

@@ -254,6 +254,27 @@ def test_parse_goal_path_from_a_bound_variable():
     assert second.expr.steps == (AttrAccess("ESSN"),)
 
 
+def test_parse_goal_path_steps_read_prefixed_names():
+    (binding,) = parse_goal(
+        "C := doc('people.xml')/ruleml:imp/ruleml:_body"
+        "/swrlx:individualPropertyAtom::[@swrlx:property = parent]@swrlx:property"
+    )
+    assert binding.expr.steps == (
+        Child("ruleml:imp"),
+        Child("ruleml:_body"),
+        Child("swrlx:individualPropertyAtom"),
+        Filter("swrlx:property", Const("parent")),
+        AttrAccess("swrlx:property"),
+    )
+    bare = parse_goal("C := doc('people.xml')/swrlx:classAtom/owlx:Class@owlx:name")
+    quoted = parse_goal(
+        "C := doc('people.xml')/'swrlx:classAtom'/'owlx:Class'@'owlx:name'"
+    )
+    assert bare == quoted
+    with pytest.raises(ParseError, match=r"1:45: expected a name, found None"):
+        parse_goal("C := doc('people.xml')/swrlx:classAtom/owlx:")
+
+
 def test_parse_goal_accepts_a_wrapping_paren():
     items = parse_goal("(p(X), q(X))")
     assert [item.atom.predicate for item in items] == ["p", "q"]
@@ -273,6 +294,13 @@ def test_parse_goal_errors():
         parse_goal("p(X) q")
     with pytest.raises(ParseError, match="single conjunction"):
         parse_goal("p(X). q(X).")
+    with pytest.raises(ParseError) as err:
+        parse_goal("(p(X), q(X)). r")
+    assert str(err.value) == "<goal>:1:15: goal must be a single conjunction"
+    with pytest.raises(ParseError) as err:
+        parse_goal("p(X) .q")
+    assert str(err.value) == "<goal>:1:6: unexpected trailing '.'"
+    assert parse_goal("p(X).") == parse_goal("p(X)")
     with pytest.raises(ParseError, match="path source"):
         parse_goal("X := 5/row")
     with pytest.raises(ParseError, match="no steps"):
@@ -303,6 +331,10 @@ def test_parse_template_errors():
         parse_template("[sum(3)]")
     with pytest.raises(ParseError, match="unexpected trailing"):
         parse_template("[X] junk")
+    with pytest.raises(ParseError) as err:
+        parse_template("[D, sum(H)]. junk")
+    assert str(err.value) == "<template>:1:14: unexpected trailing 'junk'"
+    assert parse_template("[D, sum(H)].") == parse_template("[D, sum(H)]")
 
 
 # ===========================================================================

@@ -1,10 +1,15 @@
 """Rule text, SWRL abstract syntax, and the XML subset."""
 
+import importlib.util
+import random
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from ddlite.errors import (
+    DdliteError,
     EmptyConsequent,
     ParseError,
     TranslationError,
@@ -37,6 +42,7 @@ from ddlite.syntax import (
     swrl_to_datalog,
     tokenize,
 )
+from ddlite.hybrid import parse_goal
 from ddlite.xmlterm import Text, parse_xml, xml_to_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -139,6 +145,31 @@ def test_arithmetic_precedence_shape():
     assert rhs == Compound("+", (Num(1), Compound("*", (Num(2), Num(3)))))
 
 
+def test_conjunctions_fold_to_the_right():
+    a, b, c, d = (Const(n) for n in "abcd")
+    t = TermParser(tokenize("a, b = c, d + a, (b, c)", "<t>")).term(1200)
+    assert t == Compound(",", (a, Compound(",", (
+        Compound("=", (b, c)),
+        Compound(",", (Compound("+", (d, a)), Compound(",", (b, c)))),
+    ))))
+    assert TermParser(tokenize("(a, b), c", "<t>")).term(1200) == Compound(
+        ",", (Compound(",", (a, b)), c)
+    )
+
+
+def test_a_long_conjunction_parses_without_recursion():
+    n = 1200
+    goals = ", ".join(f"q{i}(X)" for i in range(n))
+    p = parse_program(f"p(L) :- findall(X, ({goals}), L).")
+    conj = p.rules[0].body[0].atom.args[1]
+    names = []
+    while isinstance(conj, Compound) and conj.functor == ",":
+        names.append(conj.args[0].functor)
+        conj = conj.args[1]
+    names.append(conj.functor)
+    assert names == [f"q{i}" for i in range(n)]
+
+
 def test_lists_parse_with_tails():
     p = parse_program("p([1, 2|T], []) :- q(T).")
     first, second = p.rules[0].head.args
@@ -233,6 +264,17 @@ def test_parse_swrl_annotations_are_kept_verbatim():
         " Consequent(p(I-variable(x))))"
     )
     assert rules[0].annotations == ("(source(ex))",)
+    # strings keep their parentheses and line breaks; blanks inside stay
+    rules = parse_swrl(
+        'Implies(annotation(rdfs:comment "a (note)\n  on two lines")'
+        " annotation( label  (nested (deep) ) )\n"
+        " Antecedent(q(I-variable(x) 2.5)) Consequent(p(I-variable(x))))"
+    )
+    assert rules[0].annotations == (
+        '(rdfs:comment "a (note)\n  on two lines")',
+        "( label  (nested (deep) ) )",
+    )
+    assert rules[0].antecedent == (PropertyAtom("q", SwrlVar("x"), SwrlLiteral(2.5)),)
 
 
 def test_parse_swrl_rejects_wide_plain_atoms():
@@ -241,6 +283,79 @@ def test_parse_swrl_rejects_wide_plain_atoms():
             "Implies(Antecedent(trip(I-variable(x) I-variable(y) I-variable(z)))"
             " Consequent(p(I-variable(x))))"
         )
+
+
+SWRL_ERRORS = [
+    (
+        "Implies(Antecedent(p(I-variable(x))) Consequent(q(I-variable(x)))",
+        "f.swrl:1:66: expected ')', found ''",
+    ),
+    (
+        "Implies(Antecedent(p(I-variable(x))) Consequent(q(I-variable(x))))"
+        "\n\n  junk(",
+        "f.swrl:3:3: expected 'Implies', found 'junk'",
+    ),
+    (
+        # points at the end of the previous token, before the blanks
+        "Implies(Antecedent(p(I-variable(x)))\n   Consequent(q(I-variable(  $x))))\n",
+        "f.swrl:2:28: unexpected input",
+    ),
+    (
+        "Implies(Antecedent(\n            p(I-variable(x) I-variable(y) I-variable(z)))"
+        "\n Consequent(q(I-variable(x))))",
+        "f.swrl:2:13: unknown atom form p/3",
+    ),
+    ("Implies(annotation(label \n", "f.swrl:1:25: unterminated annotation"),
+    (
+        "Implies(Antecedent(p(I-variable(x)))\n   Consequent(q(I-variable(x)",
+        "f.swrl:2:30: unexpected '' in atom arguments",
+    ),
+    (
+        'Implies(Antecedent(p(I-variable("x"))) Consequent(q(I-variable(x))))',
+        "f.swrl:1:33: expected a variable name",
+    ),
+    (
+        # a syntax error before unreadable input is the one reported
+        "Implies(Antecedent(p(I-variable(x))) Consequnt(q(I-variable(x))) $)",
+        "f.swrl:1:38: expected 'Consequent', found 'Consequnt'",
+    ),
+    (
+        # lines are counted through a string that spans lines
+        'Implies(annotation("one\ntwo")\n   Antecedent(q(I-variable(7))))',
+        "f.swrl:3:28: expected a variable name",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", SWRL_ERRORS)
+def test_parse_swrl_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_swrl(text, "f.swrl")
+    assert str(err.value) == message
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parse_swrl_is_linear_in_the_text(tmp_path):
+    # 2,080 generated rules; a reader that re-slices the rest of the text
+    # per token takes about 3 s here
+    case = _perfbench_workloads().make_rulebase(
+        random.Random(1), {"rules": 2080}, tmp_path
+    )
+    text = (tmp_path / "rules.swrl").read_text(encoding="utf-8")
+    t0 = time.perf_counter()
+    rules = parse_swrl(text, "rules.swrl")
+    elapsed = time.perf_counter() - t0
+    program = swrl_to_datalog([r for rule in rules for r in lloyd_topor(rule)])
+    assert case.steps[0].check(print_program(program).encode()) is None
+    assert elapsed < 1.5
 
 
 def test_lloyd_topor_splits_consequents():
@@ -349,3 +464,56 @@ def test_parse_ruleml_rejects_unknown_elements():
         parse_ruleml_xml('<swrlx:Ontology><mystery/></swrlx:Ontology>')
     with pytest.raises(UnsupportedConstruct):
         parse_ruleml_xml("<other/>")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed input ends in a DdliteError, never another exception
+# ---------------------------------------------------------------------------
+
+_FUZZ_CHARS = "()[]{},.:;=<>!?'\"%&@/\\-_|*+ \n\tabzXZ0179#$"
+
+FUZZ_GOALS = [
+    "employee(Name, SSN, BDate, Sex, Salary, Super, D), "
+    "R := doc('works_on.xml')/row::[@'ESSN' = SSN]@'HOURS', atom_number(R, H)",
+    "C := doc('people.xml')/swrlx:classAtom/owlx:Class@owlx:name",
+    "(route(A, B, L, T), not street(A, B, L, T), L > 100).",
+    "W := doc('w.xml')/row, E := W@'ESSN', prolog:(X is E + 1)",
+]
+
+
+def _mutants(rng, text, count):
+    """Copies of text with one to three truncations, deletions of one to
+    three characters, or insertions of one character."""
+    for _ in range(count):
+        out = text
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(out) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                out = out[:i]
+            elif op == 1:
+                out = out[:i] + out[i + rng.randint(1, 3):]
+            else:
+                out = out[:i] + rng.choice(_FUZZ_CHARS) + out[i:]
+        yield out
+
+
+def _fuzz_sources():
+    readers = {".dl": parse_program, ".swrl": parse_swrl, ".xml": parse_xml}
+    for path in sorted(FIXTURES.iterdir()):
+        if path.suffix in readers:
+            yield path.name, path.read_text(encoding="utf-8"), readers[path.suffix]
+    for k, goal in enumerate(FUZZ_GOALS):
+        yield f"goal{k}", goal, parse_goal
+
+
+@pytest.mark.parametrize("name, text, reader", list(_fuzz_sources()))
+def test_malformed_input_raises_only_ddlite_errors(name, text, reader):
+    rng = random.Random(name)
+    for mutant in _mutants(rng, text, 300):
+        try:
+            reader(mutant)
+        except DdliteError:
+            pass
+        except Exception as exc:  # pragma: no cover - the failure report
+            pytest.fail(f"{type(exc).__name__}: {exc} on {mutant!r}")
