@@ -31,6 +31,17 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.col}"
 
 
+def line_col(
+    text: str, at: int, since: int = 0, line: int = 1, col: int = 1
+) -> tuple[int, int]:
+    """Line and column of offset `at` in text, from those of an earlier
+    offset `since`; only '\\n' ends a line.  Every reader counts here."""
+    breaks = text.count("\n", since, at)
+    if breaks:
+        return line + breaks, at - text.rfind("\n", since, at)
+    return line, col + at - since
+
+
 # ===========================================================================
 # Terms
 # ===========================================================================
@@ -245,27 +256,25 @@ Subst = dict  # Dict[str, Term], kept idempotent
 
 
 def term_vars(t) -> set[str]:
-    """Free variable names of a term, atom, literal, or rule."""
-    out: set[str] = set()
-    _collect_vars(t, out)
-    return out
-
-
-def _collect_vars(t, out: set[str]) -> None:
+    """Free variable names of a term, atom, literal, or rule.  Atoms and
+    compounds wait on an explicit stack, so term depth is not bounded by
+    the recursion limit."""
     if isinstance(t, Var):
-        out.add(t.name)
-    elif isinstance(t, Compound):
-        for a in t.args:
-            _collect_vars(a, out)
-    elif isinstance(t, Atom):
-        for a in t.args:
-            _collect_vars(a, out)
+        return {t.name}
+    if isinstance(t, Rule):
+        stack = [t.head, *(lit.atom for lit in t.body)]
     elif isinstance(t, Literal):
-        _collect_vars(t.atom, out)
-    elif isinstance(t, Rule):
-        _collect_vars(t.head, out)
-        for lit in t.body:
-            _collect_vars(lit, out)
+        stack = [t.atom]
+    else:
+        stack = [t] if isinstance(t, (Compound, Atom)) else []
+    out: set[str] = set()
+    while stack:
+        for a in stack.pop().args:
+            if isinstance(a, Var):
+                out.add(a.name)
+            elif isinstance(a, Compound):
+                stack.append(a)
+    return out
 
 
 def apply(s: Subst, t):
@@ -413,15 +422,22 @@ def _needs_quotes(symbol: str) -> bool:
     return not (_PLAIN_ATOM.match(symbol) or symbol in ("[]", "!", ";", "{}"))
 
 
-# Operators printed infix, by functor: precedence and associativity drive
-# parenthesization of nested operands (y side admits equal precedence).
-_INFIX = {
+# Operator table: symbol -> (priority, associativity).  The parser reads
+# all of it.  The printer writes every operator but ',' infix, letting
+# priority and associativity decide the parentheses of nested operands (the
+# y side admits equal priority); a conjunction prints as ','(A, B).
+OPERATORS = {
+    ",": (1000, "xfy"),
     "is": (700, "xfx"), "<": (700, "xfx"), ">": (700, "xfx"),
     "=<": (700, "xfx"), ">=": (700, "xfx"), "=:=": (700, "xfx"),
     "=\\=": (700, "xfx"), "=": (700, "xfx"),
     "+": (500, "yfx"), "-": (500, "yfx"), "*": (400, "yfx"), "/": (400, "yfx"),
 }
 _SPACED = {"is", "=:=", "=\\=", "=<", ">=", "<", ">", "="}
+
+
+def _infix(functor: str, args: tuple) -> bool:
+    return functor in OPERATORS and functor != "," and len(args) == 2
 
 
 def term_text(t, quoted: bool = True) -> str:
@@ -434,7 +450,7 @@ def term_text(t, quoted: bool = True) -> str:
         prefix = f"{t.module_prefix}:" if t.module_prefix else ""
         if not t.args:
             return prefix + _const_text(t.predicate, quoted)
-        if t.predicate in _INFIX and len(t.args) == 2:
+        if _infix(t.predicate, t.args):
             return prefix + "(" + _infix_text(t.predicate, t.args, quoted) + ")"
         args = ", ".join(term_text(a, quoted) for a in t.args)
         return f"{prefix}{_functor_text(t.predicate, quoted)}({args})"
@@ -452,14 +468,22 @@ def term_text(t, quoted: bool = True) -> str:
         if tail == NIL:
             return f"[{inner}]"
         return f"[{inner}|{term_text(tail, quoted)}]"
-    if t.functor in _INFIX and len(t.args) == 2:
+    if _infix(t.functor, t.args):
         return "(" + _infix_text(t.functor, t.args, quoted) + ")"
-    args = ", ".join(term_text(a, quoted) for a in t.args)
-    return f"{_functor_text(t.functor, quoted)}({args})"
+    functor = _functor_text(t.functor, quoted)
+    if len(t.args) != 2:
+        return f"{functor}({', '.join(term_text(a, quoted) for a in t.args)})"
+    # a right-nested chain of one binary functor, such as the conjunction
+    # ','(a, ','(b, c)), is printed in a loop rather than a call per link
+    heads, chained = [], t.functor
+    while isinstance(t, Compound) and t.functor == chained and len(t.args) == 2:
+        heads.append(f"{functor}({term_text(t.args[0], quoted)}, ")
+        t = t.args[1]
+    return "".join(heads) + term_text(t, quoted) + ")" * len(heads)
 
 
 def _infix_text(op: str, args: tuple[Term, ...], quoted: bool) -> str:
-    prec, assoc = _INFIX[op]
+    prec, assoc = OPERATORS[op]
     left_max = prec if assoc == "yfx" else prec - 1
     sep = f" {op} " if op in _SPACED else op
     return _operand_text(args[0], left_max, quoted) + sep + _operand_text(
@@ -470,9 +494,9 @@ def _infix_text(op: str, args: tuple[Term, ...], quoted: bool) -> str:
 def _operand_text(t: Term, max_prec: int, quoted: bool) -> str:
     """Render an operand of an infix operator, adding parentheses only when
     the operand's own operator binds more loosely than the slot allows."""
-    if isinstance(t, Compound) and t.functor in _INFIX and len(t.args) == 2:
+    if isinstance(t, Compound) and _infix(t.functor, t.args):
         inner = _infix_text(t.functor, t.args, quoted)
-        prec, _ = _INFIX[t.functor]
+        prec, _ = OPERATORS[t.functor]
         return f"({inner})" if prec > max_prec else inner
     return term_text(t, quoted)
 
@@ -485,7 +509,7 @@ def _const_text(symbol: str, quoted: bool) -> str:
 
 
 def _functor_text(functor: str, quoted: bool) -> str:
-    if functor in _INFIX:
+    if functor in OPERATORS:
         return f"'{functor}'" if quoted else functor
     return _const_text(functor, quoted)
 

@@ -29,12 +29,14 @@ from .kernel import (
     Literal,
     NEGATED,
     Num,
+    OPERATORS,
     POSITIVE,
     Program,
     Rule,
     SourceSpan,
     Term,
     Var,
+    line_col,
     mklist,
     rule_text,
     term_text,
@@ -42,12 +44,8 @@ from .kernel import (
 from .xmlterm import Text, XmlTerm, parse_xml
 
 # ===========================================================================
-# Tokenizer for rule text (shared with the goal language in hybrid)
+# Lexers for rule text (shared with the goal language in hybrid) and SWRL
 # ===========================================================================
-
-_PUNCT2 = (":-", ":=", "::", "=<", ">=", "=:=", "=\\=")
-_PUNCT1 = "()[],|.:<>=+-*/@!"
-_DIRECTIVE = re.compile(r"%\s*name:\s*(\S+)\s*$")
 
 
 @dataclass(slots=True)
@@ -62,134 +60,96 @@ class Token:
         return SourceSpan(filename, self.line, self.col)
 
 
-def tokenize(text: str, filename: str = "<string>") -> list[Token]:
+def _lex(pattern: re.Pattern, text: str, values: dict) -> list[Token]:
+    """Split text into the tokens of one language, ending with its eof or
+    bad token.  A token's kind is the named group of pattern that matched,
+    and it starts where that group does, so the pattern alone places every
+    token, eof and bad ones included.  values maps a kind to a function of
+    the matched text giving the token's (kind, value), or (None, None) to
+    drop it; other kinds keep the matched text."""
     tokens: list[Token] = []
-    i, line, bol = 0, 1, 0
-    n = len(text)
-
-    def pos():
-        return line, i - bol + 1
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            bol = i
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if c == "%":
-            end = text.find("\n", i)
-            if end < 0:
-                end = n
-            comment = text[i:end]
-            m = _DIRECTIVE.match(comment)
-            if m:
-                l, co = pos()
-                tokens.append(Token("directive", m.group(1), l, co, i))
-            i = end
-            continue
-        l, co = pos()
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
-            tokens.append(Token("num", float(lit) if is_float else int(lit), l, co, i))
-            i = j
-            continue
-        if c == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated quoted atom", SourceSpan(filename, l, co))
-                ch = text[j]
-                if ch == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    buf.append({"n": "\n", "t": "\t", "'": "'", "\\": "\\"}.get(esc, esc))
-                    j += 2
-                    continue
-                if ch == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(ch)
-                j += 1
-            tokens.append(Token("quoted", "".join(buf), l, co, i))
-            i = j + 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "var" if (c == "_" or c.isupper()) else "atom"
-            tokens.append(Token(kind, word, l, co, i))
-            i = j
-            continue
-        two = text[i : i + 3]
-        if two == "=:=" or two == "=\\=":
-            tokens.append(Token("punct", two, l, co, i))
-            i += 3
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("punct", two, l, co, i))
-            i += 2
-            continue
-        if c == ".":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt == "" or nxt.isspace() or nxt == "%":
-                tokens.append(Token("end", ".", l, co, i))
-            else:
-                tokens.append(Token("punct", ".", l, co, i))
-            i += 1
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token("punct", c, l, co, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", SourceSpan(filename, l, co))
-    tokens.append(Token("eof", None, line, n - bol + 1, n))
-    return tokens
+    seen = 0
+    line = col = 1
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        at = m.start(kind)
+        line, col = line_col(text, at, seen, line, col)
+        seen = at
+        if kind in values:
+            kind, value = values[kind](value)
+            if kind is None:
+                continue
+        tokens.append(Token(kind, value, line, col, at))
+        if kind == "eof" or kind == "bad":
+            return tokens
 
 
-# operator table: symbol -> (priority, associativity)
-OPERATORS = {
-    ",": (1000, "xfy"),
-    "is": (700, "xfx"),
-    "<": (700, "xfx"),
-    ">": (700, "xfx"),
-    "=<": (700, "xfx"),
-    ">=": (700, "xfx"),
-    "=:=": (700, "xfx"),
-    "=\\=": (700, "xfx"),
-    "=": (700, "xfx"),
-    "+": (500, "yfx"),
-    "-": (500, "yfx"),
-    "*": (400, "yfx"),
-    "/": (400, "yfx"),
+# Rule text.  A word that starts with an ASCII letter or '_' is a var or
+# an atom; any other word is sorted out by _word, where a first character
+# that is no letter, such as '²', is unreadable.  A number is decimal
+# digits with an optional fraction and exponent.  A quoted atom ends at a
+# quote that no quote follows, so never inside a doubled one; a quote left
+# over opens an atom that never closes.  That quote, and any other
+# character that starts no token, is a bad token.
+_RULE_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<var>[A-Z_]\w*)
+      | (?P<atom>[a-z]\w*)
+      | (?P<end>\.(?=\s|%|\Z))
+      | (?P<punct>=:=|=\\=|:-|:=|::|=<|>=|[()\[\],|.:<>=+\-*/@!])
+      | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<word>[^\W\d]\w*)
+      | (?P<quoted>'[^'\\]*(?:(?:\\[\s\S]|'')[^'\\]*)*')(?!')
+      | (?P<comment>%[^\n]*)
+      | (?P<eof>\Z)
+      | (?P<bad>[\s\S])
+    )""",
+    re.VERBOSE,
+)
+_DIRECTIVE = re.compile(r"%\s*name:\s*(\S+)\s*$")
+_ESCAPE = re.compile(r"\\[\s\S]|''")
+_ESCAPED = {"\\n": "\n", "\\t": "\t"}
+
+
+def _unreadable(text: str) -> tuple[str, str]:
+    if text == "'":
+        return "bad", "unterminated quoted atom"
+    return "bad", f"unexpected character {text!r}"
+
+
+def _word(text: str) -> tuple[str, str]:
+    if not text[0].isalpha():
+        return _unreadable(text[0])
+    return ("var" if text[0].isupper() else "atom"), text
+
+
+def _quoted(text: str) -> tuple[str, str]:
+    return "quoted", _ESCAPE.sub(lambda e: _ESCAPED.get(e[0], e[0][1]), text[1:-1])
+
+
+def _comment(text: str) -> tuple[Optional[str], Optional[str]]:
+    directive = _DIRECTIVE.match(text)
+    return ("directive", directive[1]) if directive else (None, None)
+
+
+_RULE_VALUES = {
+    "word": _word,
+    "num": lambda text: ("num", int(text) if text.isdecimal() else float(text)),
+    "quoted": _quoted,
+    "comment": _comment,
+    "eof": lambda text: ("eof", None),
+    "bad": _unreadable,
 }
+
+
+def tokenize(text: str, filename: str = "<string>") -> list[Token]:
+    """Rule text as tokens ending in eof.  Comments are dropped, except a
+    `% name:` directive; unreadable input raises at once."""
+    tokens = _lex(_RULE_TOKEN, text, _RULE_VALUES)
+    if tokens[-1].kind == "bad":
+        raise ParseError(tokens[-1].value, tokens[-1].span(filename))
+    return tokens
 
 
 class TokenCursor:
@@ -521,36 +481,29 @@ class SwrlOntology:
     class_atoms: tuple[SwrlAtom, ...] = ()
 
 
+# SWRL.  The end of input and unreadable input both sit right after the
+# previous token, where the reader reports them.
 _SWRL_TOKEN = re.compile(
-    r"""(?P<space>\s*)(?:
+    r"""\s*(?:
         (?P<num>\d+(?:\.\d+)?)
-      | "(?P<str>[^"]*)"
+      | (?P<str>"[^"]*")
       | (?P<name>[A-Za-z_][A-Za-z0-9_:.\-]*)
       | (?P<punct>[()])
-      | (?P<eof>\Z)
-    )""",
+    )
+    | (?P<eof>)(?=\s*\Z)
+    | (?P<bad>)""",
     re.VERBOSE,
 )
+_SWRL_VALUES = {
+    "str": lambda text: ("str", text[1:-1]),
+    "bad": lambda text: ("bad", "unexpected input"),
+}
 
 
 def _swrl_tokens(text: str) -> list[Token]:
-    """Lex SWRL text in one pass.  The end of input is an eof token valued
-    '' and unreadable input a bad token that ends the list; both sit right
-    after the previous token, where the reader reports them."""
-    tokens: list[Token] = []
-    pos, line, bol, seen = 0, 1, 0, 0
-    while True:
-        m = _SWRL_TOKEN.match(text, pos)
-        kind = m.lastgroup if m else "bad"
-        at = pos if kind in ("eof", "bad") else m.end("space")
-        line += text.count("\n", seen, at)
-        bol = max(bol, text.rfind("\n", seen, at) + 1)
-        seen = at
-        value = m.group(kind) if m else "unexpected input"
-        tokens.append(Token(kind, value, line, at - bol + 1, at))
-        if kind in ("eof", "bad"):
-            return tokens
-        pos = m.end()
+    """SWRL text as tokens, ending in an eof token valued '' or a bad one
+    that holds its message."""
+    return _lex(_SWRL_TOKEN, text, _SWRL_VALUES)
 
 
 class _SwrlReader(TokenCursor):

@@ -9,9 +9,11 @@ DTD handling.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import XmlParseError
+from .kernel import SourceSpan, line_col
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
@@ -75,8 +77,11 @@ def _escape(s: str, attr: bool = False) -> str:
     return s
 
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | set("0123456789.-:")
+# each matches at any position, the empty string at least
+_NAME = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_.:\-]*)?")
+_SPACE = re.compile(r"\s*")
+_CHARS = re.compile(r"[^<&]*")  # character data up to markup or an entity
+_ATTR_CHARS = {q: re.compile(f"[^{q}<&]*") for q in "'\""}
 
 
 class _XmlScanner:
@@ -87,12 +92,8 @@ class _XmlScanner:
 
     # -- helpers ----------------------------------------------------------
 
-    def _span(self):
-        from .kernel import SourceSpan
-
-        line = self.src.count("\n", 0, self.pos) + 1
-        col = self.pos - (self.src.rfind("\n", 0, self.pos) + 1) + 1
-        return SourceSpan(self.filename, line, col)
+    def _span(self) -> SourceSpan:
+        return SourceSpan(self.filename, *line_col(self.src, self.pos))
 
     def fail(self, msg: str):
         raise XmlParseError(msg, self._span())
@@ -100,8 +101,11 @@ class _XmlScanner:
     def peek(self, k: int = 1) -> str:
         return self.src[self.pos : self.pos + k]
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.src)
+    def run(self, pattern: re.Pattern) -> str:
+        """Move past the match of pattern at the cursor and return it."""
+        m = pattern.match(self.src, self.pos)
+        self.pos = m.end()
+        return m[0]
 
     def skip_markup(self) -> bool:
         """Skip the comment or processing instruction at the cursor; False
@@ -123,8 +127,7 @@ class _XmlScanner:
         return True
 
     def skip_space(self):
-        while not self.eof() and self.src[self.pos].isspace():
-            self.pos += 1
+        self.run(_SPACE)
 
     def skip_misc(self):
         """Skip whitespace, comments, and processing instructions."""
@@ -133,12 +136,10 @@ class _XmlScanner:
             self.skip_space()
 
     def name(self) -> str:
-        start = self.pos
-        if self.eof() or self.src[self.pos] not in _NAME_START:
+        name = self.run(_NAME)
+        if not name:
             self.fail("expected a name")
-        while not self.eof() and self.src[self.pos] in _NAME_CHARS:
-            self.pos += 1
-        return self.src[start : self.pos]
+        return name
 
     def expect(self, text: str):
         if self.peek(len(text)) != text:
@@ -164,7 +165,7 @@ class _XmlScanner:
             self.fail("expected a root element")
         root = self.element()
         self.skip_misc()
-        if not self.eof():
+        if self.peek():
             self.fail("content after the root element")
         return root
 
@@ -212,9 +213,8 @@ class _XmlScanner:
         self.pos += 1
         out = []
         while True:
-            if self.eof():
-                self.fail("unterminated attribute value")
-            c = self.src[self.pos]
+            out.append(self.run(_ATTR_CHARS[quote]))
+            c = self.peek()
             if c == quote:
                 self.pos += 1
                 return "".join(out)
@@ -223,8 +223,7 @@ class _XmlScanner:
             elif c == "<":
                 self.fail("'<' inside attribute value")
             else:
-                out.append(c)
-                self.pos += 1
+                self.fail("unterminated attribute value")
 
     def content(self, node: XmlTerm) -> bool:
         """Read node's character data, comments and processing instructions
@@ -239,9 +238,10 @@ class _XmlScanner:
                 buf.clear()
 
         while True:
-            if self.eof():
-                self.fail(f"unterminated element <{tag}>")
-            c = self.src[self.pos]
+            text = self.run(_CHARS)
+            if text:
+                buf.append(text)
+            c = self.peek()
             if c == "<":
                 if self.peek(2) == "</":
                     flush()
@@ -259,5 +259,4 @@ class _XmlScanner:
             elif c == "&":
                 buf.append(self.entity())
             else:
-                buf.append(c)
-                self.pos += 1
+                self.fail(f"unterminated element <{tag}>")

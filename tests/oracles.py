@@ -286,6 +286,92 @@ def scan_path_eval(doc, expr, env=None):
 
 
 # ===========================================================================
+# Rule-text lexer, one character at a time
+# ===========================================================================
+
+_PUNCT = ("=:=", "=\\=", ":-", ":=", "::", "=<", ">=") + tuple("()[],|.:<>=+-*/@!")
+
+
+def char_tokens(text):
+    """The (kind, value, line, col, offset) tokens of rule text, or the
+    message "line:col: ..." of its first lexical error.  Positions are
+    counted from the start for every token."""
+    out, i, n = [], 0, len(text)
+
+    def at(k):
+        return text.count("\n", 0, k) + 1, k - text.rfind("\n", 0, k)
+
+    def decimals(j):
+        while j < n and text[j].isdecimal():
+            j += 1
+        return j
+
+    while True:
+        while i < n and text[i].isspace():
+            i += 1
+        if i == n:
+            return out + [("eof", None, *at(n), n)]
+        c = text[i]
+        if c == "%":
+            end = text.find("\n", i)
+            end = n if end < 0 else end
+            words = text[i + 1 : end].split()
+            if len(words) == 2 and words[0] == "name:":
+                out.append(("directive", words[1], *at(i), i))
+            elif len(words) == 1 and words[0].startswith("name:") and len(words[0]) > 5:
+                out.append(("directive", words[0][5:], *at(i), i))
+            i = end
+            continue
+        if c.isdecimal():
+            j = decimals(i)
+            if text[j : j + 1] == "." and text[j + 1 : j + 2].isdecimal():
+                j = decimals(j + 1)
+            k = j + 1 + (text[j + 1 : j + 2] in ("+", "-"))
+            if text[j : j + 1] in ("e", "E") and text[k : k + 1].isdecimal():
+                j = decimals(k)
+            lit = text[i:j]
+            out.append(("num", int(lit) if lit.isdecimal() else float(lit), *at(i), i))
+            i = j
+            continue
+        if c == "'":
+            j, buf = i + 1, []
+            while True:
+                if j >= n or (text[j] == "\\" and j + 1 == n):
+                    return "%d:%d: unterminated quoted atom" % at(i)
+                if text[j] == "\\":
+                    buf.append({"n": "\n", "t": "\t"}.get(text[j + 1], text[j + 1]))
+                    j += 2
+                elif text[j : j + 2] == "''":
+                    buf.append("'")
+                    j += 2
+                elif text[j] == "'":
+                    break
+                else:
+                    buf.append(text[j])
+                    j += 1
+            out.append(("quoted", "".join(buf), *at(i), i))
+            i = j + 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            kind = "var" if c == "_" or c.isupper() else "atom"
+            out.append((kind, text[i:j], *at(i), i))
+            i = j
+            continue
+        if c == "." and (i + 1 == n or text[i + 1].isspace() or text[i + 1] == "%"):
+            out.append(("end", ".", *at(i), i))
+            i += 1
+            continue
+        punct = next((p for p in _PUNCT if text.startswith(p, i)), None)
+        if punct is None:
+            return "%d:%d: unexpected character %r" % (*at(i), c)
+        out.append(("punct", punct, *at(i), i))
+        i += len(punct)
+
+
+# ===========================================================================
 # Random instance generators (deterministic given the caller's rng)
 # ===========================================================================
 

@@ -75,6 +75,35 @@ def test_parse_syntax_error(capsys, tmp_path):
     assert err.startswith("error: ") and "broken.dl:1:" in err
 
 
+def test_a_digit_that_is_no_decimal_digit_is_an_unexpected_character(capsys, tmp_path):
+    # "²" passes str.isdigit but not int()
+    f = tmp_path / "sup.dl"
+    f.write_text("p(²).\n", encoding="utf-8")
+    code, out, err = run(capsys, "parse", str(f))
+    assert (code, out, err) == (1, "", f"error: {f}:1:3: unexpected character '²'\n")
+    code, out, err = run(capsys, "query", fx("route.dl"), "--goal", "p(²)",
+                         "--template", "[X]")
+    assert (code, out, err) == (1, "", "error: <goal>:1:3: unexpected character '²'\n")
+
+
+def test_parse_error_after_a_quoted_atom_that_spans_lines(capsys, tmp_path):
+    f = tmp_path / "ml.dl"
+    f.write_text("p('a\nb').\nq(X) :- .\n", encoding="utf-8")
+    code, out, err = run(capsys, "parse", str(f))
+    assert (code, out, err) == (1, "", f"error: {f}:3:9: unexpected token '.'\n")
+
+
+@pytest.mark.parametrize("n", [400, 1200])
+def test_parse_prints_a_long_conjunction(capsys, tmp_path, n):
+    f = tmp_path / "long.dl"
+    goals = ", ".join(f"q{i}(X)" for i in range(n))
+    f.write_text(f"p(L) :- findall(X, ({goals}), L).\n", encoding="utf-8")
+    code, out, err = run(capsys, "parse", str(f))
+    assert (code, err) == (0, "")
+    conj = "".join(f"','(q{i}(X), " for i in range(n - 1)) + f"q{n - 1}(X)" + ")" * (n - 1)
+    assert out == f"p(L) :- findall(X, {conj}, L).\nsafe, stratified\n"
+
+
 def test_missing_file_is_an_io_error(capsys):
     code, out, err = run(capsys, "parse", fx("does_not_exist.dl"))
     assert code == 2

@@ -5,7 +5,12 @@ output format, plus error cases for SWRL, goals, templates, `--atom`,
 rule text and XML.  tests/golden/cli.json holds argv, stdout, stderr and
 exit code of each call; the test replays the calls and compares.
 
-After an intended output change, rewrite the transcripts with
+Without pytest, replay them with
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+which exits 1 on a mismatch.  After an intended output change, rewrite
+the transcripts with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -149,6 +154,7 @@ def cases() -> list[list[str]]:
         "X := foo/bar",
         "X := doc('people.xml')",
         "true",
+        "p(\u00b2)",
     ):
         out.append(["query", ROUTE, "--goal", goal, "--template", "[L]"])
     for goal in (
@@ -215,21 +221,30 @@ def record() -> list[dict]:
         return [transcript(argv) for argv in cases()]
 
 
-def test_cli_transcripts_match_the_golden_file():
+def mismatches() -> list[str]:
+    """One report per transcript that differs from the golden file."""
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert [t["argv"] for t in expected] == cases()
-    mismatched = [
-        (want, got)
+    if [t["argv"] for t in expected] != cases():
+        return ["the commands differ from the golden file; record it again"]
+    return [
+        f"{want['argv']}\n  want {want}\n  got  {got}"
         for want, got in zip(expected, record())
         if want != got
     ]
-    assert not mismatched, "\n\n".join(
-        f"{want['argv']}\n  want {want}\n  got  {got}" for want, got in mismatched[:5]
-    )
+
+
+def test_cli_transcripts_match_the_golden_file():
+    mismatched = mismatches()
+    assert not mismatched, "\n\n".join(mismatched[:5])
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:] == ["--record"]:
+        GOLDEN.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {GOLDEN.relative_to(ROOT)}")
+    elif sys.argv[1:] == ["--check"]:
+        mismatched = mismatches()
+        print("\n\n".join(mismatched) or f"{len(cases())} transcripts match")
+        sys.exit(1 if mismatched else 0)
+    else:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN.relative_to(ROOT)}")

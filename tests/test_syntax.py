@@ -34,6 +34,7 @@ from ddlite.syntax import (
     SwrlLiteral,
     SwrlVar,
     TermParser,
+    Token,
     lloyd_topor,
     parse_program,
     parse_ruleml_xml,
@@ -44,6 +45,7 @@ from ddlite.syntax import (
 )
 from ddlite.hybrid import parse_goal
 from ddlite.xmlterm import Text, parse_xml, xml_to_text
+from oracles import char_tokens
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -88,6 +90,45 @@ def test_tokenize_error_position():
     with pytest.raises(ParseError) as err:
         tokenize("p(\n  #).", "<file>")
     assert "<file>:2:" in str(err.value)
+
+
+def test_tokenize_counts_the_lines_inside_a_quoted_atom():
+    toks = tokenize("p('a\nb').\nq(X).", "<t>")
+    assert [(t.value, t.line, t.col) for t in toks[5:7]] == [("q", 3, 1), ("(", 3, 2)]
+    with pytest.raises(ParseError) as err:
+        parse_program("p('a\nb').\nq(X) :- .\n", "ml.dl")
+    assert str(err.value) == "ml.dl:3:9: unexpected token '.'"
+
+
+def test_tokenize_numbers_are_decimal_digits():
+    toks = tokenize("p(٣, 12, 1.5, 2e3, 7.e, 1.x).", "<t>")
+    values = [(t.kind, t.value) for t in toks if t.kind in ("num", "atom")]
+    assert values == [
+        ("atom", "p"), ("num", 3), ("num", 12), ("num", 1.5), ("num", 2000.0),
+        ("num", 7), ("atom", "e"), ("num", 1), ("atom", "x"),
+    ]
+    # a digit that is no decimal digit starts no token
+    for text in ("p(²).", "p(1²).", "p(Ⅰ)."):
+        with pytest.raises(ParseError, match="unexpected character"):
+            tokenize(text, "<t>")
+    with pytest.raises(ParseError) as err:
+        tokenize("p(²).", "f.dl")
+    assert str(err.value) == "f.dl:1:3: unexpected character '²'"
+    # but it may go on inside a word, as any letter or digit may
+    assert tokenize("a² Été", "<t>")[:2] == [
+        Token("atom", "a²", 1, 1, 0), Token("var", "Été", 1, 4, 3)
+    ]
+
+
+def test_tokenize_quoted_atoms_end_at_a_lone_quote():
+    toks = tokenize(r"'it''s' 'a\\b\n' ''''.", "<t>")
+    assert [t.value for t in toks[:3]] == ["it's", "a\\b\n", "'"]
+    for text in ("p('ab'').", "p('ab\\", "'"):
+        with pytest.raises(ParseError, match="unterminated quoted atom"):
+            tokenize(text, "<t>")
+    with pytest.raises(ParseError) as err:
+        tokenize("p(a).\nq('ab'').", "<t>")
+    assert str(err.value) == "<t>:2:3: unterminated quoted atom"
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +511,10 @@ def test_parse_ruleml_rejects_unknown_elements():
 # fuzz: malformed input ends in a DdliteError, never another exception
 # ---------------------------------------------------------------------------
 
-_FUZZ_CHARS = "()[]{},.:;=<>!?'\"%&@/\\-_|*+ \n\tabzXZ0179#$"
+_FUZZ_CHARS = (
+    "()[]{},.:;=<>!?'\"%&@/\\-_|*+ \n\tabzXZ0179#$"
+    "\u00b2\u0663\u00e9\u00c9\u00a0\u2028"
+)
 
 FUZZ_GOALS = [
     "employee(Name, SSN, BDate, Sex, Salary, Super, D), "
@@ -517,3 +561,20 @@ def test_malformed_input_raises_only_ddlite_errors(name, text, reader):
             pass
         except Exception as exc:  # pragma: no cover - the failure report
             pytest.fail(f"{type(exc).__name__}: {exc} on {mutant!r}")
+
+
+def _lexed(text):
+    try:
+        return [(t.kind, t.value, t.line, t.col, t.pos) for t in tokenize(text, "<t>")]
+    except ParseError as err:
+        return str(err).removeprefix("<t>:")
+
+
+def test_tokenize_agrees_with_a_character_at_a_time_lexer():
+    sources = [fixture(p.name) for p in sorted(FIXTURES.iterdir()) if p.suffix in (".dl", ".swrl")]
+    sources += FUZZ_GOALS + ["p('a\nb').\nq(X) :- 'c\n\nd', e.\n"]
+    rng = random.Random("char_tokens")
+    for text in sources:
+        for mutant in [text, *_mutants(rng, text, 150)]:
+            # repr tells 1 from 1.0
+            assert repr(_lexed(mutant)) == repr(char_tokens(mutant)), mutant
