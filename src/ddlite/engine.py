@@ -77,28 +77,47 @@ class Builtin:
 
 
 def _arith(t: Term) -> float:
-    """Evaluate an arithmetic expression term to a Python number."""
-    if isinstance(t, Num):
-        return t.value
-    if isinstance(t, Var):
-        raise InstantiationError(f"arithmetic on unbound variable {t.name}")
-    if isinstance(t, Compound) and t.functor in ("+", "-", "*", "/"):
-        if len(t.args) == 1 and t.functor == "-":
-            return -_arith(t.args[0])
-        if len(t.args) == 2:
-            a, b = _arith(t.args[0]), _arith(t.args[1])
-            if t.functor == "+":
-                return a + b
-            if t.functor == "-":
-                return a - b
-            if t.functor == "*":
-                return a * b
-            if b == 0:
+    """Evaluate an arithmetic expression term to a Python number.
+
+    Operands are evaluated left to right on an explicit stack, each
+    operator after its operands, so a long chain such as 1+1+...+1 is not
+    bounded by the recursion limit."""
+    values: list = []
+    # a term to evaluate, or an operator, as (functor, arity), to apply
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            functor, arity = item
+            if arity == 1:
+                values.append(-values.pop())
+                continue
+            b, a = values.pop(), values.pop()
+            if functor == "+":
+                values.append(a + b)
+            elif functor == "-":
+                values.append(a - b)
+            elif functor == "*":
+                values.append(a * b)
+            elif b == 0:
                 raise EvalTypeError("division by zero")
-            if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-                return a // b
-            return a / b
-    raise EvalTypeError(f"not an arithmetic expression: {term_text(t)}")
+            elif isinstance(a, int) and isinstance(b, int) and a % b == 0:
+                values.append(a // b)
+            else:
+                values.append(a / b)
+        elif isinstance(item, Num):
+            values.append(item.value)
+        elif isinstance(item, Var):
+            raise InstantiationError(f"arithmetic on unbound variable {item.name}")
+        elif isinstance(item, Compound) and (
+            item.functor in ("+", "-", "*", "/") and len(item.args) == 2
+            or item.functor == "-" and len(item.args) == 1
+        ):
+            stack.append((item.functor, len(item.args)))
+            stack.extend(reversed(item.args))
+        else:
+            raise EvalTypeError(f"not an arithmetic expression: {term_text(item)}")
+    return values[0]
 
 
 def _bi_is(args: tuple[Term, ...], s: Subst) -> list[Subst]:
@@ -805,26 +824,54 @@ class ProofTree:
 
     @staticmethod
     def from_term(t: Term) -> "ProofTree":
+        """The typed tree of a tree term.  Nodes wait on an explicit stack,
+        so depth is not bounded by the recursion limit; conclusions are
+        checked parents first, and a subterm shared by several parents
+        (one object, as ground terms are interned) is converted once."""
         if not _is_tree_term(t):
             raise EvalTypeError(f"not a proof tree term: {term_text(t)}")
-        conclusion = _conclusion_atom(t.args[0])
-        tag = t.args[1].symbol
-        children: list[ProofTree] = []
-        side: list[Term] = []
-        for rest in t.args[2:]:
-            if _is_tree_term(rest):
-                children.append(ProofTree.from_term(rest))
-            else:
-                side.append(rest)
-        return ProofTree(conclusion, tag, tuple(children), tuple(side))
+        built: dict[int, ProofTree] = {}
+        # (term, None) is a node to enter, (term, conclusion) one to build
+        stack: list[tuple[Term, Optional[Atom]]] = [(t, None)]
+        while stack:
+            term, conclusion = stack.pop()
+            if conclusion is None:
+                if id(term) not in built:
+                    stack.append((term, _conclusion_atom(term.args[0])))
+                    stack.extend(
+                        (c, None) for c in reversed(term.args[2:]) if _is_tree_term(c)
+                    )
+                continue
+            children: list[ProofTree] = []
+            side: list[Term] = []
+            for rest in term.args[2:]:
+                if _is_tree_term(rest):
+                    children.append(built[id(rest)])
+                else:
+                    side.append(rest)
+            built[id(term)] = ProofTree(
+                conclusion, term.args[1].symbol, tuple(children), tuple(side)
+            )
+        return built[id(t)]
 
-    def to_term(self) -> Term:
-        return Compound(
-            "t",
-            (_atom_term(self.conclusion), Const(self.tag))
-            + tuple(c.to_term() for c in self.children)
-            + self.side_conditions,
-        )
+    def to_term(self, side_conditions: bool = True) -> Term:
+        """The tree term; without side conditions, the shape shown in
+        listings.  Built children first, on an explicit stack."""
+        built: dict[int, Term] = {}
+        stack: list[tuple[ProofTree, bool]] = [(self, False)]
+        while stack:
+            node, ready = stack.pop()
+            if not ready:
+                stack.append((node, True))
+                stack.extend((c, False) for c in node.children if id(c) not in built)
+                continue
+            built[id(node)] = Compound(
+                "t",
+                (_atom_term(node.conclusion), Const(node.tag))
+                + tuple(built[id(c)] for c in node.children)
+                + (node.side_conditions if side_conditions else ()),
+            )
+        return built[id(self)]
 
 
 def _is_tree_term(t: Term) -> bool:
@@ -857,22 +904,16 @@ def tree_of(fact: Atom) -> Optional[ProofTree]:
     return None
 
 
-def _display_term(t: ProofTree) -> Term:
-    """Tree term with side conditions stripped, the shape shown in listings."""
-    return Compound(
-        "t",
-        (_atom_term(t.conclusion), Const(t.tag))
-        + tuple(_display_term(c) for c in t.children),
-    )
-
-
 def render_proof_tree(t: ProofTree, format: str = "term") -> str:
+    """The tree as text.  ascii and dot walk nodes parents first, children
+    in order, on an explicit stack."""
     if format == "term":
-        return term_text(_display_term(t), quoted=False)
+        return term_text(t.to_term(side_conditions=False), quoted=False)
     if format == "ascii":
         lines: list[str] = []
-
-        def walk(node: ProofTree, depth: int):
+        stack: list[tuple[ProofTree, int]] = [(t, 0)]
+        while stack:
+            node, depth = stack.pop()
             pad = "  " * depth
             lines.append(
                 f"{pad}{term_text(_atom_term(node.conclusion), quoted=False)}"
@@ -880,30 +921,31 @@ def render_proof_tree(t: ProofTree, format: str = "term") -> str:
             )
             for sc in node.side_conditions:
                 lines.append(f"{pad}  where {term_text(sc, quoted=False)}")
-            for child in node.children:
-                walk(child, depth + 1)
-
-        walk(t, 0)
+            stack.extend((c, depth + 1) for c in reversed(node.children))
         return "\n".join(lines) + "\n"
     if format == "dot":
         lines = ["digraph G {", "  node [shape=box];"]
-        counter = [0]
-
-        def emit(node: ProofTree) -> str:
-            nid = f"n{counter[0]}"
-            counter[0] += 1
+        # the stack holds (tree, parent id) pairs and edge lines; a
+        # node's edge from its parent is written after the node's subtree
+        todo: list = [(t, None)]
+        count = 0
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                lines.append(item)
+                continue
+            node, parent = item
+            nid = f"n{count}"
+            count += 1
             label = term_text(_atom_term(node.conclusion), quoted=False)
             label += f"\\n[{node.tag}]"
             for sc in node.side_conditions:
                 label += f"\\nwhere {term_text(sc, quoted=False)}"
             label = label.replace('"', '\\"')
             lines.append(f'  "{nid}" [label="{label}"];')
-            for child in node.children:
-                cid = emit(child)
-                lines.append(f'  "{nid}" -> "{cid}";')
-            return nid
-
-        emit(t)
+            if parent is not None:
+                todo.append(f'  "{parent}" -> "{nid}";')
+            todo.extend((c, nid) for c in reversed(node.children))
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown proof tree format {format!r}")

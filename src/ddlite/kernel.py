@@ -1,17 +1,22 @@
 """Core term algebra: terms, atoms, literals, rules, substitutions.
 
 Terms are immutable; a list is a chain of '.'/2 cons cells (mklist builds
-one), and there is no other list form.  Substitutions are plain dicts
-mapping variable names to terms, kept in triangular solved form so that
-applying one twice equals applying it once.  mgu() performs syntactic
-unification with the occurs check; failure is an ordinary None result,
-not an exception.
+one), and there is no other list form.  Ground compounds are interned:
+equal ground terms are one object, so `==` on them is an identity test,
+and substitution, unification and variable collection return at once on
+them (Compound gives the details).  Substitutions are plain dicts mapping
+variable names to terms, kept in triangular solved form so that applying
+one twice equals applying it once.  mgu() performs syntactic unification
+with the occurs check; failure is an ordinary None result, not an
+exception.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
 
 # ===========================================================================
@@ -100,19 +105,99 @@ class Num(Term):
         return f"Num({self.value!r})"
 
 
-@dataclass(frozen=True)
 class Compound(Term):
-    """functor(arg1, ..., argn) with n >= 1; zero-arity data is a Const."""
+    """functor(arg1, ..., argn) with n >= 1; zero-arity data is a Const.
 
-    functor: str
-    args: tuple[Term, ...]
+    Whether the term is ground, and its hash, are computed once, when it
+    is built, from its args (which are built already).  Ground compounds
+    are hash-consed: building one that prints the same as a live ground
+    compound returns that compound, so `==` on two of them is an identity
+    test unless their hashes agree.  The intern table holds its terms
+    weakly.  Its key holds a ground compound argument by identity (that
+    argument is interned already, and outlives the entry, which goes when
+    the compound holding it does) and a float by its text, so f(0.0) and
+    f(-0.0) stay two terms, equal as 0.0 and -0.0 are.
+    """
 
-    def __post_init__(self):
-        if not self.args:
+    __slots__ = ("functor", "args", "ground", "_hash", "_sort_key", "__weakref__")
+
+    def __new__(cls, functor: str, args: tuple[Term, ...]):
+        if not args:
             raise ValueError("zero-arity compound; use Const instead")
+        key: Optional[list] = [functor]
+        for a in args:
+            if isinstance(a, Compound):
+                if not a.ground:
+                    key = None
+                    break
+                key.append(id(a))
+            elif isinstance(a, Var):
+                key = None
+                break
+            elif isinstance(a, Num) and isinstance(a.value, float):
+                key.append((float, repr(a.value)))
+            else:
+                key.append(a)
+        if key is not None:
+            key = tuple(key)
+            t = _INTERNED.get(key)
+            if t is not None:
+                return t
+        t = object.__new__(cls)
+        init = object.__setattr__
+        init(t, "functor", functor)
+        init(t, "args", args)
+        init(t, "ground", key is not None)
+        init(t, "_hash", hash((functor, args)))
+        init(t, "_sort_key", None)
+        if key is not None:
+            _INTERNED[key] = t
+        return t
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Compound is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Compound is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Compound, (self.functor, self.args)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Compound):
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        # equal hashes: walk both terms on an explicit stack, skipping
+        # shared subterms, so depth is not bounded by the recursion limit
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if isinstance(x, Compound) and isinstance(y, Compound):
+                if (
+                    x._hash != y._hash
+                    or x.functor != y.functor
+                    or len(x.args) != len(y.args)
+                ):
+                    return False
+                stack.extend(zip(x.args, y.args))
+            elif x != y:
+                return False
+        return True
 
     def __repr__(self) -> str:
         return f"Compound({self.functor!r}, {self.args!r})"
+
+
+# interned ground compounds, each kept only while in use elsewhere
+_INTERNED: "weakref.WeakValueDictionary[tuple, Compound]" = weakref.WeakValueDictionary()
 
 
 def mklist(elements: Iterable[Term], tail: Term = NIL) -> Term:
@@ -176,6 +261,9 @@ class PredKey(NamedTuple):
         return f"{self.name}/{self.arity}"
 
 
+# one PredKey per predicate in use, shared by the atoms whose key it is
+_pred_key = lru_cache(maxsize=4096)(PredKey)
+
 # body atoms that are control noise rather than calls
 CONTROL = frozenset({PredKey(None, "!", 0), PredKey(None, "true", 0)})
 
@@ -187,9 +275,9 @@ class Atom:
     module_prefix: Optional[str] = None
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
-    @property
+    @cached_property
     def key(self) -> PredKey:
-        return PredKey(self.module_prefix, self.predicate, len(self.args))
+        return _pred_key(self.module_prefix, self.predicate, len(self.args))
 
     def __repr__(self) -> str:
         return f"Atom({self.key}, {self.args!r})"
@@ -258,21 +346,23 @@ Subst = dict  # Dict[str, Term], kept idempotent
 def term_vars(t) -> set[str]:
     """Free variable names of a term, atom, literal, or rule.  Atoms and
     compounds wait on an explicit stack, so term depth is not bounded by
-    the recursion limit."""
+    the recursion limit; ground compounds are skipped whole."""
     if isinstance(t, Var):
         return {t.name}
     if isinstance(t, Rule):
         stack = [t.head, *(lit.atom for lit in t.body)]
     elif isinstance(t, Literal):
         stack = [t.atom]
+    elif isinstance(t, Atom) or isinstance(t, Compound) and not t.ground:
+        stack = [t]
     else:
-        stack = [t] if isinstance(t, (Compound, Atom)) else []
+        return set()
     out: set[str] = set()
     while stack:
         for a in stack.pop().args:
             if isinstance(a, Var):
                 out.add(a.name)
-            elif isinstance(a, Compound):
+            elif isinstance(a, Compound) and not a.ground:
                 stack.append(a)
     return out
 
@@ -298,21 +388,15 @@ def apply(s: Subst, t):
 def _apply_term(s: Subst, t: Term) -> Term:
     if isinstance(t, Var):
         return s.get(t.name, t)
-    if isinstance(t, Compound):
+    if isinstance(t, Compound) and not t.ground:
         return Compound(t.functor, tuple(_apply_term(s, a) for a in t.args))
     return t
 
 
 def is_ground(t) -> bool:
-    return not term_vars(t)
-
-
-def _occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
     if isinstance(t, Compound):
-        return any(_occurs(name, a) for a in t.args)
-    return False
+        return t.ground
+    return not term_vars(t)
 
 
 def mgu(a, b, s: Optional[Subst] = None) -> Optional[Subst]:
@@ -353,6 +437,10 @@ def mgu(a, b, s: Optional[Subst] = None) -> Optional[Subst]:
                 return None
             continue
         if isinstance(x, Compound) and isinstance(y, Compound):
+            if x.ground and y.ground:
+                if x != y:
+                    return None
+                continue
             if x.functor != y.functor or len(x.args) != len(y.args):
                 return None
             stack.extend(zip(x.args, y.args))
@@ -367,7 +455,8 @@ def mgu(a, b, s: Optional[Subst] = None) -> Optional[Subst]:
 def _bind(s: Subst, name: str, t: Term) -> bool:
     """Bind name to t, keeping s idempotent.  False if the occurs check trips."""
     t = _apply_term(s, t)
-    if _occurs(name, t):
+    # the occurs check; t is never the variable itself, as mgu skips X = X
+    if isinstance(t, Compound) and name in term_vars(t):
         return False
     one = {name: t}
     for v in list(s):
@@ -392,7 +481,7 @@ def sort_key(t):
 
     Numbers sort before constants, constants before variables, variables
     before compounds; numbers compare arithmetically with ints before an
-    arithmetically equal float.
+    arithmetically equal float.  A compound keeps its key once made.
     """
     if isinstance(t, Atom):
         return (
@@ -407,7 +496,21 @@ def sort_key(t):
         return (1, t.symbol)
     if isinstance(t, Var):
         return (2, t.name)
-    return (3, t.functor, len(t.args), tuple(sort_key(a) for a in t.args))
+    if t._sort_key is None:
+        # keys are made children first, on an explicit stack
+        stack = [t]
+        while stack:
+            c = stack[-1]
+            todo = [
+                a for a in c.args if isinstance(a, Compound) and a._sort_key is None
+            ]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            key = (3, c.functor, len(c.args), tuple(sort_key(a) for a in c.args))
+            object.__setattr__(c, "_sort_key", key)
+    return t._sort_key
 
 
 _PLAIN_ATOM = None  # compiled lazily to keep import cheap
@@ -483,12 +586,22 @@ def term_text(t, quoted: bool = True) -> str:
 
 
 def _infix_text(op: str, args: tuple[Term, ...], quoted: bool) -> str:
-    prec, assoc = OPERATORS[op]
-    left_max = prec if assoc == "yfx" else prec - 1
-    sep = f" {op} " if op in _SPACED else op
-    return _operand_text(args[0], left_max, quoted) + sep + _operand_text(
-        args[1], prec - 1, quoted
-    )
+    # a left operand that needs no parentheses is printed in the same loop,
+    # so a left-nested chain such as 1+1+...+1 costs no call per link
+    rights: list[str] = []
+    while True:
+        prec, assoc = OPERATORS[op]
+        sep = f" {op} " if op in _SPACED else op
+        rights.append(sep + _operand_text(args[1], prec - 1, quoted))
+        left_max = prec if assoc == "yfx" else prec - 1
+        left = args[0]
+        if not (
+            isinstance(left, Compound)
+            and _infix(left.functor, left.args)
+            and OPERATORS[left.functor][0] <= left_max
+        ):
+            return _operand_text(left, left_max, quoted) + "".join(reversed(rights))
+        op, args = left.functor, left.args
 
 
 def _operand_text(t: Term, max_prec: int, quoted: bool) -> str:

@@ -133,9 +133,18 @@ def _comment(text: str) -> tuple[Optional[str], Optional[str]]:
     return ("directive", directive[1]) if directive else (None, None)
 
 
+def _number(text: str) -> tuple[str, object]:
+    if not text.isdecimal():
+        return "num", float(text)
+    try:
+        return "num", int(text)
+    except ValueError:  # more digits than int() converts (4,300 by default)
+        return "bad", f"integer of {len(text)} digits is too long"
+
+
 _RULE_VALUES = {
     "word": _word,
-    "num": lambda text: ("num", int(text) if text.isdecimal() else float(text)),
+    "num": _number,
     "quoted": _quoted,
     "comment": _comment,
     "eof": lambda text: ("eof", None),

@@ -104,6 +104,23 @@ def test_parse_prints_a_long_conjunction(capsys, tmp_path, n):
     assert out == f"p(L) :- findall(X, {conj}, L).\nsafe, stratified\n"
 
 
+def test_parse_and_eval_a_long_left_nested_sum(capsys, tmp_path):
+    f = tmp_path / "sum.dl"
+    rule = "p(X) :- prolog:(X is " + "+".join(["1"] * 3000) + ")."
+    f.write_text(rule + "\n", encoding="utf-8")
+    assert run(capsys, "parse", str(f)) == (0, rule + "\nsafe, stratified\n", "")
+    assert run(capsys, "eval", str(f)) == (0, "p(3000).\n", "")
+
+
+def test_an_integer_too_long_to_convert_is_a_parse_error(capsys, tmp_path):
+    # int() refuses more than 4,300 digits by default
+    f = tmp_path / "long.dl"
+    f.write_text("p(" + "1" * 5000 + ").\n", encoding="utf-8")
+    message = f"error: {f}:1:3: integer of 5000 digits is too long\n"
+    assert run(capsys, "parse", str(f)) == (1, "", message)
+    assert run(capsys, "eval", str(f)) == (1, "", message)
+
+
 def test_missing_file_is_an_io_error(capsys):
     code, out, err = run(capsys, "parse", fx("does_not_exist.dl"))
     assert code == 2
@@ -547,6 +564,25 @@ def test_prove_dot(capsys):
                          "--format", "dot")
     assert code == 0
     assert out.startswith("digraph") and out.count(" -> ") == 3
+
+
+def test_prove_renders_a_proof_deeper_than_the_recursion_limit(capsys, tmp_path):
+    f = tmp_path / "reach.dl"
+    f.write_text(
+        "reach(n0).\n"
+        + "".join(f"edge(n{i}, n{i + 1}).\n" for i in range(1100))
+        + "reach(Y) :- reach(X), edge(X, Y).\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "prove", str(f), "--auto-pt",
+                         "--atom", "reach(n1100, T)", "--format", "ascii")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    # reach(n1100) down to reach(n0), and the edge under each but the last
+    assert len(lines) == 1101 + 1100
+    assert lines[:3] == ["reach(n1100) [r1102]", "  reach(n1099) [r1102]",
+                         "    reach(n1098) [r1102]"]
+    assert lines[-1] == "  edge(n1099, n1100) [r1101]"
 
 
 def test_prove_fact_without_embedded_tree(capsys):

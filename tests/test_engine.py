@@ -638,6 +638,10 @@ def test_proof_tree_rejects_malformed_terms():
     nonground = Compound("t", (Compound("p", (Var("X"),)), Const("r1")))
     with pytest.raises(EvalTypeError, match="not ground"):
         ProofTree.from_term(nonground)
+    # conclusions are checked parents first
+    nested = Compound("t", (Num(3), Const("r1"), Compound("t", (Num(4), Const("r2")))))
+    with pytest.raises(EvalTypeError, match="conclusion 3 is not an atom"):
+        ProofTree.from_term(nested)
 
 
 def test_tree_of_reads_the_last_argument():
@@ -690,6 +694,26 @@ def test_evaluated_route_carries_the_expected_tree():
     assert [term_text(sc, quoted=False) for sc in tree.side_conditions] == [
         "(295 is 15+280)"
     ]
+
+
+def test_a_proof_deeper_than_the_recursion_limit_converts_and_replays():
+    p = auto_pt(parse_program(
+        "reach(n0).\n"
+        + "".join(f"edge(n{i}, n{i + 1}).\n" for i in range(1100))
+        + "reach(Y) :- reach(X), edge(X, Y).\n"
+    ))
+    store = evaluate(p)
+    assert len(store) == 2201
+    (deepest,) = [f for f in store.facts(("reach", 2)) if f.args[0] == Const("n1100")]
+    tree = tree_of(deepest)
+    assert tree.to_term() is deepest.args[-1]
+    depth, node = 0, tree
+    while node.children:
+        depth, node = depth + 1, node.children[0]
+    assert depth == 1100 and node.conclusion == Atom("reach", (Const("n0"),))
+    dot = render_proof_tree(tree, "dot")
+    assert dot.count(" [label=") == 2201 and dot.count(" -> ") == 2200
+    assert validate_fact(p, store, deepest)
 
 
 # ===========================================================================

@@ -114,6 +114,7 @@ def cases() -> list[list[str]]:
     out.append(["eval", f"{FX}/uncle.dl", "--csv", "parent"])
     out.append(["eval", plain, "--max-facts", "3"])
     out.append(["eval", plain, "--max-iterations", "-1"])
+    out.append(["eval", f"{INPUTS}/negative_zero.dl"])
 
     # swrl: fixtures in both forms, then the malformed and edge-case inputs
     for f in swrl + xml:

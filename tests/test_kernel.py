@@ -1,7 +1,9 @@
 """Terms, substitutions, unification, and rendering."""
 
+import gc
 import random
 
+from ddlite import kernel
 from ddlite.kernel import (
     Atom,
     Compound,
@@ -57,6 +59,62 @@ def test_term_vars_walks_atoms_literals_and_rules():
 def test_is_ground():
     assert is_ground(mklist([Num(1), Const("a")]))
     assert not is_ground(Compound("f", (Var("X"),)))
+
+
+def test_equal_ground_compounds_are_one_object():
+    a = Compound("f", (Const("a"), mklist([Num(1), Num(2.5)])))
+    b = Compound("f", (Const("a"), mklist([Num(1), Num(2.5)])))
+    assert a is b
+    x = Compound("f", (Var("X"), Const("a")))
+    y = Compound("f", (Var("X"), Const("a")))
+    assert x == y and hash(x) == hash(y)
+    assert x is not y
+
+
+def test_apply_returns_a_ground_term_unchanged():
+    t = Compound("g", (Compound("f", (Const("a"),)), Num(3)))
+    assert apply({"X": Const("b")}, t) is t
+    assert apply({"X": Const("a")}, Compound("g", (Compound("f", (Var("X"),)), Num(3)))) is t
+
+
+def test_intern_table_drops_terms_no_longer_used():
+    gc.collect()
+    before = len(kernel._INTERNED)
+    terms = [Compound("interned_probe", (Num(i),)) for i in range(500)]
+    assert len(kernel._INTERNED) >= before + 500
+    del terms
+    gc.collect()
+    assert len(kernel._INTERNED) <= before
+
+
+def test_signed_zeros_are_two_terms_that_print_as_built():
+    positive = Compound("f", (Num(0.0),))
+    negative = Compound("f", (Num(-0.0),))
+    assert negative is not positive
+    assert term_text(negative) == "f(-0.0)"
+    assert term_text(Compound("g", (negative,))) == "g(f(-0.0))"
+    # equal, as the numbers are, and so they unify
+    assert negative == positive and Num(-0.0) == Num(0.0)
+    assert mgu(negative, positive) == {}
+
+
+def test_deep_ground_compound_needs_no_recursion():
+    def chain(leaf, depth=100_000):
+        t = leaf
+        for _ in range(depth):
+            t = Compound("s", (t,))
+        return t
+
+    deep, twin, other = chain(Const("z")), chain(Const("z")), chain(Const("y"))
+    assert twin is deep and hash(twin) == hash(deep)
+    assert deep == twin and deep != other
+    assert is_ground(deep) and is_ground(Atom("p", (deep,)))
+    assert apply({"X": Num(1)}, deep) is deep
+    assert mgu(deep, twin) == {} and mgu(deep, other) is None
+    assert mgu(Atom("p", (Var("X"), deep)), Atom("p", (deep, deep))) == {"X": deep}
+    assert sort_key(deep) is sort_key(twin)
+    # non-ground twins are not interned; == walks them on a stack
+    assert chain(Var("X"), 10_000) == chain(Var("X"), 10_000)
 
 
 # ---------------------------------------------------------------------------
