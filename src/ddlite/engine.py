@@ -20,7 +20,6 @@ converts between that term shape and a typed tree for rendering.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -42,6 +41,7 @@ from .kernel import (
     Num,
     PredKey,
     Program,
+    Record,
     Rule,
     Subst,
     Term,
@@ -67,13 +67,10 @@ from .kernel import (
 # treated as bound afterwards by the safety check).
 
 
-@dataclass(frozen=True)
-class Builtin:
-    name: str
-    arity: int
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
-    fn: Callable[[tuple[Term, ...], Subst], list[Subst]]
+class Builtin(Record):
+    """fn(args, s) returns the extensions of s that satisfy the call."""
+
+    __slots__ = _fields = ("name", "arity", "inputs", "outputs", "fn")
 
 
 def _arith(t: Term) -> float:
@@ -235,11 +232,8 @@ def call_builtin(goal: Atom, s: Optional[Subst] = None) -> list[Subst]:
 # ===========================================================================
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule_name: str
-    variable: str
-    reason: str
+class Violation(Record):
+    __slots__ = _fields = ("rule_name", "variable", "reason")
 
     def __str__(self) -> str:
         return f"rule {self.rule_name}: variable {self.variable} {self.reason}"
@@ -311,9 +305,8 @@ def check_safety(p: Program) -> list[Violation]:
 # ===========================================================================
 
 
-@dataclass(frozen=True)
-class Strata:
-    assignment: dict[PredKey, int]
+class Strata(Record):
+    __slots__ = _fields = ("assignment",)  # PredKey -> stratum
 
     @property
     def max_stratum(self) -> int:
@@ -521,7 +514,8 @@ class FactStore(FactIndex):
     def __init__(self):
         super().__init__()
         self._all: set[Atom] = set()
-        self._sorted_cache: dict[PredKey, list[Atom]] = {}
+        # a predicate's facts, or an index bucket's, in sort_key order
+        self._sorted_cache: dict[object, list[Atom]] = {}
         self._origin: dict[Atom, str] = {}
         self._frozen = False
 
@@ -548,7 +542,11 @@ class FactStore(FactIndex):
             return False
         self._all.add(fact)
         self._file(fact)
-        self._sorted_cache.pop(fact.key, None)
+        if self._sorted_cache:
+            key = fact.key
+            self._sorted_cache.pop(key, None)
+            for i, arg in enumerate(fact.args):
+                self._sorted_cache.pop((key, i, _principal(arg)), None)
         if origin is not None:
             self._origin[fact] = origin
         return True
@@ -573,9 +571,11 @@ class FactStore(FactIndex):
         s = s or {}
         bucket = self._bucket(query, s)
         if bucket is None:
-            candidates = self.facts(query.key)
-        else:
+            return _unifiers(query, self.facts(query.key), s)
+        candidates = self._sorted_cache.get(bucket)
+        if candidates is None:
             candidates = sorted(self._index.get(bucket, []), key=sort_key)
+            self._sorted_cache[bucket] = candidates
         return _unifiers(query, candidates, s)
 
     def unifies_any(self, query: Atom, s: Optional[Subst] = None) -> bool:
@@ -674,10 +674,9 @@ def solve_body(
 # ===========================================================================
 
 
-@dataclass(frozen=True)
-class EvalOptions:
-    max_iterations: int = 10000
-    max_facts: int = 1_000_000
+class EvalOptions(Record):
+    __slots__ = _fields = ("max_iterations", "max_facts")
+    _defaults = {"max_iterations": 10000, "max_facts": 1_000_000}
 
 
 def _wrap_rule_errors(rule: Rule, err: DdliteError) -> DdliteError:
@@ -813,14 +812,22 @@ def facts_as_rules(
 # ===========================================================================
 
 
-@dataclass(frozen=True)
-class ProofTree:
+class ProofTree(Record):
     """Typed view of the t(Conclusion, Tag, Children..., SideConds...) shape."""
 
-    conclusion: Atom
-    tag: str
-    children: tuple["ProofTree", ...] = ()
-    side_conditions: tuple[Term, ...] = ()
+    __slots__ = _fields = ("conclusion", "tag", "children", "side_conditions")
+
+    def __init__(
+        self,
+        conclusion: Atom,
+        tag: str,
+        children: tuple["ProofTree", ...] = (),
+        side_conditions: tuple[Term, ...] = (),
+    ):
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "side_conditions", side_conditions)
 
     @staticmethod
     def from_term(t: Term) -> "ProofTree":

@@ -17,7 +17,6 @@ Contracting the rule and call nodes of an RPG yields exactly the PDG.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -36,6 +35,7 @@ from .kernel import (
     Literal,
     PredKey,
     Program,
+    Record,
     Rule,
     Term,
     apply,
@@ -60,37 +60,77 @@ DEFAULT_META: dict[PredKey, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class PredNode:
-    key: PredKey
+class PredNode(Record):
+    __slots__ = _fields = ("key",)
+
+    def __init__(self, key: PredKey):
+        object.__setattr__(self, "key", key)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash((self.key,))
 
     @property
     def id(self) -> str:
         return str(self.key)
 
 
-@dataclass(frozen=True)
-class RuleNode:
-    rule_name: str
+class RuleNode(Record):
+    __slots__ = _fields = ("rule_name",)
+
+    def __init__(self, rule_name: str):
+        object.__setattr__(self, "rule_name", rule_name)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rule_name == other.rule_name
+
+    def __hash__(self) -> int:
+        return hash((self.rule_name,))
 
     @property
     def id(self) -> str:
         return self.rule_name
 
 
-@dataclass(frozen=True)
-class MetaCallNode:
-    key: PredKey
-    call_site: int
+class MetaCallNode(Record):
+    __slots__ = _fields = ("key", "call_site")
+
+    def __init__(self, key: PredKey, call_site: int):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "call_site", call_site)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.key, self.call_site) == (other.key, other.call_site)
+
+    def __hash__(self) -> int:
+        return hash((self.key, self.call_site))
 
     @property
     def id(self) -> str:
         return f"{self.key}#{self.call_site}"
 
 
-@dataclass(frozen=True)
-class TagNode:
-    tag: str
+class TagNode(Record):
+    __slots__ = _fields = ("tag",)
+
+    def __init__(self, tag: str):
+        object.__setattr__(self, "tag", tag)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tag == other.tag
+
+    def __hash__(self) -> int:
+        return hash((self.tag,))
 
     @property
     def id(self) -> str:
@@ -113,11 +153,11 @@ class Adjacency(NamedTuple):
     into: dict[Node, list[Edge]]
 
 
-@dataclass(frozen=True, eq=False)
-class DepGraph:
-    kind: str
-    nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
+class DepGraph(Record):
+    """A graph of one kind; equal to another with the same node and edge
+    sets.  Not slotted: adjacency is kept in the instance dict."""
+
+    _fields = ("kind", "nodes", "edges")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DepGraph):
@@ -359,13 +399,15 @@ def equivalent_modulo_helpers(
 # ===========================================================================
 
 
-@dataclass(frozen=True)
-class DiffReport:
-    nodes_only_left: tuple[Node, ...]
-    nodes_only_right: tuple[Node, ...]
-    edges_only_left: tuple[Edge, ...]
-    edges_only_right: tuple[Edge, ...]
-    equivalent_modulo: frozenset[PredKey] = frozenset()
+class DiffReport(Record):
+    __slots__ = _fields = (
+        "nodes_only_left",
+        "nodes_only_right",
+        "edges_only_left",
+        "edges_only_right",
+        "equivalent_modulo",  # a frozenset of PredKeys
+    )
+    _defaults = {"equivalent_modulo": frozenset()}
 
     def is_empty(self) -> bool:
         return not (

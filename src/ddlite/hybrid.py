@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -33,6 +32,7 @@ from .kernel import (
     Literal,
     Num,
     Program,
+    Record,
     Subst,
     Term,
     Var,
@@ -53,12 +53,14 @@ from .xmlterm import XmlTerm, parse_xml
 # ===========================================================================
 
 
-@dataclass(frozen=True, eq=False)
 class XmlNode(Term):
     """A document element as an opaque term; two nodes are equal only if
     they are the same element of the same loaded document."""
 
-    node: XmlTerm
+    __slots__ = _fields = ("node",)
+
+    def __init__(self, node: XmlTerm):
+        object.__setattr__(self, "node", node)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, XmlNode) and self.node is other.node
@@ -80,46 +82,38 @@ def load_xml(path: str) -> XmlTerm:
 # ===========================================================================
 
 
-@dataclass(frozen=True)
-class Child:
-    tag: str
+class Child(Record):
+    __slots__ = _fields = ("tag",)
 
 
-@dataclass(frozen=True)
-class Filter:
-    attr: str
-    value: Term  # constant or variable to be looked up in the environment
+class Filter(Record):
+    __slots__ = _fields = ("attr", "value")  # value: a constant, or a variable
 
 
-@dataclass(frozen=True)
-class AttrAccess:
-    name: str
+class AttrAccess(Record):
+    __slots__ = _fields = ("name",)
 
 
 Step = Union[Child, Filter, AttrAccess]
 
 
-@dataclass(frozen=True)
-class PathExpr:
-    steps: tuple[Step, ...]
+class PathExpr(Record):
+    __slots__ = _fields = ("steps",)
 
-    def __post_init__(self):
-        for before, step in zip((None,) + self.steps, self.steps):
+    def __init__(self, steps: tuple[Step, ...]):
+        for before, step in zip((None,) + steps, steps):
             if isinstance(before, AttrAccess):
                 raise PathError("attribute access must be the final step")
             if isinstance(step, Filter) and not isinstance(before, Child):
                 raise PathError("a filter must follow a child step")
+        super().__init__(steps)
 
 
-@dataclass(frozen=True)
-class PathBinding:
-    """Goal item `var := <source><steps>`; source is a named document or a
-    previously bound node variable."""
+class PathBinding(Record):
+    """Goal item `var := <source><steps>`; source is a named document
+    (doc) or a previously bound node variable (from_var)."""
 
-    var: str
-    doc: Optional[str]
-    from_var: Optional[str]
-    expr: PathExpr
+    __slots__ = _fields = ("var", "doc", "from_var", "expr")
 
 
 def _attr_text(t: Term) -> str:
@@ -215,24 +209,21 @@ GoalItem = Union[Literal, PathBinding]
 AGG_FNS = ("sum", "count", "min", "max", "avg")
 
 
-@dataclass(frozen=True)
-class GroupCol:
-    var: str
+class GroupCol(Record):
+    __slots__ = _fields = ("var",)
 
 
-@dataclass(frozen=True)
-class AggCol:
-    fn: str
-    var: str
+class AggCol(Record):
+    __slots__ = _fields = ("fn", "var")
 
 
-@dataclass(frozen=True)
-class AggTemplate:
-    columns: tuple[Union[GroupCol, AggCol], ...]
+class AggTemplate(Record):
+    __slots__ = _fields = ("columns",)  # GroupCol and AggCol, in order
 
-    def __post_init__(self):
-        if not self.columns:
+    def __init__(self, columns: tuple[Union[GroupCol, AggCol], ...]):
+        if not columns:
             raise ParseError("aggregation template must have at least one column")
+        super().__init__(columns)
 
     def group_vars(self) -> list[str]:
         return [c.var for c in self.columns if isinstance(c, GroupCol)]

@@ -15,22 +15,100 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
+
+# ===========================================================================
+# Value classes
+# ===========================================================================
+
+_set = object.__setattr__  # how __init__ fills the fields of a frozen object
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass lists its fields in order in `_fields` (usually also its
+    `__slots__`), and the trailing fields a caller may omit in `_defaults`.
+    It gets a positional-or-keyword __init__, `==` between instances of the
+    same class and a hash, both over the tuple of field values, a
+    `Name(field=value, ...)` repr, pickling, and AttributeError on setting
+    or deleting an attribute.  The methods are written here rather than
+    generated when the module loads, which keeps start-up cheap; classes
+    built, hashed or compared per token, term, fact or node write out
+    their own __init__, __eq__ and __hash__, which are faster than these.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = dict(self._defaults)
+            values.update(zip(fields, args))
+            values.update(kwargs)
+            if (
+                len(args) > len(fields)
+                or len(values) != len(fields)
+                or values.keys() - fields
+                or not kwargs.keys().isdisjoint(fields[: len(args)])
+            ):
+                raise TypeError(
+                    f"{type(self).__name__}() takes the fields {', '.join(fields)}"
+                )
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 # ===========================================================================
 # Source positions
 # ===========================================================================
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """1-based position of a construct in its source text."""
 
-    file: str
-    line: int
-    col: int
+    __slots__ = _fields = ("file", "line", "col")
+
+    def __init__(self, file: str, line: int, col: int):
+        _set(self, "file", file)
+        _set(self, "line", line)
+        _set(self, "col", col)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.file, self.line, self.col) == (other.file, other.line, other.col)
+
+    def __hash__(self) -> int:
+        return hash((self.file, self.line, self.col))
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
@@ -52,25 +130,45 @@ def line_col(
 # ===========================================================================
 
 
-class Term:
+class Term(Record):
     """Abstract base for every term constructor."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
 class Const(Term):
     """A symbolic constant ('KT', null, [] ...)."""
 
-    symbol: str
+    __slots__ = _fields = ("symbol",)
+
+    def __init__(self, symbol: str):
+        _set(self, "symbol", symbol)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbol == other.symbol
+
+    def __hash__(self) -> int:
+        return hash((self.symbol,))
 
     def __repr__(self) -> str:
         return f"Const({self.symbol!r})"
@@ -79,7 +177,6 @@ class Const(Term):
 NIL = Const("[]")
 
 
-@dataclass(frozen=True, eq=False)
 class Num(Term):
     """A number.  Integers are exact; floats are 64-bit.
 
@@ -88,7 +185,10 @@ class Num(Term):
     concrete type alongside the value.
     """
 
-    value: Union[int, float]
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Union[int, float]):
+        _set(self, "value", value)
 
     def is_int(self) -> bool:
         return isinstance(self.value, int)
@@ -154,11 +254,7 @@ class Compound(Term):
             _INTERNED[key] = t
         return t
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Compound is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Compound is immutable; cannot delete {name!r}")
+    __init__ = object.__init__  # __new__ has built or found the term
 
     def __reduce__(self):
         return Compound, (self.functor, self.args)
@@ -268,16 +364,37 @@ _pred_key = lru_cache(maxsize=4096)(PredKey)
 CONTROL = frozenset({PredKey(None, "!", 0), PredKey(None, "true", 0)})
 
 
-@dataclass(frozen=True)
-class Atom:
-    predicate: str
-    args: tuple[Term, ...] = ()
-    module_prefix: Optional[str] = None
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class Atom(Record):
+    """predicate(args) with an optional module prefix; span is not compared.
+    key, the atom's PredKey, is looked up once, when the atom is built."""
 
-    @cached_property
-    def key(self) -> PredKey:
-        return _pred_key(self.module_prefix, self.predicate, len(self.args))
+    __slots__ = ("predicate", "args", "module_prefix", "span", "key")
+    _fields = ("predicate", "args", "module_prefix", "span")
+
+    def __init__(
+        self,
+        predicate: str,
+        args: tuple[Term, ...] = (),
+        module_prefix: Optional[str] = None,
+        span: Optional[SourceSpan] = None,
+    ):
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+        _set(self, "module_prefix", module_prefix)
+        _set(self, "span", span)
+        _set(self, "key", _pred_key(module_prefix, predicate, len(args)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.predicate, self.args, self.module_prefix) == (
+            other.predicate,
+            other.args,
+            other.module_prefix,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.predicate, self.args, self.module_prefix))
 
     def __repr__(self) -> str:
         return f"Atom({self.key}, {self.args!r})"
@@ -287,10 +404,20 @@ POSITIVE = "positive"
 NEGATED = "negated"  # default negation ("not")
 
 
-@dataclass(frozen=True)
-class Literal:
-    atom: Atom
-    polarity: str = POSITIVE
+class Literal(Record):
+    __slots__ = _fields = ("atom", "polarity")
+
+    def __init__(self, atom: Atom, polarity: str = POSITIVE):
+        _set(self, "atom", atom)
+        _set(self, "polarity", polarity)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.atom, self.polarity) == (other.atom, other.polarity)
+
+    def __hash__(self) -> int:
+        return hash((self.atom, self.polarity))
 
     def is_negated(self) -> bool:
         return self.polarity == NEGATED
@@ -299,29 +426,46 @@ class Literal:
         return self.atom.module_prefix is not None
 
 
-@dataclass(frozen=True)
-class Rule:
-    """name: head :- body.  A fact is a rule with an empty body."""
+class Rule(Record):
+    """name: head :- body.  A fact is a rule with an empty body; span is
+    not compared."""
 
-    name: str
-    head: Atom
-    body: tuple[Literal, ...] = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = _fields = ("name", "head", "body", "span")
+
+    def __init__(
+        self,
+        name: str,
+        head: Atom,
+        body: tuple[Literal, ...] = (),
+        span: Optional[SourceSpan] = None,
+    ):
+        _set(self, "name", name)
+        _set(self, "head", head)
+        _set(self, "body", body)
+        _set(self, "span", span)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.head, self.body) == (other.name, other.head, other.body)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.head, self.body))
 
     def is_fact(self) -> bool:
         return not self.body
 
 
-@dataclass(frozen=True)
-class Program:
-    rules: tuple[Rule, ...] = ()
+class Program(Record):
+    __slots__ = _fields = ("rules",)
 
-    def __post_init__(self):
+    def __init__(self, rules: tuple[Rule, ...] = ()):
         seen = set()
-        for r in self.rules:
+        for r in rules:
             if r.name in seen:
                 raise ValueError(f"duplicate rule name {r.name!r}")
             seen.add(r.name)
+        _set(self, "rules", rules)
 
     def idb(self) -> frozenset[PredKey]:
         """Predicates appearing in some head."""
@@ -547,52 +691,109 @@ def term_text(t, quoted: bool = True) -> str:
     """Render a term or atom.
 
     quoted=True emits re-parseable text (constants quoted when needed);
-    quoted=False is display style with quotes dropped.
+    quoted=False is display style with quotes dropped.  The pieces still
+    to print wait on an explicit stack, so nesting is not bounded by the
+    recursion limit: a piece is a string, a term or atom, or an (operand,
+    priority) pair, an operand of an infix operator with the highest
+    priority its slot admits.
     """
-    if isinstance(t, Atom):
-        prefix = f"{t.module_prefix}:" if t.module_prefix else ""
-        if not t.args:
-            return prefix + _const_text(t.predicate, quoted)
-        if _infix(t.predicate, t.args):
-            return prefix + "(" + _infix_text(t.predicate, t.args, quoted) + ")"
-        args = ", ".join(term_text(a, quoted) for a in t.args)
-        return f"{prefix}{_functor_text(t.predicate, quoted)}({args})"
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+            continue
+        if isinstance(t, tuple):
+            pieces = _operand_pieces(*t)
+        else:
+            leaf = _leaf_text(t, quoted)
+            if leaf is not None:
+                out.append(leaf)
+                continue
+            pieces = _pieces(t, quoted)
+        if len(pieces) == 1 and isinstance(pieces[0], str):
+            out.append(pieces[0])
+        else:
+            stack.extend(reversed(pieces))
+    return "".join(out)
+
+
+def _leaf_text(t, quoted: bool) -> Optional[str]:
+    """The text of a constant, number or variable; None for anything else."""
+    if isinstance(t, Const):
+        return _const_text(t.symbol, quoted)
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Num):
         return repr(t.value)
-    if isinstance(t, Const):
-        return _const_text(t.symbol, quoted)
+    return None
+
+
+def _lay_out(head: str, terms, tail: str, quoted: bool) -> list:
+    """head, terms separated by ", ", then tail, as pieces: leaves are
+    printed at once into the strings around them, other terms are left as
+    pieces to print."""
+    pieces: list = []
+    text, sep = head, ""
+    for a in terms:
+        leaf = _leaf_text(a, quoted)
+        if leaf is None:
+            pieces += (text + sep, a)
+            text = ""
+        else:
+            text += sep + leaf
+        sep = ", "
+    pieces.append(text + tail)
+    return pieces
+
+
+def _pieces(t, quoted: bool) -> list:
+    """The text of an atom or compound as pieces in order: strings, and
+    the subterms and operands that print between them."""
+    if isinstance(t, Atom):
+        prefix = f"{t.module_prefix}:" if t.module_prefix else ""
+        if not t.args:
+            return [prefix + _const_text(t.predicate, quoted)]
+        if _infix(t.predicate, t.args):
+            return [prefix + "(", *_infix_pieces(t.predicate, t.args), ")"]
+        functor = _functor_text(t.predicate, quoted)
+        return _lay_out(f"{prefix}{functor}(", t.args, ")", quoted)
     # compound: list sugar, infix operators, then plain functor notation
-    decomp = list_elements(t)
-    if decomp is not None:
-        elements, tail = decomp
-        inner = ", ".join(term_text(e, quoted) for e in elements)
+    if t.functor == "." and len(t.args) == 2:
+        elements, tail = list_elements(t)
         if tail == NIL:
-            return f"[{inner}]"
-        return f"[{inner}|{term_text(tail, quoted)}]"
+            return _lay_out("[", elements, "]", quoted)
+        return _lay_out("[", elements, "|", quoted) + [tail, "]"]
     if _infix(t.functor, t.args):
-        return "(" + _infix_text(t.functor, t.args, quoted) + ")"
+        return ["(", *_infix_pieces(t.functor, t.args), ")"]
     functor = _functor_text(t.functor, quoted)
-    if len(t.args) != 2:
-        return f"{functor}({', '.join(term_text(a, quoted) for a in t.args)})"
+    last = t.args[-1]
+    if not (
+        len(t.args) == 2
+        and isinstance(last, Compound)
+        and last.functor == t.functor
+        and len(last.args) == 2
+    ):
+        return _lay_out(functor + "(", t.args, ")", quoted)
     # a right-nested chain of one binary functor, such as the conjunction
-    # ','(a, ','(b, c)), is printed in a loop rather than a call per link
-    heads, chained = [], t.functor
+    # ','(a, ','(b, c)), is laid out in one loop rather than a list per link
+    pieces, links, chained = [], 0, t.functor
     while isinstance(t, Compound) and t.functor == chained and len(t.args) == 2:
-        heads.append(f"{functor}({term_text(t.args[0], quoted)}, ")
+        pieces += _lay_out(functor + "(", t.args[:1], ", ", quoted)
         t = t.args[1]
-    return "".join(heads) + term_text(t, quoted) + ")" * len(heads)
+        links += 1
+    pieces += (t, ")" * links)
+    return pieces
 
 
-def _infix_text(op: str, args: tuple[Term, ...], quoted: bool) -> str:
-    # a left operand that needs no parentheses is printed in the same loop,
-    # so a left-nested chain such as 1+1+...+1 costs no call per link
-    rights: list[str] = []
+def _infix_pieces(op: str, args: tuple[Term, ...]) -> list:
+    # a left operand that needs no parentheses is laid out in the same loop,
+    # so a left-nested chain such as 1+1+...+1 costs no list per link
+    backwards: list = []
     while True:
         prec, assoc = OPERATORS[op]
-        sep = f" {op} " if op in _SPACED else op
-        rights.append(sep + _operand_text(args[1], prec - 1, quoted))
+        backwards += ((args[1], prec - 1), f" {op} " if op in _SPACED else op)
         left_max = prec if assoc == "yfx" else prec - 1
         left = args[0]
         if not (
@@ -600,20 +801,24 @@ def _infix_text(op: str, args: tuple[Term, ...], quoted: bool) -> str:
             and _infix(left.functor, left.args)
             and OPERATORS[left.functor][0] <= left_max
         ):
-            return _operand_text(left, left_max, quoted) + "".join(reversed(rights))
+            backwards.append((left, left_max))
+            backwards.reverse()
+            return backwards
         op, args = left.functor, left.args
 
 
-def _operand_text(t: Term, max_prec: int, quoted: bool) -> str:
-    """Render an operand of an infix operator, adding parentheses only when
-    the operand's own operator binds more loosely than the slot allows."""
+def _operand_pieces(t: Term, max_prec: int) -> list:
+    """An operand of an infix operator, in parentheses only when its own
+    operator binds more loosely than the slot allows."""
     if isinstance(t, Compound) and _infix(t.functor, t.args):
-        inner = _infix_text(t.functor, t.args, quoted)
-        prec, _ = OPERATORS[t.functor]
-        return f"({inner})" if prec > max_prec else inner
-    return term_text(t, quoted)
+        inner = _infix_pieces(t.functor, t.args)
+        if OPERATORS[t.functor][0] > max_prec:
+            return ["(", *inner, ")"]
+        return inner
+    return [t]
 
 
+@lru_cache(maxsize=4096)
 def _const_text(symbol: str, quoted: bool) -> str:
     if quoted and _needs_quotes(symbol):
         body = symbol.replace("\\", "\\\\").replace("'", "\\'")

@@ -12,7 +12,6 @@ parse/print round-trip: parse_program(print_program(p)) == p.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import (
@@ -32,6 +31,7 @@ from .kernel import (
     OPERATORS,
     POSITIVE,
     Program,
+    Record,
     Rule,
     SourceSpan,
     Term,
@@ -48,13 +48,38 @@ from .xmlterm import Text, XmlTerm, parse_xml
 # ===========================================================================
 
 
-@dataclass(slots=True)
 class Token:
-    kind: str  # atom var num quoted punct directive end eof; SWRL: name str bad
-    value: object
-    line: int
-    col: int
-    pos: int  # offset in the source text
+    """One lexed token: kind is atom, var, num, quoted, punct, directive,
+    end or eof, or for SWRL name, str or bad; pos is its offset in the
+    source text.  Mutable, so unhashable; equal field by field."""
+
+    __slots__ = ("kind", "value", "line", "col", "pos")
+
+    def __init__(self, kind: str, value: object, line: int, col: int, pos: int):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
+        self.pos = pos
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.value, self.line, self.col, self.pos) == (
+            other.kind,
+            other.value,
+            other.line,
+            other.col,
+            other.pos,
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"Token(kind={self.kind!r}, value={self.value!r}, line={self.line!r}, "
+            f"col={self.col!r}, pos={self.pos!r})"
+        )
 
     def span(self, filename: str) -> SourceSpan:
         return SourceSpan(filename, self.line, self.col)
@@ -424,70 +449,78 @@ def print_program(p: Program) -> str:
 # ===========================================================================
 
 
-@dataclass(frozen=True)
-class SwrlVar:
-    name: str
+# the classes built per SWRL atom or rule write out their __init__, which
+# is faster than Record's
 
 
-@dataclass(frozen=True)
-class SwrlIndividual:
-    name: str
+class SwrlVar(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class SwrlLiteral:
-    value: Union[int, float, str]
+class SwrlIndividual(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+
+class SwrlLiteral(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Union[int, float, str]):
+        object.__setattr__(self, "value", value)
 
 
 SwrlObj = Union[SwrlVar, SwrlIndividual, SwrlLiteral]
 
 
-@dataclass(frozen=True)
-class ClassAtom:
-    cls: str
-    arg: SwrlObj
+class ClassAtom(Record):
+    __slots__ = _fields = ("cls", "arg")
+
+    def __init__(self, cls: str, arg: SwrlObj):
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class PropertyAtom:
-    prop: str
-    arg1: SwrlObj
-    arg2: SwrlObj
+class PropertyAtom(Record):
+    __slots__ = _fields = ("prop", "arg1", "arg2")
+
+    def __init__(self, prop: str, arg1: SwrlObj, arg2: SwrlObj):
+        object.__setattr__(self, "prop", prop)
+        object.__setattr__(self, "arg1", arg1)
+        object.__setattr__(self, "arg2", arg2)
 
 
-@dataclass(frozen=True)
-class SameAs:
-    arg1: SwrlObj
-    arg2: SwrlObj
+class SameAs(Record):
+    __slots__ = _fields = ("arg1", "arg2")
 
 
-@dataclass(frozen=True)
-class DifferentFrom:
-    arg1: SwrlObj
-    arg2: SwrlObj
+class DifferentFrom(Record):
+    __slots__ = _fields = ("arg1", "arg2")
 
 
-@dataclass(frozen=True)
-class BuiltinAtom:
-    name: str
-    args: tuple[SwrlObj, ...]
+class BuiltinAtom(Record):
+    __slots__ = _fields = ("name", "args")  # args: tuple of SwrlObj
 
 
 SwrlAtom = Union[ClassAtom, PropertyAtom, SameAs, DifferentFrom, BuiltinAtom]
 
 
-@dataclass(frozen=True)
-class SwrlRule:
-    annotations: tuple[str, ...]
-    antecedent: tuple[SwrlAtom, ...]
-    consequent: tuple[SwrlAtom, ...]
+class SwrlRule(Record):
+    __slots__ = _fields = ("annotations", "antecedent", "consequent")
+
+    def __init__(self, annotations: tuple, antecedent: tuple, consequent: tuple):
+        object.__setattr__(self, "annotations", annotations)
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
 
 
-@dataclass(frozen=True)
-class SwrlOntology:
-    name: str
-    rules: tuple[SwrlRule, ...]
-    class_atoms: tuple[SwrlAtom, ...] = ()
+class SwrlOntology(Record):
+    __slots__ = _fields = ("name", "rules", "class_atoms")
+    _defaults = {"class_atoms": ()}
 
 
 # SWRL.  The end of input and unreadable input both sit right after the

@@ -10,7 +10,7 @@ DTD handling.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import XmlParseError
 from .kernel import SourceSpan, line_col
@@ -18,18 +18,57 @@ from .kernel import SourceSpan, line_col
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
 
-@dataclass
 class Text:
-    value: str
+    """Character data.  Mutable, so unhashable; equal by value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        self.value = value
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Text(value={self.value!r})"
 
 
-@dataclass
 class XmlTerm:
-    """An element: tag, ordered attributes, ordered children."""
+    """An element: tag, ordered attributes, ordered children.  Mutable, so
+    unhashable; equal when tag, attributes and children are."""
 
-    tag: str
-    attributes: dict[str, str] = field(default_factory=dict)
-    children: list = field(default_factory=list)
+    __slots__ = ("tag", "attributes", "children")
+
+    def __init__(
+        self,
+        tag: str,
+        attributes: Optional[dict[str, str]] = None,
+        children: Optional[list] = None,
+    ):
+        self.tag = tag
+        self.attributes = {} if attributes is None else attributes
+        self.children = [] if children is None else children
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tag, self.attributes, self.children) == (
+            other.tag,
+            other.attributes,
+            other.children,
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"XmlTerm(tag={self.tag!r}, attributes={self.attributes!r}, "
+            f"children={self.children!r})"
+        )
 
     def child_elements(self) -> list["XmlTerm"]:
         return [c for c in self.children if isinstance(c, XmlTerm)]

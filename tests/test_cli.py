@@ -566,6 +566,15 @@ def test_prove_dot(capsys):
     assert out.startswith("digraph") and out.count(" -> ") == 3
 
 
+def _reach_tree_text(n):
+    """The proof tree term of reach(n<n>) over the edge chain below."""
+    text = "t(reach(n0), r1)"
+    for i in range(n):
+        edge = f"t(edge(n{i}, n{i + 1}), r{i + 2})"
+        text = f"t(reach(n{i + 1}), r1102, {text}, {edge})"
+    return text
+
+
 def test_prove_renders_a_proof_deeper_than_the_recursion_limit(capsys, tmp_path):
     f = tmp_path / "reach.dl"
     f.write_text(
@@ -583,6 +592,17 @@ def test_prove_renders_a_proof_deeper_than_the_recursion_limit(capsys, tmp_path)
     assert lines[:3] == ["reach(n1100) [r1102]", "  reach(n1099) [r1102]",
                          "    reach(n1098) [r1102]"]
     assert lines[-1] == "  edge(n1099, n1100) [r1101]"
+
+    # as a term (the default format), and every fact with its tree
+    code, out, err = run(capsys, "prove", str(f), "--auto-pt",
+                         "--atom", "reach(n1100, T)")
+    assert (code, err, out) == (0, "", _reach_tree_text(1100) + "\n")
+    code, out, err = run(capsys, "eval", str(f), "--auto-pt")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1100 + 1101
+    assert f"reach(n1100, {_reach_tree_text(1100)})." in lines
+    assert lines[-1] == f"reach(n999, {_reach_tree_text(999)})."
 
 
 def test_prove_fact_without_embedded_tree(capsys):
@@ -634,3 +654,23 @@ def test_repeated_runs_print_identical_output(capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+# ===========================================================================
+# start-up
+# ===========================================================================
+
+
+def test_import_generates_no_code():
+    # value classes are written out in source: importing the command line
+    # loads neither dataclasses, which compiles methods at every start,
+    # nor inspect, which it pulls in
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, ddlite.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -396,6 +396,26 @@ def test_solve_goal_fact_matches_come_sorted():
     ]
 
 
+def test_solve_goal_probes_a_bucket_in_sort_order_after_adds():
+    # e(m, _) is one index bucket, filled out of order; the second literal
+    # probes it once per k fact, and an add between two goals must show
+    store = FactStore()
+    for x in ("m", "m2"):
+        store.add(Atom("k", (Const(x), Const("m"))))
+    for y in ("d", "b", "e", "a"):
+        store.add(Atom("e", (Const("m"), Const(y))))
+    goal = parse_goal("k(X, B), e(B, Y)")
+
+    def answers():
+        return [(term_text(apply(s, Var("X"))), term_text(apply(s, Var("Y"))))
+                for s in solve_goal(goal, None, store)]
+
+    assert answers() == [(x, y) for x in ("m", "m2") for y in "abde"]
+    store.add(Atom("e", (Const("m"), Const("c"))))
+    store.add(Atom("e", (Const("n"), Const("a"))))
+    assert answers() == [(x, y) for x in ("m", "m2") for y in "abcde"]
+
+
 def test_solve_goal_defers_non_ground_negation():
     store = FactStore()
     store.add(Atom("p", (Const("a"),)))

@@ -1,17 +1,39 @@
 """Terms, substitutions, unification, and rendering."""
 
+import copy
 import gc
+import pickle
 import random
 
+import pytest
+
 from ddlite import kernel
+from ddlite.engine import Builtin, EvalOptions, ProofTree, Strata, Violation
+from ddlite.graphs import DepGraph, DiffReport, Edge, MetaCallNode, PredNode, RuleNode, TagNode
+from ddlite.hybrid import (
+    AggCol,
+    AggTemplate,
+    AttrAccess,
+    Child,
+    Filter,
+    GroupCol,
+    PathBinding,
+    PathExpr,
+    XmlNode,
+)
 from ddlite.kernel import (
+    NEGATED,
     Atom,
     Compound,
     Const,
     Literal,
     Num,
     PredKey,
+    Program,
+    Record,
     Rule,
+    SourceSpan,
+    Term,
     Var,
     apply,
     is_ground,
@@ -24,6 +46,21 @@ from ddlite.kernel import (
     term_text,
     term_vars,
 )
+
+from ddlite.syntax import (
+    BuiltinAtom,
+    ClassAtom,
+    DifferentFrom,
+    PropertyAtom,
+    SameAs,
+    SwrlIndividual,
+    SwrlLiteral,
+    SwrlOntology,
+    SwrlRule,
+    SwrlVar,
+    Token,
+)
+from ddlite.xmlterm import Text, XmlTerm
 
 from oracles import random_term
 
@@ -239,3 +276,248 @@ def test_parse_number_accepts_plain_ints_and_floats():
 def test_parse_number_rejects_junk():
     for bad in ("", " 12", "12 ", "1_000", "NULL", "nan", "inf", "0x10"):
         assert parse_number(bad) is None, bad
+
+
+
+# ---------------------------------------------------------------------------
+# value classes: written out in source, they behave as the dataclasses
+# they replace did
+# ---------------------------------------------------------------------------
+
+
+_SPAN = SourceSpan("f.dl", 3, 7)
+_KEY = PredKey(None, "p", 1)
+_ROW = XmlTerm("row", {"ESSN": "22"}, [Text("x")])
+_IF = (ClassAtom("C", SwrlVar("x")),)
+_THEN = (PropertyAtom("p", SwrlVar("x"), SwrlLiteral(3)),)
+_NODES = (PredNode(_KEY), RuleNode("r1"))
+_EDGES = (Edge(_NODES[0], _NODES[1]),)
+
+
+def _atom():
+    return Atom("p", (Var("X"), Const("a")), None, _SPAN)
+
+
+def _body():
+    return (Literal(Atom("q", (Var("X"),))),)
+
+
+def _rule():
+    return Rule("r1", _atom(), _body(), _SPAN)
+
+
+def _leaf():
+    return ProofTree(Atom("q"), "f1")
+
+
+# one instance of each value class: a builder of equal copies, and the
+# value whose hash the instance's hash is (the tuple of the compared
+# fields), or None where instances are unhashable
+VALUES = [
+    (lambda: SourceSpan("f.dl", 3, 7), ("f.dl", 3, 7)),
+    (lambda: Var("X"), ("X",)),
+    (lambda: Const("a"), ("a",)),
+    (lambda: Num(2.5), ("float", 2.5)),
+    (lambda: Compound("f", (Var("X"), Num(1))), ("f", (Var("X"), Num(1)))),
+    (_atom, ("p", (Var("X"), Const("a")), None)),
+    (lambda: Literal(_atom(), NEGATED), (_atom(), NEGATED)),
+    (_rule, ("r1", _atom(), _body())),
+    (lambda: Program((_rule(),)), ((_rule(),),)),
+    (lambda: Token("atom", "p", 1, 1, 0), None),
+    (lambda: SwrlVar("x"), ("x",)),
+    (lambda: SwrlIndividual("ann"), ("ann",)),
+    (lambda: SwrlLiteral(3), (3,)),
+    (lambda: ClassAtom("C", SwrlVar("x")), ("C", SwrlVar("x"))),
+    (lambda: PropertyAtom("p", SwrlVar("x"), SwrlVar("y")), ("p", SwrlVar("x"), SwrlVar("y"))),
+    (lambda: SameAs(SwrlVar("x"), SwrlVar("y")), (SwrlVar("x"), SwrlVar("y"))),
+    (lambda: DifferentFrom(SwrlVar("x"), SwrlVar("y")), (SwrlVar("x"), SwrlVar("y"))),
+    (lambda: BuiltinAtom("add", (SwrlVar("x"),)), ("add", (SwrlVar("x"),))),
+    (lambda: SwrlRule(("a",), _IF, _THEN), (("a",), _IF, _THEN)),
+    (lambda: SwrlOntology("o", ()), ("o", (), ())),
+    (lambda: XmlNode(_ROW), id(_ROW)),  # one element is one node
+    (lambda: Child("row"), ("row",)),
+    (lambda: Filter("ESSN", Var("S")), ("ESSN", Var("S"))),
+    (lambda: AttrAccess("HOURS"), ("HOURS",)),
+    (lambda: PathExpr((Child("row"),)), ((Child("row"),),)),
+    (
+        lambda: PathBinding("R", "w.xml", None, PathExpr((Child("row"),))),
+        ("R", "w.xml", None, PathExpr((Child("row"),))),
+    ),
+    (lambda: GroupCol("D"), ("D",)),
+    (lambda: AggCol("sum", "H"), ("sum", "H")),
+    (lambda: AggTemplate((GroupCol("D"),)), ((GroupCol("D"),),)),
+    (lambda: PredNode(_KEY), (_KEY,)),
+    (lambda: RuleNode("r1"), ("r1",)),
+    (lambda: MetaCallNode(_KEY, 2), (_KEY, 2)),
+    (lambda: TagNode("row"), ("row",)),
+    (lambda: DepGraph("rpg", _NODES, _EDGES), ("rpg", frozenset(_NODES), frozenset(_EDGES))),
+    (lambda: DiffReport((RuleNode("r1"),), (), (), ()), ((RuleNode("r1"),), (), (), (), frozenset())),
+    (lambda: Builtin("b", 1, (0,), (), max), ("b", 1, (0,), (), max)),
+    (lambda: Violation("r1", "X", "is free"), ("r1", "X", "is free")),
+    (lambda: Strata({_KEY: 0}), None),  # hashing its dict raises
+    (lambda: EvalOptions(max_facts=5), (10000, 5)),
+    (lambda: ProofTree(_atom(), "r1", (_leaf(),), (Num(1),)), (_atom(), "r1", (_leaf(),), (Num(1),))),
+    (lambda: Text("x"), None),
+    (lambda: XmlTerm("row", {"ESSN": "22"}, [Text("x")]), None),
+]
+# the reprs the dataclasses printed
+VALUE_REPRS = {
+    "SourceSpan": "SourceSpan(file='f.dl', line=3, col=7)",
+    "Var": "Var('X')",
+    "Const": "Const('a')",
+    "Num": 'Num(2.5)',
+    "Compound": "Compound('f', (Var('X'), Num(1)))",
+    "Atom": "Atom(p/2, (Var('X'), Const('a')))",
+    "Literal": "Literal(atom=Atom(p/2, (Var('X'), Const('a'))), polarity='negated')",
+    "Rule": (
+        "Rule(name='r1', head=Atom(p/2, (Var('X'), Const('a'))), "
+        "body=(Literal(atom=Atom(q/1, (Var('X'),)), polarity='positive'),), "
+        "span=SourceSpan(file='f.dl', line=3, col=7))"
+    ),
+    "Program": (
+        "Program(rules=(Rule(name='r1', head=Atom(p/2, (Var('X'), "
+        "Const('a'))), body=(Literal(atom=Atom(q/1, (Var('X'),)), "
+        "polarity='positive'),), span=SourceSpan(file='f.dl', line=3, "
+        'col=7)),))'
+    ),
+    "Token": "Token(kind='atom', value='p', line=1, col=1, pos=0)",
+    "SwrlVar": "SwrlVar(name='x')",
+    "SwrlIndividual": "SwrlIndividual(name='ann')",
+    "SwrlLiteral": 'SwrlLiteral(value=3)',
+    "ClassAtom": "ClassAtom(cls='C', arg=SwrlVar(name='x'))",
+    "PropertyAtom": (
+        "PropertyAtom(prop='p', arg1=SwrlVar(name='x'), "
+        "arg2=SwrlVar(name='y'))"
+    ),
+    "SameAs": "SameAs(arg1=SwrlVar(name='x'), arg2=SwrlVar(name='y'))",
+    "DifferentFrom": "DifferentFrom(arg1=SwrlVar(name='x'), arg2=SwrlVar(name='y'))",
+    "BuiltinAtom": "BuiltinAtom(name='add', args=(SwrlVar(name='x'),))",
+    "SwrlRule": (
+        "SwrlRule(annotations=('a',), antecedent=(ClassAtom(cls='C', "
+        "arg=SwrlVar(name='x')),), consequent=(PropertyAtom(prop='p', "
+        "arg1=SwrlVar(name='x'), arg2=SwrlLiteral(value=3)),))"
+    ),
+    "SwrlOntology": "SwrlOntology(name='o', rules=(), class_atoms=())",
+    "XmlNode": 'XmlNode(<row>)',
+    "Child": "Child(tag='row')",
+    "Filter": "Filter(attr='ESSN', value=Var('S'))",
+    "AttrAccess": "AttrAccess(name='HOURS')",
+    "PathExpr": "PathExpr(steps=(Child(tag='row'),))",
+    "PathBinding": (
+        "PathBinding(var='R', doc='w.xml', from_var=None, "
+        "expr=PathExpr(steps=(Child(tag='row'),)))"
+    ),
+    "GroupCol": "GroupCol(var='D')",
+    "AggCol": "AggCol(fn='sum', var='H')",
+    "AggTemplate": "AggTemplate(columns=(GroupCol(var='D'),))",
+    "PredNode": "PredNode(key=PredKey(module=None, name='p', arity=1))",
+    "RuleNode": "RuleNode(rule_name='r1')",
+    "MetaCallNode": (
+        "MetaCallNode(key=PredKey(module=None, name='p', arity=1), "
+        'call_site=2)'
+    ),
+    "TagNode": "TagNode(tag='row')",
+    "DepGraph": (
+        "DepGraph(kind='rpg', nodes=(PredNode(key=PredKey(module=None, "
+        "name='p', arity=1)), RuleNode(rule_name='r1')), "
+        "edges=(Edge(src=PredNode(key=PredKey(module=None, name='p', "
+        "arity=1)), dst=RuleNode(rule_name='r1'), mark='plain'),))"
+    ),
+    "DiffReport": (
+        "DiffReport(nodes_only_left=(RuleNode(rule_name='r1'),), "
+        'nodes_only_right=(), edges_only_left=(), edges_only_right=(), '
+        'equivalent_modulo=frozenset())'
+    ),
+    "Builtin": (
+        "Builtin(name='b', arity=1, inputs=(0,), outputs=(), "
+        'fn=<built-in function max>)'
+    ),
+    "Violation": "Violation(rule_name='r1', variable='X', reason='is free')",
+    "Strata": "Strata(assignment={PredKey(module=None, name='p', arity=1): 0})",
+    "EvalOptions": 'EvalOptions(max_iterations=10000, max_facts=5)',
+    "ProofTree": (
+        "ProofTree(conclusion=Atom(p/2, (Var('X'), Const('a'))), tag='r1', "
+        "children=(ProofTree(conclusion=Atom(q/0, ()), tag='f1', "
+        'children=(), side_conditions=()),), side_conditions=(Num(1),))'
+    ),
+    "Text": "Text(value='x')",
+    "XmlTerm": (
+        "XmlTerm(tag='row', attributes={'ESSN': '22'}, "
+        "children=[Text(value='x')])"
+    ),
+}
+MUTABLE = (Token, Text, XmlTerm)
+
+
+def _name(case):
+    return type(case[0]()).__name__
+
+
+@pytest.mark.parametrize("build, hashes_like", VALUES, ids=map(_name, VALUES))
+def test_value_class_contract(build, hashes_like):
+    x, y = build(), build()
+    assert x is not y
+    assert x == y and not x != y
+    assert x != hashes_like and x != object()
+    if hashes_like is None:
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(y) == hash(hashes_like)
+    assert repr(x) == VALUE_REPRS[type(x).__name__]
+    field = (getattr(x, "_fields", ()) or type(x).__slots__)[0]
+    if isinstance(x, MUTABLE):
+        setattr(x, field, getattr(y, field))
+        assert x == y
+        return
+    with pytest.raises(AttributeError):
+        setattr(x, field, getattr(y, field))
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    with pytest.raises(AttributeError):
+        x.not_a_field = 1
+    assert x == y
+
+
+def test_every_value_class_has_a_contract_case():
+    pending = [Record]
+    classes = set()
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            classes.add(sub)
+            pending.append(sub)
+    classes -= {Term}
+    assert classes | set(MUTABLE) == {type(build()) for build, _ in VALUES}
+
+
+def test_value_classes_of_one_shape_are_not_equal():
+    pairs = [
+        (Var("a"), Const("a")),
+        (SwrlVar("a"), SwrlIndividual("a")),
+        (SameAs(SwrlVar("x"), SwrlVar("y")), DifferentFrom(SwrlVar("x"), SwrlVar("y"))),
+        (Child("a"), AttrAccess("a")),
+        (RuleNode("a"), TagNode("a")),
+        (GroupCol("a"), SwrlVar("a")),
+    ]
+    for a, b in pairs:
+        assert a != b and b != a and not a == b
+
+
+def test_atom_and_rule_equality_ignores_the_span():
+    other = SourceSpan("g.dl", 9, 9)
+    a, b = Atom("p", (Const("a"),), None, _SPAN), Atom("p", (Const("a"),), None, other)
+    assert a == b and hash(a) == hash(b) and a.span != b.span
+    r, s = Rule("r1", a, (), _SPAN), Rule("r1", b, (), other)
+    assert r == s and hash(r) == hash(s)
+    assert Atom("p", (Const("a"),), "m") != a
+
+
+@pytest.mark.parametrize("build", [_atom, _rule, lambda: Literal(_atom()), lambda: _SPAN,
+                                   lambda: Var("X"), lambda: Const("a"), lambda: Num(-0.0),
+                                   lambda: Compound("f", (Var("X"), Num(2))),
+                                   lambda: Program((_rule(),))])
+def test_kernel_values_pickle_and_deepcopy(build):
+    x = build()
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert type(y) is type(x) and y == x and repr(y) == repr(x)
+        assert all(getattr(y, f) == getattr(x, f) for f in x._fields)  # span too
