@@ -514,8 +514,7 @@ class FactStore(FactIndex):
     def __init__(self):
         super().__init__()
         self._all: set[Atom] = set()
-        # a predicate's facts, or an index bucket's, in sort_key order
-        self._sorted_cache: dict[object, list[Atom]] = {}
+        self._sorted_cache: dict[PredKey, list[Atom]] = {}
         self._origin: dict[Atom, str] = {}
         self._frozen = False
 
@@ -542,11 +541,7 @@ class FactStore(FactIndex):
             return False
         self._all.add(fact)
         self._file(fact)
-        if self._sorted_cache:
-            key = fact.key
-            self._sorted_cache.pop(key, None)
-            for i, arg in enumerate(fact.args):
-                self._sorted_cache.pop((key, i, _principal(arg)), None)
+        self._sorted_cache.pop(fact.key, None)
         if origin is not None:
             self._origin[fact] = origin
         return True
@@ -571,11 +566,9 @@ class FactStore(FactIndex):
         s = s or {}
         bucket = self._bucket(query, s)
         if bucket is None:
-            return _unifiers(query, self.facts(query.key), s)
-        candidates = self._sorted_cache.get(bucket)
-        if candidates is None:
+            candidates = self.facts(query.key)
+        else:
             candidates = sorted(self._index.get(bucket, []), key=sort_key)
-            self._sorted_cache[bucket] = candidates
         return _unifiers(query, candidates, s)
 
     def unifies_any(self, query: Atom, s: Optional[Subst] = None) -> bool:

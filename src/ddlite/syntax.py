@@ -449,8 +449,11 @@ def print_program(p: Program) -> str:
 # ===========================================================================
 
 
-# the classes built per SWRL atom or rule write out their __init__, which
-# is faster than Record's
+# Arguments, class atoms, property atoms and rules are what a SWRL rule
+# file is made of (the rulebase benchmark builds one per argument, atom and
+# rule), so they write out their __init__, which is faster than Record's.
+# sameAs, differentFrom and built-in atoms, which that workload never
+# builds, keep Record's.
 
 
 class SwrlVar(Record):
