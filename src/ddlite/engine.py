@@ -52,7 +52,6 @@ from .kernel import (
     mgu,
     mklist,
     parse_number,
-    rename_apart,
     sort_key,
     term_text,
     term_vars,
@@ -520,12 +519,6 @@ class FactStore(FactIndex):
 
     def __len__(self) -> int:
         return len(self._all)
-
-    def __contains__(self, fact: Atom) -> bool:
-        return self.has(fact)
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self.sorted_facts())
 
     def freeze(self) -> "FactStore":
         self._frozen = True
@@ -1027,15 +1020,16 @@ def auto_pt(p: Program) -> Program:
 
 
 def validate_fact(p: Program, store: FactStore, fact: Atom) -> bool:
-    """True iff some rule re-derives exactly this fact from the store."""
+    """True iff some rule re-derives exactly this fact from the store.
+    fact is ground, as every stored fact is, so no rule variable can
+    clash with it and the rules are used as written."""
     for rule in p.rules:
         if rule.head.key != fact.key:
             continue
-        fresh = rename_apart(rule, "_v")
-        s0 = mgu(fresh.head, fact)
+        s0 = mgu(rule.head, fact)
         if s0 is None:
             continue
-        for _ in solve_body(fresh.body, store, s0):
+        for _ in solve_body(rule.body, store, s0):
             return True
     return False
 

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .kernel import (
     CONTROL,
-    Atom,
     Compound,
     Const,
     Literal,

@@ -12,7 +12,7 @@ parse/print round-trip: parse_program(print_program(p)) == p.
 from __future__ import annotations
 
 import re
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     EmptyConsequent,
@@ -449,81 +449,26 @@ def print_program(p: Program) -> str:
 # ===========================================================================
 
 
-# Arguments, class atoms, property atoms and rules are what a SWRL rule
-# file is made of (the rulebase benchmark builds one per argument, atom and
-# rule), so they write out their __init__, which is faster than Record's.
-# sameAs, differentFrom and built-in atoms, which that workload never
-# builds, keep Record's.
-
-
-class SwrlVar(Record):
-    __slots__ = _fields = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-
-class SwrlIndividual(Record):
-    __slots__ = _fields = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-
-class SwrlLiteral(Record):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: Union[int, float, str]):
-        object.__setattr__(self, "value", value)
-
-
-SwrlObj = Union[SwrlVar, SwrlIndividual, SwrlLiteral]
-
-
-class ClassAtom(Record):
-    __slots__ = _fields = ("cls", "arg")
-
-    def __init__(self, cls: str, arg: SwrlObj):
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "arg", arg)
-
-
-class PropertyAtom(Record):
-    __slots__ = _fields = ("prop", "arg1", "arg2")
-
-    def __init__(self, prop: str, arg1: SwrlObj, arg2: SwrlObj):
-        object.__setattr__(self, "prop", prop)
-        object.__setattr__(self, "arg1", arg1)
-        object.__setattr__(self, "arg2", arg2)
-
-
-class SameAs(Record):
-    __slots__ = _fields = ("arg1", "arg2")
-
-
-class DifferentFrom(Record):
-    __slots__ = _fields = ("arg1", "arg2")
-
-
-class BuiltinAtom(Record):
-    __slots__ = _fields = ("name", "args")  # args: tuple of SwrlObj
-
-
-SwrlAtom = Union[ClassAtom, PropertyAtom, SameAs, DifferentFrom, BuiltinAtom]
-
-
 class SwrlRule(Record):
-    __slots__ = _fields = ("annotations", "antecedent", "consequent")
+    """A SWRL rule whose antecedent and consequent are kernel atoms: a
+    class atom is unary, a property atom binary, and sameAs,
+    differentFrom and built-ins are prolog-prefixed calls.  Variables
+    keep their source names until swrl_to_datalog."""
 
-    def __init__(self, annotations: tuple, antecedent: tuple, consequent: tuple):
-        object.__setattr__(self, "annotations", annotations)
-        object.__setattr__(self, "antecedent", antecedent)
-        object.__setattr__(self, "consequent", consequent)
+    __slots__ = _fields = ("annotations", "antecedent", "consequent")
 
 
 class SwrlOntology(Record):
+    """The rules of a swrlx:Ontology and its class assertions (atoms)."""
+
     __slots__ = _fields = ("name", "rules", "class_atoms")
     _defaults = {"class_atoms": ()}
+
+
+def _call(name: str, args: tuple[Term, ...]) -> Atom:
+    """sameAs, differentFrom or a built-in as a prolog call named by the
+    part of name after its last ':'."""
+    return Atom(name.rsplit(":", 1)[-1], args, "prolog")
 
 
 # SWRL.  The end of input and unreadable input both sit right after the
@@ -588,7 +533,7 @@ class _SwrlReader(TokenCursor):
                 depth += 1 if tok.value == "(" else -1
         return self.text[start.pos : tok.pos + 1]
 
-    def atom_list(self) -> list[SwrlAtom]:
+    def atom_list(self) -> list[Atom]:
         self.expect("(")
         atoms = []
         while not self.at_punct(")"):
@@ -599,21 +544,25 @@ class _SwrlReader(TokenCursor):
         self.next()
         return atoms
 
-    def atom(self) -> SwrlAtom:
+    def atom(self) -> Atom:
         name = self.next()
         self.expect("(")
-        objs = []
+        first = self.tokens[self.i]  # a bad token fails in obj(), as peek would
+        args = []
         while not self.at_punct(")"):
-            objs.append(self.obj())
+            args.append(self.obj())
         self.next()
-        return self.classify(name, objs)
+        return self.classify(name, first, args)
 
-    def obj(self) -> SwrlObj:
+    def obj(self) -> Term:
         tok = self.next()
         if tok.kind == "num":
-            return SwrlLiteral(float(tok.value) if "." in tok.value else int(tok.value))
+            kind, value = _number(tok.value)
+            if kind == "bad":
+                self.fail(value, tok)
+            return Num(value)
         if tok.kind == "str":
-            return SwrlLiteral(tok.value)
+            return Const(tok.value)
         if tok.kind == "name":
             if tok.value in ("I-variable", "D-variable"):
                 self.expect("(")
@@ -621,31 +570,31 @@ class _SwrlReader(TokenCursor):
                 if var.kind != "name":
                     self.fail("expected a variable name", var)
                 self.expect(")")
-                return SwrlVar(var.value)
-            return SwrlIndividual(tok.value)
+                return Var(var.value)
+            return Const(tok.value)
         self.fail(f"unexpected {tok.value!r} in atom arguments", tok)
 
-    def classify(self, tok: Token, objs: list[SwrlObj]) -> SwrlAtom:
+    def classify(self, tok: Token, first: Token, args: list[Term]) -> Atom:
+        """The atom named by tok; first is its first argument's token, as
+        an individual and a string literal are both a Const."""
         name = tok.value
         if name in ("sameAs", "same_as"):
-            if len(objs) != 2:
+            if len(args) != 2:
                 self.fail("sameAs takes two arguments", tok)
-            return SameAs(objs[0], objs[1])
+            return _call("same_as", tuple(args))
         if name in ("differentFrom", "different_from"):
-            if len(objs) != 2:
+            if len(args) != 2:
                 self.fail("differentFrom takes two arguments", tok)
-            return DifferentFrom(objs[0], objs[1])
+            return _call("different_from", tuple(args))
         if name == "builtin":
-            if not objs or not isinstance(objs[0], SwrlIndividual):
+            if not args or first.kind != "name" or not isinstance(args[0], Const):
                 self.fail("builtin needs a builtin name first", tok)
-            return BuiltinAtom(objs[0].name, tuple(objs[1:]))
+            return _call(args[0].symbol, tuple(args[1:]))
         if ":" in name:
-            return BuiltinAtom(name, tuple(objs))
-        if len(objs) == 1:
-            return ClassAtom(name, objs[0])
-        if len(objs) == 2:
-            return PropertyAtom(name, objs[0], objs[1])
-        self.fail(f"unknown atom form {name}/{len(objs)}", tok)
+            return _call(name, tuple(args))
+        if len(args) in (1, 2):
+            return Atom(name, tuple(args))
+        self.fail(f"unknown atom form {name}/{len(args)}", tok)
 
 
 def parse_swrl(text: str, filename: str = "<string>") -> list[SwrlRule]:
@@ -665,7 +614,7 @@ def parse_ruleml_xml(text: str, filename: str = "<xml>") -> SwrlOntology:
         raise UnsupportedConstruct(f"expected swrlx:Ontology, found <{root.tag}>")
     name = root.attributes.get("swrlx:name", "")
     rules: list[SwrlRule] = []
-    class_atoms: list[SwrlAtom] = []
+    class_atoms: list[Atom] = []
     for child in _elements(root):
         if child.tag == "ruleml:imp":
             rules.append(_imp_to_rule(child))
@@ -686,8 +635,8 @@ def _elements(node: XmlTerm) -> list[XmlTerm]:
 
 
 def _imp_to_rule(imp: XmlTerm) -> SwrlRule:
-    body: tuple[SwrlAtom, ...] = ()
-    head: tuple[SwrlAtom, ...] = ()
+    body: tuple[Atom, ...] = ()
+    head: tuple[Atom, ...] = ()
     seen = set()
     for part in _elements(imp):
         if part.tag == "ruleml:_body":
@@ -702,7 +651,7 @@ def _imp_to_rule(imp: XmlTerm) -> SwrlRule:
     return SwrlRule((), body, head)
 
 
-def _xml_atom(node: XmlTerm) -> SwrlAtom:
+def _xml_atom(node: XmlTerm) -> Atom:
     if node.tag == "swrlx:individualPropertyAtom":
         prop = node.attributes.get("swrlx:property")
         if prop is None:
@@ -710,42 +659,42 @@ def _xml_atom(node: XmlTerm) -> SwrlAtom:
         args = [_xml_obj(t) for t in _elements(node)]
         if len(args) != 2:
             raise UnsupportedConstruct(f"{prop} property atom needs two arguments")
-        return PropertyAtom(prop, args[0], args[1])
+        return Atom(prop, tuple(args))
     if node.tag == "swrlx:classAtom":
         parts = _elements(node)
         if len(parts) != 2:
             raise UnsupportedConstruct("classAtom needs a class and one argument")
         cls = _xml_class(parts[0])
-        return ClassAtom(cls, _xml_obj(parts[1]))
+        return Atom(cls, (_xml_obj(parts[1]),))
     if node.tag == "swrlx:sameIndividualAtom":
         args = [_xml_obj(t) for t in _elements(node)]
         if len(args) != 2:
             raise UnsupportedConstruct("sameIndividualAtom needs two arguments")
-        return SameAs(args[0], args[1])
+        return _call("same_as", tuple(args))
     if node.tag == "swrlx:differentIndividualsAtom":
         args = [_xml_obj(t) for t in _elements(node)]
         if len(args) != 2:
             raise UnsupportedConstruct("differentIndividualsAtom needs two arguments")
-        return DifferentFrom(args[0], args[1])
+        return _call("different_from", tuple(args))
     if node.tag == "swrlx:builtinAtom":
         name = node.attributes.get("swrlx:builtin")
         if name is None:
             raise UnsupportedConstruct("builtinAtom without swrlx:builtin")
-        return BuiltinAtom(name, tuple(_xml_obj(t) for t in _elements(node)))
+        return _call(name, tuple(_xml_obj(t) for t in _elements(node)))
     raise UnsupportedConstruct(f"unsupported atom element <{node.tag}>")
 
 
-def _xml_obj(node: XmlTerm) -> SwrlObj:
+def _xml_obj(node: XmlTerm) -> Term:
     if node.tag == "ruleml:var":
         name = node.text().strip()
         if not name:
             raise UnsupportedConstruct("empty ruleml:var")
-        return SwrlVar(name)
+        return Var(name)
     if node.tag == "owlx:Individual":
         name = node.attributes.get("owlx:name")
         if name is None:
             raise UnsupportedConstruct("owlx:Individual without owlx:name")
-        return SwrlIndividual(name)
+        return Const(name)
     raise UnsupportedConstruct(f"unsupported term element <{node.tag}>")
 
 
@@ -795,10 +744,9 @@ def lloyd_topor(rule: SwrlRule) -> list[SwrlRule]:
 def swrl_to_datalog(rules: list[SwrlRule]) -> Program:
     """Map normalized SWRL rules onto plain clauses.
 
-    Class atoms become unary predicates, property atoms binary ones;
-    sameAs / differentFrom / builtin atoms become prolog-prefixed calls.
-    Variable names are capitalized; two source names that collide after
-    capitalization are rejected.  Annotations are dropped.
+    The atoms are kept as read; variable names are capitalized, head
+    first, and two source names that collide after capitalization are
+    rejected.  Annotations are dropped.
     """
     out: list[Rule] = []
     for k, rule in enumerate(rules, start=1):
@@ -807,44 +755,29 @@ def swrl_to_datalog(rules: list[SwrlRule]) -> Program:
                 "rule is not normalized: expected exactly one consequent atom"
             )
         varmap: dict[str, str] = {}
-        head = _swrl_atom_to_datalog(rule.consequent[0], varmap)
+        head = _capitalize(rule.consequent[0], varmap)
         if head.module_prefix is not None:
             raise TranslationError(
                 f"builtin atom {head.predicate!r} cannot be a rule head"
             )
-        body = tuple(
-            Literal(_swrl_atom_to_datalog(a, varmap)) for a in rule.antecedent
-        )
+        body = tuple(Literal(_capitalize(a, varmap)) for a in rule.antecedent)
         out.append(Rule(f"r{k}", head, body))
     return Program(tuple(out))
 
 
-def _swrl_obj_to_term(obj: SwrlObj, varmap: dict[str, str]) -> Term:
-    if isinstance(obj, SwrlVar):
-        cap = obj.name[0].upper() + obj.name[1:]
-        prior = varmap.get(cap)
-        if prior is not None and prior != obj.name:
-            raise TranslationError(
-                f"variables {prior!r} and {obj.name!r} collide as {cap!r}"
-            )
-        varmap[cap] = obj.name
-        return Var(cap)
-    if isinstance(obj, SwrlIndividual):
-        return Const(obj.name)
-    if isinstance(obj.value, str):
-        return Const(obj.value)
-    return Num(obj.value)
-
-
-def _swrl_atom_to_datalog(atom: SwrlAtom, varmap: dict[str, str]) -> Atom:
-    conv = lambda o: _swrl_obj_to_term(o, varmap)
-    if isinstance(atom, ClassAtom):
-        return Atom(atom.cls, (conv(atom.arg),))
-    if isinstance(atom, PropertyAtom):
-        return Atom(atom.prop, (conv(atom.arg1), conv(atom.arg2)))
-    if isinstance(atom, SameAs):
-        return Atom("same_as", (conv(atom.arg1), conv(atom.arg2)), "prolog")
-    if isinstance(atom, DifferentFrom):
-        return Atom("different_from", (conv(atom.arg1), conv(atom.arg2)), "prolog")
-    local = atom.name.rsplit(":", 1)[-1]
-    return Atom(local, tuple(conv(o) for o in atom.args), "prolog")
+def _capitalize(atom: Atom, varmap: dict[str, str]) -> Atom:
+    """atom with each variable's first letter upper-cased; varmap maps a
+    capitalized name to the source name first seen for it."""
+    args = []
+    for arg in atom.args:
+        if isinstance(arg, Var):
+            name = arg.name
+            cap = name[0].upper() + name[1:]
+            prior = varmap.setdefault(cap, name)
+            if prior != name:
+                raise TranslationError(
+                    f"variables {prior!r} and {name!r} collide as {cap!r}"
+                )
+            arg = Var(cap)
+        args.append(arg)
+    return Atom(atom.predicate, tuple(args), atom.module_prefix)

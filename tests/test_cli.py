@@ -1,5 +1,6 @@
 """End-to-end command line coverage, run in process through main(argv)."""
 
+import ast
 import json
 import os
 import subprocess
@@ -674,3 +675,25 @@ def test_import_generates_no_code():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_every_imported_name_is_used():
+    # an import that nothing reads is start-up work and a false lead for
+    # the reader; __init__ is exempt, as it imports to re-export
+    unused = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "ddlite").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

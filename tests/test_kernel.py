@@ -47,19 +47,7 @@ from ddlite.kernel import (
     term_vars,
 )
 
-from ddlite.syntax import (
-    BuiltinAtom,
-    ClassAtom,
-    DifferentFrom,
-    PropertyAtom,
-    SameAs,
-    SwrlIndividual,
-    SwrlLiteral,
-    SwrlOntology,
-    SwrlRule,
-    SwrlVar,
-    Token,
-)
+from ddlite.syntax import SwrlOntology, SwrlRule, Token
 from ddlite.xmlterm import Text, XmlTerm
 
 from oracles import random_term
@@ -288,8 +276,8 @@ def test_parse_number_rejects_junk():
 _SPAN = SourceSpan("f.dl", 3, 7)
 _KEY = PredKey(None, "p", 1)
 _ROW = XmlTerm("row", {"ESSN": "22"}, [Text("x")])
-_IF = (ClassAtom("C", SwrlVar("x")),)
-_THEN = (PropertyAtom("p", SwrlVar("x"), SwrlLiteral(3)),)
+_IF = (Atom("C", (Var("x"),)),)
+_THEN = (Atom("p", (Var("x"), Num(3))),)
 _NODES = (PredNode(_KEY), RuleNode("r1"))
 _EDGES = (Edge(_NODES[0], _NODES[1]),)
 
@@ -324,14 +312,6 @@ VALUES = [
     (_rule, ("r1", _atom(), _body())),
     (lambda: Program((_rule(),)), ((_rule(),),)),
     (lambda: Token("atom", "p", 1, 1, 0), None),
-    (lambda: SwrlVar("x"), ("x",)),
-    (lambda: SwrlIndividual("ann"), ("ann",)),
-    (lambda: SwrlLiteral(3), (3,)),
-    (lambda: ClassAtom("C", SwrlVar("x")), ("C", SwrlVar("x"))),
-    (lambda: PropertyAtom("p", SwrlVar("x"), SwrlVar("y")), ("p", SwrlVar("x"), SwrlVar("y"))),
-    (lambda: SameAs(SwrlVar("x"), SwrlVar("y")), (SwrlVar("x"), SwrlVar("y"))),
-    (lambda: DifferentFrom(SwrlVar("x"), SwrlVar("y")), (SwrlVar("x"), SwrlVar("y"))),
-    (lambda: BuiltinAtom("add", (SwrlVar("x"),)), ("add", (SwrlVar("x"),))),
     (lambda: SwrlRule(("a",), _IF, _THEN), (("a",), _IF, _THEN)),
     (lambda: SwrlOntology("o", ()), ("o", (), ())),
     (lambda: XmlNode(_ROW), id(_ROW)),  # one element is one node
@@ -381,21 +361,9 @@ VALUE_REPRS = {
         'col=7)),))'
     ),
     "Token": "Token(kind='atom', value='p', line=1, col=1, pos=0)",
-    "SwrlVar": "SwrlVar(name='x')",
-    "SwrlIndividual": "SwrlIndividual(name='ann')",
-    "SwrlLiteral": 'SwrlLiteral(value=3)',
-    "ClassAtom": "ClassAtom(cls='C', arg=SwrlVar(name='x'))",
-    "PropertyAtom": (
-        "PropertyAtom(prop='p', arg1=SwrlVar(name='x'), "
-        "arg2=SwrlVar(name='y'))"
-    ),
-    "SameAs": "SameAs(arg1=SwrlVar(name='x'), arg2=SwrlVar(name='y'))",
-    "DifferentFrom": "DifferentFrom(arg1=SwrlVar(name='x'), arg2=SwrlVar(name='y'))",
-    "BuiltinAtom": "BuiltinAtom(name='add', args=(SwrlVar(name='x'),))",
     "SwrlRule": (
-        "SwrlRule(annotations=('a',), antecedent=(ClassAtom(cls='C', "
-        "arg=SwrlVar(name='x')),), consequent=(PropertyAtom(prop='p', "
-        "arg1=SwrlVar(name='x'), arg2=SwrlLiteral(value=3)),))"
+        "SwrlRule(annotations=('a',), antecedent=(Atom(C/1, (Var('x'),)),), "
+        "consequent=(Atom(p/2, (Var('x'), Num(3))),))"
     ),
     "SwrlOntology": "SwrlOntology(name='o', rules=(), class_atoms=())",
     "XmlNode": 'XmlNode(<row>)',
@@ -493,11 +461,9 @@ def test_every_value_class_has_a_contract_case():
 def test_value_classes_of_one_shape_are_not_equal():
     pairs = [
         (Var("a"), Const("a")),
-        (SwrlVar("a"), SwrlIndividual("a")),
-        (SameAs(SwrlVar("x"), SwrlVar("y")), DifferentFrom(SwrlVar("x"), SwrlVar("y"))),
         (Child("a"), AttrAccess("a")),
         (RuleNode("a"), TagNode("a")),
-        (GroupCol("a"), SwrlVar("a")),
+        (GroupCol("a"), Var("a")),
     ]
     for a, b in pairs:
         assert a != b and b != a and not a == b

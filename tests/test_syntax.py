@@ -25,14 +25,6 @@ from ddlite.kernel import (
     term_text,
 )
 from ddlite.syntax import (
-    BuiltinAtom,
-    ClassAtom,
-    DifferentFrom,
-    PropertyAtom,
-    SameAs,
-    SwrlIndividual,
-    SwrlLiteral,
-    SwrlVar,
     TermParser,
     Token,
     lloyd_topor,
@@ -267,10 +259,10 @@ def test_parse_swrl_uncle_shape():
     assert len(rules) == 1
     rule = rules[0]
     assert rule.antecedent == (
-        PropertyAtom("parent", SwrlVar("x"), SwrlVar("y")),
-        PropertyAtom("brother", SwrlVar("y"), SwrlVar("z")),
+        Atom("parent", (Var("x"), Var("y"))),
+        Atom("brother", (Var("y"), Var("z"))),
     )
-    assert rule.consequent == (PropertyAtom("uncle", SwrlVar("x"), SwrlVar("z")),)
+    assert rule.consequent == (Atom("uncle", (Var("x"), Var("z"))),)
 
 
 def test_parse_swrl_class_atoms_individuals_and_literals():
@@ -279,9 +271,9 @@ def test_parse_swrl_class_atoms_individuals_and_literals():
         ' city(I-variable(x) "Berlin")) Consequent(adult(I-variable(x))))'
     )
     ante = rules[0].antecedent
-    assert ante[0] == ClassAtom("person", SwrlVar("x"))
-    assert ante[1] == PropertyAtom("age", SwrlVar("x"), SwrlLiteral(42))
-    assert ante[2] == PropertyAtom("city", SwrlVar("x"), SwrlLiteral("Berlin"))
+    assert ante[0] == Atom("person", (Var("x"),))
+    assert ante[1] == Atom("age", (Var("x"), Num(42)))
+    assert ante[2] == Atom("city", (Var("x"), Const("Berlin")))
 
 
 def test_parse_swrl_same_different_and_builtin():
@@ -293,10 +285,10 @@ def test_parse_swrl_same_different_and_builtin():
         " Consequent(p(I-variable(x))))"
     )
     ante = rules[0].antecedent
-    assert ante[0] == SameAs(SwrlVar("x"), SwrlIndividual("mary"))
-    assert isinstance(ante[1], DifferentFrom)
-    assert ante[2] == BuiltinAtom("greaterThan", (SwrlVar("x"), SwrlLiteral(3)))
-    assert ante[3].name == "swrlx:create_owl_thing"
+    assert ante[0] == Atom("same_as", (Var("x"), Const("mary")), "prolog")
+    assert ante[1] == Atom("different_from", (Var("x"), Var("y")), "prolog")
+    assert ante[2] == Atom("greaterThan", (Var("x"), Num(3)), "prolog")
+    assert ante[3] == Atom("create_owl_thing", (Var("b"), Var("x")), "prolog")
 
 
 def test_parse_swrl_annotations_are_kept_verbatim():
@@ -315,7 +307,7 @@ def test_parse_swrl_annotations_are_kept_verbatim():
         '(rdfs:comment "a (note)\n  on two lines")',
         "( label  (nested (deep) ) )",
     )
-    assert rules[0].antecedent == (PropertyAtom("q", SwrlVar("x"), SwrlLiteral(2.5)),)
+    assert rules[0].antecedent == (Atom("q", (Var("x"), Num(2.5))),)
 
 
 def test_parse_swrl_rejects_wide_plain_atoms():
@@ -364,6 +356,22 @@ SWRL_ERRORS = [
         # lines are counted through a string that spans lines
         'Implies(annotation("one\ntwo")\n   Antecedent(q(I-variable(7))))',
         "f.swrl:3:28: expected a variable name",
+    ),
+    (
+        # a built-in's name is an individual, not a string or a variable
+        'Implies(Antecedent(builtin("add" I-variable(x))) Consequent(q(I-variable(x))))',
+        "f.swrl:1:20: builtin needs a builtin name first",
+    ),
+    (
+        "Implies(Antecedent(builtin(I-variable(x) 3)) Consequent(q(I-variable(x))))",
+        "f.swrl:1:20: builtin needs a builtin name first",
+    ),
+    pytest.param(
+        # more digits than int() converts
+        "Implies(Antecedent(q(I-variable(x) " + "1" * 5000
+        + ")) Consequent(p(I-variable(x))))",
+        "f.swrl:1:36: integer of 5000 digits is too long",
+        id="number-of-5000-digits",
     ),
 ]
 
@@ -429,8 +437,19 @@ def test_swrl_to_datalog_rejects_capitalization_collision():
         "Implies(Antecedent(p(I-variable(x) I-variable(X)))"
         " Consequent(q(I-variable(x))))"
     )
-    with pytest.raises(TranslationError):
+    with pytest.raises(TranslationError) as err:
         swrl_to_datalog(rules)
+    # the name seen first is named first
+    assert str(err.value) == "variables 'x' and 'X' collide as 'X'"
+    # the head is read before it is rejected as a built-in, so a collision
+    # among its own variables is the error reported
+    rules = parse_swrl(
+        "Implies(Antecedent(p(I-variable(y) I-variable(Y)))"
+        " Consequent(swrlb:add(I-variable(x) I-variable(X))))"
+    )
+    with pytest.raises(TranslationError) as err:
+        swrl_to_datalog(rules)
+    assert str(err.value) == "variables 'x' and 'X' collide as 'X'"
 
 
 def test_swrl_to_datalog_rejects_builtin_head():
@@ -491,11 +510,52 @@ def test_parse_ruleml_uncle_matches_abstract_syntax():
     assert print_program(from_xml) == print_program(from_abstract)
 
 
+RULEML_CALLS = """<swrlx:Ontology swrlx:name="calls">
+<ruleml:imp>
+  <ruleml:_body>
+    <swrlx:classAtom>
+      <owlx:Class owlx:name="person"/>
+      <ruleml:var>x</ruleml:var>
+    </swrlx:classAtom>
+    <swrlx:sameIndividualAtom>
+      <ruleml:var>x</ruleml:var>
+      <owlx:Individual owlx:name="mary"/>
+    </swrlx:sameIndividualAtom>
+    <swrlx:differentIndividualsAtom>
+      <ruleml:var>x</ruleml:var>
+      <ruleml:var>y</ruleml:var>
+    </swrlx:differentIndividualsAtom>
+    <swrlx:builtinAtom swrlx:builtin="swrlb:add">
+      <ruleml:var>z</ruleml:var>
+      <ruleml:var>y</ruleml:var>
+      <owlx:Individual owlx:name="one"/>
+    </swrlx:builtinAtom>
+  </ruleml:_body>
+  <ruleml:_head>
+    <swrlx:individualPropertyAtom swrlx:property="knows">
+      <ruleml:var>x</ruleml:var>
+      <owlx:Individual owlx:name="bob"/>
+    </swrlx:individualPropertyAtom>
+  </ruleml:_head>
+</ruleml:imp>
+</swrlx:Ontology>
+"""
+
+
+def test_parse_ruleml_individuals_and_calls_translate():
+    ontology = parse_ruleml_xml(RULEML_CALLS)
+    program = swrl_to_datalog([r for rule in ontology.rules for r in lloyd_topor(rule)])
+    assert print_program(program) == (
+        "knows(X, bob) :- person(X), prolog:same_as(X, mary),"
+        " prolog:different_from(X, Y), prolog:add(Z, Y, one).\n"
+    )
+
+
 def test_parse_ruleml_people_ontology_class_atoms():
     ontology = parse_ruleml_xml(fixture("people.xml"))
     assert ontology.name == "people"
     assert len(ontology.rules) == 1
-    classes = [a.cls for a in ontology.class_atoms]
+    classes = [a.predicate for a in ontology.class_atoms]
     assert classes[0] == "person"
     assert classes[1] == "and(person,some(parent,Physician))"
 
