@@ -48,7 +48,7 @@ from .hybrid import (
     render_rows,
     rows_to_json,
 )
-from .kernel import PredKey, Program, mgu
+from .kernel import PredKey, Program, match
 from .syntax import (
     TermParser,
     lloyd_topor,
@@ -314,17 +314,21 @@ def cmd_prove(args) -> int:
     parser = TermParser(tokenize(args.atom, "<atom>"), "<atom>")
     query = parser.goal_atom()
     parser.expect_end()
-    match = None
-    for fact in store.facts(query.key):
-        if mgu(query, fact) is not None:
-            match = fact
-            break
-    if match is None:
+    # the first fact of the probed bucket, in sort_key order, that matches
+    found = next(
+        (
+            fact
+            for fact in store.sorted_candidates(query, {})
+            if match(query.args, fact.args, {}) is not None
+        ),
+        None,
+    )
+    if found is None:
         print("no proof")
         return 1
-    tree = tree_of(match)
+    tree = tree_of(found)
     if tree is None:
-        tree = ProofTree(match, store.origin(match) or "fact")
+        tree = ProofTree(found, store.origin(found) or "fact")
     sys.stdout.write(render_proof_tree(tree, args.format))
     if args.format == "term":
         sys.stdout.write("\n")

@@ -1,16 +1,24 @@
 """Bottom-up evaluation with embedded builtin calls.
 
 The pipeline is: check_safety -> stratify -> per-stratum semi-naive
-fixpoint.  Body literals are solved left to right against the fact store
-by solve_body, which also answers hybrid goals (hybrid.solve_goal);
-goals with a `prolog:` prefix call into a small builtin registry instead
-of matching facts.  Negated literals are checked against the store, which
-by stratification is already complete for the negated predicate; a negated
+fixpoint.  Rules run as compiled plans (_Plan): each body is compiled
+once for the variables bound on entry (none in evaluate and in hybrid
+goals, the head's in replay), and the plan solves its literals left to
+right, in the written order, against the fact store.  solve_body runs one
+for hybrid goals too (hybrid.solve_goal).  A positive literal matches
+ground facts one way (kernel.match); mgu, with its occurs check, runs only
+where both sides may hold variables: a unifying builtin (pt, same_as)
+with open terms on both sides, and the literals after one.  A ground
+literal is a lookup, and a head is built from a template.  Goals with a
+`prolog:` prefix call into a small builtin registry instead of matching
+facts.  Negated literals are checked against the store, which by
+stratification is already complete for the negated predicate; a negated
 literal still carrying variables is deferred to the end of the body and
 then read as "no stored fact unifies".
 
 Joins take facts in insertion order; sort_key order is imposed only where
-users see it, by FactStore.facts, sorted_facts and matching.
+users see it, by FactStore.facts, sorted_facts, sorted_candidates and
+matching.
 
 Proof trees are ordinary terms built by the programs themselves through
 the pt/2 builtin (or mechanically via auto_pt); the ProofTree class only
@@ -47,8 +55,10 @@ from .kernel import (
     Term,
     Var,
     apply,
+    bind_ground,
     is_ground,
     list_elements,
+    match,
     mgu,
     mklist,
     parse_number,
@@ -117,8 +127,7 @@ def _arith(t: Term) -> float:
 
 
 def _bi_is(args: tuple[Term, ...], s: Subst) -> list[Subst]:
-    value = _arith(args[1])
-    out = mgu(args[0], Num(value), s)
+    out = bind_ground(s, args[0], Num(_arith(args[1])))
     return [out] if out is not None else []
 
 
@@ -148,12 +157,18 @@ def _bi_atom_number(args: tuple[Term, ...], s: Subst) -> list[Subst]:
     num = parse_number(text.symbol)
     if num is None:
         return []
-    out = mgu(args[1], num, s)
+    out = bind_ground(s, args[1], num)
     return [out] if out is not None else []
 
 
 def _bi_unify(args: tuple[Term, ...], s: Subst) -> list[Subst]:
-    out = mgu(args[0], args[1], s)
+    a, b = args
+    if is_ground(b):
+        out = bind_ground(s, a, b)
+    elif is_ground(a):
+        out = bind_ground(s, b, a)
+    else:
+        out = mgu(a, b, s)
     return [out] if out is not None else []
 
 
@@ -171,7 +186,7 @@ def _bi_create_owl_thing(args: tuple[Term, ...], s: Subst) -> list[Subst]:
                 "create_owl_thing: arguments 2..4 must be ground"
             )
     skolem = Compound("skolem", (Const("create_owl_thing"),) + tuple(args[1:]))
-    out = mgu(args[0], skolem, s)
+    out = bind_ground(s, args[0], skolem)
     return [out] if out is not None else []
 
 
@@ -188,7 +203,7 @@ def _bi_append(args: tuple[Term, ...], s: Subst) -> list[Subst]:
         if inner is None or inner[1] != Const("[]"):
             raise EvalTypeError("append/2: expected a list of lists")
         flat.extend(inner[0])
-    out = mgu(args[1], mklist(flat), s)
+    out = bind_ground(s, args[1], mklist(flat))
     return [out] if out is not None else []
 
 
@@ -437,77 +452,103 @@ def _cycle_path(src, dst, out, comp_of) -> list[PredKey]:
 
 
 def _principal(t: Term):
-    """Hashable index key for a term's outermost symbol; None for variables."""
-    if isinstance(t, Const):
-        return ("c", t.symbol)
-    if isinstance(t, Num):
-        return ("n", type(t.value).__name__, t.value)
-    if isinstance(t, Compound):
-        return ("f", t.functor, len(t.args))
+    """Index key of a term's outermost symbol: a constant's name, a
+    number's value or a compound's functor and arity; None for a variable
+    or an opaque leaf.  1 and 1.0 share a key, and match tells them apart."""
+    kind = t.__class__
+    if kind is Const:
+        return t.symbol
+    if kind is Num:
+        return t.value
+    if kind is Compound:
+        return (t.functor, len(t.args))
     return None
 
 
 def _unifiers(query: Atom, facts: Iterable[Atom], s: Subst) -> Iterator[Subst]:
-    """Extensions of s unifying query with each of the facts, in turn."""
+    """Extensions of s matching query with each of the facts, in turn; s
+    binds variables to ground terms only."""
+    args = query.args
     for fact in facts:
-        out = mgu(query, fact, s)
+        out = match(args, fact.args, s)
         if out is not None:
             yield out
 
 
 class FactIndex:
-    """Ground atoms grouped by predicate and indexed by (predicate,
-    position, principal functor), each group in insertion order.
+    """Ground atoms grouped by predicate, each group in insertion order,
+    and indexed by (predicate, position, principal symbol).  A position's
+    index is built the first time a probe selects it and kept up to date
+    after, so positions no probe reads cost nothing.
 
-    Probes yield facts in that order, which is all a join needs; a
+    Probes yield facts in insertion order, which is all a join needs; a
     semi-naive delta is one of these holding a single iteration's facts.
+    A probe's s binds variables to ground terms only.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
         """facts: ground atoms, none repeated."""
         self._by_pred: dict[PredKey, list[Atom]] = {}
-        self._index: dict[tuple[PredKey, int, tuple], list[Atom]] = {}
+        # predicate -> per position, None or principal symbol -> facts
+        self._index: dict[PredKey, list[Optional[dict]]] = {}
         for fact in facts:
             self._file(fact)
 
     def _file(self, fact: Atom) -> None:
         key = fact.key
-        self._by_pred.setdefault(key, []).append(fact)
-        for i, arg in enumerate(fact.args):
-            pk = _principal(arg)
-            if pk is not None:
-                self._index.setdefault((key, i, pk), []).append(fact)
+        group = self._by_pred.get(key)
+        if group is None:
+            self._by_pred[key] = [fact]
+        else:
+            group.append(fact)
+        columns = self._index.get(key)
+        if columns is not None:
+            for column, arg in zip(columns, fact.args):
+                if column is not None:
+                    pk = _principal(arg)
+                    if pk is not None:
+                        column.setdefault(pk, []).append(fact)
+
+    def _column(self, key: PredKey, i: int) -> dict:
+        columns = self._index.get(key)
+        if columns is None:
+            columns = self._index[key] = [None] * key.arity
+        column = columns[i]
+        if column is None:
+            column = columns[i] = {}
+            for fact in self._by_pred.get(key, ()):
+                pk = _principal(fact.args[i])
+                if pk is not None:
+                    column.setdefault(pk, []).append(fact)
+        return column
 
     def has_predicate(self, key: PredKey) -> bool:
         return key in self._by_pred
 
-    def _bucket(self, query: Atom, s: Subst) -> Optional[tuple]:
-        """Index key of query's first argument that has a principal symbol
-        under s; None when every argument is an unbound variable."""
+    def candidates(self, query: Atom, s: Subst) -> Sequence[Atom]:
+        """The facts that may match query under s, in insertion order: the
+        index bucket of query's first argument that has a principal symbol
+        under s, or all of the predicate's facts when there is none."""
         for i, arg in enumerate(query.args):
-            if isinstance(arg, Var):
+            if arg.__class__ is Var:
                 arg = s.get(arg.name, arg)
             pk = _principal(arg)
             if pk is not None:
-                return (query.key, i, pk)
-        return None
+                return self._column(query.key, i).get(pk, ())
+        return self._by_pred.get(query.key, ())
 
     def probe(self, query: Atom, s: Optional[Subst] = None) -> Iterator[Subst]:
-        """Extensions of s unifying query with a fact, in insertion order."""
+        """Extensions of s matching query with a fact, in insertion order."""
         s = s or {}
-        bucket = self._bucket(query, s)
-        if bucket is None:
-            candidates = self._by_pred.get(query.key, [])
-        else:
-            candidates = self._index.get(bucket, [])
-        return _unifiers(query, candidates, s)
+        return _unifiers(query, self.candidates(query, s), s)
 
 
 class FactStore(FactIndex):
     """The model: a FactIndex without duplicates, with each fact's origin.
 
     Order is imposed here and only here, for what users see: facts(),
-    sorted_facts() and matching() yield in sort_key order.
+    sorted_facts(), sorted_candidates() and matching() yield in sort_key
+    order.
     """
 
     def __init__(self):
@@ -528,7 +569,7 @@ class FactStore(FactIndex):
         """Insert one ground atom; False if it was already present."""
         if self._frozen:
             raise EvalTypeError("fact store is frozen")
-        if not is_ground(fact):
+        if not fact.ground:
             raise EvalTypeError(f"non-ground fact {term_text(_atom_term(fact))}")
         if fact in self._all:
             return False
@@ -554,15 +595,17 @@ class FactStore(FactIndex):
     def origin(self, fact: Atom) -> Optional[str]:
         return self._origin.get(fact)
 
+    def sorted_candidates(self, query: Atom, s: Subst) -> list[Atom]:
+        """Like candidates, but in sort_key order."""
+        found = self.candidates(query, s)
+        if found is self._by_pred.get(query.key):
+            return self.facts(query.key)  # the whole group, sorted once
+        return sorted(found, key=sort_key)
+
     def matching(self, query: Atom, s: Optional[Subst] = None) -> Iterator[Subst]:
         """Like probe, but the facts are tried in sort_key order."""
         s = s or {}
-        bucket = self._bucket(query, s)
-        if bucket is None:
-            candidates = self.facts(query.key)
-        else:
-            candidates = sorted(self._index.get(bucket, []), key=sort_key)
-        return _unifiers(query, candidates, s)
+        return _unifiers(query, self.sorted_candidates(query, s), s)
 
     def unifies_any(self, query: Atom, s: Optional[Subst] = None) -> bool:
         for _ in self.probe(query, s):
@@ -581,7 +624,7 @@ def _atom_term(a: Atom) -> Term:
 
 
 # ===========================================================================
-# Body solving
+# Body solving: compiled plans
 # ===========================================================================
 
 
@@ -590,12 +633,181 @@ def deferred_negation_ok(pending: list[Atom], s: Subst, store: FactStore) -> boo
     non-ground -> no stored fact may unify."""
     for atom in pending:
         bound = apply(s, atom)
-        if is_ground(bound):
+        if bound.ground:
             if store.has(bound):
                 return False
         elif store.unifies_any(bound):
             return False
     return True
+
+
+def _template(args: tuple) -> Callable[[Subst], tuple]:
+    """A function giving args under s: a variable is looked up, a ground
+    argument kept as it is, and only an open compound substituted."""
+    if any(a.__class__ is Compound and not a.ground for a in args):
+        return lambda s: tuple([apply(s, a) for a in args])
+    parts = [(a.name if a.__class__ is Var else None, a) for a in args]
+    return lambda s: tuple([a if n is None else s.get(n, a) for n, a in parts])
+
+
+class _Plan:
+    """A body compiled once for one binding pattern; run(s) yields its
+    answers for an entry substitution s, in order, as emit(s).
+
+    The pattern is the set of variables bound to ground terms on entry:
+    none in evaluate and query, the head's in replay.  Each body item
+    becomes one step, in the written order, which runs the next step once
+    per answer.  What a step does is settled here, once:
+
+    - a positive literal takes its candidate facts from probe (from the
+      delta at delta_pos) and matches each one way (kernel.match).  Only
+      after a builtin that may bind a variable to an open term, such as
+      `pt(X, f(Y))` with Y unbound, does it unify them with mgu;
+    - a ground positive literal is one store.has lookup;
+    - a negated literal whose variables the pattern binds is one lookup.
+      Any other is looked up where it stands if it is ground there, and
+      checked again at the end by deferred_negation_ok;
+    - a builtin runs on its arguments under s; an unknown one raises when
+      it is reached, as the literals before it may fail first;
+    - an item that is not a Literal is answered by solve_item, whose
+      answers bind variables to ground terms.
+    """
+
+    def __init__(
+        self,
+        body: Sequence,
+        store: FactStore,
+        bound: Iterable[str] = (),
+        open_: bool = False,
+        probe: Optional[Callable[[Atom, Subst], Iterable[Atom]]] = None,
+        solve_item: Optional[Callable[[object, Subst], Iterable[Subst]]] = None,
+        delta_pos: Optional[int] = None,
+        emit: Callable[[Subst], object] = lambda s: s,
+    ):
+        self.delta: Optional[FactIndex] = None  # what the delta_pos literal reads
+        probe = probe or store.candidates
+        ground = set(bound)  # variables bound to ground terms here
+        steps: list[tuple] = []  # (step function, its arguments but the next step)
+        late: list[Atom] = []
+        for i, item in enumerate(body):
+            if not isinstance(item, Literal):
+                steps.append((_item_step, item, solve_item))
+                continue
+            atom = item.atom
+            if item.is_negated():
+                if atom.module_prefix is not None:
+                    steps.append((_negated_builtin_step, atom))
+                    continue
+                if not term_vars(atom) <= ground:
+                    late.append(atom)
+                steps.append((_negated_step, atom, store))
+            elif item.is_builtin():
+                steps.append((_builtin_step, atom))
+                open_ = _builtin_binds(atom, ground) or open_
+            elif atom.key in CONTROL:
+                continue
+            elif atom.ground and i != delta_pos:
+                steps.append((_has_step, atom, store))
+            else:
+                source = self._delta_candidates if i == delta_pos else probe
+                steps.append((_positive_step, atom, source, open_))
+                ground |= term_vars(atom)
+
+        def finish(s: Subst) -> Iterator:
+            if not late or deferred_negation_ok(late, s, store):
+                yield emit(s)
+
+        run = finish
+        for step, *args in reversed(steps):
+            run = step(*args, run)
+        self.run: Callable[[Subst], Iterator] = run
+
+    def _delta_candidates(self, query: Atom, s: Subst) -> Sequence[Atom]:
+        return self.delta.candidates(query, s)
+
+
+def _builtin_binds(atom: Atom, ground: set[str]) -> bool:
+    """Add the variables the builtin call binds to ground terms to ground;
+    True if it may bind one to an open term instead."""
+    spec = BUILTINS.get((atom.predicate, len(atom.args)))
+    if spec is None:
+        return False
+    if spec.fn is _bi_unify:
+        left, right = (term_vars(a) for a in atom.args)
+        if not (left <= ground or right <= ground):
+            return True
+        ground |= left | right
+        return False
+    for k in spec.outputs:
+        ground |= term_vars(atom.args[k])
+    return False
+
+
+# Each step function below builds one step of a plan: a generator function
+# of s that runs nxt, the rest of the plan, once per answer of its item.
+
+
+def _positive_step(atom: Atom, candidates, open_: bool, nxt):
+    args = atom.args
+    if open_:
+        def run(s):
+            for fact in candidates(atom, s):
+                s2 = mgu(atom, fact, s)
+                if s2 is not None:
+                    yield from nxt(s2)
+    else:
+        def run(s):
+            for fact in candidates(atom, s):
+                s2 = match(args, fact.args, s)
+                if s2 is not None:
+                    yield from nxt(s2)
+    return run
+
+
+def _has_step(atom: Atom, store: FactStore, nxt):
+    def run(s):
+        if store.has(atom):
+            yield from nxt(s)
+    return run
+
+
+def _negated_step(atom: Atom, store: FactStore, nxt):
+    build = _template(atom.args)
+    predicate, module = atom.predicate, atom.module_prefix
+
+    def run(s):
+        bound = Atom(predicate, build(s), module)
+        if not (bound.ground and store.has(bound)):
+            yield from nxt(s)
+    return run
+
+
+def _negated_builtin_step(atom: Atom, nxt):
+    def run(s):
+        if not call_builtin(atom, s):
+            yield from nxt(s)
+    return run
+
+
+def _builtin_step(atom: Atom, nxt):
+    spec = BUILTINS.get((atom.predicate, len(atom.args)))
+    build = _template(atom.args)
+
+    def run(s):
+        if spec is None:
+            raise UnknownBuiltin(
+                f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span
+            )
+        for s2 in spec.fn(build(s), s):
+            yield from nxt(s2)
+    return run
+
+
+def _item_step(item, solve_item, nxt):
+    def run(s):
+        for s2 in solve_item(item, s):
+            yield from nxt(s2)
+    return run
 
 
 def solve_body(
@@ -604,55 +816,23 @@ def solve_body(
     s: Optional[Subst] = None,
     delta: Optional[FactIndex] = None,
     delta_pos: Optional[int] = None,
-    probe: Optional[Callable[[Atom, Subst], Iterable[Subst]]] = None,
+    probe: Optional[Callable[[Atom, Subst], Iterable[Atom]]] = None,
     solve_item: Optional[Callable[[object, Subst], Iterable[Subst]]] = None,
 ) -> Iterator[Subst]:
     """All substitutions solving the body (a rule body or a goal) left to
-    right against store.
+    right against store, through a plan compiled for s's bound variables.
 
-    A positive literal reads the store through probe, store.probe (in
-    insertion order) unless given; answers come in the order it yields
-    facts.  With delta/delta_pos set, the literal at delta_pos only
+    A positive literal is matched against the facts probe gives for it,
+    store.candidates (in insertion order) unless given; answers come in
+    that order.  With delta/delta_pos set, the literal at delta_pos only
     matches facts in delta (the semi-naive restriction).  Body items
     that are not Literals are answered by solve_item.
     """
-    probe = probe or store.probe
-
-    def step(i: int, s: Subst, pending: list[Atom]) -> Iterator[Subst]:
-        if i == len(body):
-            if deferred_negation_ok(pending, s, store):
-                yield s
-            return
-        lit = body[i]
-        if not isinstance(lit, Literal):
-            for s2 in solve_item(lit, s):
-                yield from step(i + 1, s2, pending)
-            return
-        atom = lit.atom
-        if lit.is_negated():
-            if atom.module_prefix is not None:
-                if not call_builtin(atom, s):
-                    yield from step(i + 1, s, pending)
-                return
-            bound = apply(s, atom)
-            if is_ground(bound):
-                if not store.has(bound):
-                    yield from step(i + 1, s, pending)
-            else:
-                yield from step(i + 1, s, pending + [atom])
-            return
-        if lit.is_builtin():
-            for s2 in call_builtin(atom, s):
-                yield from step(i + 1, s2, pending)
-            return
-        if atom.key in CONTROL:
-            yield from step(i + 1, s, pending)
-            return
-        source = delta.probe if i == delta_pos else probe
-        for s2 in source(atom, s):
-            yield from step(i + 1, s2, pending)
-
-    yield from step(0, s or {}, [])
+    s = s or {}
+    bound = [name for name, value in s.items() if is_ground(value)]
+    plan = _Plan(body, store, bound, len(bound) < len(s), probe, solve_item, delta_pos)
+    plan.delta = delta
+    return plan.run(s)
 
 
 # ===========================================================================
@@ -671,20 +851,38 @@ def _wrap_rule_errors(rule: Rule, err: DdliteError) -> DdliteError:
     return err
 
 
+def _rule_plan(
+    rule: Rule, store: FactStore, delta_pos: Optional[int] = None
+) -> _Plan:
+    """The rule compiled for evaluation: nothing bound on entry, and each
+    answer emitted as the head built from its template."""
+    head = rule.head
+    build = _template(head.args)
+
+    def emit(s: Subst) -> Atom:
+        fact = Atom(head.predicate, build(s), head.module_prefix, head.span)
+        if not fact.ground:
+            raise EvalTypeError(
+                f"derived a non-ground fact {term_text(_atom_term(fact))}"
+            )
+        return fact
+
+    return _Plan(rule.body, store, delta_pos=delta_pos, emit=emit)
+
+
 def _rule_heads(
     rule: Rule,
     store: FactStore,
     delta: Optional[FactIndex] = None,
     delta_pos: Optional[int] = None,
+    plan: Optional[_Plan] = None,
 ) -> Iterator[Atom]:
+    """The heads the rule derives; plan, if given, is the rule's _rule_plan
+    for store and delta_pos."""
+    plan = plan or _rule_plan(rule, store, delta_pos)
+    plan.delta = delta
     try:
-        for s in solve_body(rule.body, store, None, delta, delta_pos):
-            head = apply(s, rule.head)
-            if not is_ground(head):
-                raise EvalTypeError(
-                    f"derived a non-ground fact {term_text(_atom_term(head))}"
-                )
-            yield head
+        yield from plan.run({})
     except DdliteError as err:
         raise _wrap_rule_errors(rule, err) from err
 
@@ -735,6 +933,8 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
             for rule, rule_positions in zip(rules, positions)
             for j in rule_positions
         }
+        # each rule compiled once per delta position it runs with
+        plans: dict[tuple[int, Optional[int]], _Plan] = {}
         # the first pass is plain T_P over everything derived so far; after
         # it a rule runs once per positive literal whose predicate gained
         # facts in the previous pass, that literal matching only those
@@ -745,7 +945,7 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
             # derivation order, kept so that join order (and which fact an
             # error names) never depends on hashing
             new: dict[Atom, str] = {}
-            for rule, rule_positions in zip(rules, positions):
+            for k, (rule, rule_positions) in enumerate(zip(rules, positions)):
                 if delta is None:
                     runs: list[Optional[int]] = [None]
                 else:
@@ -755,7 +955,14 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
                         if delta.has_predicate(rule.body[j].atom.key)
                     ]
                 for j in runs:
-                    for head in _rule_heads(rule, store, delta, j):
+                    if not rule.body and rule.head.ground:
+                        heads: Iterable[Atom] = (rule.head,)  # needs no plan
+                    else:
+                        plan = plans.get((k, j))
+                        if plan is None:
+                            plan = plans[k, j] = _rule_plan(rule, store, j)
+                        heads = _rule_heads(rule, store, delta, j, plan)
+                    for head in heads:
                         if head not in new and not store.has(head):
                             new[head] = rule.name
             for head, origin in new.items():
@@ -1019,34 +1226,47 @@ def auto_pt(p: Program) -> Program:
 # ===========================================================================
 
 
+def _replay(p: Program, store: FactStore) -> Callable[[Atom], bool]:
+    """validate_fact against store, with each rule compiled once for the
+    pattern with its head bound: a stored fact is ground, so matching the
+    head binds the head's variables to ground terms."""
+    by_key: dict[PredKey, list[tuple[tuple, _Plan]]] = {}
+    for rule in p.rules:
+        plan = _Plan(rule.body, store, term_vars(rule.head))
+        by_key.setdefault(rule.head.key, []).append((rule.head.args, plan))
+
+    def derivable(fact: Atom) -> bool:
+        for head_args, plan in by_key.get(fact.key, ()):
+            s0 = match(head_args, fact.args, {})
+            if s0 is not None:
+                for _ in plan.run(s0):
+                    return True
+        return False
+
+    return derivable
+
+
 def validate_fact(p: Program, store: FactStore, fact: Atom) -> bool:
     """True iff some rule re-derives exactly this fact from the store.
     fact is ground, as every stored fact is, so no rule variable can
     clash with it and the rules are used as written."""
-    for rule in p.rules:
-        if rule.head.key != fact.key:
-            continue
-        s0 = mgu(rule.head, fact)
-        if s0 is None:
-            continue
-        for _ in solve_body(rule.body, store, s0):
-            return True
-    return False
+    return _replay(p, store)(fact)
 
 
 def validate_store(p: Program, store: FactStore) -> list[Atom]:
     """Facts that no rule can re-derive, or whose embedded proof tree
-    contradicts them; empty list means the store replays cleanly."""
+    contradicts them; empty list means the store replays cleanly.  Only
+    a tree's root conclusion is read: it is what the fact asserts."""
+    derivable = _replay(p, store)
     bad: list[Atom] = []
     for fact in store.sorted_facts():
-        ok = validate_fact(p, store, fact)
-        if ok:
-            tree = tree_of(fact)
+        ok = derivable(fact)
+        if ok and fact.args and _is_tree_term(fact.args[-1]):
+            conclusion = _conclusion_atom(fact.args[-1].args[0])
             if (
-                tree is not None
-                and tree.conclusion.predicate == fact.predicate
-                and len(tree.conclusion.args) == len(fact.args) - 1
-                and tuple(tree.conclusion.args) != tuple(fact.args[:-1])
+                conclusion.predicate == fact.predicate
+                and len(conclusion.args) == len(fact.args) - 1
+                and conclusion.args != fact.args[:-1]
             ):
                 ok = False
         if not ok:

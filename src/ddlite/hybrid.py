@@ -37,9 +37,9 @@ from .kernel import (
     Term,
     Var,
     apply,
+    bind_ground,
     is_ground,
     list_elements,
-    mgu,
     parse_number,
     sort_key,
     term_text,
@@ -383,9 +383,10 @@ class _DocRegistry:
                     f"path source variable {item.from_var} is not a document node"
                 )
             root = bound.node
+        var = Var(item.var)
         for hit in self.index.walk(root, item.expr, s):
             value: Term = XmlNode(hit) if isinstance(hit, XmlTerm) else hit
-            s2 = mgu(Var(item.var), value, s)
+            s2 = bind_ground(s, var, value)
             if s2 is not None:
                 yield s2
 
@@ -414,7 +415,9 @@ def solve_goal(
     path hits in document order.  program is not read."""
     registry = _DocRegistry(docs, base_dir)
     return list(
-        solve_body(goal, store, probe=store.matching, solve_item=registry.solve_path)
+        solve_body(
+            goal, store, probe=store.sorted_candidates, solve_item=registry.solve_path
+        )
     )
 
 

@@ -7,7 +7,9 @@ and substitution, unification and variable collection return at once on
 them (Compound gives the details).  Substitutions are plain dicts mapping
 variable names to terms, kept in triangular solved form so that applying
 one twice equals applying it once.  mgu() performs syntactic unification
-with the occurs check; failure is an ordinary None result, not an
+with the occurs check; match() is the one-way case of a pattern against
+ground terms under a substitution whose values are all ground, which
+binds with one store.  Failure is an ordinary None result, not an
 exception.
 """
 
@@ -366,9 +368,11 @@ CONTROL = frozenset({PredKey(None, "!", 0), PredKey(None, "true", 0)})
 
 class Atom(Record):
     """predicate(args) with an optional module prefix; span is not compared.
-    key, the atom's PredKey, is looked up once, when the atom is built."""
+    key (the atom's PredKey) and ground are worked out when the atom is
+    built, as Compound's are, and the hash once, when first asked for: an
+    atom read from rule text is seldom hashed, a derived fact always."""
 
-    __slots__ = ("predicate", "args", "module_prefix", "span", "key")
+    __slots__ = ("predicate", "args", "module_prefix", "span", "key", "ground", "_hash")
     _fields = ("predicate", "args", "module_prefix", "span")
 
     def __init__(
@@ -383,10 +387,19 @@ class Atom(Record):
         _set(self, "module_prefix", module_prefix)
         _set(self, "span", span)
         _set(self, "key", _pred_key(module_prefix, predicate, len(args)))
+        ground = True
+        for a in args:
+            if a.__class__ is Var or a.__class__ is Compound and not a.ground:
+                ground = False
+                break
+        _set(self, "ground", ground)
+        _set(self, "_hash", None)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if self is other:
+            return True
         return (self.predicate, self.args, self.module_prefix) == (
             other.predicate,
             other.args,
@@ -394,7 +407,11 @@ class Atom(Record):
         )
 
     def __hash__(self) -> int:
-        return hash((self.predicate, self.args, self.module_prefix))
+        h = self._hash
+        if h is None:
+            h = hash((self.predicate, self.args, self.module_prefix))
+            _set(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"Atom({self.key}, {self.args!r})"
@@ -490,14 +507,14 @@ Subst = dict  # Dict[str, Term], kept idempotent
 def term_vars(t) -> set[str]:
     """Free variable names of a term, atom, literal, or rule.  Atoms and
     compounds wait on an explicit stack, so term depth is not bounded by
-    the recursion limit; ground compounds are skipped whole."""
+    the recursion limit; ground atoms and compounds are skipped whole."""
     if isinstance(t, Var):
         return {t.name}
     if isinstance(t, Rule):
         stack = [t.head, *(lit.atom for lit in t.body)]
     elif isinstance(t, Literal):
         stack = [t.atom]
-    elif isinstance(t, Atom) or isinstance(t, Compound) and not t.ground:
+    elif isinstance(t, (Atom, Compound)) and not t.ground:
         stack = [t]
     else:
         return set()
@@ -538,7 +555,7 @@ def _apply_term(s: Subst, t: Term) -> Term:
 
 
 def is_ground(t) -> bool:
-    if isinstance(t, Compound):
+    if isinstance(t, (Compound, Atom)):
         return t.ground
     return not term_vars(t)
 
@@ -609,6 +626,61 @@ def _bind(s: Subst, name: str, t: Term) -> bool:
     return True
 
 
+def match(patterns: tuple, values: tuple, s: Subst) -> Optional[Subst]:
+    """Extension of s under which each pattern equals the ground term at
+    the same position of values; None if there is none.
+
+    The match runs one way: s must bind variables to ground terms only
+    (mgu covers the rest), so binding a variable is one store into a
+    copy of s, with no occurs check and no rewrite of other entries.  s
+    itself comes back when nothing new is bound.  Pairs are visited in
+    mgu's order, right to left and depth first, the pairs still to visit
+    waiting on an explicit stack, so a repeated variable is bound where
+    mgu binds it: p(X, X) against p(0.0, -0.0) binds X to -0.0."""
+    out = s
+    stack: Optional[list] = None  # (patterns, values, pairs left) to resume
+    i = len(patterns)
+    while True:
+        while i:
+            i -= 1
+            p, v = patterns[i], values[i]
+            kind = p.__class__
+            if kind is Var:
+                bound = out.get(p.name)
+                if bound is None:
+                    if out is s:
+                        out = dict(s)
+                    out[p.name] = v
+                elif bound != v:
+                    return None
+            elif kind is Compound and not p.ground:
+                if (
+                    v.__class__ is not Compound
+                    or v.functor != p.functor
+                    or len(v.args) != len(p.args)
+                ):
+                    return None
+                if stack is None:
+                    stack = []
+                stack.append((patterns, values, i))
+                patterns, values, i = p.args, v.args, len(p.args)
+            elif p != v:
+                return None
+        if not stack:
+            return out
+        patterns, values, i = stack.pop()
+
+
+def bind_ground(s: Subst, t: Term, value: Term) -> Optional[Subst]:
+    """Extension of s under which t equals the ground term value; None if
+    there is none.  One-way match when every value in s is ground, mgu
+    when some is not (then t's variables may occur inside s)."""
+    for bound in s.values():
+        if bound.__class__ is Var or bound.__class__ is Compound and not bound.ground:
+            return mgu(t, value, s)
+    return match((t,), (value,), s)
+
+
 def rename_apart(r: Rule, suffix: str) -> Rule:
     """Rename every variable of r by appending suffix (injective)."""
     s = {v: Var(v + suffix) for v in term_vars(r)}
@@ -665,7 +737,7 @@ def _needs_quotes(symbol: str) -> bool:
     if _PLAIN_ATOM is None:
         import re
 
-        _PLAIN_ATOM = re.compile(r"[a-z][a-zA-Z0-9_]*$")
+        _PLAIN_ATOM = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
     return not (_PLAIN_ATOM.match(symbol) or symbol in ("[]", "!", ";", "{}"))
 
 

@@ -744,9 +744,9 @@ def lloyd_topor(rule: SwrlRule) -> list[SwrlRule]:
 def swrl_to_datalog(rules: list[SwrlRule]) -> Program:
     """Map normalized SWRL rules onto plain clauses.
 
-    The atoms are kept as read; variable names are capitalized, head
-    first, and two source names that collide after capitalization are
-    rejected.  Annotations are dropped.
+    The atoms are kept as read; variable names are made names rule text
+    reads back (_capitalize), head first, and two source names that
+    collide as one are rejected.  Annotations are dropped.
     """
     out: list[Rule] = []
     for k, rule in enumerate(rules, start=1):
@@ -765,14 +765,25 @@ def swrl_to_datalog(rules: list[SwrlRule]) -> Program:
     return Program(tuple(out))
 
 
+_NOT_IN_VAR = re.compile(r"[^A-Za-z0-9_]")
+
+
 def _capitalize(atom: Atom, varmap: dict[str, str]) -> Atom:
-    """atom with each variable's first letter upper-cased; varmap maps a
-    capitalized name to the source name first seen for it."""
+    """atom with each variable renamed so that rule text reads it back:
+    the first letter upper-cased, each character a rule variable may not
+    hold made '_' (SWRL names may hold '-', '.' and ':', RuleML ones
+    anything), '_' put before a leading digit, and a lone '_', the
+    anonymous variable in rule text, made '_V'.  varmap maps a new name
+    to the source name first seen for it."""
     args = []
     for arg in atom.args:
         if isinstance(arg, Var):
             name = arg.name
-            cap = name[0].upper() + name[1:]
+            cap = _NOT_IN_VAR.sub("_", name[0].upper() + name[1:])
+            if cap[0].isdigit():
+                cap = "_" + cap
+            elif cap == "_":
+                cap = "_V"
             prior = varmap.setdefault(cap, name)
             if prior != name:
                 raise TranslationError(

@@ -386,6 +386,29 @@ def test_deferred_negation_ok_reads_open_atoms_as_none_unifies():
     assert deferred_negation_ok([Atom("r", (Var("X"),))], {}, store)
 
 
+def test_a_builtin_binding_an_open_term_falls_back_to_mgu():
+    # pt/2 binds X to f(Y) while Y is unbound ('=' is no builtin here, and
+    # same_as takes only bound arguments), so the literals after it run on
+    # a substitution holding an open term: q(Y) must rewrite X to f(a),
+    # and r(X) must bind Y through X's value
+    p = parse_program(
+        "q(a). q(b). r(f(a)). r(g(b)).\n"
+        "p(X) :- prolog:pt(X, f(Y)), q(Y), r(X).\n"
+        "s(X, Y) :- prolog:pt(X, f(Y)), r(X), q(Y).\n"
+    )
+    model = model_of_store(evaluate(p))
+    assert model == ground_model(p)
+    assert {"p(f(a))", "s(f(a), a)"} <= model
+
+
+def test_a_ground_positive_literal_is_a_lookup():
+    store = FactStore()
+    store.add(Atom("q", (Const("a"),)))
+    body = (Literal(Atom("q", (Const("a"),))), Literal(Atom("q", (Var("X"),))))
+    assert [apply(s, Var("X")) for s in solve_body(body, store)] == [Const("a")]
+    assert list(solve_body((Literal(Atom("q", (Const("b"),))),), store)) == []
+
+
 def test_solve_body_negated_builtin():
     store = FactStore()
     holds = (Literal(bi("<", Num(2), Num(1)), NEGATED),)
@@ -766,6 +789,14 @@ def test_validate_flags_a_tampered_fact():
     bad = validate_store(p, tampered)
     assert [f.args[2] for f in bad] == [Num(294)]
     assert not validate_fact(p, tampered, bad[0])
+    # without a tree to contradict it, only the re-derivation flags it
+    plain = fixture_program("route_plain.dl")
+    tampered = FactStore()
+    for f in evaluate(plain).sorted_facts():
+        if f.args == (Const("KT"), Const("Mue"), Num(295)):
+            f = Atom(f.predicate, (f.args[0], f.args[1], Num(294)))
+        tampered.add(f)
+    assert [f.args[2] for f in validate_store(plain, tampered)] == [Num(294)]
 
 
 def test_validate_flags_a_tree_that_contradicts_its_fact():

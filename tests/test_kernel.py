@@ -6,9 +6,11 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlite import kernel
-from ddlite.engine import Builtin, EvalOptions, ProofTree, Strata, Violation
+from ddlite.engine import Builtin, EvalOptions, FactStore, ProofTree, Strata, Violation, solve_body
 from ddlite.graphs import DepGraph, DiffReport, Edge, MetaCallNode, PredNode, RuleNode, TagNode
 from ddlite.hybrid import (
     AggCol,
@@ -36,8 +38,10 @@ from ddlite.kernel import (
     Term,
     Var,
     apply,
+    bind_ground,
     is_ground,
     list_elements,
+    match,
     mgu,
     mklist,
     parse_number,
@@ -190,6 +194,110 @@ def test_mgu_idempotent_on_random_pairs():
     assert unified > 30
 
 
+# one-way matching against mgu: leaves that are equal but print apart
+# (1 and 1.0 are not equal, 0.0 and -0.0 are), opaque document nodes, and
+# few variable names, so that patterns repeat them
+_LEAVES = [Const("a"), Const("b"), Num(1), Num(1.0), Num(0.0), Num(-0.0),
+           XmlNode(XmlTerm("r1")), XmlNode(XmlTerm("r2"))]
+_ZEROS = [Num(0.0), Num(-0.0), Compound("f", (Num(0.0),)), Compound("f", (Num(-0.0),))]
+_VARS = [Var("X"), Var("Y")]
+
+
+def _terms(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.builds(
+            lambda f, args: Compound(f, tuple(args)),
+            st.sampled_from("fg"),
+            st.lists(kids, min_size=1, max_size=2),
+        ),
+        max_leaves=5,
+    )
+
+
+_GROUND = _terms(st.sampled_from(_LEAVES))
+_PATTERN = _terms(st.one_of(st.sampled_from(_VARS), st.sampled_from(_LEAVES)))
+
+
+@st.composite
+def _instance(draw, t):
+    """t with each variable occurrence, and now and then another leaf,
+    replaced on its own, so the result often matches t and sometimes
+    binds one variable to two values that are equal or nearly so."""
+    if isinstance(t, Var):
+        return draw(st.one_of(st.sampled_from(_ZEROS), _GROUND))
+    if not isinstance(t, Compound) and draw(st.integers(0, 4)) == 0:
+        return draw(_GROUND)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(draw(_instance(a)) for a in t.args))
+    return t
+
+
+@st.composite
+def _triples(draw, open_values=False):
+    """(atom, ground fact, substitution), the substitution idempotent; with
+    open_values some of its values hold a variable it does not bind."""
+    args = tuple(draw(st.lists(_PATTERN, min_size=1, max_size=3)))
+    fact = Atom("p", tuple(draw(_instance(a)) for a in args))
+    if open_values:
+        bound, free = draw(st.permutations(["X", "Y"]))
+        s = {"W": Compound("h", (Var(free),))}
+        if draw(st.booleans()):
+            s[bound] = draw(_GROUND)
+        return Atom("p", args), fact, s
+    names = draw(st.lists(st.sampled_from(["X", "Y", "W"]), unique=True, max_size=2))
+    s = {name: draw(_GROUND) for name in names}
+    return Atom("p", args), fact, s
+
+
+def _shown(s):
+    """A substitution as text that tells 0.0 from -0.0 and 1 from 1.0."""
+    return None if s is None else sorted((k, repr(v)) for k, v in s.items())
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(_triples())
+def test_match_agrees_with_mgu_on_ground_facts(triple):
+    atom, fact, s = triple
+    expected = _shown(mgu(atom, fact, s))
+    assert _shown(match(atom.args, fact.args, s)) == expected
+    store = FactStore()
+    store.add(fact)
+    answers = [_shown(a) for a in solve_body((Literal(atom),), store, s)]
+    assert answers == ([] if expected is None else [expected])
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(_triples(open_values=True))
+def test_a_substitution_holding_open_terms_is_unified_with_mgu(triple):
+    atom, fact, s = triple
+    expected = _shown(mgu(atom, fact, s))
+    store = FactStore()
+    store.add(fact)
+    answers = [_shown(a) for a in solve_body((Literal(atom),), store, s)]
+    assert answers == ([] if expected is None else [expected])
+    (t,) = atom.args[:1]
+    (value,) = fact.args[:1]
+    assert _shown(bind_ground(s, t, value)) == _shown(mgu(t, value, s))
+
+
+def test_match_binds_a_repeated_variable_where_mgu_does():
+    zeros = (Num(0.0), Num(-0.0))
+    for values in (zeros, zeros[::-1]):
+        s = match((Var("X"), Var("X")), values, {})
+        assert repr(s["X"]) == repr(mgu(Atom("p", (Var("X"), Var("X"))), Atom("p", values))["X"])
+    assert match((Var("X"), Var("X")), (Num(1), Num(1.0)), {}) is None
+    nested = (Compound("f", (Var("X"), Compound("g", (Var("X"),)))),)
+    fact = (Compound("f", (Num(0.0), Compound("g", (Num(-0.0),)))),)
+    assert repr(match(nested, fact, {})["X"]) == "Num(-0.0)"
+
+
+def test_match_returns_s_itself_when_nothing_is_bound():
+    s = {"X": Const("a")}
+    assert match((Var("X"), Const("b")), (Const("a"), Const("b")), s) is s
+    assert match((Var("X"),), (Const("b"),), s) is None
+
+
 def test_rename_apart_suffixes_every_variable():
     r = Rule("r1", Atom("p", (Var("X"),)), (Literal(Atom("q", (Var("X"), Var("Y")))),))
     r2 = rename_apart(r, "_t")
@@ -216,6 +324,8 @@ def test_term_text_quotes_only_when_needed():
     assert term_text(Const("two words")) == "'two words'"
     assert term_text(Const("it's")) == "'it\\'s'"
     assert term_text(Const("KT"), quoted=False) == "KT"
+    # a trailing newline is no part of a plain name
+    assert term_text(Const("a\n")) == "'a\n'"
 
 
 def test_term_text_lists_and_tails():

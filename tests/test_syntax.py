@@ -7,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ddlite.errors import (
     DdliteError,
@@ -25,6 +27,7 @@ from ddlite.kernel import (
     term_text,
 )
 from ddlite.syntax import (
+    SwrlRule,
     TermParser,
     Token,
     lloyd_topor,
@@ -450,6 +453,66 @@ def test_swrl_to_datalog_rejects_capitalization_collision():
     with pytest.raises(TranslationError) as err:
         swrl_to_datalog(rules)
     assert str(err.value) == "variables 'x' and 'X' collide as 'X'"
+
+
+def test_swrl_variable_names_print_as_rule_variables():
+    rules = parse_swrl(
+        "Implies(Antecedent(p(I-variable(x-y) mary-ann) q(I-variable(a.b))"
+        " q(I-variable(c:d)) q(I-variable(_)))"
+        " Consequent(r(I-variable(x-y) I-variable(a.b))))"
+    )
+    prog = swrl_to_datalog(rules)
+    assert print_program(prog) == (
+        "r(X_y, A_b) :- p(X_y, 'mary-ann'), q(A_b), q(C_d), q(_V).\n"
+    )
+    rules = parse_swrl(
+        "Implies(Antecedent(p(I-variable(x-y) I-variable(x.y)))"
+        " Consequent(q(I-variable(x-y))))"
+    )
+    with pytest.raises(TranslationError) as err:
+        swrl_to_datalog(rules)
+    assert str(err.value) == "variables 'x-y' and 'x.y' collide as 'X_y'"
+    # RuleML variable names are any text
+    rules = [SwrlRule((), (Atom("p", (Var("1x"), Var("a b"), Var("é"))),),
+                      (Atom("q", (Var("1x"),)),))]
+    prog = swrl_to_datalog(rules)
+    assert print_program(prog) == "q(_1x) :- p(_1x, A_b, _V).\n"
+    assert parse_program(print_program(prog)) == prog
+
+
+# names of the SWRL name pattern, with each character it allows beyond
+# those of a rule variable ('-', '.' and ':')
+_LETTERS = "abxyzABXYZ_"
+_SWRL_NAMES = st.builds(
+    str.__add__, st.sampled_from(_LETTERS), st.text(_LETTERS + "09:.-", max_size=3)
+)
+_SWRL_ARGS = st.one_of(
+    _SWRL_NAMES.map(lambda name: f"I-variable({name})"),
+    _SWRL_NAMES,
+    st.sampled_from(["0", "12", "3.5", "007", "1.50"]),
+    st.text("a b'\\%.\n", max_size=4).map(lambda text: f'"{text}"'),
+)
+
+
+@st.composite
+def _swrl_atoms(draw, predicates):
+    args = draw(st.lists(_SWRL_ARGS, min_size=1, max_size=2))
+    return f"{draw(st.sampled_from(predicates))}({' '.join(args)})"
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(
+    st.lists(_swrl_atoms(["p", "hasParent", "Person", "r-s", "swrlb:add"]), min_size=1, max_size=3),
+    _swrl_atoms(["q", "hasUncle", "r-s"]),
+)
+def test_swrl_output_parses_back_to_the_same_program(body, head):
+    text = f"Implies(Antecedent({' '.join(body)}) Consequent({head}))"
+    rules = [r for rule in parse_swrl(text) for r in lloyd_topor(rule)]
+    try:
+        prog = swrl_to_datalog(rules)
+    except TranslationError:
+        assume(False)  # two source names that collide as one
+    assert parse_program(print_program(prog)) == prog
 
 
 def test_swrl_to_datalog_rejects_builtin_head():
