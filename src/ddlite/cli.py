@@ -61,6 +61,7 @@ from .syntax import (
 )
 
 _ENV_MAX_FACTS = "DDLITE_MAX_FACTS"
+_LIMITS = EvalOptions()  # the default limits
 
 
 def _read(path: str) -> str:
@@ -134,7 +135,7 @@ def _add_eval_flags(sub, env_default: int):
                      help="load CSV rows as facts of PRED")
     sub.add_argument("--xml", action="append", metavar="NAME=PATH",
                      help="register an XML document under NAME")
-    sub.add_argument("--max-iterations", default=10000,
+    sub.add_argument("--max-iterations", default=_LIMITS.max_iterations,
                      type=lambda raw: _non_negative_int("--max-iterations", raw))
     sub.add_argument("--max-facts", default=env_default,
                      type=lambda raw: _non_negative_int("--max-facts", raw))
@@ -420,7 +421,7 @@ def _non_negative_int(name: str, raw: str) -> int:
 def _env_max_facts() -> int:
     raw = os.environ.get(_ENV_MAX_FACTS)
     if raw is None:
-        return 1_000_000
+        return _LIMITS.max_facts
     return _non_negative_int(_ENV_MAX_FACTS, raw)
 
 

@@ -17,8 +17,7 @@ literal still carrying variables is deferred to the end of the body and
 then read as "no stored fact unifies".
 
 Joins take facts in insertion order; sort_key order is imposed only where
-users see it, by FactStore.facts, sorted_facts, sorted_candidates and
-matching.
+users see it, by FactStore.facts, sorted_facts and sorted_candidates.
 
 Proof trees are ordinary terms built by the programs themselves through
 the pt/2 builtin (or mechanically via auto_pt); the ProofTree class only
@@ -465,16 +464,6 @@ def _principal(t: Term):
     return None
 
 
-def _unifiers(query: Atom, facts: Iterable[Atom], s: Subst) -> Iterator[Subst]:
-    """Extensions of s matching query with each of the facts, in turn; s
-    binds variables to ground terms only."""
-    args = query.args
-    for fact in facts:
-        out = match(args, fact.args, s)
-        if out is not None:
-            yield out
-
-
 class FactIndex:
     """Ground atoms grouped by predicate, each group in insertion order,
     and indexed by (predicate, position, principal symbol).  A position's
@@ -483,7 +472,6 @@ class FactIndex:
 
     Probes yield facts in insertion order, which is all a join needs; a
     semi-naive delta is one of these holding a single iteration's facts.
-    A probe's s binds variables to ground terms only.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
@@ -537,18 +525,12 @@ class FactIndex:
                 return self._column(query.key, i).get(pk, ())
         return self._by_pred.get(query.key, ())
 
-    def probe(self, query: Atom, s: Optional[Subst] = None) -> Iterator[Subst]:
-        """Extensions of s matching query with a fact, in insertion order."""
-        s = s or {}
-        return _unifiers(query, self.candidates(query, s), s)
-
 
 class FactStore(FactIndex):
     """The model: a FactIndex without duplicates, with each fact's origin.
 
     Order is imposed here and only here, for what users see: facts(),
-    sorted_facts(), sorted_candidates() and matching() yield in sort_key
-    order.
+    sorted_facts() and sorted_candidates() yield in sort_key order.
     """
 
     def __init__(self):
@@ -602,15 +584,9 @@ class FactStore(FactIndex):
             return self.facts(query.key)  # the whole group, sorted once
         return sorted(found, key=sort_key)
 
-    def matching(self, query: Atom, s: Optional[Subst] = None) -> Iterator[Subst]:
-        """Like probe, but the facts are tried in sort_key order."""
-        s = s or {}
-        return _unifiers(query, self.sorted_candidates(query, s), s)
-
-    def unifies_any(self, query: Atom, s: Optional[Subst] = None) -> bool:
-        for _ in self.probe(query, s):
-            return True
-        return False
+    def unifies_any(self, query: Atom) -> bool:
+        args = query.args
+        return any(match(args, f.args, {}) is not None for f in self.candidates(query, {}))
 
     def sorted_facts(self) -> list[Atom]:
         out: list[Atom] = []
@@ -814,8 +790,6 @@ def solve_body(
     body: Sequence,
     store: FactStore,
     s: Optional[Subst] = None,
-    delta: Optional[FactIndex] = None,
-    delta_pos: Optional[int] = None,
     probe: Optional[Callable[[Atom, Subst], Iterable[Atom]]] = None,
     solve_item: Optional[Callable[[object, Subst], Iterable[Subst]]] = None,
 ) -> Iterator[Subst]:
@@ -824,15 +798,12 @@ def solve_body(
 
     A positive literal is matched against the facts probe gives for it,
     store.candidates (in insertion order) unless given; answers come in
-    that order.  With delta/delta_pos set, the literal at delta_pos only
-    matches facts in delta (the semi-naive restriction).  Body items
-    that are not Literals are answered by solve_item.
+    that order.  Body items that are not Literals are answered by
+    solve_item.
     """
     s = s or {}
     bound = [name for name, value in s.items() if is_ground(value)]
-    plan = _Plan(body, store, bound, len(bound) < len(s), probe, solve_item, delta_pos)
-    plan.delta = delta
-    return plan.run(s)
+    return _Plan(body, store, bound, len(bound) < len(s), probe, solve_item).run(s)
 
 
 # ===========================================================================

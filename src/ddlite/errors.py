@@ -133,3 +133,8 @@ class NonNumericAggregate(DdliteError):
 
 class TemplateVarUnbound(DdliteError):
     """Aggregation template names a variable the goal never binds."""
+
+
+class UnorderedAggregate(DdliteError):
+    """A template groups by, or takes the min or max of, a value with no
+    place in the term order, such as a document node."""

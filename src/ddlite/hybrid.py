@@ -22,6 +22,7 @@ from .errors import (
     RaggedRowError,
     TemplateVarUnbound,
     UnboundFilterError,
+    UnorderedAggregate,
 )
 from .engine import BUILTINS, FactStore, solve_body
 from .kernel import (
@@ -70,6 +71,9 @@ class XmlNode(Term):
 
     def __repr__(self) -> str:
         return f"XmlNode(<{self.node.tag}>)"
+
+    def __str__(self) -> str:
+        return f"<{self.node.tag}>"
 
 
 def load_xml(path: str) -> XmlTerm:
@@ -437,7 +441,19 @@ def _numeric_values(fn: str, values: list[Term]) -> list:
     return out
 
 
-def _fold(fn: str, values: list[Term]) -> Term:
+def _order_key(value: Term, name: str):
+    """sort_key of the value of template variable name, which the template
+    groups by or takes the min or max of."""
+    try:
+        return sort_key(value)
+    except TypeError as err:
+        raise UnorderedAggregate(
+            f"cannot group or order by template variable {name}: {err}"
+        ) from None
+
+
+def _fold(col: AggCol, values: list[Term]) -> Term:
+    fn = col.fn
     if fn == "count":
         return Num(len(values))
     if fn == "sum":
@@ -445,7 +461,7 @@ def _fold(fn: str, values: list[Term]) -> Term:
     if fn == "avg":
         nums = _numeric_values(fn, values)
         return Num(float(sum(nums)) / len(nums))
-    ordered = sorted(values, key=sort_key)
+    ordered = sorted(values, key=lambda v: _order_key(v, col.var))
     return ordered[0] if fn == "min" else ordered[-1]
 
 
@@ -481,7 +497,7 @@ def ddbase_aggregate(
                     f"template variable {name} is unbound in an answer"
                 )
             projection[name] = value
-        key = tuple(sort_key(projection[name]) for name in group_cols)
+        key = tuple(_order_key(projection[name], name) for name in group_cols)
         if key not in group_values:
             group_values[key] = {n: projection[n] for n in group_cols}
             members[key] = {i: [] for i in range(len(agg_cols))}
@@ -495,7 +511,7 @@ def ddbase_aggregate(
             if isinstance(col, GroupCol):
                 row.append(group_values[key][col.var])
             else:
-                row.append(_fold(col.fn, members[key][agg_i]))
+                row.append(_fold(col, members[key][agg_i]))
                 agg_i += 1
         rows.append(row)
     return rows

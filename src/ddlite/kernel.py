@@ -697,7 +697,9 @@ def sort_key(t):
 
     Numbers sort before constants, constants before variables, variables
     before compounds; numbers compare arithmetically with ints before an
-    arithmetically equal float.  A compound keeps its key once made.
+    arithmetically equal float.  A compound keeps its key once made.  Any
+    other term, such as a document node, has no place in the order: its
+    key, and that of a term holding it, raises TypeError.
     """
     if isinstance(t, Atom):
         return (
@@ -712,6 +714,8 @@ def sort_key(t):
         return (1, t.symbol)
     if isinstance(t, Var):
         return (2, t.name)
+    if not isinstance(t, Compound):
+        raise TypeError(f"{term_text(t)} has no place in the term order")
     if t._sort_key is None:
         # keys are made children first, on an explicit stack
         stack = [t]
@@ -765,129 +769,77 @@ def term_text(t, quoted: bool = True) -> str:
     quoted=True emits re-parseable text (constants quoted when needed);
     quoted=False is display style with quotes dropped.  The pieces still
     to print wait on an explicit stack, so nesting is not bounded by the
-    recursion limit: a piece is a string, a term or atom, or an (operand,
-    priority) pair, an operand of an infix operator with the highest
-    priority its slot admits.
+    recursion limit.  A piece is a string, a term or atom, or an (operand,
+    priority) pair: an operand of an infix operator with the highest
+    priority its slot admits.  A compound or atom writes its opening text
+    where it is popped and pushes the rest, so each nesting level adds a
+    constant number of pieces.  A leaf of no known kind prints as str()
+    gives it.
     """
     out: list[str] = []
     stack: list = [t]
     while stack:
         t = stack.pop()
-        if isinstance(t, str):
+        cls = t.__class__
+        if cls is str:
             out.append(t)
             continue
-        if isinstance(t, tuple):
-            pieces = _operand_pieces(*t)
+        max_prec = 0  # outside an operand slot an infix term is parenthesised
+        if cls is tuple:
+            t, max_prec = t
+            cls = t.__class__
+        if cls is Const:
+            out.append(_const_text(t.symbol, quoted))
+        elif cls is Var:
+            out.append(t.name)
+        elif cls is Num:
+            out.append(repr(t.value))
+        elif cls is Compound or cls is Atom:
+            if cls is Atom:
+                name, args = t.predicate, t.args
+                prefix = f"{t.module_prefix}:" if t.module_prefix else ""
+            else:
+                name, args, prefix = t.functor, t.args, ""
+            if not args:
+                out.append(prefix + _const_text(name, quoted))
+            elif cls is Compound and name == "." and len(args) == 2:
+                elements, tail = list_elements(t)
+                out.append("[")
+                stack.append("]")
+                if tail != NIL:
+                    stack += (tail, "|")
+                _push_args(stack, elements)
+            elif _infix(name, args):
+                if OPERATORS[name][0] > max_prec:
+                    out.append(prefix + "(")
+                    stack.append(")")
+                _push_infix(stack, name, args)
+            else:
+                out.append(f"{prefix}{_functor_text(name, quoted)}(")
+                stack.append(")")
+                _push_args(stack, args)
         else:
-            leaf = _leaf_text(t, quoted)
-            if leaf is not None:
-                out.append(leaf)
-                continue
-            pieces = _pieces(t, quoted)
-        if len(pieces) == 1 and isinstance(pieces[0], str):
-            out.append(pieces[0])
-        else:
-            stack.extend(reversed(pieces))
+            out.append(str(t))
     return "".join(out)
 
 
-def _leaf_text(t, quoted: bool) -> Optional[str]:
-    """The text of a constant, number or variable; None for anything else."""
-    if isinstance(t, Const):
-        return _const_text(t.symbol, quoted)
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Num):
-        return repr(t.value)
-    return None
+def _push_args(stack: list, args) -> None:
+    """Push args, separated by ", ", to be popped first to last."""
+    for a in args[:0:-1]:
+        stack += (a, ", ")
+    stack.append(args[0])
 
 
-def _lay_out(head: str, terms, tail: str, quoted: bool) -> list:
-    """head, terms separated by ", ", then tail, as pieces: leaves are
-    printed at once into the strings around them, other terms are left as
-    pieces to print."""
-    pieces: list = []
-    text, sep = head, ""
-    for a in terms:
-        leaf = _leaf_text(a, quoted)
-        if leaf is None:
-            pieces += (text + sep, a)
-            text = ""
-        else:
-            text += sep + leaf
-        sep = ", "
-    pieces.append(text + tail)
-    return pieces
-
-
-def _pieces(t, quoted: bool) -> list:
-    """The text of an atom or compound as pieces in order: strings, and
-    the subterms and operands that print between them."""
-    if isinstance(t, Atom):
-        prefix = f"{t.module_prefix}:" if t.module_prefix else ""
-        if not t.args:
-            return [prefix + _const_text(t.predicate, quoted)]
-        if _infix(t.predicate, t.args):
-            return [prefix + "(", *_infix_pieces(t.predicate, t.args), ")"]
-        functor = _functor_text(t.predicate, quoted)
-        return _lay_out(f"{prefix}{functor}(", t.args, ")", quoted)
-    # compound: list sugar, infix operators, then plain functor notation
-    if t.functor == "." and len(t.args) == 2:
-        elements, tail = list_elements(t)
-        if tail == NIL:
-            return _lay_out("[", elements, "]", quoted)
-        return _lay_out("[", elements, "|", quoted) + [tail, "]"]
-    if _infix(t.functor, t.args):
-        return ["(", *_infix_pieces(t.functor, t.args), ")"]
-    functor = _functor_text(t.functor, quoted)
-    last = t.args[-1]
-    if not (
-        len(t.args) == 2
-        and isinstance(last, Compound)
-        and last.functor == t.functor
-        and len(last.args) == 2
-    ):
-        return _lay_out(functor + "(", t.args, ")", quoted)
-    # a right-nested chain of one binary functor, such as the conjunction
-    # ','(a, ','(b, c)), is laid out in one loop rather than a list per link
-    pieces, links, chained = [], 0, t.functor
-    while isinstance(t, Compound) and t.functor == chained and len(t.args) == 2:
-        pieces += _lay_out(functor + "(", t.args[:1], ", ", quoted)
-        t = t.args[1]
-        links += 1
-    pieces += (t, ")" * links)
-    return pieces
-
-
-def _infix_pieces(op: str, args: tuple[Term, ...]) -> list:
-    # a left operand that needs no parentheses is laid out in the same loop,
-    # so a left-nested chain such as 1+1+...+1 costs no list per link
-    backwards: list = []
-    while True:
-        prec, assoc = OPERATORS[op]
-        backwards += ((args[1], prec - 1), f" {op} " if op in _SPACED else op)
-        left_max = prec if assoc == "yfx" else prec - 1
-        left = args[0]
-        if not (
-            isinstance(left, Compound)
-            and _infix(left.functor, left.args)
-            and OPERATORS[left.functor][0] <= left_max
-        ):
-            backwards.append((left, left_max))
-            backwards.reverse()
-            return backwards
-        op, args = left.functor, left.args
-
-
-def _operand_pieces(t: Term, max_prec: int) -> list:
-    """An operand of an infix operator, in parentheses only when its own
-    operator binds more loosely than the slot allows."""
-    if isinstance(t, Compound) and _infix(t.functor, t.args):
-        inner = _infix_pieces(t.functor, t.args)
-        if OPERATORS[t.functor][0] > max_prec:
-            return ["(", *inner, ")"]
-        return inner
-    return [t]
+def _push_infix(stack: list, op: str, args: tuple) -> None:
+    """Push an infix term's operands and operator, to be popped in order,
+    each operand paired with the highest priority its slot admits (the y
+    side of yfx admits the operator's own)."""
+    prec, assoc = OPERATORS[op]
+    stack += (
+        (args[1], prec - 1),
+        f" {op} " if op in _SPACED else op,
+        (args[0], prec if assoc == "yfx" else prec - 1),
+    )
 
 
 @lru_cache(maxsize=4096)

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import xml.etree.ElementTree as ET
 
 from ddlite.hybrid import AttrAccess, Child, Filter
 from ddlite.kernel import (
+    OPERATORS,
     Atom,
     Compound,
     Const,
@@ -369,6 +371,85 @@ def char_tokens(text):
             return "%d:%d: unexpected character %r" % (*at(i), c)
         out.append(("punct", punct, *at(i), i))
         i += len(punct)
+
+
+# ===========================================================================
+# Reference printer
+# ===========================================================================
+
+
+def reference_text(t, quoted=True):
+    """term_text as plain recursion over kernel.OPERATORS.
+
+    A '.'/2 compound prints as a list, an infix compound or atom in
+    parentheses, and an operand of an infix operator in parentheses only
+    when its operator's priority exceeds what its slot admits: the
+    operator's own on the y side of yfx, one less elsewhere.  Operators of
+    priority 700 are written with spaces around them.  Any other term
+    prints as str() gives it.
+    """
+
+    def const(symbol):
+        plain = re.fullmatch(r"[a-z][a-zA-Z0-9_]*", symbol) or symbol in (
+            "[]", "!", ";", "{}",
+        )
+        if not quoted or plain:
+            return symbol
+        return "'" + symbol.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+    def functor(name):
+        if name in OPERATORS:
+            return f"'{name}'" if quoted else name
+        return const(name)
+
+    def is_infix(name, args):
+        return name in OPERATORS and name != "," and len(args) == 2
+
+    def infix(op, args):
+        prec, assoc = OPERATORS[op]
+        left_max = prec if assoc == "yfx" else prec - 1
+        sep = f" {op} " if prec == 700 else op
+        return operand(args[0], left_max) + sep + operand(args[1], prec - 1)
+
+    def operand(t, max_prec):
+        if isinstance(t, Compound) and is_infix(t.functor, t.args):
+            inner = infix(t.functor, t.args)
+            return f"({inner})" if OPERATORS[t.functor][0] > max_prec else inner
+        return text(t)
+
+    def call(name, args):
+        return functor(name) + "(" + ", ".join(text(a) for a in args) + ")"
+
+    def text(t):
+        if isinstance(t, Const):
+            return const(t.symbol)
+        if isinstance(t, Var):
+            return t.name
+        if isinstance(t, Num):
+            return repr(t.value)
+        if isinstance(t, Atom):
+            prefix = f"{t.module_prefix}:" if t.module_prefix else ""
+            if not t.args:
+                return prefix + const(t.predicate)
+            if is_infix(t.predicate, t.args):
+                return prefix + "(" + infix(t.predicate, t.args) + ")"
+            return prefix + call(t.predicate, t.args)
+        if not isinstance(t, Compound):
+            return str(t)
+        if t.functor == "." and len(t.args) == 2:
+            elements = []
+            while isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
+                elements.append(text(t.args[0]))
+                t = t.args[1]
+            inner = ", ".join(elements)
+            if t == Const("[]"):
+                return f"[{inner}]"
+            return f"[{inner}|{text(t)}]"
+        if is_infix(t.functor, t.args):
+            return "(" + infix(t.functor, t.args) + ")"
+        return call(t.functor, t.args)
+
+    return text(t)
 
 
 # ===========================================================================

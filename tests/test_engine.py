@@ -325,8 +325,12 @@ def test_store_matching_narrows_by_first_bound_argument():
     store = FactStore()
     for i in range(5):
         store.add(Atom("edge", (Const(f"n{i}"), Const(f"n{i + 1}"))))
+    n2_n3 = [Atom("edge", (Const("n2"), Const("n3")))]
     query = Atom("edge", (Const("n2"), Var("Y")))
-    results = list(store.matching(query))
+    assert store.sorted_candidates(query, {}) == n2_n3
+    bound = Atom("edge", (Var("X"), Var("Y")))
+    assert store.sorted_candidates(bound, {"X": Const("n2")}) == n2_n3
+    results = list(solve_body((Literal(query),), store))
     assert len(results) == 1
     assert apply(results[0], Var("Y")) == Const("n3")
 
@@ -337,7 +341,9 @@ def test_store_matching_yields_sort_key_order_whatever_the_insertion_order():
         store.add(Atom("edge", (Const("n0"), Const(y))))
     store.add(Atom("edge", (Const("n1"), Const("a"))))
     query = Atom("edge", (Const("n0"), Var("Y")))
-    found = [term_text(apply(s, Var("Y"))) for s in store.matching(query)]
+    assert [term_text(f.args[1]) for f in store.sorted_candidates(query, {})] == list("abcde")
+    answers = solve_body((Literal(query),), store, probe=store.sorted_candidates)
+    found = [term_text(apply(s, Var("Y"))) for s in answers]
     assert found == ["a", "b", "c", "d", "e"]
 
 

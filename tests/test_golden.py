@@ -115,6 +115,11 @@ def cases() -> list[list[str]]:
     out.append(["eval", plain, "--max-facts", "3"])
     out.append(["eval", plain, "--max-iterations", "-1"])
     out.append(["eval", f"{INPUTS}/negative_zero.dl"])
+    # a stratification cycle, a failing rule body, negation, the OWL and
+    # list builtins, and the printer's operand, list and quoting shapes
+    for name in ("not_stratified", "division_by_zero", "negation_shapes",
+                 "owl_builtins", "printer_shapes"):
+        out.append(["eval", f"{INPUTS}/{name}.dl"])
 
     # swrl: fixtures in both forms, then the malformed and edge-case inputs
     for f in swrl + xml:
@@ -168,9 +173,25 @@ def cases() -> list[list[str]]:
         "C := doc('inputs/mismatched.xml')/a",
         "C := X/a",
         "C := doc('works_on.xml')/row::[@'ESSN' = S]@'HOURS'",
+        "R := doc('works_on.xml')/row, C := R@'HOURS'",
     ):
         base = "tests/golden" if "inputs/" in goal else FX
         out.append(["query", "--base-dir", base, "--goal", goal, "--template", "[C]"])
+
+    # document nodes as values: counted, but neither ordered nor summed
+    rows = "V := doc('works_on.xml')/row"
+    for goal, template in [
+        (rows, t) for t in ("[V]", "[min(V)]", "[max(V)]", "[sum(V)]", "[avg(V)]",
+                            "[count(V)]")
+    ] + [
+        (f"{rows}, prolog:(V < 3)", "[count(V)]"),
+        (f"{rows}, same_as(X, f(V))", "[X]"),
+    ]:
+        out.append(["query", "--base-dir", FX, "--goal", goal, "--template", template])
+
+    # a negated literal still open at the end of the goal
+    out.append(["query", f"{INPUTS}/negation_shapes.dl", "--goal",
+                "n(X), not pair(X, Y)", "--template", "[X]"])
 
     # prove
     for fmt in ("term", "ascii", "dot"):
@@ -192,6 +213,10 @@ def cases() -> list[list[str]]:
         "",
     ):
         out.append(["prove", ROUTE, "--atom", atom])
+    for atom in ("calc(2, Y, T)", "first(X, T)"):
+        for fmt in ("term", "ascii", "dot"):
+            out.append(["prove", f"{INPUTS}/printer_shapes.dl", "--auto-pt",
+                        "--atom", atom, "--format", fmt])
     return out
 
 

@@ -25,6 +25,8 @@ from ddlite.hybrid import (
 )
 from ddlite.kernel import (
     NEGATED,
+    NIL,
+    OPERATORS,
     Atom,
     Compound,
     Const,
@@ -54,7 +56,7 @@ from ddlite.kernel import (
 from ddlite.syntax import SwrlOntology, SwrlRule, Token
 from ddlite.xmlterm import Text, XmlTerm
 
-from oracles import random_term
+from oracles import random_term, reference_text
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +359,70 @@ def test_term_text_module_prefix_and_infix_functor_quoting():
     a = Atom("pt", (Var("T"), Const("x")), "prolog")
     assert term_text(a) == "prolog:pt(T, x)"
     assert term_text(Compound("is", (Var("X"), Num(1), Num(2)))) == "'is'(X, 1, 2)"
+
+
+# symbols that print bare, and ones that need quotes: capitals, spaces,
+# quotes, backslashes, operators, the empty name, a newline, non-ASCII
+_SYMBOLS = st.sampled_from(
+    ["a", "b_1", "[]", "!", ";", "{}", "KT", "two words", "it's", "back\\slash",
+     "", ".", "a\n", "\u00e9t\u00e9", "f'('"] + sorted(OPERATORS)
+)
+_PRINT_LEAVES = st.one_of(
+    st.sampled_from([Var("X"), Var("_G1"), XmlNode(XmlTerm("row"))]),
+    st.builds(Const, _SYMBOLS),
+    st.builds(Num, st.integers(-20, 20)),
+    st.builds(Num, st.floats(allow_nan=False, allow_infinity=False)),
+)
+_OPS = st.sampled_from(sorted(OPERATORS))
+
+
+def _chain(op, terms, left):
+    """terms joined by the binary functor op, nested to the left or right."""
+    if left:
+        out = terms[0]
+        for t in terms[1:]:
+            out = Compound(op, (out, t))
+        return out
+    out = terms[-1]
+    for t in reversed(terms[:-1]):
+        out = Compound(op, (t, out))
+    return out
+
+
+def _print_compounds(kids):
+    return st.one_of(
+        st.builds(lambda op, a, b: Compound(op, (a, b)), _OPS, kids, kids),
+        st.builds(
+            lambda f, args: Compound(f, tuple(args)),
+            st.one_of(_SYMBOLS, _OPS),
+            st.lists(kids, min_size=1, max_size=3),
+        ),
+        st.builds(mklist, st.lists(kids, max_size=3), st.one_of(st.just(NIL), kids)),
+        st.builds(_chain, st.one_of(_OPS, st.just("f")),
+                  st.lists(kids, min_size=2, max_size=4), st.booleans()),
+    )
+
+
+def _depth(t):
+    if isinstance(t, (Compound, Atom)):
+        return 1 + max((_depth(a) for a in t.args), default=0)
+    return 0
+
+
+_PRINT_TERMS = st.recursive(_PRINT_LEAVES, _print_compounds, max_leaves=12)
+_PRINT_ATOMS = st.builds(
+    lambda p, args, module: Atom(p, tuple(args), module),
+    st.one_of(_SYMBOLS, _OPS),
+    st.lists(_PRINT_TERMS, max_size=3),
+    st.sampled_from([None, "prolog", "swrlb"]),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(st.one_of(_PRINT_TERMS, _PRINT_ATOMS).filter(lambda t: _depth(t) <= 8))
+def test_term_text_agrees_with_the_reference_printer(t):
+    for quoted in (True, False):
+        assert term_text(t, quoted) == reference_text(t, quoted)
 
 
 # ---------------------------------------------------------------------------
