@@ -22,11 +22,13 @@ from .errors import (
     RaggedRowError,
     TemplateVarUnbound,
     UnboundFilterError,
+    UnknownBuiltin,
     UnorderedAggregate,
 )
 from .engine import BUILTINS, FactStore, solve_body
 from .kernel import (
     CONTROL,
+    OPERATORS,
     Atom,
     Compound,
     Const,
@@ -416,7 +418,20 @@ def solve_goal(
 ) -> list[Subst]:
     """All answers of the goal against the store and the named documents,
     left to right, solved as a rule body is; fact matches come sorted,
-    path hits in document order.  program is not read."""
+    path hits in document order.  A literal named by an operator, such as
+    `X = a`, is an unknown builtin, as `prolog:(X = a)` is in a rule,
+    unless program has a predicate of that name and arity."""
+    for item in goal:
+        if isinstance(item, Literal):
+            atom = item.atom
+            if (
+                atom.module_prefix is None
+                and atom.predicate in OPERATORS
+                and (program is None or atom.key not in program.pred_keys())
+            ):
+                raise UnknownBuiltin(
+                    f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span
+                )
     registry = _DocRegistry(docs, base_dir)
     return list(
         solve_body(

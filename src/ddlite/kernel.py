@@ -116,17 +116,6 @@ class SourceSpan(Record):
         return f"{self.file}:{self.line}:{self.col}"
 
 
-def line_col(
-    text: str, at: int, since: int = 0, line: int = 1, col: int = 1
-) -> tuple[int, int]:
-    """Line and column of offset `at` in text, from those of an earlier
-    offset `since`; only '\\n' ends a line.  Every reader counts here."""
-    breaks = text.count("\n", since, at)
-    if breaks:
-        return line + breaks, at - text.rfind("\n", since, at)
-    return line, col + at - since
-
-
 # ===========================================================================
 # Terms
 # ===========================================================================
@@ -306,25 +295,36 @@ def mklist(elements: Iterable[Term], tail: Term = NIL) -> Term:
     return out
 
 
+_NUMBER = None  # compiled lazily to keep import cheap
+
+
 def parse_number(text: str) -> Optional[Num]:
     """Strict numeric reading of a text cell; None if it is not a number.
 
+    A number is an optional sign, decimal digits with an optional '.' and
+    fraction (a digit on at least one side), and an optional exponent.  A
+    digit is any Unicode decimal digit, as int() and float() read them.
     Stricter than int()/float(): no surrounding whitespace, no underscores,
-    no inf/nan.
+    no inf/nan.  The cell is checked against that shape first, so a text
+    cell raises no exception in int() or float().  An integer with more
+    digits than int() converts (4,300 by default) goes to float(), which
+    reads it as a finite float only when it is mostly leading zeros.
     """
-    if text != text.strip() or "_" in text or not text:
+    global _NUMBER
+    if _NUMBER is None:
+        import re
+
+        _NUMBER = re.compile(r"[+-]?(?=\.?\d)\d*(\.\d*)?([eE][+-]?\d+)?")
+    m = _NUMBER.fullmatch(text)
+    if m is None:
         return None
-    try:
-        return Num(int(text))
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    if not math.isfinite(value):
-        return None
-    return Num(value)
+    if m.lastindex is None:  # no fraction and no exponent
+        try:
+            return Num(int(text))
+        except ValueError:  # more digits than int() converts
+            pass
+    value = float(text)
+    return Num(value) if math.isfinite(value) else None
 
 
 def list_elements(t: Term) -> Optional[tuple[list[Term], Term]]:

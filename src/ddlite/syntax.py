@@ -36,7 +36,6 @@ from .kernel import (
     SourceSpan,
     Term,
     Var,
-    line_col,
     mklist,
     rule_text,
     term_text,
@@ -93,19 +92,22 @@ def _lex(pattern: re.Pattern, text: str, values: dict) -> list[Token]:
     the matched text giving the token's (kind, value), or (None, None) to
     drop it; other kinds keep the matched text."""
     tokens: list[Token] = []
-    seen = 0
-    line = col = 1
+    # the current line, the offset where it starts, the last token's offset
+    line, line_start, seen = 1, 0, 0
     for m in pattern.finditer(text):
         kind = m.lastgroup
         value = m[kind]
         at = m.start(kind)
-        line, col = line_col(text, at, seen, line, col)
+        last_break = text.rfind("\n", seen, at)
+        if last_break >= 0:  # only '\n' ends a line
+            line += text.count("\n", seen, last_break + 1)
+            line_start = last_break + 1
         seen = at
         if kind in values:
             kind, value = values[kind](value)
             if kind is None:
                 continue
-        tokens.append(Token(kind, value, line, col, at))
+        tokens.append(Token(kind, value, line, at - line_start + 1, at))
         if kind == "eof" or kind == "bad":
             return tokens
 
@@ -195,11 +197,13 @@ class TokenCursor:
     def __init__(self, tokens: list[Token], filename: str = "<string>"):
         self.tokens = tokens
         self.i = 0
+        self.last = len(tokens) - 1
         self.filename = filename
 
     def peek(self, k: int = 0) -> Token:
         """The token k places ahead; the last token (eof) past the end."""
-        tok = self.tokens[min(self.i + k, len(self.tokens) - 1)]
+        i = self.i + k
+        tok = self.tokens[i if i < self.last else self.last]
         if tok.kind == "bad":
             self.fail(tok.value, tok)
         return tok

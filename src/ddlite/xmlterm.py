@@ -13,7 +13,7 @@ import re
 from typing import Optional
 
 from .errors import XmlParseError
-from .kernel import SourceSpan, line_col
+from .kernel import SourceSpan
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
@@ -116,96 +116,105 @@ def _escape(s: str, attr: bool = False) -> str:
     return s
 
 
-# each matches at any position, the empty string at least
-_NAME = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_.:\-]*)?")
-_SPACE = re.compile(r"\s*")
-_CHARS = re.compile(r"[^<&]*")  # character data up to markup or an entity
-_ATTR_CHARS = {q: re.compile(f"[^{q}<&]*") for q in "'\""}
+_NAME = r"[A-Za-z_][A-Za-z0-9_.:\-]*"
+_PATTERNS = None  # compiled on first use, so commands that read no XML skip it
+
+
+def _patterns() -> tuple[re.Pattern, ...]:
+    """The scanner's anchored patterns.  Each always matches; the groups
+    that took part say how far the markup is well formed, and the match
+    ends where the first missing part should start."""
+    global _PATTERNS
+    if _PATTERNS is None:
+        _PATTERNS = (
+            # `<tag` of a start tag, the '<' known present
+            re.compile(f"<({_NAME})?"),
+            # one attribute, or the tag's end: (1) `>` or `/>`, (2) name,
+            # (3) `=`, (4) or (5) value inside " or ', (6) closing quote
+            re.compile(
+                rf"""\s*(?:(/?>)|({_NAME})\s*(?:(=\s*)(?:"([^"<]*)|'([^'<]*))?(["']?))?)?"""
+            ),
+            # (1) character data up to the next '<', then (2) `</` with (3)
+            # a name and (4) `>`, or (5) the start, not passed, of a comment,
+            # processing instruction or DTD declaration
+            re.compile(rf"([^<]*)(?:(</)(?:({_NAME})\s*(>)?)?|(?=(<[!?])))?"),
+            # whitespace, comments and processing instructions
+            re.compile(r"\s*(?:(?:<!--.*?-->|<\?.*?\?>)\s*)*", re.DOTALL),
+        )
+    return _PATTERNS
 
 
 class _XmlScanner:
+    """One anchored match per start tag name, attribute, tag end, and run of
+    character data with the closing tag that follows it.  A failed part is
+    reported where the match stopped."""
+
     def __init__(self, source: str, filename: str):
         self.src = source
         self.pos = 0
         self.filename = filename
+        self.start, self.attr, self.content_run, self.misc = _patterns()
 
-    # -- helpers ----------------------------------------------------------
-
-    def _span(self) -> SourceSpan:
-        return SourceSpan(self.filename, *line_col(self.src, self.pos))
-
-    def fail(self, msg: str):
-        raise XmlParseError(msg, self._span())
-
-    def peek(self, k: int = 1) -> str:
-        return self.src[self.pos : self.pos + k]
-
-    def run(self, pattern: re.Pattern) -> str:
-        """Move past the match of pattern at the cursor and return it."""
-        m = pattern.match(self.src, self.pos)
-        self.pos = m.end()
-        return m[0]
+    def fail(self, msg: str, at: int):
+        """Raise msg at offset at; only '\n' ends a line."""
+        line = self.src.count("\n", 0, at) + 1
+        col = at - self.src.rfind("\n", 0, at)
+        raise XmlParseError(msg, SourceSpan(self.filename, line, col))
 
     def skip_markup(self) -> bool:
         """Skip the comment or processing instruction at the cursor; False
         when none starts here.  A DTD declaration is an error."""
-        if self.peek(4) == "<!--":
-            end = self.src.find("-->", self.pos + 4)
+        src, pos = self.src, self.pos
+        if src.startswith("<!--", pos):
+            end = src.find("-->", pos + 4)
             if end < 0:
-                self.fail("unterminated comment")
+                self.fail("unterminated comment", pos)
             self.pos = end + 3
-        elif self.peek(2) == "<?":
-            end = self.src.find("?>", self.pos + 2)
+        elif src.startswith("<?", pos):
+            end = src.find("?>", pos + 2)
             if end < 0:
-                self.fail("unterminated processing instruction")
+                self.fail("unterminated processing instruction", pos)
             self.pos = end + 2
-        elif self.peek(2) == "<!":
-            self.fail("DTD declarations are not supported")
+        elif src.startswith("<!", pos):
+            self.fail("DTD declarations are not supported", pos)
         else:
             return False
         return True
 
-    def skip_space(self):
-        self.run(_SPACE)
-
     def skip_misc(self):
-        """Skip whitespace, comments, and processing instructions."""
-        self.skip_space()
-        while self.skip_markup():
-            self.skip_space()
+        """Skip whitespace, comments, and processing instructions; markup
+        left at the cursor is unterminated or a DTD, and raises."""
+        self.pos = self.misc.match(self.src, self.pos).end()
+        self.skip_markup()
 
-    def name(self) -> str:
-        name = self.run(_NAME)
-        if not name:
-            self.fail("expected a name")
-        return name
-
-    def expect(self, text: str):
-        if self.peek(len(text)) != text:
-            self.fail(f"expected {text!r}")
-        self.pos += len(text)
-
-    def entity(self) -> str:
-        self.expect("&")
-        end = self.src.find(";", self.pos)
-        if end < 0 or end - self.pos > 6:
-            self.fail("malformed entity reference")
-        ref = self.src[self.pos : end]
-        if ref not in _ENTITIES:
-            self.fail(f"unsupported entity &{ref};")
-        self.pos = end + 1
-        return _ENTITIES[ref]
+    def decode(self, at: int, end: int) -> str:
+        """src[at:end] with its entity references replaced."""
+        src = self.src
+        out = []
+        amp = src.find("&", at, end)
+        while amp >= 0:
+            semi = src.find(";", amp + 1)
+            if semi < 0 or semi - amp > 7:
+                self.fail("malformed entity reference", amp + 1)
+            ref = src[amp + 1 : semi]
+            if ref not in _ENTITIES:
+                self.fail(f"unsupported entity &{ref};", amp + 1)
+            out += (src[at:amp], _ENTITIES[ref])
+            at = semi + 1
+            amp = src.find("&", at, end)
+        out.append(src[at:end])
+        return "".join(out)
 
     # -- grammar ----------------------------------------------------------
 
     def document(self) -> XmlTerm:
         self.skip_misc()
-        if self.peek() != "<":
-            self.fail("expected a root element")
+        if not self.src.startswith("<", self.pos):
+            self.fail("expected a root element", self.pos)
         root = self.element()
         self.skip_misc()
-        if self.peek():
-            self.fail("content after the root element")
+        if self.pos < len(self.src):
+            self.fail("content after the root element", self.pos)
         return root
 
     def element(self) -> XmlTerm:
@@ -225,77 +234,75 @@ class _XmlScanner:
         return root
 
     def start_tag(self) -> tuple[XmlTerm, bool]:
-        """`<tag attr="v"...>` or `<tag .../>`; True when content follows."""
-        self.expect("<")
-        tag = self.name()
+        """`<tag attr="v"...>` or `<tag .../>` at the cursor; True when
+        content follows."""
+        src, match = self.src, self.attr.match
+        m = self.start.match(src, self.pos)
+        tag = m[1]
+        if tag is None:
+            self.fail("expected a name", m.end())
         attributes: dict[str, str] = {}
         while True:
-            self.skip_space()
-            if self.peek(2) == "/>":
-                self.pos += 2
-                return XmlTerm(tag, attributes, []), False
-            if self.peek() == ">":
-                self.pos += 1
-                return XmlTerm(tag, attributes, []), True
-            key = self.name()
-            self.skip_space()
-            self.expect("=")
-            self.skip_space()
-            if key in attributes:
-                self.fail(f"duplicate attribute {key!r}")
-            attributes[key] = self.attr_value()
+            m = match(src, m.end())
+            end, key, _, double, single, closed = m.groups()
+            if end:
+                self.pos = m.end()
+                return XmlTerm(tag, attributes, []), end == ">"
+            if not closed or key in attributes:
+                self.attribute_error(m, attributes)
+            value = double if double is not None else single
+            if "&" in value:
+                group = 4 if double is not None else 5
+                value = self.decode(m.start(group), m.end(group))
+            attributes[key] = value
 
-    def attr_value(self) -> str:
-        quote = self.peek()
-        if quote not in ("'", '"'):
-            self.fail("expected a quoted attribute value")
-        self.pos += 1
-        out = []
-        while True:
-            out.append(self.run(_ATTR_CHARS[quote]))
-            c = self.peek()
-            if c == quote:
-                self.pos += 1
-                return "".join(out)
-            if c == "&":
-                out.append(self.entity())
-            elif c == "<":
-                self.fail("'<' inside attribute value")
-            else:
-                self.fail("unterminated attribute value")
+    def attribute_error(self, m: re.Match, attributes: dict[str, str]):
+        """Raise the first error of the attribute match m stopped in, or
+        the duplicate it names."""
+        at = m.end()
+        key, eq, double, single = m[2], m[3], m[4], m[5]
+        if key is None:
+            self.fail("expected a name", at)
+        if eq is None:
+            self.fail("expected '='", at)
+        if key in attributes:
+            self.fail(f"duplicate attribute {key!r}", m.end(3))
+        if double is None and single is None:
+            self.fail("expected a quoted attribute value", at)
+        group = 4 if double is not None else 5
+        self.decode(m.start(group), m.end(group))  # an entity error comes first
+        if self.src.startswith("<", at):
+            self.fail("'<' inside attribute value", at)
+        self.fail("unterminated attribute value", at)
 
     def content(self, node: XmlTerm) -> bool:
         """Read node's character data, comments and processing instructions
         up to its next child element (True, left at its '<') or through its
-        closing tag (False)."""
-        tag = node.tag
-        buf: list[str] = []
-
-        def flush():
-            if buf:
-                node.children.append(Text("".join(buf)))
-                buf.clear()
-
+        closing tag (False).  Character data split by comments or
+        processing instructions is one Text."""
+        src, match = self.src, self.content_run.match
+        text: list[str] = []
         while True:
-            text = self.run(_CHARS)
+            m = match(src, self.pos)
+            run, closing, name, gt, markup = m.groups()
+            if run:
+                text.append(self.decode(m.start(1), m.end(1)) if "&" in run else run)
+            self.pos = m.end()
+            if markup:
+                self.skip_markup()
+                continue
             if text:
-                buf.append(text)
-            c = self.peek()
-            if c == "<":
-                if self.peek(2) == "</":
-                    flush()
-                    self.pos += 2
-                    closing = self.name()
-                    if closing != tag:
-                        self.fail(f"mismatched closing tag </{closing}> for <{tag}>")
-                    self.skip_space()
-                    self.expect(">")
-                    return False
-                if self.skip_markup():
-                    continue
-                flush()
-                return True
-            elif c == "&":
-                buf.append(self.entity())
-            else:
-                self.fail(f"unterminated element <{tag}>")
+                node.children.append(Text("".join(text)))
+            if closing:
+                if name is None:
+                    self.fail("expected a name", self.pos)
+                if name != node.tag:
+                    self.fail(
+                        f"mismatched closing tag </{name}> for <{node.tag}>", m.end(3)
+                    )
+                if gt is None:
+                    self.fail("expected '>'", self.pos)
+                return False
+            if self.pos == len(src):
+                self.fail(f"unterminated element <{node.tag}>", self.pos)
+            return True

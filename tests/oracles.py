@@ -13,6 +13,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 
+from ddlite.errors import XmlParseError
 from ddlite.hybrid import AttrAccess, Child, Filter
 from ddlite.kernel import (
     OPERATORS,
@@ -20,10 +21,11 @@ from ddlite.kernel import (
     Compound,
     Const,
     Num,
+    SourceSpan,
     Var,
     term_text,
 )
-from ddlite.xmlterm import XmlTerm
+from ddlite.xmlterm import Text, XmlTerm
 
 
 # ===========================================================================
@@ -371,6 +373,202 @@ def char_tokens(text):
             return "%d:%d: unexpected character %r" % (*at(i), c)
         out.append(("punct", punct, *at(i), i))
         i += len(punct)
+
+
+# ===========================================================================
+# XML scanner, a character class at a time
+# ===========================================================================
+
+_XML_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
+_XML_NAME = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_.:\-]*)?")
+_XML_SPACE = re.compile(r"\s*")
+_XML_CHARS = re.compile(r"[^<&]*")
+_XML_ATTR_CHARS = {q: re.compile(f"[^{q}<&]*") for q in "'\""}
+
+
+def reference_parse_xml(source, filename="<xml>"):
+    """parse_xml as a cursor that peeks one step at a time: the same trees,
+    and the same XmlParseError message and span for malformed input."""
+    return _XmlStepper(source, filename).document()
+
+
+class _XmlStepper:
+    def __init__(self, source, filename):
+        self.src, self.pos, self.filename = source, 0, filename
+
+    def fail(self, msg):
+        line = self.src.count("\n", 0, self.pos) + 1
+        col = self.pos - self.src.rfind("\n", 0, self.pos)
+        raise XmlParseError(msg, SourceSpan(self.filename, line, col))
+
+    def peek(self, k=1):
+        return self.src[self.pos : self.pos + k]
+
+    def run(self, pattern):
+        m = pattern.match(self.src, self.pos)
+        self.pos = m.end()
+        return m[0]
+
+    def skip_markup(self):
+        if self.peek(4) == "<!--":
+            end = self.src.find("-->", self.pos + 4)
+            if end < 0:
+                self.fail("unterminated comment")
+            self.pos = end + 3
+        elif self.peek(2) == "<?":
+            end = self.src.find("?>", self.pos + 2)
+            if end < 0:
+                self.fail("unterminated processing instruction")
+            self.pos = end + 2
+        elif self.peek(2) == "<!":
+            self.fail("DTD declarations are not supported")
+        else:
+            return False
+        return True
+
+    def skip_misc(self):
+        self.run(_XML_SPACE)
+        while self.skip_markup():
+            self.run(_XML_SPACE)
+
+    def name(self):
+        name = self.run(_XML_NAME)
+        if not name:
+            self.fail("expected a name")
+        return name
+
+    def expect(self, text):
+        if self.peek(len(text)) != text:
+            self.fail(f"expected {text!r}")
+        self.pos += len(text)
+
+    def entity(self):
+        self.expect("&")
+        end = self.src.find(";", self.pos)
+        if end < 0 or end - self.pos > 6:
+            self.fail("malformed entity reference")
+        ref = self.src[self.pos : end]
+        if ref not in _XML_ENTITIES:
+            self.fail(f"unsupported entity &{ref};")
+        self.pos = end + 1
+        return _XML_ENTITIES[ref]
+
+    def document(self):
+        self.skip_misc()
+        if self.peek() != "<":
+            self.fail("expected a root element")
+        root = self.element()
+        self.skip_misc()
+        if self.peek():
+            self.fail("content after the root element")
+        return root
+
+    def element(self):
+        root, has_content = self.start_tag()
+        stack = [root] if has_content else []
+        while stack:
+            if self.content(stack[-1]):
+                child, has_content = self.start_tag()
+                stack[-1].children.append(child)
+                if has_content:
+                    stack.append(child)
+            else:
+                stack.pop()
+        return root
+
+    def start_tag(self):
+        self.expect("<")
+        tag = self.name()
+        attributes = {}
+        while True:
+            self.run(_XML_SPACE)
+            if self.peek(2) == "/>":
+                self.pos += 2
+                return XmlTerm(tag, attributes, []), False
+            if self.peek() == ">":
+                self.pos += 1
+                return XmlTerm(tag, attributes, []), True
+            key = self.name()
+            self.run(_XML_SPACE)
+            self.expect("=")
+            self.run(_XML_SPACE)
+            if key in attributes:
+                self.fail(f"duplicate attribute {key!r}")
+            attributes[key] = self.attr_value()
+
+    def attr_value(self):
+        quote = self.peek()
+        if quote not in ("'", '"'):
+            self.fail("expected a quoted attribute value")
+        self.pos += 1
+        out = []
+        while True:
+            out.append(self.run(_XML_ATTR_CHARS[quote]))
+            c = self.peek()
+            if c == quote:
+                self.pos += 1
+                return "".join(out)
+            if c == "&":
+                out.append(self.entity())
+            elif c == "<":
+                self.fail("'<' inside attribute value")
+            else:
+                self.fail("unterminated attribute value")
+
+    def content(self, node):
+        buf = []
+
+        def flush():
+            if buf:
+                node.children.append(Text("".join(buf)))
+                buf.clear()
+
+        while True:
+            text = self.run(_XML_CHARS)
+            if text:
+                buf.append(text)
+            c = self.peek()
+            if c == "<":
+                if self.peek(2) == "</":
+                    flush()
+                    self.pos += 2
+                    closing = self.name()
+                    if closing != node.tag:
+                        self.fail(f"mismatched closing tag </{closing}> for <{node.tag}>")
+                    self.run(_XML_SPACE)
+                    self.expect(">")
+                    return False
+                if self.skip_markup():
+                    continue
+                flush()
+                return True
+            elif c == "&":
+                buf.append(self.entity())
+            else:
+                self.fail(f"unterminated element <{node.tag}>")
+
+
+# ===========================================================================
+# Numeric cells, by trying int() and float()
+# ===========================================================================
+
+
+def reference_parse_number(text):
+    """parse_number by exceptions: strip, underscore and emptiness checks,
+    then int(), then float() kept only when finite."""
+    if text != text.strip() or "_" in text or not text:
+        return None
+    try:
+        return Num(int(text))
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    if not math.isfinite(value):
+        return None
+    return Num(value)
 
 
 # ===========================================================================

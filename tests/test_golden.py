@@ -127,6 +127,9 @@ def cases() -> list[list[str]]:
             out.append(["swrl", f, "--emit", emit])
     for f in _files(INPUTS, ".swrl"):
         out.append(["swrl", f])
+    # RuleML names carrying entities, and text split by comments
+    for emit in ("datalog", "report"):
+        out.append(["swrl", f"{INPUTS}/ruleml_text.xml", "--emit", emit])
 
     # query
     hours = ["query", "--csv", EMPLOYEES, "--base-dir", FX, "--goal", HOURS_GOAL]
@@ -188,6 +191,22 @@ def cases() -> list[list[str]]:
         (f"{rows}, same_as(X, f(V))", "[X]"),
     ]:
         out.append(["query", "--base-dir", FX, "--goal", goal, "--template", template])
+
+    # attribute values with entities and either quote
+    shapes = "doc('inputs/shapes.xml')"
+    for goal, template in (
+        (f"X := {shapes}@x, Y := {shapes}@y, Z := {shapes}@z", "[X, Y, Z]"),
+        (f"X := {shapes}/b@x, Y := {shapes}/b@y, Z := {shapes}/d/f@g", "[X, Y, Z]"),
+        (f"X := {shapes}/d/f@i, Y := {shapes}/'k.l-m_n:o'", "[X, count(Y)]"),
+    ):
+        out.append(["query", "--base-dir", "tests/golden", "--goal", goal,
+                    "--template", template])
+
+    # an operator that is neither a builtin nor a relation of the program
+    for goal in ("X = a", "X + a", "same_as(X, a)", "p(X), X = a"):
+        out.append(["query", "--goal", goal, "--template", "[X]"])
+    out.append(["query", f"{INPUTS}/eq_relation.dl", "--goal", "X = Y",
+                "--template", "[X, Y]"])
 
     # a negated literal still open at the end of the goal
     out.append(["query", f"{INPUTS}/negation_shapes.dl", "--goal",

@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddlite.errors import (
@@ -24,6 +24,7 @@ from ddlite.kernel import (
     Const,
     Num,
     Var,
+    parse_number,
     term_text,
 )
 from ddlite.syntax import (
@@ -39,8 +40,8 @@ from ddlite.syntax import (
     tokenize,
 )
 from ddlite.hybrid import parse_goal
-from ddlite.xmlterm import Text, parse_xml, xml_to_text
-from oracles import char_tokens
+from ddlite.xmlterm import Text, XmlTerm, parse_xml, xml_to_text
+from oracles import char_tokens, reference_parse_number, reference_parse_xml
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -563,6 +564,122 @@ def test_xml_to_text_of_a_deeply_nested_document():
     # compare strings: XmlTerm equality recurses per level too
     source = '<a n="1">' * 3000 + "x &amp; y" + "</a>" * 3000
     assert xml_to_text(parse_xml(source)) == source
+
+
+# Generated documents: names, entities, both quotes, comments and
+# processing instructions inside text, `<a x="1"y="2"/>`, `</a >`, and
+# whitespace before and after the root.
+_XML_NAMES = st.sampled_from(["a", "b", "x:y", "r.s-t_u", "A1"])
+_XML_SPACE = st.sampled_from([" ", "  ", "\n  ", "\t"])
+_XML_CLOSE_SPACE = ["", " ", "\n"]
+_XML_TEXT = st.lists(
+    st.sampled_from(
+        ["t", " ", "\n  ", "&lt;", "&amp;", "&gt;", "&quot;", "&apos;", "é　",
+         "<!-- c -->", "<?p i?>", "'\"", ">"]
+    ),
+    max_size=4,
+).map("".join)
+_XML_VALUE = st.lists(
+    st.sampled_from(["v", " ", "&amp;", "&lt;", "&apos;", "'", '"', ">", "\n"]),
+    max_size=3,
+).map("".join)
+
+
+@st.composite
+def _xml_element(draw, depth=0):
+    tag = draw(_XML_NAMES)
+    out = [f"<{tag}"]
+    attributes = draw(st.dictionaries(_XML_NAMES, _XML_VALUE, max_size=3))
+    for i, (key, value) in enumerate(attributes.items()):
+        quote = draw(st.sampled_from(["'", '"']))
+        value = value.replace(quote, "&quot;" if quote == '"' else "&apos;")
+        out.append("" if i and draw(st.booleans()) else draw(_XML_SPACE))
+        out.append(f"{key}{draw(st.sampled_from(['=', ' = ']))}{quote}{value}{quote}")
+    out.append(draw(st.sampled_from(["", " "])))
+    children = draw(st.integers(min_value=0, max_value=3 if depth < 3 else 0))
+    if not children and draw(st.booleans()):
+        return "".join(out) + "/>"
+    out.append(">")
+    for _ in range(children):
+        out.append(draw(_XML_TEXT))
+        out.append(draw(_xml_element(depth + 1)))
+    out.append(draw(_XML_TEXT))
+    out.append(f"</{tag}{draw(st.sampled_from(_XML_CLOSE_SPACE))}>")
+    return "".join(out)
+
+
+_XML_DOCUMENTS = st.tuples(
+    st.sampled_from(["", '<?xml version="1.0"?>\n', "<!-- lead -->\n", " "]),
+    _xml_element(),
+    st.sampled_from(["", "\n", "\n<!-- tail --><?p?>\n"]),
+).map("".join)
+
+
+def _xml_outcome(reader, text):
+    """The tree, or the error with its span."""
+    try:
+        return reader(text, "<x>")
+    except XmlParseError as err:
+        return str(err)
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(
+    _XML_DOCUMENTS,
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0),
+            st.sampled_from(["insert", "replace", "delete"]),
+            st.sampled_from(list("<>/=\"'&;!?- ax\n")),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_parse_xml_agrees_with_the_stepping_scanner(document, edits):
+    reference = _xml_outcome(reference_parse_xml, document)
+    assert isinstance(reference, XmlTerm), reference
+    assert _xml_outcome(parse_xml, document) == reference
+    # each edit alone: one character inserted, replaced or deleted
+    for at, op, char in edits:
+        at %= len(document) + 1
+        rest = document[at + (op != "insert") :]
+        mutant = document[:at] + ("" if op == "delete" else char) + rest
+        assert _xml_outcome(parse_xml, mutant) == _xml_outcome(reference_parse_xml, mutant), mutant
+
+
+_NUMBER_PIECES = st.sampled_from(
+    ["0", "1", "7", "+", "-", ".", "e", "E", " ", "_", "inf", "nan", "Infinity",
+     "0x1f", "١٣", "１", "²", "　", "\t"]
+)
+
+
+@settings(max_examples=600, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.lists(_NUMBER_PIECES, max_size=6).map("".join),
+        st.tuples(
+            st.sampled_from(["", "-", "0" * 4000]),
+            st.sampled_from(["1", "9", "١"]),
+            st.integers(min_value=4290, max_value=5010),
+            st.sampled_from(["", ".5", "e-9"]),
+        ).map(lambda t: t[0] + t[1] * t[2] + t[3]),
+    )
+)
+@example("5.")
+@example(".5")
+@example("-1.5E+10")
+@example(" 5")
+@example("1_000")
+@example("nan")
+@example("١٣")
+@example("１")
+@example("²")
+@example("1" * 5000)
+@example("0" * 4999 + "1")
+def test_parse_number_agrees_with_int_and_float(cell):
+    # repr tells 1 from 1.0
+    assert repr(parse_number(cell)) == repr(reference_parse_number(cell))
 
 
 def test_parse_ruleml_uncle_matches_abstract_syntax():
