@@ -50,14 +50,13 @@ from .hybrid import (
 )
 from .kernel import PredKey, Program, match
 from .syntax import (
-    TermParser,
     lloyd_topor,
+    parse_atom,
     parse_program,
     parse_ruleml_xml,
     parse_swrl,
     print_program,
     swrl_to_datalog,
-    tokenize,
 )
 
 _ENV_MAX_FACTS = "DDLITE_MAX_FACTS"
@@ -312,9 +311,7 @@ def cmd_query(args) -> int:
 def cmd_prove(args) -> int:
     p = _load_program(args)
     store = evaluate(p, _eval_options(args))
-    parser = TermParser(tokenize(args.atom, "<atom>"), "<atom>")
-    query = parser.goal_atom()
-    parser.expect_end()
+    query = parse_atom(args.atom)
     # the first fact of the probed bucket, in sort_key order, that matches
     found = next(
         (

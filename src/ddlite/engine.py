@@ -41,6 +41,7 @@ from .errors import (
 from .graphs import NOT, Edge, Node, PredNode, build_pdg
 from .kernel import (
     CONTROL,
+    OPERATORS,
     Atom,
     Compound,
     Const,
@@ -238,6 +239,26 @@ def call_builtin(goal: Atom, s: Optional[Subst] = None) -> list[Subst]:
         )
     args = apply(s, goal).args
     return spec.fn(args, s)
+
+
+def check_operator_literals(items: Sequence, defined: frozenset[PredKey]) -> None:
+    """Raise UnknownBuiltin at the first literal among items (a rule body
+    or a goal) that an operator names with no module prefix, such as
+    `X = a`, unless defined, the predicates of a program's facts and rule
+    heads, holds its predicate.  Such a literal reads as a call, and
+    `prolog:(X = a)` names no builtin; a program that defines `=`/2 keeps
+    it as a relation."""
+    for item in items:
+        if isinstance(item, Literal):
+            atom = item.atom
+            if (
+                atom.module_prefix is None
+                and atom.predicate in OPERATORS
+                and atom.key not in defined
+            ):
+                raise UnknownBuiltin(
+                    f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span
+                )
 
 
 # ===========================================================================
@@ -871,10 +892,17 @@ def _positive_positions(rule: Rule) -> list[int]:
 def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
     """Stratified semi-naive fixpoint of the program.
 
-    Raises SafetyError / CycleError up front, ResourceLimitExceeded when
-    the iteration or fact ceiling is hit mid-run.
+    Raises UnknownBuiltin (check_operator_literals), SafetyError and
+    CycleError up front, ResourceLimitExceeded when the iteration or fact
+    ceiling is hit mid-run.
     """
     opts = opts or EvalOptions()
+    defined = p.idb()
+    for rule in p.rules:
+        try:
+            check_operator_literals(rule.body, defined)
+        except UnknownBuiltin as err:
+            raise _wrap_rule_errors(rule, err) from err
     violations = check_safety(p)
     if violations:
         raise SafetyError(violations)

@@ -22,13 +22,11 @@ from .errors import (
     RaggedRowError,
     TemplateVarUnbound,
     UnboundFilterError,
-    UnknownBuiltin,
     UnorderedAggregate,
 )
-from .engine import BUILTINS, FactStore, solve_body
+from .engine import BUILTINS, FactStore, check_operator_literals, solve_body
 from .kernel import (
     CONTROL,
-    OPERATORS,
     Atom,
     Compound,
     Const,
@@ -48,7 +46,7 @@ from .kernel import (
     term_text,
     term_vars,
 )
-from .syntax import TermParser, tokenize
+from .syntax import TermParser
 from .xmlterm import XmlTerm, parse_xml
 
 # ===========================================================================
@@ -304,9 +302,7 @@ def _as_builtin(lit: Literal) -> Literal:
     return lit
 
 
-def parse_goal(text: str, filename: str = "<goal>") -> list[GoalItem]:
-    """Parse a conjunctive goal; `V := path` items mix with literals."""
-    parser = TermParser(tokenize(text, filename), filename)
+def _goal_items(parser: TermParser) -> list[GoalItem]:
     wrapped = parser.at_punct("(")
     if wrapped:
         parser.next()
@@ -322,6 +318,13 @@ def parse_goal(text: str, filename: str = "<goal>") -> list[GoalItem]:
     if wrapped:
         parser.expect(")")
     parser.expect_end("goal must be a single conjunction")
+    return items
+
+
+def parse_goal(text: str, filename: str = "<goal>") -> list[GoalItem]:
+    """Parse a conjunctive goal; `V := path` items mix with literals."""
+    parser = TermParser(text, filename)
+    items = parser.read(lambda: _goal_items(parser))
     # `true` alone is the empty conjunction
     return [
         item
@@ -331,10 +334,15 @@ def parse_goal(text: str, filename: str = "<goal>") -> list[GoalItem]:
 
 
 def parse_template(text: str, filename: str = "<template>") -> AggTemplate:
-    parser = TermParser(tokenize(text, filename), filename)
+    parser = TermParser(text, filename)
     tok = parser.peek()
-    term = parser.term(999)
-    parser.expect_end()
+
+    def whole_term() -> Term:
+        term = parser.term(999)
+        parser.expect_end()
+        return term
+
+    term = parser.read(whole_term)
     decomposed = list_elements(term)
     if decomposed is None or decomposed[1] != Const("[]"):
         raise ParseError("template must be a list", tok.span(filename))
@@ -419,19 +427,9 @@ def solve_goal(
     """All answers of the goal against the store and the named documents,
     left to right, solved as a rule body is; fact matches come sorted,
     path hits in document order.  A literal named by an operator, such as
-    `X = a`, is an unknown builtin, as `prolog:(X = a)` is in a rule,
-    unless program has a predicate of that name and arity."""
-    for item in goal:
-        if isinstance(item, Literal):
-            atom = item.atom
-            if (
-                atom.module_prefix is None
-                and atom.predicate in OPERATORS
-                and (program is None or atom.key not in program.pred_keys())
-            ):
-                raise UnknownBuiltin(
-                    f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span
-                )
+    `X = a`, is an unknown builtin unless program defines its predicate
+    (check_operator_literals)."""
+    check_operator_literals(goal, program.idb() if program else frozenset())
     registry = _DocRegistry(docs, base_dir)
     return list(
         solve_body(

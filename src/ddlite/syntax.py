@@ -12,7 +12,7 @@ parse/print round-trip: parse_program(print_program(p)) == p.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Callable, Optional, TypeVar, Union
 
 from .errors import (
     EmptyConsequent,
@@ -84,34 +84,6 @@ class Token:
         return SourceSpan(filename, self.line, self.col)
 
 
-def _lex(pattern: re.Pattern, text: str, values: dict) -> list[Token]:
-    """Split text into the tokens of one language, ending with its eof or
-    bad token.  A token's kind is the named group of pattern that matched,
-    and it starts where that group does, so the pattern alone places every
-    token, eof and bad ones included.  values maps a kind to a function of
-    the matched text giving the token's (kind, value), or (None, None) to
-    drop it; other kinds keep the matched text."""
-    tokens: list[Token] = []
-    # the current line, the offset where it starts, the last token's offset
-    line, line_start, seen = 1, 0, 0
-    for m in pattern.finditer(text):
-        kind = m.lastgroup
-        value = m[kind]
-        at = m.start(kind)
-        last_break = text.rfind("\n", seen, at)
-        if last_break >= 0:  # only '\n' ends a line
-            line += text.count("\n", seen, last_break + 1)
-            line_start = last_break + 1
-        seen = at
-        if kind in values:
-            kind, value = values[kind](value)
-            if kind is None:
-                continue
-        tokens.append(Token(kind, value, line, at - line_start + 1, at))
-        if kind == "eof" or kind == "bad":
-            return tokens
-
-
 # Rule text.  A word that starts with an ASCII letter or '_' is a var or
 # an atom; any other word is sorted out by _word, where a first character
 # that is no letter, such as '²', is unreadable.  A number is decimal
@@ -179,31 +151,102 @@ _RULE_VALUES = {
 }
 
 
-def tokenize(text: str, filename: str = "<string>") -> list[Token]:
-    """Rule text as tokens ending in eof.  Comments are dropped, except a
-    `% name:` directive; unreadable input raises at once."""
-    tokens = _lex(_RULE_TOKEN, text, _RULE_VALUES)
-    if tokens[-1].kind == "bad":
-        raise ParseError(tokens[-1].value, tokens[-1].span(filename))
-    return tokens
+# Flat argument lists of rule text: '(' and ')' around arguments that are
+# each one variable, plain name or unsigned integer, split by ',' with
+# whitespace, but no comment, between the tokens.  An integer here has at
+# most 18 ASCII digits; a longer one (int() refuses one of more than 4,300)
+# or one with other decimal digits is read token by token.  An argument
+# ends where its token would, or the list is not flat.  Group 1 holds the
+# arguments, which the second pattern finds one by one.
+_RULE_ARG = r"(?:[A-Za-z_]\w*|[0-9]{1,18})"
+_RULE_FLAT: Optional[tuple[re.Pattern, re.Pattern]] = None
+
+
+def _rule_flat() -> tuple[re.Pattern, re.Pattern]:
+    global _RULE_FLAT
+    if _RULE_FLAT is None:  # compiled on first use, to keep import cheap
+        _RULE_FLAT = (
+            re.compile(rf"\s*\(\s*({_RULE_ARG}(?:\s*,\s*{_RULE_ARG})*)\s*\)"),
+            re.compile(_RULE_ARG),
+        )
+    return _RULE_FLAT
 
 
 class TokenCursor:
-    """A position in a token list; rule text, goals, templates, `--atom`
-    and SWRL are all read through it.  A "bad" token holds a lexical error
-    that is raised only when a reader reaches it, so an earlier syntax
-    error is the one reported."""
+    """A position in rule text or SWRL that readers move through a token at
+    a time; rule text, goals, templates, `--atom` and SWRL are all read
+    through it.  The text is lexed on demand: a token is matched when a
+    reader first asks for it, so a reader may pass over a stretch of text
+    with one match of its own (a flat atom) that makes no tokens.  A cursor
+    over a token list lexed already, such as tokenize's, reads it the same
+    way.  A "bad" token holds a lexical error that is raised only when a
+    reader reaches it, so an earlier syntax error is the one reported."""
 
-    def __init__(self, tokens: list[Token], filename: str = "<string>"):
-        self.tokens = tokens
-        self.i = 0
-        self.last = len(tokens) - 1
+    # The language: a token's kind is the named group of pattern that
+    # matched, and it starts where that group does, so the pattern alone
+    # places every token, eof and bad ones included.  values maps a kind
+    # to a function of the matched text giving the token's (kind, value),
+    # or (None, None) to drop it; other kinds keep the matched text.
+    pattern = _RULE_TOKEN
+    values = _RULE_VALUES
+
+    def __init__(self, source: Union[str, list[Token]], filename: str = "<string>"):
         self.filename = filename
+        self.i = 0  # the next token's index in tokens
+        if isinstance(source, str):
+            self.text, self.tokens, self.pos = source, [], 0
+        else:  # ending in eof or bad
+            self.text, self.tokens, self.pos = None, source, None
+        # where lexing goes on (None once an eof or bad token ends it), and
+        # its line: the number, the offset that starts it, and the last
+        # token's offset, from which line breaks are counted
+        self.line, self.line_start, self.seen = 1, 0, 0
+
+    def lex(self, i: int) -> Token:
+        """The token at index i, lexed up to it; the last one past the end."""
+        tokens, pos = self.tokens, self.pos
+        if pos is not None and len(tokens) <= i:
+            text, values, match = self.text, self.values, self.pattern.match
+            line, line_start, seen = self.line, self.line_start, self.seen
+            while True:
+                m = match(text, pos)
+                kind = m.lastgroup
+                value = m[kind]
+                at = m.start(kind)
+                pos = m.end()
+                last_break = text.rfind("\n", seen, at)
+                if last_break >= 0:  # only '\n' ends a line
+                    line += text.count("\n", seen, last_break + 1)
+                    line_start = last_break + 1
+                seen = at
+                if kind in values:
+                    kind, value = values[kind](value)
+                    if kind is None:
+                        continue
+                tokens.append(Token(kind, value, line, at - line_start + 1, at))
+                if kind == "eof" or kind == "bad":
+                    pos = None
+                    break
+                if len(tokens) > i:
+                    break
+            self.pos, self.line, self.line_start, self.seen = pos, line, line_start, seen
+        return tokens[i] if i < len(tokens) else tokens[-1]
+
+    def lex_all(self) -> list[Token]:
+        """Every token of the text, ending in eof or bad."""
+        if self.pos is not None:
+            self.lex(len(self.text))  # no more tokens than characters, and eof
+        return self.tokens
+
+    def unlexed(self) -> bool:
+        """Whether the text after the last token read is still unlexed, so
+        that a reader may match it itself."""
+        return self.i == len(self.tokens) and self.pos is not None
 
     def peek(self, k: int = 0) -> Token:
         """The token k places ahead; the last token (eof) past the end."""
         i = self.i + k
-        tok = self.tokens[i if i < self.last else self.last]
+        tok = self.tokens[i] if i < len(self.tokens) else self.lex(i)
         if tok.kind == "bad":
             self.fail(tok.value, tok)
         return tok
@@ -238,16 +281,53 @@ class TokenCursor:
         raise ParseError(msg, tok.span(self.filename))
 
 
-class TermParser(TokenCursor):
-    """Recursive-descent / precedence-climbing parser over a token list."""
+def tokenize(text: str, filename: str = "<string>") -> list[Token]:
+    """Rule text as tokens ending in eof.  Comments are dropped, except a
+    `% name:` directive; unreadable input raises."""
+    tokens = TokenCursor(text, filename).lex_all()
+    if tokens[-1].kind == "bad":
+        raise ParseError(tokens[-1].value, tokens[-1].span(filename))
+    return tokens
 
-    def __init__(self, tokens: list[Token], filename: str = "<string>"):
-        super().__init__(tokens, filename)
+
+_T = TypeVar("_T")
+
+
+class TermParser(TokenCursor):
+    """Recursive-descent / precedence-climbing parser of rule text.  Where
+    an argument list may follow a name, it first tries one match for a
+    flat list (_RULE_FLAT) and builds the arguments from it; anything
+    else, and every term in a token list, is read token by token."""
+
+    def __init__(self, source: Union[str, list[Token]], filename: str = "<string>"):
+        super().__init__(source, filename)
         self._anon = 0
         self._clause_vars: set[str] = set()
+        self._clause_start = 0  # the index of the clause's first token
+
+    def read(self, reader: Callable[[], _T]) -> _T:
+        """reader(), with its errors reported as if the whole text had been
+        lexed first: a lexical error anywhere before a syntax error, and a
+        term nested deeper than the recursion limit allows as a ParseError
+        at the start of its clause or goal."""
+        try:
+            return reader()
+        except ParseError:
+            self.raise_lexical()
+            raise
+        except RecursionError:
+            self.raise_lexical()
+            self.fail("term nested too deeply", self.tokens[self._clause_start])
+
+    def raise_lexical(self):
+        """Raise the text's lexical error, if it has one."""
+        last = self.lex_all()[-1]
+        if last.kind == "bad":
+            self.fail(last.value, last)
 
     def begin_clause(self):
         self._clause_vars = set()
+        self._clause_start = self.i
 
     def fresh_anon(self) -> Var:
         while True:
@@ -265,8 +345,11 @@ class TermParser(TokenCursor):
             return tok.value
         return None
 
-    def term(self, max_prec: int = 999) -> Term:
-        left = self.primary()
+    def term(self, max_prec: int = 999, left: Optional[Term] = None) -> Term:
+        """A term of priority up to max_prec; left, if given, is its first
+        operand, read already."""
+        if left is None:
+            left = self.primary()
         while True:
             op = self.infix_op()
             if op is None or OPERATORS[op][0] > max_prec:
@@ -298,10 +381,12 @@ class TermParser(TokenCursor):
             self._clause_vars.add(tok.value)
             return Var(tok.value)
         if tok.kind in ("atom", "quoted"):
-            name = tok.value
-            if self.at_punct("("):
-                return Compound(name, self.arg_list())
-            return Const(name)
+            args = self.flat_args()
+            if args is None:
+                if not self.at_punct("("):
+                    return Const(tok.value)
+                args = self.arg_list()
+            return Compound(tok.value, args)
         if tok.kind == "punct":
             if tok.value == "(":
                 inner = self.term(1200)
@@ -318,6 +403,31 @@ class TermParser(TokenCursor):
             if tok.value == "!":
                 return Const("!")
         self.fail(f"unexpected token {tok.value!r}", tok)
+
+    def flat_args(self) -> Optional[tuple[Term, ...]]:
+        """The arguments of a flat argument list right after the name just
+        read, passed over in one match; None if none follows, or the text
+        after the name is lexed already."""
+        if not self.unlexed():
+            return None
+        flat, arg = _rule_flat()
+        m = flat.match(self.text, self.pos)
+        if m is None:
+            return None
+        args: list[Term] = []
+        for word in arg.findall(m[1]):
+            first = word[0]
+            if first >= "a":
+                args.append(Const(word))
+            elif first <= "9":
+                args.append(Num(int(word)))
+            elif word == "_":
+                args.append(self.fresh_anon())
+            else:
+                self._clause_vars.add(word)
+                args.append(Var(word))
+        self.pos = m.end()
+        return tuple(args)
 
     def arg_list(self) -> tuple[Term, ...]:
         self.expect("(")
@@ -345,14 +455,25 @@ class TermParser(TokenCursor):
 
     # -- literals and clauses ------------------------------------------------
 
-    def goal_atom(self) -> Atom:
-        """One callable goal, with an optional module prefix."""
+    def goal_atom(self, prefixed: bool = True) -> Atom:
+        """One callable goal, with an optional module prefix unless prefixed
+        is False (a rule head).  A plain name with flat arguments that no
+        operator takes as its left operand is made an Atom at once."""
         tok = self.peek()
-        if tok.kind == "atom" and self.at_punct(":", k=1):
-            self.next()
-            self.next()
-            # a parenthesized goal is a primary too: prolog:(L is N+M)
-            return self.to_atom(self.primary(), tok.value, tok)
+        if tok.kind == "atom":
+            self.i += 1
+            args = self.flat_args()
+            if args is not None:
+                op = self.infix_op()
+                if op is None or OPERATORS[op][0] > 999:
+                    return Atom(tok.value, args, None, tok.span(self.filename))
+                left = self.term(999, Compound(tok.value, args))  # p(X) = q
+                return self.to_atom(left, None, tok)
+            if prefixed and self.at_punct(":"):
+                self.next()
+                # a parenthesized goal is a primary too: prolog:(L is N+M)
+                return self.to_atom(self.primary(), tok.value, tok)
+            self.i -= 1  # read the name again, as a term
         return self.to_atom(self.term(999), None, tok)
 
     def to_atom(self, t: Term, module: Optional[str], tok: Token) -> Atom:
@@ -384,6 +505,40 @@ class TermParser(TokenCursor):
                 return Literal(inner, NEGATED)
         return Literal(self.goal_atom(), POSITIVE)
 
+    def clauses(self) -> list[tuple[Optional[str], Rule]]:
+        """The clauses up to the end of the text, each with the name its
+        `% name:` directive gives, or None."""
+        raw: list[tuple[Optional[str], Rule]] = []
+        explicit: set[str] = set()
+        while True:
+            name = None
+            tok = self.peek()
+            while tok.kind == "directive":
+                name = tok.value
+                self.i += 1
+                tok = self.peek()
+            if tok.kind == "eof":
+                if name is not None:
+                    self.fail("name directive without a clause", tok)
+                return raw
+            self.begin_clause()
+            head = self.goal_atom(prefixed=False)
+            body: list[Literal] = []
+            if self.at_punct(":-"):
+                self.next()
+                body.append(self.literal())
+                while self.at_punct(","):
+                    self.next()
+                    body.append(self.literal())
+            tok = self.next()
+            if tok.kind != "end":
+                self.fail(f"expected '.', found {tok.value!r}", tok)
+            if name is not None:
+                if name in explicit:
+                    raise ParseError(f"duplicate rule name {name!r}", head.span)
+                explicit.add(name)
+            raw.append((name, Rule(name or "", head, tuple(body), head.span)))
+
 
 def parse_program(text: str, filename: str = "<string>") -> Program:
     """Parse `.`-separated clauses into a Program.
@@ -392,39 +547,9 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
     directive `% name: foo` names the clause that follows it.  Duplicate
     explicit names are rejected.
     """
-    tokens = tokenize(text, filename)
-    parser = TermParser(tokens, filename)
-    raw: list[tuple[Optional[str], Rule]] = []
-    explicit: dict[str, SourceSpan] = {}
-    while parser.peek().kind != "eof":
-        name = None
-        while parser.peek().kind == "directive":
-            tok = parser.next()
-            name = tok.value
-        if parser.peek().kind == "eof":
-            if name is not None:
-                parser.fail("name directive without a clause")
-            break
-        parser.begin_clause()
-        head_tok = parser.peek()
-        head = parser.to_atom(parser.term(999), None, head_tok)
-        body: list[Literal] = []
-        if parser.at_punct(":-"):
-            parser.next()
-            body.append(parser.literal())
-            while parser.at_punct(","):
-                parser.next()
-                body.append(parser.literal())
-        tok = parser.next()
-        if tok.kind != "end":
-            parser.fail(f"expected '.', found {tok.value!r}", tok)
-        span = head_tok.span(filename)
-        if name is not None:
-            if name in explicit:
-                raise ParseError(f"duplicate rule name {name!r}", span)
-            explicit[name] = span
-        raw.append((name, Rule(name or "", head, tuple(body), span)))
-    taken = set(explicit)
+    parser = TermParser(text, filename)
+    raw = parser.read(parser.clauses)
+    taken = {name for name, _ in raw if name is not None}
     rules: list[Rule] = []
     k = 0
     for name, rule in raw:
@@ -436,6 +561,19 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
             taken.add(name)
         rules.append(Rule(name, rule.head, rule.body, rule.span))
     return Program(tuple(rules))
+
+
+def parse_atom(text: str, filename: str = "<atom>") -> Atom:
+    """One goal atom, as `--atom` gives it, and nothing after it but an
+    optional '.'."""
+    parser = TermParser(text, filename)
+
+    def whole_atom() -> Atom:
+        atom = parser.goal_atom()
+        parser.expect_end()
+        return atom
+
+    return parser.read(whole_atom)
 
 
 def print_program(p: Program) -> str:
@@ -493,17 +631,43 @@ _SWRL_VALUES = {
     "bad": lambda text: ("bad", "unexpected input"),
 }
 
+# A flat SWRL atom: (1) a name, then '(' and ')' around (2) arguments that
+# are each I-variable(v), D-variable(v), a number, a string or a name.  One
+# argument is (1) the variable v, (2) a number, (3) a string's text or (4)
+# a name other than I-variable and D-variable, which always start a
+# variable.  A name or number ends where its token would, so that a match
+# that fails does not try it again split in two.  The frame of a rule's
+# atom lists is matched whole too: `( Antecedent (` after `Implies` with
+# no annotation, and `Consequent (` after the antecedent.
+_SWRL_END = r"(?![A-Za-z0-9_:.\-])"  # where a name token ends
+_SWRL_NAME = rf"[A-Za-z_][A-Za-z0-9_:.\-]*{_SWRL_END}"
+_SWRL_ARG = (
+    rf"""\s*(?:[ID]-variable\s*\(\s*({_SWRL_NAME})\s*\)"""
+    rf"""|(\d+(?:\.\d+)?)(?!\d)|"([^"]*)"|(?![ID]-variable{_SWRL_END})({_SWRL_NAME}))"""
+)
+_SWRL_FLAT: Optional[tuple[re.Pattern, ...]] = None
 
-def _swrl_tokens(text: str) -> list[Token]:
-    """SWRL text as tokens, ending in an eof token valued '' or a bad one
-    that holds its message."""
-    return _lex(_SWRL_TOKEN, text, _SWRL_VALUES)
+
+def _swrl_flat() -> tuple[re.Pattern, ...]:
+    """The flat atom and argument patterns, then the two frame patterns."""
+    global _SWRL_FLAT
+    if _SWRL_FLAT is None:  # compiled on first use, to keep import cheap
+        _SWRL_FLAT = (
+            re.compile(rf"\s*({_SWRL_NAME})\s*\(((?:{_SWRL_ARG})*)\s*\)"),
+            re.compile(_SWRL_ARG),
+            re.compile(r"\s*\(\s*Antecedent\s*\("),
+            re.compile(r"\s*Consequent\s*\("),
+        )
+    return _SWRL_FLAT
 
 
 class _SwrlReader(TokenCursor):
-    def __init__(self, text: str, filename: str):
-        super().__init__(_swrl_tokens(text), filename)
-        self.text = text
+    """The SWRL reader.  Where an atom list expects an atom, it first tries
+    one match for a flat atom, and around the atom lists one match for
+    their frame (_SWRL_FLAT); anything else is read token by token."""
+
+    pattern = _SWRL_TOKEN
+    values = _SWRL_VALUES
 
     def rules(self) -> list[SwrlRule]:
         out = []
@@ -512,15 +676,20 @@ class _SwrlReader(TokenCursor):
         return out
 
     def rule(self) -> SwrlRule:
+        antecedent_frame, consequent_frame = _swrl_flat()[2:]
         self.expect("Implies", "name")
-        self.expect("(")
         annotations = []
-        while self.peek().kind == "name" and self.peek().value == "annotation":
-            self.next()
-            annotations.append(self.balanced())
-        self.expect("Antecedent", "name")
+        if not self.passed(antecedent_frame):
+            self.expect("(")
+            while self.peek().kind == "name" and self.peek().value == "annotation":
+                self.next()
+                annotations.append(self.balanced())
+            self.expect("Antecedent", "name")
+            self.expect("(")
         antecedent = self.atom_list()
-        self.expect("Consequent", "name")
+        if not self.passed(consequent_frame):
+            self.expect("Consequent", "name")
+            self.expect("(")
         consequent = self.atom_list()
         self.expect(")")
         return SwrlRule(tuple(annotations), tuple(antecedent), tuple(consequent))
@@ -537,26 +706,66 @@ class _SwrlReader(TokenCursor):
                 depth += 1 if tok.value == "(" else -1
         return self.text[start.pos : tok.pos + 1]
 
+    def passed(self, pattern: re.Pattern) -> bool:
+        """Whether pattern matches the unlexed text at the cursor, which it
+        then passes over."""
+        m = pattern.match(self.text, self.pos) if self.unlexed() else None
+        if m is not None:
+            self.pos = m.end()
+        return m is not None
+
     def atom_list(self) -> list[Atom]:
-        self.expect("(")
+        """The atoms after an atom list's '(', up to its ')'."""
         atoms = []
-        while not self.at_punct(")"):
-            tok = self.peek()
-            if tok.kind != "name":
-                self.fail(f"expected an atom, found {tok.value!r}", tok)
-            atoms.append(self.atom())
+        while True:
+            atom = self.flat_atom()
+            if atom is None:
+                tok = self.peek()
+                if tok.kind == "punct" and tok.value == ")":
+                    break
+                if tok.kind != "name":
+                    self.fail(f"expected an atom, found {tok.value!r}", tok)
+                atom = self.atom()
+            atoms.append(atom)
         self.next()
         return atoms
+
+    def flat_atom(self) -> Optional[Atom]:
+        """The flat atom at the cursor, passed over in one match; None if
+        none is there, or the text after the cursor is lexed already."""
+        if not self.unlexed():
+            return None
+        flat, arg = _swrl_flat()[:2]
+        m = flat.match(self.text, self.pos)
+        if m is None:
+            return None
+        found = arg.findall(m[2])
+        args: list[Term] = []
+        for var, num, string, name in found:
+            if var:
+                args.append(Var(var))
+            elif name:
+                args.append(Const(name))
+            elif num:
+                kind, value = _number(num)
+                if kind == "bad":
+                    return None  # the token path reports it
+                args.append(Num(value))
+            else:
+                args.append(Const(string))
+        atom = self.classify(m[1], m.start(1), args, bool(found and found[0][3]))
+        self.pos = m.end()
+        return atom
 
     def atom(self) -> Atom:
         name = self.next()
         self.expect("(")
-        first = self.tokens[self.i]  # a bad token fails in obj(), as peek would
+        first = self.peek()
         args = []
         while not self.at_punct(")"):
             args.append(self.obj())
         self.next()
-        return self.classify(name, first, args)
+        return self.classify(name.value, name.pos, args, first.kind == "name")
 
     def obj(self) -> Term:
         tok = self.next()
@@ -578,27 +787,33 @@ class _SwrlReader(TokenCursor):
             return Const(tok.value)
         self.fail(f"unexpected {tok.value!r} in atom arguments", tok)
 
-    def classify(self, tok: Token, first: Token, args: list[Term]) -> Atom:
-        """The atom named by tok; first is its first argument's token, as
-        an individual and a string literal are both a Const."""
-        name = tok.value
+    def classify(self, name: str, at: int, args: list[Term], name_first: bool) -> Atom:
+        """The atom named name at offset at; name_first tells whether the
+        first argument is written as a name, as an individual and a string
+        literal are both a Const."""
         if name in ("sameAs", "same_as"):
             if len(args) != 2:
-                self.fail("sameAs takes two arguments", tok)
+                self.fail_at("sameAs takes two arguments", at)
             return _call("same_as", tuple(args))
         if name in ("differentFrom", "different_from"):
             if len(args) != 2:
-                self.fail("differentFrom takes two arguments", tok)
+                self.fail_at("differentFrom takes two arguments", at)
             return _call("different_from", tuple(args))
         if name == "builtin":
-            if not args or first.kind != "name" or not isinstance(args[0], Const):
-                self.fail("builtin needs a builtin name first", tok)
+            if not name_first or not isinstance(args[0], Const):
+                self.fail_at("builtin needs a builtin name first", at)
             return _call(args[0].symbol, tuple(args[1:]))
         if ":" in name:
             return _call(name, tuple(args))
         if len(args) in (1, 2):
             return Atom(name, tuple(args))
-        self.fail(f"unknown atom form {name}/{len(args)}", tok)
+        self.fail_at(f"unknown atom form {name}/{len(args)}", at)
+
+    def fail_at(self, msg: str, at: int):
+        """Raise msg at offset at of the text; only '\n' ends a line."""
+        text = self.text
+        line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        raise ParseError(msg, SourceSpan(self.filename, line, col))
 
 
 def parse_swrl(text: str, filename: str = "<string>") -> list[SwrlRule]:

@@ -13,18 +13,24 @@ import math
 import re
 import xml.etree.ElementTree as ET
 
-from ddlite.errors import XmlParseError
+from ddlite.errors import ParseError, XmlParseError
 from ddlite.hybrid import AttrAccess, Child, Filter
 from ddlite.kernel import (
+    NIL,
     OPERATORS,
     Atom,
     Compound,
     Const,
+    Literal,
     Num,
+    Program,
+    Rule,
     SourceSpan,
     Var,
+    mklist,
     term_text,
 )
+from ddlite.syntax import SwrlRule, Token
 from ddlite.xmlterm import Text, XmlTerm
 
 
@@ -572,6 +578,434 @@ def reference_parse_number(text):
 
 
 # ===========================================================================
+# Rule text and SWRL, lexed whole and read a token at a time
+# ===========================================================================
+
+# The lexers and readers of ddlite.syntax before they read flat atoms in
+# one match: the whole text is lexed into a token list first, and every
+# atom is read token by token, a rule-text atom as a Compound that
+# _RefTermParser.to_atom converts.
+
+_REF_RULE_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<var>[A-Z_]\w*)
+      | (?P<atom>[a-z]\w*)
+      | (?P<end>\.(?=\s|%|\Z))
+      | (?P<punct>=:=|=\\=|:-|:=|::|=<|>=|[()\[\],|.:<>=+\-*/@!])
+      | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<word>[^\W\d]\w*)
+      | (?P<quoted>'[^'\\]*(?:(?:\\[\s\S]|'')[^'\\]*)*')(?!')
+      | (?P<comment>%[^\n]*)
+      | (?P<eof>\Z)
+      | (?P<bad>[\s\S])
+    )""",
+    re.VERBOSE,
+)
+_REF_DIRECTIVE = re.compile(r"%\s*name:\s*(\S+)\s*$")
+_REF_ESCAPE = re.compile(r"\\[\s\S]|''")
+_REF_ESCAPED = {"\\n": "\n", "\\t": "\t"}
+_REF_SWRL_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<num>\d+(?:\.\d+)?)
+      | (?P<str>"[^"]*")
+      | (?P<name>[A-Za-z_][A-Za-z0-9_:.\-]*)
+      | (?P<punct>[()])
+    )
+    | (?P<eof>)(?=\s*\Z)
+    | (?P<bad>)""",
+    re.VERBOSE,
+)
+
+
+def _ref_lex(pattern, text, values):
+    tokens = []
+    line, line_start, seen = 1, 0, 0
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        at = m.start(kind)
+        last_break = text.rfind("\n", seen, at)
+        if last_break >= 0:
+            line += text.count("\n", seen, last_break + 1)
+            line_start = last_break + 1
+        seen = at
+        if kind in values:
+            kind, value = values[kind](value)
+            if kind is None:
+                continue
+        tokens.append(Token(kind, value, line, at - line_start + 1, at))
+        if kind == "eof" or kind == "bad":
+            return tokens
+
+
+def _ref_unreadable(text):
+    if text == "'":
+        return "bad", "unterminated quoted atom"
+    return "bad", f"unexpected character {text!r}"
+
+
+def _ref_word(text):
+    if not text[0].isalpha():
+        return _ref_unreadable(text[0])
+    return ("var" if text[0].isupper() else "atom"), text
+
+
+def _ref_number(text):
+    if not text.isdecimal():
+        return "num", float(text)
+    try:
+        return "num", int(text)
+    except ValueError:
+        return "bad", f"integer of {len(text)} digits is too long"
+
+
+def _ref_comment(text):
+    directive = _REF_DIRECTIVE.match(text)
+    return ("directive", directive[1]) if directive else (None, None)
+
+
+_REF_RULE_VALUES = {
+    "word": _ref_word,
+    "num": _ref_number,
+    "quoted": lambda text: (
+        "quoted",
+        _REF_ESCAPE.sub(lambda e: _REF_ESCAPED.get(e[0], e[0][1]), text[1:-1]),
+    ),
+    "comment": _ref_comment,
+    "eof": lambda text: ("eof", None),
+    "bad": _ref_unreadable,
+}
+_REF_SWRL_VALUES = {
+    "str": lambda text: ("str", text[1:-1]),
+    "bad": lambda text: ("bad", "unexpected input"),
+}
+
+
+def reference_tokenize(text, filename="<string>"):
+    tokens = _ref_lex(_REF_RULE_TOKEN, text, _REF_RULE_VALUES)
+    if tokens[-1].kind == "bad":
+        raise ParseError(tokens[-1].value, tokens[-1].span(filename))
+    return tokens
+
+
+class _RefCursor:
+    def __init__(self, tokens, filename="<string>"):
+        self.tokens = tokens
+        self.i = 0
+        self.last = len(tokens) - 1
+        self.filename = filename
+
+    def peek(self, k=0):
+        i = self.i + k
+        tok = self.tokens[i if i < self.last else self.last]
+        if tok.kind == "bad":
+            self.fail(tok.value, tok)
+        return tok
+
+    def next(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def at_punct(self, *values, k=0):
+        tok = self.peek(k)
+        return tok.kind == "punct" and tok.value in values
+
+    def expect(self, value, kind="punct"):
+        tok = self.next()
+        if tok.kind != kind or tok.value != value:
+            self.fail(f"expected {value!r}, found {tok.value!r}", tok)
+        return tok
+
+    def fail(self, msg, tok=None):
+        tok = tok or self.peek()
+        raise ParseError(msg, tok.span(self.filename))
+
+
+class _RefTermParser(_RefCursor):
+    def __init__(self, tokens, filename="<string>"):
+        super().__init__(tokens, filename)
+        self._anon = 0
+        self._clause_vars = set()
+
+    def fresh_anon(self):
+        while True:
+            self._anon += 1
+            name = f"_G{self._anon}"
+            if name not in self._clause_vars:
+                self._clause_vars.add(name)
+                return Var(name)
+
+    def infix_op(self):
+        tok = self.peek()
+        if tok.kind in ("punct", "atom") and tok.value in OPERATORS:
+            return tok.value
+        return None
+
+    def term(self, max_prec=999):
+        left = self.primary()
+        while True:
+            op = self.infix_op()
+            if op is None or OPERATORS[op][0] > max_prec:
+                return left
+            prec, assoc = OPERATORS[op]
+            self.next()
+            if assoc != "xfy":
+                left = Compound(op, (left, self.term(prec - 1)))
+                continue
+            operands = [left, self.term(prec - 1)]
+            while self.infix_op() == op:
+                self.next()
+                operands.append(self.term(prec - 1))
+            left = operands.pop()
+            while operands:
+                left = Compound(op, (operands.pop(), left))
+
+    def primary(self):
+        tok = self.next()
+        if tok.kind == "num":
+            return Num(tok.value)
+        if tok.kind == "var":
+            if tok.value == "_":
+                return self.fresh_anon()
+            self._clause_vars.add(tok.value)
+            return Var(tok.value)
+        if tok.kind in ("atom", "quoted"):
+            if self.at_punct("("):
+                return Compound(tok.value, self.arg_list())
+            return Const(tok.value)
+        if tok.kind == "punct":
+            if tok.value == "(":
+                inner = self.term(1200)
+                self.expect(")")
+                return inner
+            if tok.value == "[":
+                return self.list_term()
+            if tok.value == "-":
+                nxt = self.peek()
+                if nxt.kind == "num":
+                    self.next()
+                    return Num(-nxt.value)
+                return Compound("-", (self.term(200),))
+            if tok.value == "!":
+                return Const("!")
+        self.fail(f"unexpected token {tok.value!r}", tok)
+
+    def arg_list(self):
+        self.expect("(")
+        args = [self.term(999)]
+        while self.at_punct(","):
+            self.next()
+            args.append(self.term(999))
+        self.expect(")")
+        return tuple(args)
+
+    def list_term(self):
+        if self.at_punct("]"):
+            self.next()
+            return NIL
+        elements = [self.term(999)]
+        while self.at_punct(","):
+            self.next()
+            elements.append(self.term(999))
+        tail = NIL
+        if self.at_punct("|"):
+            self.next()
+            tail = self.term(999)
+        self.expect("]")
+        return mklist(elements, tail)
+
+    def goal_atom(self):
+        tok = self.peek()
+        if tok.kind == "atom" and self.at_punct(":", k=1):
+            self.next()
+            self.next()
+            return self.to_atom(self.primary(), tok.value, tok)
+        return self.to_atom(self.term(999), None, tok)
+
+    def to_atom(self, t, module, tok):
+        span = tok.span(self.filename)
+        if isinstance(t, Const):
+            return Atom(t.symbol, (), module, span)
+        if isinstance(t, Compound) and not (t.functor == "." and len(t.args) == 2):
+            return Atom(t.functor, t.args, module, span)
+        self.fail(f"{term_text(t)} cannot be used as a goal", tok)
+
+    def literal(self):
+        tok = self.peek()
+        if tok.kind == "atom" and tok.value == "not":
+            nxt = self.peek(1)
+            if nxt.kind == "punct" and nxt.value == "(":
+                self.next()
+                self.next()
+                inner = self.goal_atom()
+                if self.at_punct(","):
+                    self.fail("not/1 takes a single goal")
+                self.expect(")")
+                return Literal(inner, "negated")
+            starts_term = nxt.kind in ("atom", "var", "num", "quoted") or (
+                nxt.kind == "punct" and nxt.value in ("(", "[", "-", "!")
+            )
+            if starts_term:
+                self.next()
+                return Literal(self.goal_atom(), "negated")
+        return Literal(self.goal_atom(), "positive")
+
+
+def reference_parse_program(text, filename="<string>"):
+    """parse_program over a token list lexed first: a lexical error
+    anywhere in the text is the one reported."""
+    parser = _RefTermParser(reference_tokenize(text, filename), filename)
+    raw, explicit = [], {}
+    while parser.peek().kind != "eof":
+        name = None
+        while parser.peek().kind == "directive":
+            name = parser.next().value
+        if parser.peek().kind == "eof":
+            if name is not None:
+                parser.fail("name directive without a clause")
+            break
+        parser._clause_vars = set()
+        head_tok = parser.peek()
+        head = parser.to_atom(parser.term(999), None, head_tok)
+        body = []
+        if parser.at_punct(":-"):
+            parser.next()
+            body.append(parser.literal())
+            while parser.at_punct(","):
+                parser.next()
+                body.append(parser.literal())
+        tok = parser.next()
+        if tok.kind != "end":
+            parser.fail(f"expected '.', found {tok.value!r}", tok)
+        span = head_tok.span(filename)
+        if name is not None:
+            if name in explicit:
+                raise ParseError(f"duplicate rule name {name!r}", span)
+            explicit[name] = span
+        raw.append((name, Rule(name or "", head, tuple(body), span)))
+    taken = set(explicit)
+    rules, k = [], 0
+    for name, rule in raw:
+        if name is None:
+            k += 1
+            while f"r{k}" in taken:
+                k += 1
+            name = f"r{k}"
+            taken.add(name)
+        rules.append(Rule(name, rule.head, rule.body, rule.span))
+    return Program(tuple(rules))
+
+
+def _ref_call(name, args):
+    return Atom(name.rsplit(":", 1)[-1], args, "prolog")
+
+
+class _RefSwrlReader(_RefCursor):
+    def __init__(self, text, filename):
+        super().__init__(_ref_lex(_REF_SWRL_TOKEN, text, _REF_SWRL_VALUES), filename)
+        self.text = text
+
+    def rules(self):
+        out = []
+        while self.peek().kind != "eof":
+            out.append(self.rule())
+        return out
+
+    def rule(self):
+        self.expect("Implies", "name")
+        self.expect("(")
+        annotations = []
+        while self.peek().kind == "name" and self.peek().value == "annotation":
+            self.next()
+            annotations.append(self.balanced())
+        self.expect("Antecedent", "name")
+        antecedent = self.atom_list()
+        self.expect("Consequent", "name")
+        consequent = self.atom_list()
+        self.expect(")")
+        return SwrlRule(tuple(annotations), tuple(antecedent), tuple(consequent))
+
+    def balanced(self):
+        start = self.expect("(")
+        depth = 1
+        while depth:
+            tok = self.next()
+            if tok.kind == "eof":
+                self.fail("unterminated annotation", tok)
+            if tok.kind == "punct":
+                depth += 1 if tok.value == "(" else -1
+        return self.text[start.pos : tok.pos + 1]
+
+    def atom_list(self):
+        self.expect("(")
+        atoms = []
+        while not self.at_punct(")"):
+            tok = self.peek()
+            if tok.kind != "name":
+                self.fail(f"expected an atom, found {tok.value!r}", tok)
+            atoms.append(self.atom())
+        self.next()
+        return atoms
+
+    def atom(self):
+        name = self.next()
+        self.expect("(")
+        first = self.tokens[self.i]
+        args = []
+        while not self.at_punct(")"):
+            args.append(self.obj())
+        self.next()
+        return self.classify(name, first, args)
+
+    def obj(self):
+        tok = self.next()
+        if tok.kind == "num":
+            kind, value = _ref_number(tok.value)
+            if kind == "bad":
+                self.fail(value, tok)
+            return Num(value)
+        if tok.kind == "str":
+            return Const(tok.value)
+        if tok.kind == "name":
+            if tok.value in ("I-variable", "D-variable"):
+                self.expect("(")
+                var = self.next()
+                if var.kind != "name":
+                    self.fail("expected a variable name", var)
+                self.expect(")")
+                return Var(var.value)
+            return Const(tok.value)
+        self.fail(f"unexpected {tok.value!r} in atom arguments", tok)
+
+    def classify(self, tok, first, args):
+        name = tok.value
+        if name in ("sameAs", "same_as"):
+            if len(args) != 2:
+                self.fail("sameAs takes two arguments", tok)
+            return _ref_call("same_as", tuple(args))
+        if name in ("differentFrom", "different_from"):
+            if len(args) != 2:
+                self.fail("differentFrom takes two arguments", tok)
+            return _ref_call("different_from", tuple(args))
+        if name == "builtin":
+            if not args or first.kind != "name" or not isinstance(args[0], Const):
+                self.fail("builtin needs a builtin name first", tok)
+            return _ref_call(args[0].symbol, tuple(args[1:]))
+        if ":" in name:
+            return _ref_call(name, tuple(args))
+        if len(args) in (1, 2):
+            return Atom(name, tuple(args))
+        self.fail(f"unknown atom form {name}/{len(args)}", tok)
+
+
+def reference_parse_swrl(text, filename="<string>"):
+    """parse_swrl over a token list lexed first; a bad token is raised
+    only when the reader reaches it."""
+    return _RefSwrlReader(text, filename).rules()
+
+
+# ===========================================================================
 # Reference printer
 # ===========================================================================
 
@@ -679,8 +1113,6 @@ def random_program(rng, allow_negation=False):
     Predicates are layered so that negated calls always target a strictly
     lower layer, keeping every generated program stratified.
     """
-    from ddlite.kernel import Literal, Program, Rule
-
     preds = []
     for i in range(rng.randint(3, 5)):
         preds.append((f"p{i}", rng.randint(1, 2), i))

@@ -206,6 +206,20 @@ def test_unknown_builtin():
         call_builtin(bi("nope", Const("a")))
 
 
+def test_an_operator_in_a_body_is_an_unknown_builtin_unless_defined():
+    # unprefixed, as prolog:(X = a) is
+    for body in ("X = a", "prolog:(X = a)"):
+        with pytest.raises(UnknownBuiltin) as err:
+            evaluate(parse_program(f"p(a).\nq(X) :- p(X), {body}.", "f.dl"))
+        assert str(err.value) == "f.dl:2:15: in rule r2: unknown builtin =/2"
+    # checked before the rule runs, and a use in a body defines nothing
+    with pytest.raises(UnknownBuiltin, match="in rule r2: unknown builtin is/2"):
+        evaluate(parse_program("p(a).\nq(Y) :- r(X), Y is X + 1.\nr(X) :- X = 1."))
+    # a fact or a rule head defines it, and it stays a relation
+    store = evaluate(parse_program("a = b.\nc = d :- true.\nlink(X) :- X = b."))
+    assert dump_facts(store) == "(a = b).\n(c = d).\nlink(a).\n"
+
+
 # ===========================================================================
 # Safety
 # ===========================================================================

@@ -120,6 +120,11 @@ def cases() -> list[list[str]]:
     for name in ("not_stratified", "division_by_zero", "negation_shapes",
                  "owl_builtins", "printer_shapes"):
         out.append(["eval", f"{INPUTS}/{name}.dl"])
+    # flat atoms and the shapes next to them, rule text errors, and an
+    # operator named in a body that no fact or head defines
+    for name in ("flat_shapes", "infix_after_atom", "dot_in_args", "not_var",
+                 "long_integer", "lex_after_syntax", "eq_body", "deep_list"):
+        out.append(["eval", f"{INPUTS}/{name}.dl"])
 
     # swrl: fixtures in both forms, then the malformed and edge-case inputs
     for f in swrl + xml:
@@ -207,6 +212,13 @@ def cases() -> list[list[str]]:
         out.append(["query", "--goal", goal, "--template", "[X]"])
     out.append(["query", f"{INPUTS}/eq_relation.dl", "--goal", "X = Y",
                 "--template", "[X, Y]"])
+    out.append(["query", f"{INPUTS}/eq_body.dl", "--goal", "q(X)", "--template", "[X]"])
+
+    # terms nested deeper than the recursion limit allows
+    deep = "p(" + "f(" * 400 + "a" + ")" * 400 + ")"
+    out.append(["query", "--goal", deep, "--template", "[X]"])
+    out.append(["query", "--goal", "true", "--template", "[" + "[" * 400 + "]" * 400 + "]"])
+    out.append(["prove", ROUTE, "--atom", deep])
 
     # a negated literal still open at the end of the goal
     out.append(["query", f"{INPUTS}/negation_shapes.dl", "--goal",
@@ -232,6 +244,7 @@ def cases() -> list[list[str]]:
         "",
     ):
         out.append(["prove", ROUTE, "--atom", atom])
+    out.append(["prove", f"{INPUTS}/eq_body.dl", "--atom", "q(X)"])
     for atom in ("calc(2, Y, T)", "first(X, T)"):
         for fmt in ("term", "ascii", "dot"):
             out.append(["prove", f"{INPUTS}/printer_shapes.dl", "--auto-pt",

@@ -32,6 +32,7 @@ from ddlite.syntax import (
     TermParser,
     Token,
     lloyd_topor,
+    parse_atom,
     parse_program,
     parse_ruleml_xml,
     parse_swrl,
@@ -39,9 +40,15 @@ from ddlite.syntax import (
     swrl_to_datalog,
     tokenize,
 )
-from ddlite.hybrid import parse_goal
+from ddlite.hybrid import parse_goal, parse_template
 from ddlite.xmlterm import Text, XmlTerm, parse_xml, xml_to_text
-from oracles import char_tokens, reference_parse_number, reference_parse_xml
+from oracles import (
+    char_tokens,
+    reference_parse_number,
+    reference_parse_program,
+    reference_parse_swrl,
+    reference_parse_xml,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -205,6 +212,28 @@ def test_a_long_conjunction_parses_without_recursion():
         conj = conj.args[1]
     names.append(conj.functor)
     assert names == [f"q{i}" for i in range(n)]
+
+
+def test_terms_nested_too_deeply_are_a_parse_error():
+    deep = "[" * 400 + "]" * 400
+    readers = [
+        (parse_program, f"q.\np({deep}) :- q.", "2:1"),
+        (parse_goal, f"q, p({deep})", "1:1"),
+        (parse_template, f"[{deep}]", "1:1"),
+        (parse_atom, f"p({deep})", "1:1"),
+    ]
+    for reader, text, at in readers:
+        with pytest.raises(ParseError) as err:
+            reader(text, "f")
+        assert str(err.value) == f"f:{at}: term nested too deeply"
+        # a lexical error after it still comes first, as in tokenize
+        with pytest.raises(ParseError, match="unexpected character '#'"):
+            reader(text + " #", "f")
+    # three stack frames a level, as before flat lists: lists, arguments
+    # and operands 260 deep still parse
+    for inner in ("[" * 260 + "]" * 260, "f(" * 260 + "a" + ")" * 260,
+                  "1+(" * 260 + "1" + ")" * 260):
+        assert len(parse_atom(f"p({inner})").args) == 1
 
 
 def test_lists_parse_with_tails():
@@ -680,6 +709,191 @@ _NUMBER_PIECES = st.sampled_from(
 def test_parse_number_agrees_with_int_and_float(cell):
     # repr tells 1 from 1.0
     assert repr(parse_number(cell)) == repr(reference_parse_number(cell))
+
+
+# Rule text and SWRL against the readers that lexed the whole text first
+# and read every atom token by token (oracles.reference_parse_*): the
+# shapes around flat atoms, each read once whole and then under single
+# one-character edits.
+
+# each shape that ends the read (1., a string, a 4,301-digit integer, not
+# of a variable) is drawn seldom, so that most texts read to the end
+_RULE_ARGS = st.sampled_from(
+    8 * ["X", "Y", "_", "_G2", "_x", "Xé", "a", "abc", "not", "is", "a²", "0",
+         "7", "42", "007", "1" * 18, "1" * 19, "٣", "1.5", "2e3", "-3", "'a b'",
+         "'it''s'", "f(X)", "g(X, _)", "[X, b|T]", "[]", "X + 1"]
+    + ["1.", '"s"', "7" * 4301]
+)
+_RULE_SEPARATORS = st.sampled_from([", ", ",", " , ", ",\n   ", ", % note\n  ", "\n, "])
+_RULE_NAMES = st.sampled_from(["p", "q", "abc", "x1", "'Quoted name'", "'q'", "'.'"])
+
+
+@st.composite
+def _rule_atom(draw):
+    name = draw(_RULE_NAMES)
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        return name
+    args = draw(st.lists(_RULE_ARGS, min_size=1, max_size=4))
+    out = [name, draw(st.sampled_from(["(", " (", "(\n "]))]
+    for i, arg in enumerate(args):
+        out.append(draw(_RULE_SEPARATORS) if i else draw(st.sampled_from(["", " "])))
+        out.append(arg)
+    out.append(draw(st.sampled_from([")", " )", "\n)"])))
+    return "".join(out)
+
+
+@st.composite
+def _rule_goal(draw):
+    atom = draw(_rule_atom())
+    shape = draw(st.sampled_from(
+        4 * ["{}", "{}", "not({})", "not {}", "not(p)", "not p", "{} = q",
+             "{} = q, r", "prolog:{}", "prolog:(X is Y + 1)", "X = a"]
+        + ["not(X)"]
+    ))
+    return shape.format(atom)
+
+
+@st.composite
+def _rule_clause(draw):
+    head = draw(_rule_atom())
+    directive = draw(st.sampled_from(["", "", "% name: c1\n", "% plain\n"]))
+    goals = draw(st.lists(_rule_goal(), max_size=3))
+    body = " :- " + ", ".join(goals) if goals else ""
+    return f"{directive}{head}{body}."
+
+
+_RULE_TEXTS = st.lists(_rule_clause(), min_size=1, max_size=4).map("\n".join)
+_EDIT_CHARS = list("()[],.:=_'\"%|-X a17\n\t") + ["²", "٣"]
+_EDITS = st.lists(
+    st.tuples(
+        st.integers(min_value=0),
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.sampled_from(_EDIT_CHARS),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edited(text, edits):
+    """text under each edit alone: one character inserted, replaced or
+    deleted."""
+    for at, op, char in edits:
+        at %= len(text) + 1
+        yield text[:at] + ("" if op == "delete" else char) + text[at + (op != "insert") :]
+
+
+def _program_outcome(reader, text):
+    """The program with the spans of its rules and atoms, which equality
+    skips, or the error with its span."""
+    try:
+        p = reader(text, "<r>")
+    except ParseError as err:
+        return str(err)
+    spans = [
+        (r.span, r.head.span, [lit.atom.span for lit in r.body]) for r in p.rules
+    ]
+    return p, spans
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(_RULE_TEXTS, _EDITS)
+@example("p(X) :- not(X).", [(0, "insert", " ")])
+@example("p :- not(p), not p(X), not p.", [(5, "delete", " ")])
+@example("p(X) = q :- r(X), r(X) = q, s.", [(3, "replace", ",")])
+@example("p(_G1, _) :- q(_, _G3), r(_).", [(2, "replace", "_")])
+@example("p(X) :- prolog:f(X), prolog:(X = a).", [(14, "delete", "x")])
+@example("p(X,\n  Y) :- q(X, % note\n  Y).\nr(Z).", [(5, "insert", "\n")])
+@example("p (X) :- q (X , 1).", [(1, "delete", "x")])
+@example("p(1.).", [(3, "delete", "x")])
+@example("p(" + "7" * 4301 + ").", [(4000, "delete", "x")])
+@example("'q r'(X) :- 'p'(X), '.'(X, Y).", [(1, "replace", "'")])
+def test_parse_program_agrees_with_the_token_reader(text, edits):
+    assert _program_outcome(parse_program, text) == _program_outcome(
+        reference_parse_program, text
+    ), text
+    for mutant in _edited(text, edits):
+        assert _program_outcome(parse_program, mutant) == _program_outcome(
+            reference_parse_program, mutant
+        ), mutant
+
+
+_FLAT_SWRL_ARGS = st.sampled_from(
+    6 * ["I-variable(x)", "I-variable( y )", "I-variable (x.y)", "D-variable(n)",
+         "bob", "ex:val", "swrlb:add", "17", "2.5", '"s (t)"', '""', '"a\nb"']
+    + ["17abc", 'I-variable("x")', "D-variable(1)", "1.", "I-variables(x)",
+       "I-variable", "D-variable"]
+)
+# argument counts by atom name, mostly ones the reader accepts
+_FLAT_SWRL_ARITIES = {
+    "p": [1, 2, 1, 2, 0, 3], "hasParent": [2], "ex:r": [0, 1, 2, 3, 4],
+    "sameAs": [2, 2, 2, 1], "differentFrom": [2, 2, 2, 3], "builtin": [1, 2, 3, 0],
+    "annotation": [1], "I-variable": [1],
+}
+
+
+@st.composite
+def _flat_swrl_atom(draw):
+    name = draw(st.sampled_from(sorted(_FLAT_SWRL_ARITIES)))
+    count = draw(st.sampled_from(_FLAT_SWRL_ARITIES[name]))
+    args = draw(st.lists(_FLAT_SWRL_ARGS, min_size=count, max_size=count))
+    if name == "builtin" and args and draw(st.integers(0, 3)):
+        args[0] = "swrlb:add"
+    gaps = st.sampled_from([" ", "", "\n   "])
+    out = [name, draw(st.sampled_from(["(", " ("]))]
+    for i, arg in enumerate(args):
+        out.append(draw(gaps) if i else draw(st.sampled_from(["", " "])))
+        out.append(arg)
+    out.append(draw(st.sampled_from([")", " )"])))
+    return "".join(out)
+
+
+@st.composite
+def _flat_swrl_rule(draw):
+    annotations = draw(st.lists(st.sampled_from(
+        ['annotation(rdfs:comment "a (note)")', "annotation( label  (nested (deep) ) )",
+         'annotation(label "x)")']
+    ), max_size=2))
+    body = draw(st.lists(_flat_swrl_atom(), max_size=3))
+    head = draw(st.lists(_flat_swrl_atom(), max_size=2))
+    gaps = [draw(st.sampled_from(["", " ", "\n  "])) for _ in range(6)]
+    return (
+        "Implies{}(" + " ".join(annotations) + "{}Antecedent{}(" + "\n   ".join(body)
+        + "){}Consequent{}(" + " ".join(head) + "){})"
+    ).format(*gaps)
+
+
+def _swrl_outcome(reader, text):
+    try:
+        return reader(text, "<s>")
+    except ParseError as err:
+        return str(err)
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(st.lists(_flat_swrl_rule(), min_size=1, max_size=3).map("\n".join), _EDITS)
+@example(
+    'Implies(annotation(rdfs:comment "(a) note") Antecedent() '
+    'Consequent(q(I-variable(x))))',
+    [(20, "insert", "(")],
+)
+@example('Implies(Antecedent(p(I-variable("x"))) Consequent(q(a)))', [(1, "delete", "x")])
+@example(
+    "Implies(Antecedent(builtin(swrlb:add D-variable(b) D-variable(a) 1.5) "
+    'name(I-variable(x) "Ann (Lee)")) Consequent(q(I-variable(x))))',
+    [(30, "replace", '"')],
+)
+@example("Implies(Antecedent(p(" + "7" * 4301 + ")) Consequent(q(a)))", [(0, "delete", "x")])
+@example('Implies(Antecedent(builtin("swrlb:add" D-variable(a) 1)) Consequent(q(a)))',
+         [(0, "delete", "x")])
+@example("Implies(Antecedent(p(I-variable) q(D-variable)) Consequent(r(a)))",
+         [(0, "delete", "x")])
+def test_parse_swrl_agrees_with_the_token_reader(text, edits):
+    assert _swrl_outcome(parse_swrl, text) == _swrl_outcome(reference_parse_swrl, text), text
+    for mutant in _edited(text, edits):
+        assert _swrl_outcome(parse_swrl, mutant) == _swrl_outcome(
+            reference_parse_swrl, mutant
+        ), mutant
 
 
 def test_parse_ruleml_uncle_matches_abstract_syntax():
