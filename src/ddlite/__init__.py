@@ -10,7 +10,6 @@ from .engine import (
     BUILTINS,
     EvalOptions,
     FactStore,
-    ProofTree,
     Strata,
     Violation,
     auto_pt,
@@ -19,6 +18,7 @@ from .engine import (
     dump_facts,
     evaluate,
     facts_as_rules,
+    proof_tree,
     render_proof_tree,
     stratify,
     tree_of,

@@ -15,13 +15,14 @@ from typing import Optional
 
 from .engine import (
     EvalOptions,
-    ProofTree,
     auto_pt,
+    check_operators,
     check_safety,
     dump_facts,
     evaluate,
     facts_as_rules,
     facts_to_json,
+    proof_tree,
     render_proof_tree,
     stratify,
     tree_of,
@@ -147,6 +148,7 @@ def _add_eval_flags(sub, env_default: int):
 
 def cmd_parse(args) -> int:
     p = parse_program(_read(args.file), args.file)
+    check_operators(p)
     sys.stdout.write(print_program(p))
     violations = check_safety(p)
     if violations:
@@ -166,6 +168,7 @@ def _build_graph(args, path: str) -> DepGraph:
     if args.kind == "schema":
         return schema_graph(load_xml(path), include_attrs=not args.no_attrs)
     p = parse_program(_read(path), path)
+    check_operators(p)
     meta = _meta_dict(args.meta_list)
     return build_pdg(p, meta) if args.kind == "pdg" else build_rpg(p, meta)
 
@@ -220,6 +223,8 @@ def cmd_diff(args) -> int:
     else:
         p1 = parse_program(_read(args.left), args.left)
         p2 = parse_program(_read(args.right), args.right)
+        check_operators(p1)
+        check_operators(p2)
         meta = _meta_dict(args.meta_list)
         build = build_pdg if args.kind == "pdg" else build_rpg
         g1, g2 = build(p1, meta), build(p2, meta)
@@ -326,7 +331,7 @@ def cmd_prove(args) -> int:
         return 1
     tree = tree_of(found)
     if tree is None:
-        tree = ProofTree(found, store.origin(found) or "fact")
+        tree = proof_tree(found, store.origin(found) or "fact")
     sys.stdout.write(render_proof_tree(tree, args.format))
     if args.format == "term":
         sys.stdout.write("\n")

@@ -20,8 +20,8 @@ Joins take facts in insertion order; sort_key order is imposed only where
 users see it, by FactStore.facts, sorted_facts and sorted_candidates.
 
 Proof trees are ordinary terms built by the programs themselves through
-the pt/2 builtin (or mechanically via auto_pt); the ProofTree class only
-converts between that term shape and a typed tree for rendering.
+the pt/2 builtin (or mechanically by auto_pt, through proof_tree); tree_of
+finds one in a fact, and render_proof_tree reads it as it is.
 """
 
 from __future__ import annotations
@@ -259,6 +259,17 @@ def check_operator_literals(items: Sequence, defined: frozenset[PredKey]) -> Non
                 raise UnknownBuiltin(
                     f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span
                 )
+
+
+def check_operators(p: Program) -> None:
+    """check_operator_literals on each rule body of the program in turn,
+    the error naming the rule."""
+    defined = p.idb()
+    for rule in p.rules:
+        try:
+            check_operator_literals(rule.body, defined)
+        except UnknownBuiltin as err:
+            raise _wrap_rule_errors(rule, err) from err
 
 
 # ===========================================================================
@@ -892,17 +903,12 @@ def _positive_positions(rule: Rule) -> list[int]:
 def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
     """Stratified semi-naive fixpoint of the program.
 
-    Raises UnknownBuiltin (check_operator_literals), SafetyError and
-    CycleError up front, ResourceLimitExceeded when the iteration or fact
-    ceiling is hit mid-run.
+    Raises UnknownBuiltin (check_operators), SafetyError and CycleError
+    up front, ResourceLimitExceeded when the iteration or fact ceiling is
+    hit mid-run.
     """
     opts = opts or EvalOptions()
-    defined = p.idb()
-    for rule in p.rules:
-        try:
-            check_operator_literals(rule.body, defined)
-        except UnknownBuiltin as err:
-            raise _wrap_rule_errors(rule, err) from err
+    check_operators(p)
     violations = check_safety(p)
     if violations:
         raise SafetyError(violations)
@@ -1004,73 +1010,22 @@ def facts_as_rules(
 # ===========================================================================
 
 
-class ProofTree(Record):
-    """Typed view of the t(Conclusion, Tag, Children..., SideConds...) shape."""
+def proof_tree(
+    conclusion: Atom,
+    tag: str,
+    children: Sequence[Term] = (),
+    side_conditions: Sequence[Term] = (),
+) -> Compound:
+    """The tree term t(Conclusion, Tag, Children..., SideConditions...)."""
+    return Compound(
+        "t",
+        (_atom_term(conclusion), Const(tag)) + tuple(children) + tuple(side_conditions),
+    )
 
-    __slots__ = _fields = ("conclusion", "tag", "children", "side_conditions")
 
-    def __init__(
-        self,
-        conclusion: Atom,
-        tag: str,
-        children: tuple["ProofTree", ...] = (),
-        side_conditions: tuple[Term, ...] = (),
-    ):
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "side_conditions", side_conditions)
-
-    @staticmethod
-    def from_term(t: Term) -> "ProofTree":
-        """The typed tree of a tree term.  Nodes wait on an explicit stack,
-        so depth is not bounded by the recursion limit; conclusions are
-        checked parents first, and a subterm shared by several parents
-        (one object, as ground terms are interned) is converted once."""
-        if not _is_tree_term(t):
-            raise EvalTypeError(f"not a proof tree term: {term_text(t)}")
-        built: dict[int, ProofTree] = {}
-        # (term, None) is a node to enter, (term, conclusion) one to build
-        stack: list[tuple[Term, Optional[Atom]]] = [(t, None)]
-        while stack:
-            term, conclusion = stack.pop()
-            if conclusion is None:
-                if id(term) not in built:
-                    stack.append((term, _conclusion_atom(term.args[0])))
-                    stack.extend(
-                        (c, None) for c in reversed(term.args[2:]) if _is_tree_term(c)
-                    )
-                continue
-            children: list[ProofTree] = []
-            side: list[Term] = []
-            for rest in term.args[2:]:
-                if _is_tree_term(rest):
-                    children.append(built[id(rest)])
-                else:
-                    side.append(rest)
-            built[id(term)] = ProofTree(
-                conclusion, term.args[1].symbol, tuple(children), tuple(side)
-            )
-        return built[id(t)]
-
-    def to_term(self, side_conditions: bool = True) -> Term:
-        """The tree term; without side conditions, the shape shown in
-        listings.  Built children first, on an explicit stack."""
-        built: dict[int, Term] = {}
-        stack: list[tuple[ProofTree, bool]] = [(self, False)]
-        while stack:
-            node, ready = stack.pop()
-            if not ready:
-                stack.append((node, True))
-                stack.extend((c, False) for c in node.children if id(c) not in built)
-                continue
-            built[id(node)] = Compound(
-                "t",
-                (_atom_term(node.conclusion), Const(node.tag))
-                + tuple(built[id(c)] for c in node.children)
-                + (node.side_conditions if side_conditions else ()),
-            )
-        return built[id(self)]
+# the name of the typed tree class that proof_tree replaced, kept because
+# the benchmark's traced replay (perfbench/traced.py) builds leaf trees by it
+ProofTree = proof_tree
 
 
 def _is_tree_term(t: Term) -> bool:
@@ -1082,51 +1037,82 @@ def _is_tree_term(t: Term) -> bool:
     )
 
 
-def _conclusion_atom(t: Term) -> Atom:
+def _check_conclusion(t: Term) -> None:
+    """Raise unless t reads as a ground atom: a constant or a ground
+    compound."""
     if isinstance(t, Compound):
-        atom = Atom(t.functor, t.args)
-    elif isinstance(t, Const):
-        atom = Atom(t.symbol)
-    else:
+        if not t.ground:
+            raise EvalTypeError(f"proof tree conclusion {term_text(t)} is not ground")
+    elif not isinstance(t, Const):
         raise EvalTypeError(f"proof tree conclusion {term_text(t)} is not an atom")
-    if not is_ground(atom):
-        raise EvalTypeError(
-            f"proof tree conclusion {term_text(t)} is not ground"
-        )
-    return atom
 
 
-def tree_of(fact: Atom) -> Optional[ProofTree]:
-    """The proof tree carried in the fact's last argument, if any."""
+def _conclusion_atom(t: Term) -> Atom:
+    _check_conclusion(t)
+    return Atom(t.functor, t.args) if isinstance(t, Compound) else Atom(t.symbol)
+
+
+def _node_parts(node: Compound) -> tuple[list[Term], list[Term]]:
+    """A tree node's children and its side conditions, each in order,
+    once its conclusion is checked."""
+    _check_conclusion(node.args[0])
+    children: list[Term] = []
+    side: list[Term] = []
+    for rest in node.args[2:]:
+        (children if _is_tree_term(rest) else side).append(rest)
+    return children, side
+
+
+def tree_of(fact: Atom) -> Optional[Compound]:
+    """The proof tree term carried in the fact's last argument, if any."""
     if fact.args and _is_tree_term(fact.args[-1]):
-        return ProofTree.from_term(fact.args[-1])
+        return fact.args[-1]
     return None
 
 
-def render_proof_tree(t: ProofTree, format: str = "term") -> str:
-    """The tree as text.  ascii and dot walk nodes parents first, children
-    in order, on an explicit stack."""
+def render_proof_tree(tree: Term, format: str = "term") -> str:
+    """The tree term as text: term (the tree without its side
+    conditions), ascii or dot.  Nodes wait on an explicit stack, so depth
+    is not bounded by the recursion limit; each node's conclusion is
+    checked when the walk reaches it, parents first and children in
+    order."""
+    if not _is_tree_term(tree):
+        raise EvalTypeError(f"not a proof tree term: {term_text(tree)}")
     if format == "term":
-        return term_text(t.to_term(side_conditions=False), quoted=False)
+        # a subtree shared by several parents (one object, as ground
+        # terms are interned) is rebuilt once
+        built: dict[int, Term] = {}
+        # (node, None) is a node to enter, (node, children) one to build
+        stack: list[tuple[Compound, Optional[list[Term]]]] = [(tree, None)]
+        while stack:
+            node, children = stack.pop()
+            if children is not None:
+                built[id(node)] = Compound(
+                    "t", node.args[:2] + tuple(built[id(c)] for c in children)
+                )
+            elif id(node) not in built:
+                children = _node_parts(node)[0]
+                stack.append((node, children))
+                stack.extend((c, None) for c in reversed(children))
+        return term_text(built[id(tree)], quoted=False)
     if format == "ascii":
         lines: list[str] = []
-        stack: list[tuple[ProofTree, int]] = [(t, 0)]
-        while stack:
-            node, depth = stack.pop()
+        nodes: list[tuple[Compound, int]] = [(tree, 0)]
+        while nodes:
+            node, depth = nodes.pop()
+            children, side = _node_parts(node)
             pad = "  " * depth
             lines.append(
-                f"{pad}{term_text(_atom_term(node.conclusion), quoted=False)}"
-                f" [{node.tag}]"
+                f"{pad}{term_text(node.args[0], quoted=False)} [{node.args[1].symbol}]"
             )
-            for sc in node.side_conditions:
-                lines.append(f"{pad}  where {term_text(sc, quoted=False)}")
-            stack.extend((c, depth + 1) for c in reversed(node.children))
+            lines.extend(f"{pad}  where {term_text(sc, quoted=False)}" for sc in side)
+            nodes.extend((c, depth + 1) for c in reversed(children))
         return "\n".join(lines) + "\n"
     if format == "dot":
         lines = ["digraph G {", "  node [shape=box];"]
-        # the stack holds (tree, parent id) pairs and edge lines; a
-        # node's edge from its parent is written after the node's subtree
-        todo: list = [(t, None)]
+        # the stack holds (node, parent id) pairs and edge lines; a node's
+        # edge from its parent is written after the node's subtree
+        todo: list = [(tree, None)]
         count = 0
         while todo:
             item = todo.pop()
@@ -1134,17 +1120,17 @@ def render_proof_tree(t: ProofTree, format: str = "term") -> str:
                 lines.append(item)
                 continue
             node, parent = item
+            children, side = _node_parts(node)
             nid = f"n{count}"
             count += 1
-            label = term_text(_atom_term(node.conclusion), quoted=False)
-            label += f"\\n[{node.tag}]"
-            for sc in node.side_conditions:
-                label += f"\\nwhere {term_text(sc, quoted=False)}"
-            label = label.replace('"', '\\"')
+            label = "\\n".join(
+                [term_text(node.args[0], quoted=False), f"[{node.args[1].symbol}]"]
+                + [f"where {term_text(sc, quoted=False)}" for sc in side]
+            ).replace('"', '\\"')
             lines.append(f'  "{nid}" [label="{label}"];')
             if parent is not None:
                 todo.append(f'  "{parent}" -> "{nid}";')
-            todo.extend((c, nid) for c in reversed(node.children))
+            todo.extend((c, nid) for c in reversed(children))
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown proof tree format {format!r}")
@@ -1206,12 +1192,7 @@ def auto_pt(p: Program) -> Program:
                 child_vars.append(tv)
             else:
                 new_body.append(lit)
-        tree = Compound(
-            "t",
-            (_atom_term(rule.head), Const(rule.name))
-            + tuple(child_vars)
-            + tuple(side_terms),
-        )
+        tree = proof_tree(rule.head, rule.name, child_vars, side_terms)
         pt_lit = Literal(Atom("pt", (head_var, tree), "prolog"))
         new_head = Atom(
             rule.head.predicate, rule.head.args + (head_var,), None, rule.head.span

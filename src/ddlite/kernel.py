@@ -104,6 +104,12 @@ class SourceSpan(Record):
         _set(self, "line", line)
         _set(self, "col", col)
 
+    @classmethod
+    def at(cls, file: str, text: str, offset: int) -> "SourceSpan":
+        """The position of offset in text; only '\n' ends a line."""
+        line = text.count("\n", 0, offset) + 1
+        return cls(file, line, offset - text.rfind("\n", 0, offset))
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -810,10 +810,8 @@ class _SwrlReader(TokenCursor):
         self.fail_at(f"unknown atom form {name}/{len(args)}", at)
 
     def fail_at(self, msg: str, at: int):
-        """Raise msg at offset at of the text; only '\n' ends a line."""
-        text = self.text
-        line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
-        raise ParseError(msg, SourceSpan(self.filename, line, col))
+        """Raise msg at offset at of the text."""
+        raise ParseError(msg, SourceSpan.at(self.filename, self.text, at))
 
 
 def parse_swrl(text: str, filename: str = "<string>") -> list[SwrlRule]:

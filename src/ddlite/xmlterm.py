@@ -156,10 +156,8 @@ class _XmlScanner:
         self.start, self.attr, self.content_run, self.misc = _patterns()
 
     def fail(self, msg: str, at: int):
-        """Raise msg at offset at; only '\n' ends a line."""
-        line = self.src.count("\n", 0, at) + 1
-        col = at - self.src.rfind("\n", 0, at)
-        raise XmlParseError(msg, SourceSpan(self.filename, line, col))
+        """Raise msg at offset at."""
+        raise XmlParseError(msg, SourceSpan.at(self.filename, self.src, at))
 
     def skip_markup(self) -> bool:
         """Skip the comment or processing instruction at the cursor; False

@@ -13,7 +13,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 
-from ddlite.errors import ParseError, XmlParseError
+from ddlite.errors import EvalTypeError, ParseError, XmlParseError
 from ddlite.hybrid import AttrAccess, Child, Filter
 from ddlite.kernel import (
     NIL,
@@ -27,6 +27,7 @@ from ddlite.kernel import (
     Rule,
     SourceSpan,
     Var,
+    is_ground,
     mklist,
     term_text,
 )
@@ -1082,6 +1083,155 @@ def reference_text(t, quoted=True):
         return call(t.functor, t.args)
 
     return text(t)
+
+
+# ===========================================================================
+# Proof trees through a typed view
+# ===========================================================================
+
+# ddlite.engine once converted a tree term into a typed tree (_RefProofTree
+# here, with from_term and to_term) and rendered that; the package now reads
+# the term itself.  The code is as it was, but for names and for the plain
+# class in place of a kernel.Record.
+
+
+def _ref_atom_term(a):
+    return Compound(a.predicate, a.args) if a.args else Const(a.predicate)
+
+
+def _ref_is_tree_term(t):
+    return (
+        isinstance(t, Compound)
+        and t.functor == "t"
+        and len(t.args) >= 2
+        and isinstance(t.args[1], Const)
+    )
+
+
+def _ref_conclusion_atom(t):
+    if isinstance(t, Compound):
+        atom = Atom(t.functor, t.args)
+    elif isinstance(t, Const):
+        atom = Atom(t.symbol)
+    else:
+        raise EvalTypeError(f"proof tree conclusion {term_text(t)} is not an atom")
+    if not is_ground(atom):
+        raise EvalTypeError(
+            f"proof tree conclusion {term_text(t)} is not ground"
+        )
+    return atom
+
+
+class _RefProofTree:
+    """Typed view of the t(Conclusion, Tag, Children..., SideConds...) shape."""
+
+    __slots__ = ("conclusion", "tag", "children", "side_conditions")
+
+    def __init__(self, conclusion, tag, children=(), side_conditions=()):
+        self.conclusion = conclusion
+        self.tag = tag
+        self.children = children
+        self.side_conditions = side_conditions
+
+    @staticmethod
+    def from_term(t):
+        """The typed tree of a tree term.  Nodes wait on an explicit stack,
+        so depth is not bounded by the recursion limit; conclusions are
+        checked parents first, and a subterm shared by several parents
+        (one object, as ground terms are interned) is converted once."""
+        if not _ref_is_tree_term(t):
+            raise EvalTypeError(f"not a proof tree term: {term_text(t)}")
+        built = {}
+        # (term, None) is a node to enter, (term, conclusion) one to build
+        stack = [(t, None)]
+        while stack:
+            term, conclusion = stack.pop()
+            if conclusion is None:
+                if id(term) not in built:
+                    stack.append((term, _ref_conclusion_atom(term.args[0])))
+                    stack.extend(
+                        (c, None) for c in reversed(term.args[2:])
+                        if _ref_is_tree_term(c)
+                    )
+                continue
+            children = []
+            side = []
+            for rest in term.args[2:]:
+                if _ref_is_tree_term(rest):
+                    children.append(built[id(rest)])
+                else:
+                    side.append(rest)
+            built[id(term)] = _RefProofTree(
+                conclusion, term.args[1].symbol, tuple(children), tuple(side)
+            )
+        return built[id(t)]
+
+    def to_term(self, side_conditions=True):
+        """The tree term; without side conditions, the shape shown in
+        listings.  Built children first, on an explicit stack."""
+        built = {}
+        stack = [(self, False)]
+        while stack:
+            node, ready = stack.pop()
+            if not ready:
+                stack.append((node, True))
+                stack.extend((c, False) for c in node.children if id(c) not in built)
+                continue
+            built[id(node)] = Compound(
+                "t",
+                (_ref_atom_term(node.conclusion), Const(node.tag))
+                + tuple(built[id(c)] for c in node.children)
+                + (node.side_conditions if side_conditions else ()),
+            )
+        return built[id(self)]
+
+
+def reference_render_proof_tree(term, format="term"):
+    """The tree term as text, through the typed view.  ascii and dot walk
+    nodes parents first, children in order, on an explicit stack."""
+    t = _RefProofTree.from_term(term)
+    if format == "term":
+        return term_text(t.to_term(side_conditions=False), quoted=False)
+    if format == "ascii":
+        lines = []
+        stack = [(t, 0)]
+        while stack:
+            node, depth = stack.pop()
+            pad = "  " * depth
+            lines.append(
+                f"{pad}{term_text(_ref_atom_term(node.conclusion), quoted=False)}"
+                f" [{node.tag}]"
+            )
+            for sc in node.side_conditions:
+                lines.append(f"{pad}  where {term_text(sc, quoted=False)}")
+            stack.extend((c, depth + 1) for c in reversed(node.children))
+        return "\n".join(lines) + "\n"
+    if format == "dot":
+        lines = ["digraph G {", "  node [shape=box];"]
+        # the stack holds (tree, parent id) pairs and edge lines; a
+        # node's edge from its parent is written after the node's subtree
+        todo = [(t, None)]
+        count = 0
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                lines.append(item)
+                continue
+            node, parent = item
+            nid = f"n{count}"
+            count += 1
+            label = term_text(_ref_atom_term(node.conclusion), quoted=False)
+            label += f"\\n[{node.tag}]"
+            for sc in node.side_conditions:
+                label += f"\\nwhere {term_text(sc, quoted=False)}"
+            label = label.replace('"', '\\"')
+            lines.append(f'  "{nid}" [label="{label}"];')
+            if parent is not None:
+                todo.append(f'  "{parent}" -> "{nid}";')
+            todo.extend((c, nid) for c in reversed(node.children))
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown proof tree format {format!r}")
 
 
 # ===========================================================================

@@ -9,7 +9,6 @@ import pytest
 from ddlite.engine import (
     EvalOptions,
     FactStore,
-    ProofTree,
     Violation,
     auto_pt,
     call_builtin,
@@ -19,6 +18,7 @@ from ddlite.engine import (
     evaluate,
     facts_as_rules,
     facts_to_json,
+    proof_tree,
     render_proof_tree,
     solve_body,
     stratify,
@@ -52,7 +52,7 @@ from ddlite.kernel import (
 from ddlite.syntax import lloyd_topor, parse_program, parse_swrl, print_program, swrl_to_datalog
 
 from naive import evaluate_naive, tp_step
-from oracles import ground_model, model_of_store, random_program
+from oracles import ground_model, model_of_store, random_program, reference_render_proof_tree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -667,36 +667,41 @@ def route_tree_term():
 
 
 def test_proof_tree_term_roundtrip_keeps_side_conditions():
-    term = route_tree_term()
-    tree = ProofTree.from_term(term)
-    assert tree.tag == "r"
-    assert [c.tag for c in tree.children] == ["f1", "e"]
-    assert len(tree.side_conditions) == 1
-    assert tree.to_term() == term
+    # proof_tree builds the term a program builds, and tree_of hands it back
+    leaf = proof_tree(Atom("street", (Const("Wue"), Const("Mue"), Num(280))), "f2")
+    children = (
+        proof_tree(Atom("street", (Const("KT"), Const("Wue"), Num(15))), "f1"),
+        proof_tree(Atom("route", (Const("Wue"), Const("Mue"), Num(280))), "e", [leaf]),
+    )
+    side = Compound("is", (Num(295), Compound("+", (Num(15), Num(280)))))
+    route = Atom("route", (Const("KT"), Const("Mue"), Num(295)))
+    term = proof_tree(route, "r", children, [side])
+    assert term == route_tree_term()
+    assert tree_of(Atom("route", route.args + (term,))) is term
 
 
 def test_proof_tree_rejects_malformed_terms():
-    with pytest.raises(EvalTypeError, match="not a proof tree term"):
-        ProofTree.from_term(Const("t"))
     nonground = Compound("t", (Compound("p", (Var("X"),)), Const("r1")))
-    with pytest.raises(EvalTypeError, match="not ground"):
-        ProofTree.from_term(nonground)
     # conclusions are checked parents first
     nested = Compound("t", (Num(3), Const("r1"), Compound("t", (Num(4), Const("r2")))))
-    with pytest.raises(EvalTypeError, match="conclusion 3 is not an atom"):
-        ProofTree.from_term(nested)
+    for fmt in ("term", "ascii", "dot"):
+        with pytest.raises(EvalTypeError, match="not a proof tree term"):
+            render_proof_tree(Const("t"), fmt)
+        with pytest.raises(EvalTypeError, match="not ground"):
+            render_proof_tree(nonground, fmt)
+        with pytest.raises(EvalTypeError, match="conclusion 3 is not an atom"):
+            render_proof_tree(nested, fmt)
 
 
 def test_tree_of_reads_the_last_argument():
     fact = Atom("route", (Const("KT"), Const("Mue"), Num(295), route_tree_term()))
-    tree = tree_of(fact)
-    assert tree is not None and tree.tag == "r"
+    assert tree_of(fact) is fact.args[-1]
     assert tree_of(Atom("p", (Const("a"),))) is None
     assert tree_of(Atom("p")) is None
 
 
 def test_render_term_format_strips_side_conditions():
-    text = render_proof_tree(ProofTree.from_term(route_tree_term()), "term")
+    text = render_proof_tree(route_tree_term(), "term")
     assert text == (
         "t(route(KT, Mue, 295), r, t(street(KT, Wue, 15), f1), "
         "t(route(Wue, Mue, 280), e, t(street(Wue, Mue, 280), f2)))"
@@ -704,7 +709,7 @@ def test_render_term_format_strips_side_conditions():
 
 
 def test_render_ascii_format_shows_side_conditions():
-    text = render_proof_tree(ProofTree.from_term(route_tree_term()), "ascii")
+    text = render_proof_tree(route_tree_term(), "ascii")
     lines = text.splitlines()
     assert lines[0] == "route(KT, Mue, 295) [r]"
     assert lines[1] == "  where (295 is 15+280)"
@@ -713,7 +718,7 @@ def test_render_ascii_format_shows_side_conditions():
 
 
 def test_render_dot_format():
-    text = render_proof_tree(ProofTree.from_term(route_tree_term()), "dot")
+    text = render_proof_tree(route_tree_term(), "dot")
     assert text.startswith("digraph G {")
     assert text.rstrip().endswith("}")
     assert text.count(" -> ") == 3
@@ -722,7 +727,49 @@ def test_render_dot_format():
 
 def test_render_rejects_unknown_formats():
     with pytest.raises(ValueError):
-        render_proof_tree(ProofTree.from_term(route_tree_term()), "yaml")
+        render_proof_tree(route_tree_term(), "yaml")
+
+
+def _renders_like_the_reference(tree):
+    """render_proof_tree gives the typed reference's text, or raises its
+    EvalTypeError, in every format."""
+    for fmt in ("term", "ascii", "dot"):
+        try:
+            want = reference_render_proof_tree(tree, fmt)
+        except EvalTypeError as err:
+            with pytest.raises(EvalTypeError) as got:
+                render_proof_tree(tree, fmt)
+            assert str(got.value) == str(err), term_text(tree)
+        else:
+            assert render_proof_tree(tree, fmt) == want, term_text(tree)
+
+
+def test_render_proof_tree_agrees_with_the_typed_reference():
+    trees = [tree_of(f) for f in evaluate(fixture_program("route.dl")).sorted_facts()]
+    rng = random.Random(1515)
+    for trial in range(40):
+        store = evaluate(auto_pt(random_program(rng, allow_negation=trial % 2 == 1)))
+        trees += [tree_of(f) for f in store.sorted_facts()]
+    # roots with two or more children, whose order the renderers must keep
+    assert sum(len(tree.args) > 3 for tree in trees) > 50
+
+    def t(conclusion, tag, *rest):
+        return Compound("t", (conclusion, Const(tag)) + rest)
+
+    shared = t(Const("v"), "s")
+    trees += [
+        Const("t"),
+        t(Num(3), "r"),
+        t(Const("q"), "r", t(Num(4), "s")),
+        t(Num(3), "r", t(Num(4), "s")),
+        t(Const("q"), "r", t(Const("v"), "s", t(Var("X"), "s")), t(Num(5), "s")),
+        t(Compound("p", (Var("X"),)), "r"),
+        t(Const("u"), "r", Compound("t", (Const("x"),))),
+        t(Compound("w", (Const("a"),)), "r", shared, Const("side"), shared, Num(2)),
+        t(Const("w"), 'say "r"', t(Const("v"), "s", Compound("f", (Const('"'),)))),
+    ]
+    for tree in trees:
+        _renders_like_the_reference(tree)
 
 
 def test_evaluated_route_carries_the_expected_tree():
@@ -734,9 +781,7 @@ def test_evaluated_route_carries_the_expected_tree():
         "t(route(KT, Mue, 295), r, t(street(KT, Wue, 15), f1), "
         "t(route(Wue, Mue, 280), e, t(street(Wue, Mue, 280), f2)))"
     )
-    assert [term_text(sc, quoted=False) for sc in tree.side_conditions] == [
-        "(295 is 15+280)"
-    ]
+    assert term_text(tree.args[-1], quoted=False) == "(295 is 15+280)"
 
 
 def test_a_proof_deeper_than_the_recursion_limit_converts_and_replays():
@@ -749,11 +794,11 @@ def test_a_proof_deeper_than_the_recursion_limit_converts_and_replays():
     assert len(store) == 2201
     (deepest,) = [f for f in store.facts(("reach", 2)) if f.args[0] == Const("n1100")]
     tree = tree_of(deepest)
-    assert tree.to_term() is deepest.args[-1]
     depth, node = 0, tree
-    while node.children:
-        depth, node = depth + 1, node.children[0]
-    assert depth == 1100 and node.conclusion == Atom("reach", (Const("n0"),))
+    while len(node.args) > 2:
+        depth, node = depth + 1, node.args[2]
+    assert depth == 1100 and node.args[0] == Compound("reach", (Const("n0"),))
+    _renders_like_the_reference(tree)
     dot = render_proof_tree(tree, "dot")
     assert dot.count(" [label=") == 2201 and dot.count(" -> ") == 2200
     assert validate_fact(p, store, deepest)

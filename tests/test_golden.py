@@ -75,6 +75,11 @@ def cases() -> list[list[str]]:
     for spec in ("append/2", "append/2, parent/2", "foo", "p/x", "/2", "p/", "p/\u00b2"):
         out.append(["graph", ancestor, "--kind", "rpg", "--meta-list", spec])
     out.append(["graph", ancestor, "--kind", "bogus"])
+    # an operator body literal: a relation only where the program defines it
+    eq_body, eq_relation = f"{INPUTS}/eq_body.dl", f"{INPUTS}/eq_relation.dl"
+    for f in (eq_body, eq_relation):
+        for kind in ("pdg", "rpg"):
+            out.append(["graph", f, "--kind", kind])
     out.append(["graph"])
 
     # diff: each program against itself and against its neighbour
@@ -96,6 +101,9 @@ def cases() -> list[list[str]]:
         ["--meta-list", "p/x"],
     ):
         out.append(["diff", h1, h2] + extra)
+    for left, right in ((eq_body, eq_relation), (eq_relation, eq_body)):
+        for kind in ("pdg", "rpg"):
+            out.append(["diff", left, right, "--kind", kind])
     out.append(["diff", f"{INPUTS}/empty.dl", h2, "--helpers", "h"])
     out.append(["diff", f"{INPUTS}/empty.dl", h2, "--helpers", "h", "--root", "a/0"])
     for left, right in ((xml[0], xml[1]), (xml[1], xml[2]), (xml[0], xml[0])):
@@ -249,6 +257,13 @@ def cases() -> list[list[str]]:
         for fmt in ("term", "ascii", "dot"):
             out.append(["prove", f"{INPUTS}/printer_shapes.dl", "--auto-pt",
                         "--atom", atom, "--format", fmt])
+    # tree terms a program builds itself: a conclusion that is no atom, at
+    # the root and in a child; a t/1 argument, which is no tree; and a
+    # side condition after a child
+    shapes = f"{INPUTS}/tree_shapes.dl"
+    for atom in ("p(T)", "q(T)", "u(X)", "w(T)"):
+        for fmt in ("term", "ascii", "dot"):
+            out.append(["prove", shapes, "--atom", atom, "--format", fmt])
     return out
 
 

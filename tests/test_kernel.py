@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlite import kernel
-from ddlite.engine import Builtin, EvalOptions, FactStore, ProofTree, Strata, Violation, solve_body
+from ddlite.engine import Builtin, EvalOptions, FactStore, Strata, Violation, solve_body
 from ddlite.graphs import DepGraph, DiffReport, Edge, MetaCallNode, PredNode, RuleNode, TagNode
 from ddlite.hybrid import (
     AggCol,
@@ -470,10 +470,6 @@ def _rule():
     return Rule("r1", _atom(), _body(), _SPAN)
 
 
-def _leaf():
-    return ProofTree(Atom("q"), "f1")
-
-
 # one instance of each value class: a builder of equal copies, and the
 # value whose hash the instance's hash is (the tuple of the compared
 # fields), or None where instances are unhashable
@@ -512,7 +508,6 @@ VALUES = [
     (lambda: Violation("r1", "X", "is free"), ("r1", "X", "is free")),
     (lambda: Strata({_KEY: 0}), None),  # hashing its dict raises
     (lambda: EvalOptions(max_facts=5), (10000, 5)),
-    (lambda: ProofTree(_atom(), "r1", (_leaf(),), (Num(1),)), (_atom(), "r1", (_leaf(),), (Num(1),))),
     (lambda: Text("x"), None),
     (lambda: XmlTerm("row", {"ESSN": "22"}, [Text("x")]), None),
 ]
@@ -579,11 +574,6 @@ VALUE_REPRS = {
     "Violation": "Violation(rule_name='r1', variable='X', reason='is free')",
     "Strata": "Strata(assignment={PredKey(module=None, name='p', arity=1): 0})",
     "EvalOptions": 'EvalOptions(max_iterations=10000, max_facts=5)',
-    "ProofTree": (
-        "ProofTree(conclusion=Atom(p/2, (Var('X'), Const('a'))), tag='r1', "
-        "children=(ProofTree(conclusion=Atom(q/0, ()), tag='f1', "
-        'children=(), side_conditions=()),), side_conditions=(Num(1),))'
-    ),
     "Text": "Text(value='x')",
     "XmlTerm": (
         "XmlTerm(tag='row', attributes={'ESSN': '22'}, "
