@@ -3,18 +3,22 @@
 The pipeline is: check_safety -> stratify -> per-stratum semi-naive
 fixpoint.  Rules run as compiled plans (_Plan): each body is compiled
 once for the variables bound on entry (none in evaluate and in hybrid
-goals, the head's in replay), and the plan solves its literals left to
-right, in the written order, against the fact store.  solve_body runs one
-for hybrid goals too (hybrid.solve_goal).  A positive literal matches
-ground facts one way (kernel.match); mgu, with its occurs check, runs only
-where both sides may hold variables: a unifying builtin (pt, same_as)
-with open terms on both sides, and the literals after one.  A ground
-literal is a lookup, and a head is built from a template.  Goals with a
-`prolog:` prefix call into a small builtin registry instead of matching
-facts.  Negated literals are checked against the store, which by
-stratification is already complete for the negated predicate; a negated
-literal still carrying variables is deferred to the end of the body and
-then read as "no stored fact unifies".
+goals, the head's in replay).  In evaluate and in replay a plan solves
+its literals bound first: the delta literal, then whatever is a lookup,
+and a pt/2 call as soon as one side is bound.  A body with a builtin that
+can raise, or with a negated builtin, whose answer depends on what is
+bound where it runs, keeps its written order, and so does a goal
+(solve_body, as run by hybrid.solve_goal), whose answer order users see.
+A positive literal matches ground facts one way (kernel.match); mgu, with
+its occurs check, runs only where both sides may hold variables: a
+unifying builtin (pt, same_as) with open terms on both sides, and the
+literals after one.  A literal whose variables are bound is a lookup,
+and a head is built from a template.  Goals with a `prolog:` prefix call
+into a small builtin registry instead of matching facts.  Negated
+literals are checked against the store, which by stratification is
+already complete for the negated predicate; a negated literal still
+carrying variables is deferred to the end of the body and then read as
+"no stored fact unifies".
 
 Joins take facts in insertion order; sort_key order is imposed only where
 users see it, by FactStore.facts, sorted_facts and sorted_candidates.
@@ -123,6 +127,11 @@ def _arith(t: Term) -> float:
             stack.extend(reversed(item.args))
         else:
             raise EvalTypeError(f"not an arithmetic expression: {term_text(item)}")
+    if values[0] != values[0]:
+        # NaN, as from inf - inf: kernel.match finds it unequal to itself
+        # and a store lookup finds it, so its joins would hang on the order
+        # a plan takes
+        raise EvalTypeError(f"arithmetic result is not a number: {term_text(t)}")
     return values[0]
 
 
@@ -664,14 +673,20 @@ class _Plan:
 
     The pattern is the set of variables bound to ground terms on entry:
     none in evaluate and query, the head's in replay.  Each body item
-    becomes one step, in the written order, which runs the next step once
-    per answer.  What a step does is settled here, once:
+    becomes one step, which runs the next step once per answer.  The
+    steps come in the written order, or with reorder (evaluate and
+    replay) in bound-first order (_bound_first), unless a builtin of the
+    body can raise, or is negated (_may_raise): then the written order
+    decides which error comes first, and what is bound when the negation
+    runs.  What a step does is settled here, once:
 
-    - a positive literal takes its candidate facts from probe (from the
-      delta at delta_pos) and matches each one way (kernel.match).  Only
-      after a builtin that may bind a variable to an open term, such as
-      `pt(X, f(Y))` with Y unbound, does it unify them with mgu;
-    - a ground positive literal is one store.has lookup;
+    - a positive literal takes its candidate facts from probe, or the
+      store (from the delta at delta_pos), and matches each one way
+      (kernel.match).  Only after a builtin that may bind a variable to
+      an open term, such as `pt(X, f(Y))` with Y unbound, does it unify
+      them with mgu;
+    - a positive literal whose variables are all bound is one store.has
+      lookup, unless it reads the delta or a probe;
     - a negated literal whose variables the pattern binds is one lookup.
       Any other is looked up where it stands if it is ground there, and
       checked again at the end by deferred_negation_ok;
@@ -691,13 +706,17 @@ class _Plan:
         solve_item: Optional[Callable[[object, Subst], Iterable[Subst]]] = None,
         delta_pos: Optional[int] = None,
         emit: Callable[[Subst], object] = lambda s: s,
+        reorder: bool = False,
     ):
         self.delta: Optional[FactIndex] = None  # what the delta_pos literal reads
-        probe = probe or store.candidates
         ground = set(bound)  # variables bound to ground terms here
+        order: Iterable[int] = range(len(body))
+        if reorder and len(body) > 1 and not any(_may_raise(i) for i in body):
+            order = _bound_first(body, ground, delta_pos)
         steps: list[tuple] = []  # (step function, its arguments but the next step)
         late: list[Atom] = []
-        for i, item in enumerate(body):
+        for i in order:
+            item = body[i]
             if not isinstance(item, Literal):
                 steps.append((_item_step, item, solve_item))
                 continue
@@ -714,12 +733,15 @@ class _Plan:
                 open_ = _builtin_binds(atom, ground) or open_
             elif atom.key in CONTROL:
                 continue
-            elif atom.ground and i != delta_pos:
-                steps.append((_has_step, atom, store))
             else:
-                source = self._delta_candidates if i == delta_pos else probe
-                steps.append((_positive_step, atom, source, open_))
-                ground |= term_vars(atom)
+                names = term_vars(atom)
+                if i == delta_pos:
+                    steps.append((_positive_step, atom, self._delta_candidates, open_))
+                elif atom.ground or probe is None and not open_ and names <= ground:
+                    steps.append((_has_step, atom, store))
+                else:
+                    steps.append((_positive_step, atom, probe or store.candidates, open_))
+                ground |= names
 
         def finish(s: Subst) -> Iterator:
             if not late or deferred_negation_ok(late, s, store):
@@ -732,6 +754,61 @@ class _Plan:
 
     def _delta_candidates(self, query: Atom, s: Subst) -> Sequence[Atom]:
         return self.delta.candidates(query, s)
+
+
+def _may_raise(item) -> bool:
+    """True unless item is a literal that raises no error wherever it
+    stands: a relation, or a positive call of pt or same_as, which only
+    unify.  A negated call is answered for what is bound where it runs:
+    `not pt(X, a)` fails with X unbound and may hold once X is bound."""
+    if not isinstance(item, Literal):
+        return True
+    if not item.is_builtin():
+        return False
+    spec = BUILTINS.get((item.atom.predicate, len(item.atom.args)))
+    return item.is_negated() or spec is None or spec.fn is not _bi_unify
+
+
+def _bound_first(body: Sequence, bound: set[str], delta_pos: Optional[int]) -> list:
+    """The positions of body in the order a reordered plan solves them.
+
+    The delta literal comes first.  Then, greedily (Selinger et al.,
+    SIGMOD 1979), the first item in written order that only reads what is
+    bound by then: a lookup, a negation, or a pt/same_as call with one
+    side bound, which binds the other; else the positive literal with the
+    most arguments bound, the first of them on a tie; else the first item
+    left.  So where nothing is bound and no argument is a constant, as in
+    the first pass of most rules, the written order stands."""
+    ground = set(bound)
+    left = list(range(len(body)))
+    order: list[int] = []
+    if delta_pos is not None:
+        left.remove(delta_pos)
+        order.append(delta_pos)
+        ground |= term_vars(body[delta_pos].atom)
+    while left:
+        pick, most = left[0], -1
+        for i in left:
+            lit = body[i]
+            if lit.is_builtin() and not lit.is_negated():
+                if any(term_vars(a) <= ground for a in lit.atom.args):
+                    pick = i
+                    break
+            elif term_vars(lit.atom) <= ground:
+                pick = i
+                break
+            elif not lit.is_negated():
+                n = sum(term_vars(a) <= ground for a in lit.atom.args)
+                if n > most:
+                    pick, most = i, n
+        left.remove(pick)
+        order.append(pick)
+        lit = body[pick]
+        if lit.is_builtin():
+            _builtin_binds(lit.atom, ground)
+        elif not lit.is_negated():
+            ground |= term_vars(lit.atom)
+    return order
 
 
 def _builtin_binds(atom: Atom, ground: set[str]) -> bool:
@@ -773,8 +850,16 @@ def _positive_step(atom: Atom, candidates, open_: bool, nxt):
 
 
 def _has_step(atom: Atom, store: FactStore, nxt):
+    if atom.ground:
+        def run(s):
+            if store.has(atom):
+                yield from nxt(s)
+        return run
+    build = _template(atom.args)
+    predicate = atom.predicate
+
     def run(s):
-        if store.has(atom):
+        if store.has(Atom(predicate, build(s))):
             yield from nxt(s)
     return run
 
@@ -870,7 +955,7 @@ def _rule_plan(
             )
         return fact
 
-    return _Plan(rule.body, store, delta_pos=delta_pos, emit=emit)
+    return _Plan(rule.body, store, delta_pos=delta_pos, emit=emit, reorder=True)
 
 
 def _rule_heads(
@@ -932,12 +1017,14 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
         rules = by_stratum.get(stratum, [])
         if not rules:
             continue
-        positions = [_positive_positions(rule) for rule in rules]
-        read = {
-            rule.body[j].atom.key
-            for rule, rule_positions in zip(rules, positions)
-            for j in rule_positions
-        }
+        # (rule, body position, predicate read there): the runs a delta
+        # pass may make, in rule order and then body order
+        entries = [
+            (k, j, rule.body[j].atom.key)
+            for k, rule in enumerate(rules)
+            for j in _positive_positions(rule)
+        ]
+        read = {key for _, _, key in entries}
         # each rule compiled once per delta position it runs with
         plans: dict[tuple[int, Optional[int]], _Plan] = {}
         # the first pass is plain T_P over everything derived so far; after
@@ -945,31 +1032,24 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
         # facts in the previous pass, that literal matching only those
         # facts, so the delta holds only predicates some literal reads
         delta: Optional[FactIndex] = None
+        runs: list[tuple[int, Optional[int]]] = [(k, None) for k in range(len(rules))]
         iteration = 1
         while True:
             # derivation order, kept so that join order (and which fact an
             # error names) never depends on hashing
             new: dict[Atom, str] = {}
-            for k, (rule, rule_positions) in enumerate(zip(rules, positions)):
-                if delta is None:
-                    runs: list[Optional[int]] = [None]
+            for k, j in runs:
+                rule = rules[k]
+                if not rule.body and rule.head.ground:
+                    heads: Iterable[Atom] = (rule.head,)  # needs no plan
                 else:
-                    runs = [
-                        j
-                        for j in rule_positions
-                        if delta.has_predicate(rule.body[j].atom.key)
-                    ]
-                for j in runs:
-                    if not rule.body and rule.head.ground:
-                        heads: Iterable[Atom] = (rule.head,)  # needs no plan
-                    else:
-                        plan = plans.get((k, j))
-                        if plan is None:
-                            plan = plans[k, j] = _rule_plan(rule, store, j)
-                        heads = _rule_heads(rule, store, delta, j, plan)
-                    for head in heads:
-                        if head not in new and not store.has(head):
-                            new[head] = rule.name
+                    plan = plans.get((k, j))
+                    if plan is None:
+                        plan = plans[k, j] = _rule_plan(rule, store, j)
+                    heads = _rule_heads(rule, store, delta, j, plan)
+                for head in heads:
+                    if head not in new and not store.has(head):
+                        new[head] = rule.name
             for head, origin in new.items():
                 store.add(head, origin)
             limit_check(stratum, new)
@@ -985,6 +1065,7 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
                     delta_sample=sample,
                 )
             delta = FactIndex(head for head in new if head.key in read)
+            runs = [(k, j) for k, j, key in entries if delta.has_predicate(key)]
     return store.freeze()
 
 
@@ -1212,7 +1293,7 @@ def _replay(p: Program, store: FactStore) -> Callable[[Atom], bool]:
     head binds the head's variables to ground terms."""
     by_key: dict[PredKey, list[tuple[tuple, _Plan]]] = {}
     for rule in p.rules:
-        plan = _Plan(rule.body, store, term_vars(rule.head))
+        plan = _Plan(rule.body, store, term_vars(rule.head), reorder=True)
         by_key.setdefault(rule.head.key, []).append((rule.head.args, plan))
 
     def derivable(fact: Atom) -> bool:
@@ -1259,9 +1340,21 @@ def validate_store(p: Program, store: FactStore) -> list[Atom]:
 # ===========================================================================
 
 
+_CONS = PredKey(None, ".", 2)
+
+
 def dump_facts(store: FactStore) -> str:
-    """Sorted, re-parseable fact listing, one atom per line."""
-    lines = [term_text(_atom_term(f), quoted=True) + "." for f in store.sorted_facts()]
+    """Sorted, re-parseable fact listing, one atom per line.  A fact
+    prints as its term (_atom_term): as the stored atom itself, but with
+    no module prefix, and a '.'/2 fact as a list."""
+    lines = [
+        term_text(
+            f if f.module_prefix is None and f.key != _CONS else _atom_term(f),
+            quoted=True,
+        )
+        + "."
+        for f in store.sorted_facts()
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

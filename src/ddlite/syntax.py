@@ -971,13 +971,16 @@ def swrl_to_datalog(rules: list[SwrlRule]) -> Program:
             raise TranslationError(
                 "rule is not normalized: expected exactly one consequent atom"
             )
-        varmap: dict[str, str] = {}
-        head = _capitalize(rule.consequent[0], varmap)
+        renamed: dict[str, Var] = {}
+        taken: dict[str, str] = {}
+        head = _capitalize(rule.consequent[0], renamed, taken)
         if head.module_prefix is not None:
             raise TranslationError(
                 f"builtin atom {head.predicate!r} cannot be a rule head"
             )
-        body = tuple(Literal(_capitalize(a, varmap)) for a in rule.antecedent)
+        body = tuple(
+            Literal(_capitalize(a, renamed, taken)) for a in rule.antecedent
+        )
         out.append(Rule(f"r{k}", head, body))
     return Program(tuple(out))
 
@@ -985,27 +988,32 @@ def swrl_to_datalog(rules: list[SwrlRule]) -> Program:
 _NOT_IN_VAR = re.compile(r"[^A-Za-z0-9_]")
 
 
-def _capitalize(atom: Atom, varmap: dict[str, str]) -> Atom:
+def _capitalize(atom: Atom, renamed: dict[str, Var], taken: dict[str, str]) -> Atom:
     """atom with each variable renamed so that rule text reads it back:
     the first letter upper-cased, each character a rule variable may not
     hold made '_' (SWRL names may hold '-', '.' and ':', RuleML ones
     anything), '_' put before a leading digit, and a lone '_', the
-    anonymous variable in rule text, made '_V'.  varmap maps a new name
-    to the source name first seen for it."""
+    anonymous variable in rule text, made '_V'.  renamed maps each source
+    name of the rule met so far to its variable, so a name is worked out
+    once per rule; taken maps a new name to the source name it came
+    from."""
     args = []
     for arg in atom.args:
-        if isinstance(arg, Var):
-            name = arg.name
-            cap = _NOT_IN_VAR.sub("_", name[0].upper() + name[1:])
-            if cap[0].isdigit():
-                cap = "_" + cap
-            elif cap == "_":
-                cap = "_V"
-            prior = varmap.setdefault(cap, name)
-            if prior != name:
-                raise TranslationError(
-                    f"variables {prior!r} and {name!r} collide as {cap!r}"
-                )
-            arg = Var(cap)
+        if arg.__class__ is Var:
+            new = renamed.get(arg.name)
+            if new is None:
+                name = arg.name
+                cap = _NOT_IN_VAR.sub("_", name[0].upper() + name[1:])
+                if cap[0].isdigit():
+                    cap = "_" + cap
+                elif cap == "_":
+                    cap = "_V"
+                prior = taken.setdefault(cap, name)
+                if prior != name:
+                    raise TranslationError(
+                        f"variables {prior!r} and {name!r} collide as {cap!r}"
+                    )
+                new = renamed[name] = Var(cap)
+            arg = new
         args.append(arg)
     return Atom(atom.predicate, tuple(args), atom.module_prefix)

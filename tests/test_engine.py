@@ -5,6 +5,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlite.engine import (
     EvalOptions,
@@ -46,6 +48,8 @@ from ddlite.kernel import (
     Rule,
     Var,
     apply,
+    match,
+    mgu,
     mklist,
     term_text,
 )
@@ -120,6 +124,20 @@ def test_is_division_by_zero():
 def test_is_unbound_operand():
     with pytest.raises(InstantiationError):
         call_builtin(bi("is", Var("X"), Compound("+", (Num(1), Var("Y")))))
+
+
+def test_is_rejects_a_result_that_is_not_a_number():
+    # inf - inf is NaN, which match finds unequal to itself and a store
+    # lookup finds equal, so e(X) would hang on which n(X) runs first
+    inf = Compound("*", (Num(1.0e308), Num(10.0)))
+    with pytest.raises(EvalTypeError, match="not a number"):
+        call_builtin(bi("is", Var("X"), Compound("-", (inf, inf))))
+    p = parse_program(
+        "n(X) :- prolog:(X is 1.0e308*10.0 - 1.0e308*10.0).\ne(X) :- n(X), n(X)."
+    )
+    with pytest.raises(EvalTypeError, match="not a number"):
+        evaluate(p)
+    assert call_builtin(bi("is", Var("X"), inf))[0]["X"] == Num(float("inf"))
 
 
 def test_is_non_arithmetic_operand():
@@ -416,9 +434,18 @@ def test_a_builtin_binding_an_open_term_falls_back_to_mgu():
         "p(X) :- prolog:pt(X, f(Y)), q(Y), r(X).\n"
         "s(X, Y) :- prolog:pt(X, f(Y)), r(X), q(Y).\n"
     )
-    model = model_of_store(evaluate(p))
+    store = evaluate(p)
+    model = model_of_store(store)
     assert model == ground_model(p)
     assert {"p(f(a))", "s(f(a), a)"} <= model
+    # evaluate solves pt/2 once q(Y) has bound Y (bound first); a goal
+    # keeps the written order, so there the open term reaches q and r
+    heads = [
+        term_text(apply(s, rule.head))
+        for rule in p.rules[4:]
+        for s in solve_body(rule.body, store)
+    ]
+    assert heads == ["p(f(a))", "s(f(a), a)"]
 
 
 def test_a_ground_positive_literal_is_a_lookup():
@@ -435,6 +462,196 @@ def test_solve_body_negated_builtin():
     fails = (Literal(bi("<", Num(1), Num(2)), NEGATED),)
     assert len(list(solve_body(holds, store))) == 1
     assert list(solve_body(fails, store)) == []
+
+
+# ===========================================================================
+# Compiled plans
+# ===========================================================================
+
+# leaves that are equal but print apart (0.0 and -0.0), or print alike but
+# are not equal (1 and 1.0), and few variable names, so patterns repeat them
+_PLAN_LEAVES = [Const("a"), Const("b"), Num(1), Num(1.0), Num(0.0), Num(-0.0)]
+_PLAN_VARS = [Var("X"), Var("Y"), Var("Z")]
+
+
+def _plan_terms(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.builds(
+            lambda f, args: Compound(f, tuple(args)),
+            st.sampled_from("fg"),
+            st.lists(kids, min_size=1, max_size=2),
+        ),
+        max_leaves=4,
+    )
+
+
+_PLAN_GROUND = _plan_terms(st.sampled_from(_PLAN_LEAVES))
+_PLAN_PATTERN = _plan_terms(
+    st.one_of(st.sampled_from(_PLAN_VARS), st.sampled_from(_PLAN_LEAVES))
+)
+
+
+@st.composite
+def _plan_instance(draw, t):
+    """A ground term that t often matches: each variable occurrence
+    replaced on its own, so that a repeated variable meets equal, nearly
+    equal and different values, and now and then a leaf replaced too."""
+    if isinstance(t, Var):
+        return draw(_PLAN_GROUND)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(draw(_plan_instance(a)) for a in t.args))
+    return draw(_PLAN_GROUND) if draw(st.integers(0, 4)) == 0 else t
+
+
+@st.composite
+def _plan_cases(draw):
+    """(literal atom, stored facts in insertion order, entry substitution)."""
+    args = tuple(draw(st.lists(_PLAN_PATTERN, min_size=1, max_size=3)))
+    facts = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(*(_plan_instance(a) for a in args)),
+                st.tuples(*(_PLAN_GROUND for _ in args)),
+            ),
+            max_size=6,
+        )
+    )
+    names = draw(st.lists(st.sampled_from(["X", "Y", "Z"]), unique=True, max_size=2))
+    s = {name: draw(_PLAN_GROUND) for name in names}
+    return Atom("p", args), [Atom("p", f) for f in facts], s
+
+
+def _shown(s):
+    """A substitution as text that tells 0.0 from -0.0 and 1 from 1.0."""
+    return None if s is None else sorted((k, repr(v)) for k, v in s.items())
+
+
+@settings(max_examples=250, derandomize=True, database=None)
+@given(_plan_cases())
+def test_a_plan_step_agrees_with_match_and_mgu_on_each_stored_fact(case):
+    atom, facts, s = case
+    store = FactStore()
+    expected = []
+    for fact in facts:
+        if store.add(fact):
+            unifier = _shown(mgu(atom, fact, s))
+            assert _shown(match(atom.args, fact.args, s)) == unifier
+            if unifier is not None:
+                expected.append(unifier)
+    answers = [_shown(a) for a in solve_body((Literal(atom),), store, s)]
+    assert answers == expected
+
+
+def _auto_pt_chain(n):
+    return auto_pt(parse_program(
+        "".join(f"edge(n{i}, n{i + 1}).\n" for i in range(n))
+        + "path(X, Y) :- edge(X, Y).\n"
+        + "path(X, Z) :- edge(X, Y), path(Y, Z).\n"
+    ))
+
+
+def _replay_visits(n):
+    """(facts in the model, facts replay reads) for the auto_pt chain of n
+    edges: every fact the store's candidates hands out is counted as
+    read."""
+    program = _auto_pt_chain(n)
+    store = evaluate(program)
+    read = [0]
+    candidates = store.candidates
+
+    def counting_candidates(query, s):
+        facts = candidates(query, s)
+        read[0] += len(facts)
+        return facts
+
+    store.candidates = counting_candidates
+    assert validate_store(program, store) == []
+    return len(store), read[0]
+
+
+def test_replay_reads_facts_in_proportion_to_the_model():
+    # the fact's own tree binds the child trees when pt/2 runs first, so
+    # path(Y, Z, T2) is one lookup; run in the written order it scanned
+    # Y's bucket of path/3, and reads grew at a facts exponent of 1.1-1.25
+    small, big = _replay_visits(50), _replay_visits(200)
+    fact_ratio = big[0] / small[0]
+    assert big[1] / small[1] <= fact_ratio ** 1.05, (small, big)
+
+
+def _shuffled(p, rng):
+    """p with each rule's relation literals and pt/same_as calls in a
+    random order, and its other builtins after them in their own order:
+    those may raise, and need their inputs bound."""
+    rules = []
+    for rule in p.rules:
+        free = [lit for lit in rule.body if not _raises(lit)]
+        rng.shuffle(free)
+        body = tuple(free) + tuple(lit for lit in rule.body if _raises(lit))
+        rules.append(Rule(rule.name, rule.head, body, rule.span))
+    return Program(tuple(rules))
+
+
+def _raises(lit):
+    return lit.is_builtin() and lit.atom.predicate not in ("pt", "same_as")
+
+
+def _origins(store):
+    return {term_text(f): store.origin(f) for f in store.sorted_facts()}
+
+
+def test_shuffled_bodies_give_the_same_model_and_origins():
+    rng = random.Random(4242)
+    programs = [
+        fixture_program("route.dl"),
+        fixture_program("route_plain.dl"),
+        auto_pt(fixture_program("route_plain.dl")),
+        fixture_program("p1.dl"),
+        fixture_program("p2.dl"),
+        combined(fixture_text("uncle.dl"), "parent(a, b). brother(b, c)."),
+        opm_program(),
+        _auto_pt_chain(6),
+    ]
+    programs += [random_program(rng, allow_negation=k % 2 == 0) for k in range(40)]
+    for p in programs:
+        expected = _origins(evaluate(p))
+        for _ in range(3):
+            assert _origins(evaluate(_shuffled(p, rng))) == expected, print_program(p)
+
+
+def test_a_body_whose_builtin_can_raise_keeps_the_written_order():
+    # bound first, q(Y) would bind Y before the comparison; as written,
+    # the comparison meets Y unbound and raises
+    p = parse_program("q(1). r(2).\np(X) :- r(X), prolog:(X < Y), q(Y).")
+    with pytest.raises(InstantiationError):
+        evaluate(p)
+    # with only pt/2 calls the order is free, and the same model comes out
+    p = parse_program("q(1).\np(T) :- prolog:pt(T, f(Y)), q(Y).")
+    assert model_of_store(evaluate(p)) == {"q(1)", "p(f(1))"}
+
+
+def test_a_body_with_a_negated_builtin_keeps_the_written_order():
+    # as written, the negation meets X unbound, same_as binds it, and the
+    # negation fails; with q(X) first it would hold for X = b
+    p = parse_program("q(a). q(b).\np(X) :- not prolog:same_as(X, a), q(X).")
+    store = evaluate(p)
+    assert model_of_store(store) == {"q(a)", "q(b)"}
+    assert list(solve_body(p.rules[2].body, store)) == []
+    assert validate_store(p, store) == []
+
+
+def test_dump_facts_prints_each_fact_as_its_term():
+    store = FactStore()
+    for fact in (
+        Atom("p", (Const("a"), Num(-0.0))),
+        Atom(".", (Const("a"), Const("[]"))),
+        Atom("q", (Const("b"),), "m"),
+        Atom("<", (Num(1), Num(2))),
+        Atom("z"),
+    ):
+        store.add(fact)
+    # sorted by module, name and arity; the module prefix is not printed
+    assert dump_facts(store) == "[a].\n(1 < 2).\np(a, -0.0).\nz.\nq(b).\n"
 
 
 # ===========================================================================
