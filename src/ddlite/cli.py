@@ -16,7 +16,7 @@ from typing import Optional
 from .engine import (
     EvalOptions,
     auto_pt,
-    check_operators,
+    check_calls,
     check_safety,
     dump_facts,
     evaluate,
@@ -67,6 +67,13 @@ _LIMITS = EvalOptions()  # the default limits
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
         return handle.read()
+
+
+def _parse_checked(path: str) -> Program:
+    """The program in the file, its builtin calls checked (check_calls)."""
+    p = parse_program(_read(path), path)
+    check_calls(p)
+    return p
 
 
 def _load_program(args) -> Program:
@@ -147,8 +154,7 @@ def _add_eval_flags(sub, env_default: int):
 
 
 def cmd_parse(args) -> int:
-    p = parse_program(_read(args.file), args.file)
-    check_operators(p)
+    p = _parse_checked(args.file)
     sys.stdout.write(print_program(p))
     violations = check_safety(p)
     if violations:
@@ -167,8 +173,7 @@ def cmd_parse(args) -> int:
 def _build_graph(args, path: str) -> DepGraph:
     if args.kind == "schema":
         return schema_graph(load_xml(path), include_attrs=not args.no_attrs)
-    p = parse_program(_read(path), path)
-    check_operators(p)
+    p = _parse_checked(path)
     meta = _meta_dict(args.meta_list)
     return build_pdg(p, meta) if args.kind == "pdg" else build_rpg(p, meta)
 
@@ -221,10 +226,7 @@ def cmd_diff(args) -> int:
         helpers = frozenset()
         equivalent = None
     else:
-        p1 = parse_program(_read(args.left), args.left)
-        p2 = parse_program(_read(args.right), args.right)
-        check_operators(p1)
-        check_operators(p2)
+        p1, p2 = _parse_checked(args.left), _parse_checked(args.right)
         meta = _meta_dict(args.meta_list)
         build = build_pdg if args.kind == "pdg" else build_rpg
         g1, g2 = build(p1, meta), build(p2, meta)
@@ -290,6 +292,7 @@ def cmd_swrl(args) -> int:
     if args.emit == "datalog":
         sys.stdout.write(print_program(program))
         return 0
+    check_calls(program)
     violations = check_safety(program)
     if violations:
         for v in violations:

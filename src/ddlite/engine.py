@@ -1,9 +1,9 @@
 """Bottom-up evaluation with embedded builtin calls.
 
-The pipeline is: check_safety -> stratify -> per-stratum semi-naive
-fixpoint.  Rules run as compiled plans (_Plan): each body is compiled
-once for the variables bound on entry (none in evaluate and in hybrid
-goals, the head's in replay).  In evaluate and in replay a plan solves
+The pipeline is: check_calls -> check_safety -> stratify -> per-stratum
+semi-naive fixpoint.  Rules run as compiled plans (_Plan): each body is
+compiled once for the variables bound on entry (none in evaluate and in
+hybrid goals, the head's in replay).  In evaluate and in replay a plan solves
 its literals bound first: the delta literal, then whatever is a lookup,
 and a pt/2 call as soon as one side is bound.  A body with a builtin that
 can raise, or with a negated builtin, whose answer depends on what is
@@ -13,8 +13,10 @@ A positive literal matches ground facts one way (kernel.match); mgu, with
 its occurs check, runs only where both sides may hold variables: a
 unifying builtin (pt, same_as) with open terms on both sides, and the
 literals after one.  A literal whose variables are bound is a lookup,
-and a head is built from a template.  Goals with a `prolog:` prefix call
-into a small builtin registry instead of matching facts.  Negated
+and a head is built from a template.  A literal with a `prolog:` (or
+any) prefix calls the builtin lookup_builtin finds in a small registry
+instead of matching facts; check_calls, which evaluate, solve_goal and
+every command run first, reports one that names no builtin.  Negated
 literals are checked against the store, which by stratification is
 already complete for the negated predicate; a negated literal still
 carrying variables is deferred to the end of the body and then read as
@@ -44,7 +46,6 @@ from .errors import (
 )
 from .graphs import NOT, Edge, Node, PredNode, build_pdg
 from .kernel import (
-    CONTROL,
     OPERATORS,
     Atom,
     Compound,
@@ -234,6 +235,15 @@ _register("create_owl_thing", 4, (1, 2, 3), (0,), _bi_create_owl_thing)
 _register("append", 2, (0,), (1,), _bi_append)
 
 
+def lookup_builtin(atom: Atom) -> Builtin:
+    """The Builtin a call names, by its predicate and arity whatever its
+    module prefix; UnknownBuiltin if it names none."""
+    spec = BUILTINS.get((atom.predicate, len(atom.args)))
+    if spec is not None:
+        return spec
+    raise UnknownBuiltin(f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span)
+
+
 def call_builtin(goal: Atom, s: Optional[Subst] = None) -> list[Subst]:
     """Run one builtin goal under s; answers extend s.
 
@@ -241,44 +251,33 @@ def call_builtin(goal: Atom, s: Optional[Subst] = None) -> list[Subst]:
     arguments, type mismatches, and unknown builtin names.
     """
     s = s or {}
-    spec = BUILTINS.get((goal.predicate, len(goal.args)))
-    if spec is None:
-        raise UnknownBuiltin(
-            f"unknown builtin {goal.predicate}/{len(goal.args)}", goal.span
-        )
-    args = apply(s, goal).args
-    return spec.fn(args, s)
+    return lookup_builtin(goal).fn(apply(s, goal).args, s)
 
 
-def check_operator_literals(items: Sequence, defined: frozenset[PredKey]) -> None:
-    """Raise UnknownBuiltin at the first literal among items (a rule body
-    or a goal) that an operator names with no module prefix, such as
-    `X = a`, unless defined, the predicates of a program's facts and rule
-    heads, holds its predicate.  Such a literal reads as a call, and
-    `prolog:(X = a)` names no builtin; a program that defines `=`/2 keeps
-    it as a relation."""
-    for item in items:
-        if isinstance(item, Literal):
+def check_calls(p: Optional[Program], goal: Optional[Sequence] = None) -> None:
+    """Raise UnknownBuiltin at the first literal, of goal if given, else of
+    p's rule bodies (the error then naming the rule), that is a call naming
+    no builtin, negated or not, or that an operator names with no prefix,
+    such as `X = a`, and no fact or rule head of p defines.  Every command
+    runs this before it prints anything, so all report the same error."""
+    defined = p.idb() if p is not None else frozenset()
+    bodies = [(goal, None)] if goal is not None else [(r.body, r) for r in p.rules]
+    for body, rule in bodies:
+        for item in body:
+            if not isinstance(item, Literal):
+                continue
             atom = item.atom
-            if (
-                atom.module_prefix is None
-                and atom.predicate in OPERATORS
-                and atom.key not in defined
-            ):
-                raise UnknownBuiltin(
-                    f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span
-                )
-
-
-def check_operators(p: Program) -> None:
-    """check_operator_literals on each rule body of the program in turn,
-    the error naming the rule."""
-    defined = p.idb()
-    for rule in p.rules:
-        try:
-            check_operator_literals(rule.body, defined)
-        except UnknownBuiltin as err:
-            raise _wrap_rule_errors(rule, err) from err
+            try:
+                if item.is_builtin():
+                    lookup_builtin(atom)
+                elif atom.predicate in OPERATORS and atom.key not in defined:
+                    raise UnknownBuiltin(
+                        f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span
+                    )
+            except UnknownBuiltin as err:
+                if rule is None:
+                    raise
+                raise _wrap_rule_errors(rule, err) from err
 
 
 # ===========================================================================
@@ -306,9 +305,7 @@ def _bound_vars(rule: Rule) -> set[str]:
         for lit in rule.body:
             if lit.is_negated() or not lit.is_builtin():
                 continue
-            spec = BUILTINS.get((lit.atom.predicate, len(lit.atom.args)))
-            if spec is None:
-                continue
+            spec = lookup_builtin(lit.atom)
             inputs = set()
             for i in spec.inputs:
                 inputs |= term_vars(lit.atom.args[i])
@@ -322,7 +319,8 @@ def _bound_vars(rule: Rule) -> set[str]:
 
 
 def check_safety(p: Program) -> list[Violation]:
-    """Range-restriction check; an empty list means the program is safe."""
+    """Range-restriction check; an empty list means the program is safe.
+    A call naming no builtin raises UnknownBuiltin (check_calls first)."""
     violations: list[Violation] = []
     for rule in p.rules:
         bound = _bound_vars(rule)
@@ -337,11 +335,7 @@ def check_safety(p: Program) -> list[Violation]:
                         Violation(rule.name, v, "occurs only under negation")
                     )
             elif lit.is_builtin():
-                spec = BUILTINS.get((lit.atom.predicate, len(lit.atom.args)))
-                positions = (
-                    spec.inputs if spec is not None else range(len(lit.atom.args))
-                )
-                for i in positions:
+                for i in lookup_builtin(lit.atom).inputs:
                     for v in sorted(term_vars(lit.atom.args[i]) - bound):
                         violations.append(
                             Violation(
@@ -690,8 +684,8 @@ class _Plan:
     - a negated literal whose variables the pattern binds is one lookup.
       Any other is looked up where it stands if it is ground there, and
       checked again at the end by deferred_negation_ok;
-    - a builtin runs on its arguments under s; an unknown one raises when
-      it is reached, as the literals before it may fail first;
+    - a builtin call, negated or not, runs the Builtin it names
+      (lookup_builtin) on its arguments under s; `true` and `!` hold;
     - an item that is not a Literal is answered by solve_item, whose
       answers bind variables to ground terms.
     """
@@ -721,18 +715,16 @@ class _Plan:
                 steps.append((_item_step, item, solve_item))
                 continue
             atom = item.atom
-            if item.is_negated():
-                if atom.module_prefix is not None:
-                    steps.append((_negated_builtin_step, atom))
-                    continue
+            if item.is_builtin():
+                steps.append((_builtin_step, atom, item.is_negated()))
+                if not item.is_negated():
+                    open_ = _builtin_binds(atom, ground) or open_
+            elif not item.reads_relation():
+                continue
+            elif item.is_negated():
                 if not term_vars(atom) <= ground:
                     late.append(atom)
                 steps.append((_negated_step, atom, store))
-            elif item.is_builtin():
-                steps.append((_builtin_step, atom))
-                open_ = _builtin_binds(atom, ground) or open_
-            elif atom.key in CONTROL:
-                continue
             else:
                 names = term_vars(atom)
                 if i == delta_pos:
@@ -765,8 +757,7 @@ def _may_raise(item) -> bool:
         return True
     if not item.is_builtin():
         return False
-    spec = BUILTINS.get((item.atom.predicate, len(item.atom.args)))
-    return item.is_negated() or spec is None or spec.fn is not _bi_unify
+    return item.is_negated() or lookup_builtin(item.atom).fn is not _bi_unify
 
 
 def _bound_first(body: Sequence, bound: set[str], delta_pos: Optional[int]) -> list:
@@ -814,9 +805,7 @@ def _bound_first(body: Sequence, bound: set[str], delta_pos: Optional[int]) -> l
 def _builtin_binds(atom: Atom, ground: set[str]) -> bool:
     """Add the variables the builtin call binds to ground terms to ground;
     True if it may bind one to an open term instead."""
-    spec = BUILTINS.get((atom.predicate, len(atom.args)))
-    if spec is None:
-        return False
+    spec = lookup_builtin(atom)
     if spec.fn is _bi_unify:
         left, right = (term_vars(a) for a in atom.args)
         if not (left <= ground or right <= ground):
@@ -866,33 +855,25 @@ def _has_step(atom: Atom, store: FactStore, nxt):
 
 def _negated_step(atom: Atom, store: FactStore, nxt):
     build = _template(atom.args)
-    predicate, module = atom.predicate, atom.module_prefix
+    predicate = atom.predicate
 
     def run(s):
-        bound = Atom(predicate, build(s), module)
+        bound = Atom(predicate, build(s))
         if not (bound.ground and store.has(bound)):
             yield from nxt(s)
     return run
 
 
-def _negated_builtin_step(atom: Atom, nxt):
-    def run(s):
-        if not call_builtin(atom, s):
-            yield from nxt(s)
-    return run
-
-
-def _builtin_step(atom: Atom, nxt):
-    spec = BUILTINS.get((atom.predicate, len(atom.args)))
-    build = _template(atom.args)
-
-    def run(s):
-        if spec is None:
-            raise UnknownBuiltin(
-                f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span
-            )
-        for s2 in spec.fn(build(s), s):
-            yield from nxt(s2)
+def _builtin_step(atom: Atom, negated: bool, nxt):
+    build, fn = _template(atom.args), lookup_builtin(atom).fn
+    if negated:
+        def run(s):
+            if not fn(build(s), s):
+                yield from nxt(s)
+    else:
+        def run(s):
+            for s2 in fn(build(s), s):
+                yield from nxt(s2)
     return run
 
 
@@ -979,21 +960,19 @@ def _positive_positions(rule: Rule) -> list[int]:
     return [
         i
         for i, lit in enumerate(rule.body)
-        if not lit.is_negated()
-        and not lit.is_builtin()
-        and lit.atom.key not in CONTROL
+        if not lit.is_negated() and lit.reads_relation()
     ]
 
 
 def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
     """Stratified semi-naive fixpoint of the program.
 
-    Raises UnknownBuiltin (check_operators), SafetyError and CycleError
-    up front, ResourceLimitExceeded when the iteration or fact ceiling is
-    hit mid-run.
+    Raises UnknownBuiltin (check_calls), SafetyError and CycleError up
+    front, ResourceLimitExceeded when the iteration or fact ceiling is hit
+    mid-run.
     """
     opts = opts or EvalOptions()
-    check_operators(p)
+    check_calls(p)
     violations = check_safety(p)
     if violations:
         raise SafetyError(violations)
@@ -1316,11 +1295,12 @@ def validate_fact(p: Program, store: FactStore, fact: Atom) -> bool:
 
 def validate_store(p: Program, store: FactStore) -> list[Atom]:
     """Facts that no rule can re-derive, or whose embedded proof tree
-    contradicts them; empty list means the store replays cleanly.  Only
-    a tree's root conclusion is read: it is what the fact asserts."""
+    contradicts them, in sort_key order; empty list means the store
+    replays cleanly.  Only a tree's root conclusion is read: it is what
+    the fact asserts.  Facts replay in insertion order."""
     derivable = _replay(p, store)
     bad: list[Atom] = []
-    for fact in store.sorted_facts():
+    for fact in (f for group in store._by_pred.values() for f in group):
         ok = derivable(fact)
         if ok and fact.args and _is_tree_term(fact.args[-1]):
             conclusion = _conclusion_atom(fact.args[-1].args[0])
@@ -1332,7 +1312,7 @@ def validate_store(p: Program, store: FactStore) -> list[Atom]:
                 ok = False
         if not ok:
             bad.append(fact)
-    return bad
+    return sorted(bad, key=sort_key)
 
 
 # ===========================================================================

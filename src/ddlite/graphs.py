@@ -3,7 +3,8 @@
 Three kinds share one data structure:
 
 * PDG: one node per predicate, an edge from each head to each predicate
-  called in the rule's body; edges from negated literals carry a "not" mark.
+  read in the rule's body; edges from negated literals carry a "not" mark.
+  Builtin calls, negated or not, and control atoms draw nothing.
 * RPG: bipartite over predicates and rules.  Calls to meta-predicates
   (not/1, findall/3 by default) get their own call node per call site, with
   the predicates called inside hanging below; this keeps recursion through
@@ -28,7 +29,6 @@ from .errors import (
     NotUnifiableError,
 )
 from .kernel import (
-    CONTROL,
     Compound,
     Const,
     Literal,
@@ -226,16 +226,14 @@ def _body_targets(
     """Classify a body literal for graph building.
 
     Returns (meta key or None, called predicate keys, mark), or None for
-    literals that contribute no edge (builtins, control atoms).
+    literals that read no relation (builtin calls, negated or not, and
+    control atoms), which contribute no edge.
     """
+    if not lit.reads_relation():
+        return None
     atom = lit.atom
     if lit.is_negated():
-        inner = [atom.key]
-        return (PredKey(None, "not", 1), inner, NOT)
-    if lit.is_builtin():
-        return None
-    if atom.key in CONTROL:
-        return None
+        return (PredKey(None, "not", 1), [atom.key], NOT)
     positions = meta.get(atom.key)
     if positions is not None:
         inner: list[PredKey] = []

@@ -24,7 +24,7 @@ from .errors import (
     UnboundFilterError,
     UnorderedAggregate,
 )
-from .engine import BUILTINS, FactStore, check_operator_literals, solve_body
+from .engine import BUILTINS, FactStore, check_calls, solve_body
 from .kernel import (
     CONTROL,
     Atom,
@@ -426,10 +426,11 @@ def solve_goal(
 ) -> list[Subst]:
     """All answers of the goal against the store and the named documents,
     left to right, solved as a rule body is; fact matches come sorted,
-    path hits in document order.  A literal named by an operator, such as
-    `X = a`, is an unknown builtin unless program defines its predicate
-    (check_operator_literals)."""
-    check_operator_literals(goal, program.idb() if program else frozenset())
+    path hits in document order.  A call that names no builtin raises
+    UnknownBuiltin before anything is solved, and so does a literal named
+    by an operator, such as `X = a`, unless program defines its predicate
+    (check_calls)."""
+    check_calls(program, goal)
     registry = _DocRegistry(docs, base_dir)
     return list(
         solve_body(

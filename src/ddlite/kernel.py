@@ -368,7 +368,7 @@ class PredKey(NamedTuple):
 # one PredKey per predicate in use, shared by the atoms whose key it is
 _pred_key = lru_cache(maxsize=4096)(PredKey)
 
-# body atoms that are control noise rather than calls
+# body atoms that are control noise, which hold, rather than relations
 CONTROL = frozenset({PredKey(None, "!", 0), PredKey(None, "true", 0)})
 
 
@@ -446,7 +446,14 @@ class Literal(Record):
         return self.polarity == NEGATED
 
     def is_builtin(self) -> bool:
+        """A call into the builtin registry: the atom has a module prefix."""
         return self.atom.module_prefix is not None
+
+    def reads_relation(self) -> bool:
+        """True if the literal reads the facts of its predicate: it is
+        neither a builtin call nor `true` or `!` (CONTROL)."""
+        atom = self.atom
+        return atom.module_prefix is None and atom.key not in CONTROL
 
 
 class Rule(Record):
@@ -498,7 +505,7 @@ class Program(Record):
         keys = set(self.idb())
         for r in self.rules:
             for lit in r.body:
-                if not lit.is_builtin():
+                if lit.reads_relation():
                     keys.add(lit.atom.key)
         return frozenset(keys)
 

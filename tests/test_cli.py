@@ -1,14 +1,19 @@
 """End-to-end command line coverage, run in process through main(argv)."""
 
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlite.cli import _meta_dict, main
 from ddlite.kernel import PredKey
@@ -638,6 +643,76 @@ def test_prove_no_proof(capsys):
                          "--atom", "route('Mue', 'KT', L, T)")
     assert code == 1
     assert out == "no proof\n"
+
+
+# ===========================================================================
+# unknown builtins
+# ===========================================================================
+
+# body literals after the first, which binds X, as (text, names no builtin)
+_LITERALS = [
+    ("p(X)", False),
+    ("not s(X)", False),
+    ("true", False),
+    ("prolog:same_as(X, a)", False),
+    ("not prolog:same_as(X, b)", False),
+    ("owl:different_from(X, c)", False),
+    ("prolog:(N is 1 + 2)", False),
+    ("prolog:foo(X)", True),
+    ("owl:bar(X, a)", True),
+    ("not prolog:baz(X)", True),
+    ("not owl:qux(X, X)", True),
+    ("prolog:(X = a)", True),
+]
+
+
+@st.composite
+def _mixed_programs(draw):
+    """A program text, and whether some body literal names no builtin: an
+    unknown call, or `X = a` where no fact defines `=`/2.  A rule whose
+    first literal reads none/1, which holds no facts, never reaches the
+    rest of its body."""
+    defines_eq = draw(st.booleans())
+    lines = ["p(a).", "p(b)."] + (["a = a."] if defines_eq else [])
+    unknown = False
+    for k in range(draw(st.integers(1, 3))):
+        body = [draw(st.sampled_from(["p(X)", "none(X)"]))]
+        for text, names_none in draw(
+            st.lists(st.sampled_from(_LITERALS + [("X = a", not defines_eq)]), max_size=3)
+        ):
+            body.append(text)
+            unknown = unknown or names_none
+        lines.append(f"h{k}(X) :- {', '.join(body)}.")
+    return "\n".join(lines) + "\n", unknown
+
+
+@settings(max_examples=80, derandomize=True, database=None)
+@given(_mixed_programs())
+def test_every_command_reports_the_same_unknown_builtin(case):
+    text, unknown = case
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "f.dl")
+        with open(f, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        results = []
+        for argv in (
+            ["parse", f],
+            ["graph", f],
+            ["diff", f, f, "--kind", "rpg"],
+            ["eval", f],
+            ["query", f, "--goal", "p(X)", "--template", "[X]"],
+            ["prove", f, "--atom", "p(X)"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            results.append((code, out.getvalue(), err.getvalue()))
+    if unknown:
+        (line,) = {err for _, _, err in results}
+        assert line.startswith("error: ") and "unknown builtin" in line, text
+        assert {(code, out) for code, out, _ in results} == {(1, "")}, text
+    else:
+        assert not any("unknown builtin" in out + err for _, out, err in results), text
 
 
 # ===========================================================================

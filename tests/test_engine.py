@@ -14,12 +14,14 @@ from ddlite.engine import (
     Violation,
     auto_pt,
     call_builtin,
+    check_calls,
     check_safety,
     deferred_negation_ok,
     dump_facts,
     evaluate,
     facts_as_rules,
     facts_to_json,
+    lookup_builtin,
     proof_tree,
     render_proof_tree,
     solve_body,
@@ -51,6 +53,7 @@ from ddlite.kernel import (
     match,
     mgu,
     mklist,
+    sort_key,
     term_text,
 )
 from ddlite.syntax import lloyd_topor, parse_program, parse_swrl, print_program, swrl_to_datalog
@@ -236,6 +239,40 @@ def test_an_operator_in_a_body_is_an_unknown_builtin_unless_defined():
     # a fact or a rule head defines it, and it stays a relation
     store = evaluate(parse_program("a = b.\nc = d :- true.\nlink(X) :- X = b."))
     assert dump_facts(store) == "(a = b).\n(c = d).\nlink(a).\n"
+
+
+def test_a_call_that_names_no_builtin_is_reported_before_anything_runs():
+    # whatever its prefix or polarity, and where no plan would reach it
+    for body in ("p(X), owl:foo(X)", "p(X), not prolog:foo(X)", "none(X), prolog:foo(X)"):
+        p = parse_program(f"p(a).\nq(X) :- {body}.", "f.dl")
+        for check in (check_calls, evaluate):
+            with pytest.raises(UnknownBuiltin) as err:
+                check(p)
+            assert str(err.value).startswith("f.dl:2:") and str(err.value).endswith(
+                ": in rule r2: unknown builtin foo/1"
+            )
+    # a goal is checked on its own, against the predicates p defines
+    goal = parse_program("g :- X = a.", "goal").rules[0].body
+    check_calls(parse_program("a = b."), goal)
+    with pytest.raises(UnknownBuiltin, match="^goal:1:6: unknown builtin =/2$"):
+        check_calls(None, goal)
+
+
+def test_lookup_builtin_reads_the_name_and_arity_whatever_the_prefix():
+    for prefix in ("prolog", "owl", "swrlb"):
+        assert lookup_builtin(Atom("same_as", (Var("X"), Var("Y")), prefix)).name == "same_as"
+    with pytest.raises(UnknownBuiltin, match="unknown builtin same_as/3"):
+        lookup_builtin(Atom("same_as", (Var("X"), Var("Y"), Var("Z")), "prolog"))
+
+
+def test_safety_reads_the_inputs_each_builtin_declares():
+    # different_from reads both arguments; an unknown call is no guess
+    p = parse_program("q(X) :- p(X), prolog:different_from(X, Y).")
+    assert check_safety(p) == [
+        Violation("r1", "Y", "is an unbound input of different_from/2")
+    ]
+    with pytest.raises(UnknownBuiltin, match="unknown builtin add/3"):
+        check_safety(parse_program("q(B) :- p(A), prolog:add(B, A, 1)."))
 
 
 # ===========================================================================
@@ -1086,6 +1123,25 @@ def test_validate_flags_a_tree_that_contradicts_its_fact():
     store = evaluate(p)
     flagged = validate_store(p, store)
     assert [f.predicate for f in flagged] == ["p"]
+
+
+def test_validate_store_lists_what_it_flags_in_sort_key_order():
+    # the store replays in insertion order, and only the flagged facts are
+    # sorted, into the order sorted_facts lists them in
+    p = fixture_program("route_plain.dl")
+    extra = [
+        Atom("street", (Const("zz"), Const("a"), Num(3))),
+        Atom("route", (Const("Mue"), Const("KT"), Num(1))),
+        Atom("aaa", (Const("x"),)),
+        Atom("route", (Const("KT"), Const("KT"), Num(0))),
+    ]
+    tampered = FactStore()
+    for f in extra[:2] + list(reversed(evaluate(p).sorted_facts())) + extra[2:]:
+        tampered.add(f)
+    bad = validate_store(p, tampered)
+    assert bad == [f for f in tampered.sorted_facts() if f in extra]
+    assert bad == sorted(extra, key=sort_key)
+    assert [f.predicate for f in bad] == ["aaa", "route", "route", "street"]
 
 
 # ===========================================================================

@@ -264,6 +264,25 @@ def cases() -> list[list[str]]:
     for atom in ("p(T)", "q(T)", "u(X)", "w(T)"):
         for fmt in ("term", "ascii", "dot"):
             out.append(["prove", shapes, "--atom", atom, "--format", fmt])
+
+    # a negated builtin call draws no graph node
+    negation = f"{INPUTS}/negation_shapes.dl"
+    for kind in ("pdg", "rpg"):
+        out.append(["graph", negation, "--kind", kind])
+        out.append(["diff", negation, f"{INPUTS}/negation_plain.dl", "--kind", kind])
+    # a call that names no builtin, reached, never reached and negated: every
+    # command reports it, SWRL built-ins that ddlite lacks too
+    for name in ("unknown_call", "unreachable_call", "negated_unknown_call"):
+        f = f"{INPUTS}/{name}.dl"
+        for kind in ("pdg", "rpg"):
+            out.append(["graph", f, "--kind", kind])
+        out.append(["diff", f, negation])
+        out.append(["diff", negation, f])
+        out.append(["eval", f])
+        out.append(["query", f, "--goal", "q(X)", "--template", "[X]"])
+        out.append(["prove", f, "--atom", "q(X)"])
+    for name in ("annotated", "flat_shapes"):
+        out.append(["swrl", f"{INPUTS}/{name}.swrl", "--emit", "report"])
     return out
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ddlite.engine import evaluate, stratify
 from ddlite.errors import (
     BuiltinLiteralError,
     GraphKindError,
@@ -37,7 +38,7 @@ from ddlite.graphs import (
     to_dot,
     unfold_helper,
 )
-from ddlite.kernel import PredKey, Program
+from ddlite.kernel import Num, PredKey, Program
 from ddlite.syntax import parse_program
 from ddlite.xmlterm import parse_xml
 
@@ -92,6 +93,25 @@ def test_negation_marks_the_edge():
     g = build_pdg(parse_program("p(X) :- q(X), not(r(X))."))
     assert ("p/1", "r/1", NOT) in edge_ids(g)
     assert ("p/1", "q/1", PLAIN) in edge_ids(g)
+
+
+def test_a_negated_builtin_call_draws_nothing_as_a_positive_one():
+    text = "p(X) :- q(X), {}prolog:same_as(X, a), not true, !."
+    for sign in ("", "not "):
+        p = parse_program(text.format(sign))
+        assert edge_ids(build_pdg(p)) == {("p/1", "q/1", PLAIN)}
+        rpg = build_rpg(p)
+        assert {n.id for n in rpg.nodes} == {"p/1", "q/1", "r1"}
+        assert pdg_from_rpg(rpg) == build_pdg(p)
+        plain = parse_program("p(X) :- q(X).")
+        assert graph_diff(rpg, build_rpg(plain)).is_empty()
+
+
+def test_a_negated_builtin_call_does_not_lift_a_stratum():
+    p = parse_program("n(1). n(3).\nsmall(X) :- n(X), not prolog:(X > 2).")
+    assert stratify(p).assignment == {key("n/1"): 0, key("small/1"): 0}
+    (small,) = evaluate(p).facts(key("small/1"))
+    assert small.args == (Num(1),)
 
 
 def test_rpg_meta_call_nodes_for_ancestor():
