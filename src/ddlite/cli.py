@@ -3,12 +3,19 @@
 Subcommands: parse | graph | diff | eval | swrl | query | prove.
 Exit codes: 0 success (a nonempty diff is still success), 1 domain errors
 (syntax, safety, stratification, evaluation), 2 I/O and usage errors.
+
+A command loads only what it runs: json is imported by the --format json
+branches, and the hybrid layer (with csv) by --csv, --xml, query and
+schema graphs.  main(argv) runs one command and returns its exit code;
+run() is the process entry (`ddlite`, `python -m ddlite.cli`), which
+freezes the heap before the interpreter exits (gc.freeze), so the
+collections at exit do not walk objects the process is about to drop.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 from typing import Optional
@@ -39,15 +46,6 @@ from .graphs import (
     graph_to_json,
     schema_graph,
     to_dot,
-)
-from .hybrid import (
-    ddbase_aggregate,
-    load_facts_csv,
-    load_xml,
-    parse_goal,
-    parse_template,
-    render_rows,
-    rows_to_json,
 )
 from .kernel import PredKey, Program, match
 from .syntax import (
@@ -87,6 +85,8 @@ def _load_program(args) -> Program:
         pred, _, path = spec.partition("=")
         if not path:
             raise DdliteError(f"--csv expects pred=path, got {spec!r}")
+        from .hybrid import load_facts_csv
+
         facts = load_facts_csv(path, pred)
         new = facts_as_rules(facts, taken)
         taken |= {r.name for r in new}
@@ -103,6 +103,8 @@ def _load_docs(args) -> dict:
         name, _, path = spec.partition("=")
         if not path:
             raise DdliteError(f"--xml expects name=path, got {spec!r}")
+        from .hybrid import load_xml
+
         docs[name] = load_xml(path)
     return docs
 
@@ -172,6 +174,8 @@ def cmd_parse(args) -> int:
 
 def _build_graph(args, path: str) -> DepGraph:
     if args.kind == "schema":
+        from .hybrid import load_xml
+
         return schema_graph(load_xml(path), include_attrs=not args.no_attrs)
     p = _parse_checked(path)
     meta = _meta_dict(args.meta_list)
@@ -195,6 +199,8 @@ def cmd_graph(args) -> int:
     if args.format == "dot":
         sys.stdout.write(to_dot(g))
     elif args.format == "json":
+        import json
+
         print(json.dumps(graph_to_json(g), indent=2))
     else:
         sys.stdout.write(_graph_text(g))
@@ -221,8 +227,7 @@ def _resolve_helpers(spec: Optional[str], programs: list[Program]) -> frozenset:
 
 def cmd_diff(args) -> int:
     if args.kind == "schema":
-        g1 = schema_graph(load_xml(args.left), include_attrs=not args.no_attrs)
-        g2 = schema_graph(load_xml(args.right), include_attrs=not args.no_attrs)
+        g1, g2 = _build_graph(args, args.left), _build_graph(args, args.right)
         helpers = frozenset()
         equivalent = None
     else:
@@ -250,6 +255,8 @@ def cmd_diff(args) -> int:
             equivalent = equivalent_modulo_helpers(p1, p2, root, helpers)
     report = graph_diff(g1, g2, helpers)
     if args.format == "json":
+        import json
+
         data = diff_to_json(report)
         data["equivalent_modulo_helpers"] = equivalent
         print(json.dumps(data, indent=2))
@@ -275,6 +282,8 @@ def cmd_eval(args) -> int:
     p = _load_program(args)
     store = evaluate(p, _eval_options(args))
     if args.format == "json":
+        import json
+
         print(json.dumps(facts_to_json(store), indent=2))
     else:
         sys.stdout.write(dump_facts(store))
@@ -303,6 +312,14 @@ def cmd_swrl(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from .hybrid import (
+        ddbase_aggregate,
+        parse_goal,
+        parse_template,
+        render_rows,
+        rows_to_json,
+    )
+
     p = _load_program(args)
     store = evaluate(p, _eval_options(args))
     docs = _load_docs(args)
@@ -310,6 +327,8 @@ def cmd_query(args) -> int:
     template = parse_template(args.template)
     rows = ddbase_aggregate(template, goal, p, store, docs, args.base_dir)
     if args.format == "json":
+        import json
+
         print(json.dumps(rows_to_json(rows)))
     else:
         print(render_rows(rows))
@@ -442,5 +461,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry: main() on sys.argv, then exit with its code.
+
+    The heap is frozen first (gc.freeze), so the collections that
+    interpreter finalization runs skip every object still alive: the
+    process is about to drop them all.  Output is flushed, and module
+    dicts cleared, as without it.  main(argv) leaves the collector as it
+    is, for a caller that goes on running."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

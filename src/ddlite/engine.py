@@ -685,7 +685,8 @@ class _Plan:
       Any other is looked up where it stands if it is ground there, and
       checked again at the end by deferred_negation_ok;
     - a builtin call, negated or not, runs the Builtin it names
-      (lookup_builtin) on its arguments under s; `true` and `!` hold;
+      (lookup_builtin) on its arguments under s; `true` and `!` hold,
+      and `not true` and `not !` fail, as Prolog's `\\+ true` does;
     - an item that is not a Literal is answered by solve_item, whose
       answers bind variables to ground terms.
     """
@@ -720,6 +721,8 @@ class _Plan:
                 if not item.is_negated():
                     open_ = _builtin_binds(atom, ground) or open_
             elif not item.reads_relation():
+                if item.is_negated():
+                    steps.append((_fail_step,))
                 continue
             elif item.is_negated():
                 if not term_vars(atom) <= ground:
@@ -875,6 +878,10 @@ def _builtin_step(atom: Atom, negated: bool, nxt):
             for s2 in fn(build(s), s):
                 yield from nxt(s2)
     return run
+
+
+def _fail_step(nxt):
+    return lambda s: iter(())
 
 
 def _item_step(item, solve_item, nxt):

@@ -325,11 +325,15 @@ def parse_goal(text: str, filename: str = "<goal>") -> list[GoalItem]:
     """Parse a conjunctive goal; `V := path` items mix with literals."""
     parser = TermParser(text, filename)
     items = parser.read(lambda: _goal_items(parser))
-    # `true` alone is the empty conjunction
+    # `true` alone is the empty conjunction; `not true` stays, and fails
     return [
         item
         for item in items
-        if not (isinstance(item, Literal) and item.atom.key in CONTROL)
+        if not (
+            isinstance(item, Literal)
+            and item.atom.key in CONTROL
+            and not item.is_negated()
+        )
     ]
 
 

@@ -715,12 +715,19 @@ def sort_key(t):
     key, and that of a term holding it, raises TypeError.
     """
     if isinstance(t, Atom):
-        return (
-            t.module_prefix or "",
-            t.predicate,
-            len(t.args),
-            tuple(sort_key(a) for a in t.args),
-        )
+        # a fact's arguments are mostly constants and numbers: their keys
+        # are built here rather than by a call each
+        keys = []
+        for a in t.args:
+            cls = a.__class__
+            if cls is Const:
+                keys.append((1, a.symbol))
+            elif cls is Num:
+                value = a.value
+                keys.append((0, float(value), 0 if isinstance(value, int) else 1))
+            else:
+                keys.append(sort_key(a))
+        return (t.module_prefix or "", t.predicate, len(keys), tuple(keys))
     if isinstance(t, Num):
         return (0, float(t.value), 0 if t.is_int() else 1)
     if isinstance(t, Const):
@@ -786,8 +793,9 @@ def term_text(t, quoted: bool = True) -> str:
     priority) pair: an operand of an infix operator with the highest
     priority its slot admits.  A compound or atom writes its opening text
     where it is popped and pushes the rest, so each nesting level adds a
-    constant number of pieces.  A leaf of no known kind prints as str()
-    gives it.
+    constant number of pieces; one whose arguments are all constants and
+    numbers, as most facts are, is written whole.  A leaf of no known kind
+    prints as str() gives it.
     """
     out: list[str] = []
     stack: list = [t]
@@ -828,7 +836,19 @@ def term_text(t, quoted: bool = True) -> str:
                     stack.append(")")
                 _push_infix(stack, name, args)
             else:
-                out.append(f"{prefix}{_functor_text(name, quoted)}(")
+                head = f"{prefix}{_functor_text(name, quoted)}("
+                parts = []  # the arguments, if all are constants or numbers
+                for a in args:
+                    if a.__class__ is Const:
+                        parts.append(_const_text(a.symbol, quoted))
+                    elif a.__class__ is Num:
+                        parts.append(repr(a.value))
+                    else:
+                        break
+                else:
+                    out.append(f"{head}{', '.join(parts)})")
+                    continue
+                out.append(head)
                 stack.append(")")
                 _push_args(stack, args)
         else:

@@ -615,17 +615,14 @@ def _call(name: str, args: tuple[Term, ...]) -> Atom:
 
 # SWRL.  The end of input and unreadable input both sit right after the
 # previous token, where the reader reports them.
-_SWRL_TOKEN = re.compile(
-    r"""\s*(?:
+_SWRL_TOKEN = r"""\s*(?:
         (?P<num>\d+(?:\.\d+)?)
       | (?P<str>"[^"]*")
       | (?P<name>[A-Za-z_][A-Za-z0-9_:.\-]*)
       | (?P<punct>[()])
     )
     | (?P<eof>)(?=\s*\Z)
-    | (?P<bad>)""",
-    re.VERBOSE,
-)
+    | (?P<bad>)"""
 _SWRL_VALUES = {
     "str": lambda text: ("str", text[1:-1]),
     "bad": lambda text: ("bad", "unexpected input"),
@@ -645,29 +642,41 @@ _SWRL_ARG = (
     rf"""\s*(?:[ID]-variable\s*\(\s*({_SWRL_NAME})\s*\)"""
     rf"""|(\d+(?:\.\d+)?)(?!\d)|"([^"]*)"|(?![ID]-variable{_SWRL_END})({_SWRL_NAME}))"""
 )
-_SWRL_FLAT: Optional[tuple[re.Pattern, ...]] = None
 
 
-def _swrl_flat() -> tuple[re.Pattern, ...]:
-    """The flat atom and argument patterns, then the two frame patterns."""
-    global _SWRL_FLAT
-    if _SWRL_FLAT is None:  # compiled on first use, to keep import cheap
-        _SWRL_FLAT = (
-            re.compile(rf"\s*({_SWRL_NAME})\s*\(((?:{_SWRL_ARG})*)\s*\)"),
-            re.compile(_SWRL_ARG),
-            re.compile(r"\s*\(\s*Antecedent\s*\("),
-            re.compile(r"\s*Consequent\s*\("),
-        )
-    return _SWRL_FLAT
+class _SwrlPatterns:
+    """The SWRL reader's patterns: its token pattern, the flat atom and
+    argument patterns, and the frames that open its two atom lists."""
+
+    def __init__(self):
+        self.token = re.compile(_SWRL_TOKEN, re.VERBOSE)
+        self.flat = re.compile(rf"\s*({_SWRL_NAME})\s*\(((?:{_SWRL_ARG})*)\s*\)")
+        self.arg = re.compile(_SWRL_ARG)
+        self.antecedent = re.compile(r"\s*\(\s*Antecedent\s*\(")
+        self.consequent = re.compile(r"\s*Consequent\s*\(")
+
+
+_SWRL_PATTERNS: Optional[_SwrlPatterns] = None
+
+
+def _swrl_patterns() -> _SwrlPatterns:
+    global _SWRL_PATTERNS
+    if _SWRL_PATTERNS is None:  # compiled on first use, to keep import cheap
+        _SWRL_PATTERNS = _SwrlPatterns()
+    return _SWRL_PATTERNS
 
 
 class _SwrlReader(TokenCursor):
     """The SWRL reader.  Where an atom list expects an atom, it first tries
     one match for a flat atom, and around the atom lists one match for
-    their frame (_SWRL_FLAT); anything else is read token by token."""
+    their frame (_SwrlPatterns); anything else is read token by token."""
 
-    pattern = _SWRL_TOKEN
     values = _SWRL_VALUES
+
+    def __init__(self, text: str, filename: str):
+        super().__init__(text, filename)
+        self.patterns = _swrl_patterns()
+        self.pattern = self.patterns.token
 
     def rules(self) -> list[SwrlRule]:
         out = []
@@ -676,10 +685,9 @@ class _SwrlReader(TokenCursor):
         return out
 
     def rule(self) -> SwrlRule:
-        antecedent_frame, consequent_frame = _swrl_flat()[2:]
         self.expect("Implies", "name")
         annotations = []
-        if not self.passed(antecedent_frame):
+        if not self.passed(self.patterns.antecedent):
             self.expect("(")
             while self.peek().kind == "name" and self.peek().value == "annotation":
                 self.next()
@@ -687,7 +695,7 @@ class _SwrlReader(TokenCursor):
             self.expect("Antecedent", "name")
             self.expect("(")
         antecedent = self.atom_list()
-        if not self.passed(consequent_frame):
+        if not self.passed(self.patterns.consequent):
             self.expect("Consequent", "name")
             self.expect("(")
         consequent = self.atom_list()
@@ -735,11 +743,10 @@ class _SwrlReader(TokenCursor):
         none is there, or the text after the cursor is lexed already."""
         if not self.unlexed():
             return None
-        flat, arg = _swrl_flat()[:2]
-        m = flat.match(self.text, self.pos)
+        m = self.patterns.flat.match(self.text, self.pos)
         if m is None:
             return None
-        found = arg.findall(m[2])
+        found = self.patterns.arg.findall(m[2])
         args: list[Term] = []
         for var, num, string, name in found:
             if var:

@@ -142,10 +142,11 @@ def ground_model(program):
         for lit in rule.body:
             if lit.atom.module_prefix is not None:
                 builtins.append(lit)
+            elif lit.atom.predicate in ("!", "true") and not lit.atom.args:
+                if lit.is_negated():  # `not true` fails, as `\+ true` does
+                    return []
             elif lit.is_negated():
                 negatives.append(lit.atom)
-            elif lit.atom.predicate in ("!", "true") and not lit.atom.args:
-                pass
             else:
                 positives.append(lit.atom)
 

@@ -1,6 +1,7 @@
 """End-to-end command line coverage, run in process through main(argv)."""
 
 import ast
+import gc
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from ddlite.cli import _meta_dict, main
 from ddlite.kernel import PredKey
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = str(Path(__file__).parents[1] / "src")
 
 HOURS_GOAL = (
     "employee(Name, SSN, BDate, Sex, Salary, Super, D), "
@@ -402,6 +404,17 @@ def test_eval_output_does_not_depend_on_the_hash_seed(tmp_path):
     assert err.endswith(":12:1: in rule r12: not an arithmetic expression: b0\n")
 
 
+def test_a_negated_control_atom_fails(capsys, tmp_path):
+    f = tmp_path / "f.dl"
+    f.write_text("p(a). q(X) :- p(X), not true. r(X) :- p(X), not !.\n", encoding="utf-8")
+    assert run(capsys, "eval", str(f)) == (0, "p(a).\n", "")
+    for goal in ("p(X), not true", "p(X), not !"):
+        assert run(capsys, "query", str(f), "--goal", goal, "--template", "[X]") == (
+            0, "[]\n", "")
+    assert run(capsys, "query", str(f), "--goal", "p(X), true", "--template", "[X]") == (
+        0, "[[a]]\n", "")
+
+
 # ===========================================================================
 # swrl
 # ===========================================================================
@@ -772,3 +785,149 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def _child(*args):
+    """A child interpreter on src, its (exit code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", fx("route.dl")],
+        ["graph", fx("ancestor.dl"), "--kind", "rpg", "--format", "json"],
+        ["diff", fx("p1.dl"), fx("p2.dl"), "--kind", "rpg", "--format", "json"],
+        ["eval", fx("route.dl")],
+        ["swrl", fx("uncle.swrl"), "--emit", "report"],
+        ["query", "--csv", f"employee={fx('employee.csv')}", "--base-dir", str(FIXTURES),
+         "--goal", HOURS_GOAL, "--template", "[D, sum(H)]", "--format", "json"],
+        ["prove", fx("route.dl"), "--atom", "route('KT', 'Mue', L, T)", "--format", "ascii"],
+        ["parse", fx("brother.csv")],  # a domain error: exit 1
+        ["eval", fx("missing.dl")],  # an I/O error: exit 2
+        ["eval", fx("route.dl"), "--bogus"],  # a usage error: exit 2
+    ],
+    ids=["parse", "graph", "diff", "eval", "swrl", "query", "prove", "domain-error",
+         "missing-file", "bad-flag"],
+)
+def test_the_process_entry_matches_main(argv):
+    # run(), behind `python -m ddlite.cli` and the `ddlite` script, gives
+    # main's exit code and output byte for byte, however the command ends
+    assert _child("-m", "ddlite.cli", *argv) == _in_process(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], "[]"),
+        (["eval", fx("route.dl")], "[]"),
+        (["prove", fx("route.dl"), "--atom", "route('KT', 'Mue', L, T)"], "[]"),
+        (["query", fx("route.dl"), "--goal", "route(A, B, L, T)", "--template", "[L]"],
+         "['csv', 'ddlite.hybrid']"),
+    ],
+    ids=["import", "eval", "prove", "query"],
+)
+def test_a_command_loads_only_what_it_runs(argv, loaded):
+    # json is loaded by --format json, the hybrid layer and csv by --csv,
+    # --xml, query and schema graphs; site-packages (-S) loads none of them
+    script = (
+        "import sys\n"
+        "from ddlite.cli import main\n"
+        "if sys.argv[1:]:\n"
+        "    main(sys.argv[1:])\n"
+        "print(sorted({'json', 'csv', 'ddlite.hybrid'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    code, _, err = _child("-S", "-c", script, *argv)
+    assert (code, err) == (0, loaded + "\n")
+
+
+PUBLIC_NAMES = [
+    "AggTemplate", "Atom", "BUILTINS", "Compound", "Const", "CycleError", "DdliteError",
+    "DepGraph", "DiffReport", "Edge", "EvalOptions", "EvalTypeError", "FactStore",
+    "InstantiationError", "Literal", "MetaCallNode", "Num", "ParseError", "PathBinding",
+    "PathExpr", "PredKey", "PredNode", "Program", "ResourceLimitExceeded", "Rule",
+    "RuleNode", "SafetyError", "SourceSpan", "Strata", "TagNode", "Term", "Text",
+    "UnknownBuiltin", "Var", "Violation", "XmlParseError", "XmlTerm", "apply", "auto_pt",
+    "build_pdg", "build_rpg", "call_builtin", "check_safety", "ddbase_aggregate",
+    "dump_facts", "engine", "equivalent_modulo_helpers", "errors", "evaluate",
+    "facts_as_rules", "graph_diff", "graph_to_json", "graphs", "hybrid", "is_ground",
+    "kernel", "lloyd_topor", "load_facts_csv", "load_xml", "mgu", "mklist", "on_cycle",
+    "parse_goal", "parse_program", "parse_ruleml_xml", "parse_swrl", "parse_template",
+    "parse_xml", "path_eval", "pdg_from_rpg", "print_program", "proof_tree", "reachable",
+    "rename_apart", "render_proof_tree", "rule_text", "schema_graph", "solve_goal",
+    "stratify", "swrl_to_datalog", "syntax", "term_text", "term_vars", "to_dot", "tree_of",
+    "unfold_helper", "validate_fact", "validate_store", "xml_to_text", "xmlterm",
+]
+SUBMODULES = ["engine", "errors", "graphs", "hybrid", "kernel", "syntax", "xmlterm"]
+
+
+def test_package_names_resolve_on_first_use():
+    # importing the package loads no submodule, yet dir() lists every public
+    # name; each, looked up first in a fresh process, is the object every
+    # submodule holding it has
+    script = (
+        "import importlib, sys\n"
+        "import ddlite\n"
+        "print(sorted(m for m in sys.modules if m.startswith('ddlite')))\n"
+        "print(sorted(ddlite.__all__))\n"
+        "print(sorted(set(ddlite.__all__) - set(dir(ddlite))))\n"
+        f"subs = {SUBMODULES!r}\n"
+        "wrong = []\n"
+        "for name in ddlite.__all__:\n"
+        "    value = getattr(ddlite, name)\n"
+        "    if name in subs:\n"
+        "        ok = value is importlib.import_module('ddlite.' + name)\n"
+        "    else:\n"
+        "        held = [getattr(importlib.import_module('ddlite.' + m), name, None) for m in subs]\n"
+        "        ok = value in held and all(h is None or h is value for h in held)\n"
+        "    if not ok:\n"
+        "        wrong.append(name)\n"
+        "print(wrong)\n"
+    )
+    code, out, err = _child("-S", "-c", script)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["['ddlite']", repr(PUBLIC_NAMES), "[]", "[]"]
+    import ddlite
+
+    assert sorted(ddlite.__all__) == PUBLIC_NAMES
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        ddlite.nope
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only the process entry freezes the heap: main(argv) runs inside
+    # callers, such as this test session, whose collector must stay as it is
+    frozen = gc.get_freeze_count()
+    for argv in (
+        ["eval", fx("route.dl")],
+        ["prove", fx("route.dl"), "--atom", "route('KT', 'Mue', L, T)"],
+        ["eval", fx("missing.dl")],
+    ):
+        main(argv)
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
+    callers = []
+    for path in sorted((Path(SRC) / "ddlite").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [
+                    f"{path.name}:{fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr == "freeze"
+                    and isinstance(node.value, ast.Name) and node.value.id == "gc"
+                ]
+    assert callers == ["cli.py:run"]

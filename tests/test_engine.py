@@ -501,6 +501,28 @@ def test_solve_body_negated_builtin():
     assert list(solve_body(fails, store)) == []
 
 
+def test_a_negated_control_atom_fails():
+    # `not true` and `not !` fail, as Prolog's `\+ true` does, in evaluate,
+    # solve_body and replay alike; `true` and `!` hold
+    p = parse_program(
+        "p(a).\n"
+        "q(X) :- p(X), not true.\n"
+        "r(X) :- p(X), not !.\n"
+        "s(X) :- p(X), true, !.\n"
+    )
+    store = evaluate(p)
+    assert model_of_store(store) == ground_model(p) == {"p(a)", "s(a)"}
+    x = Var("X")
+    for control in ("true", "!"):
+        holds = (Literal(Atom("p", (x,))), Literal(Atom(control)))
+        fails = (Literal(Atom("p", (x,))), Literal(Atom(control), NEGATED))
+        assert [apply(s, x) for s in solve_body(holds, store)] == [Const("a")]
+        assert list(solve_body(fails, store)) == []
+        assert list(solve_body(fails[::-1], store)) == []
+    for name, derivable in (("q", False), ("r", False), ("s", True)):
+        assert validate_fact(p, store, Atom(name, (Const("a"),))) is derivable
+
+
 # ===========================================================================
 # Compiled plans
 # ===========================================================================

@@ -283,6 +283,15 @@ def cases() -> list[list[str]]:
         out.append(["prove", f, "--atom", "q(X)"])
     for name in ("annotated", "flat_shapes"):
         out.append(["swrl", f"{INPUTS}/{name}.swrl", "--emit", "report"])
+    # `not true` and `not !` fail, as Prolog's \+ true does; `true` and `!` hold
+    control = f"{INPUTS}/negated_control.dl"
+    out.append(["eval", control])
+    out.append(["eval", control, "--auto-pt"])
+    for goal in ("p(X), not true", "p(X), not !", "p(X), true, !"):
+        out.append(["query", control, "--goal", goal, "--template", "[X]"])
+    out.append(["query", control, "--goal", "p(X), not true", "--template", "[count(X)]"])
+    for atom in ("q(X)", "s(X)"):
+        out.append(["prove", control, "--atom", atom])
     return out
 
 

@@ -289,6 +289,16 @@ def test_parse_goal_true_is_the_empty_conjunction():
     assert parse_goal("true") == []
 
 
+def test_parse_goal_keeps_a_negated_control_atom():
+    # only a positive `true` or `!` holds and is dropped; a negated one fails
+    for control in ("true", "!"):
+        items = parse_goal(f"p(X), {control}, not {control}")
+        assert [(item.atom.predicate, item.is_negated()) for item in items] == [
+            ("p", False),
+            (control, True),
+        ]
+
+
 def test_parse_goal_errors():
     with pytest.raises(ParseError, match="unexpected trailing"):
         parse_goal("p(X) q")

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlite import kernel
-from ddlite.engine import Builtin, EvalOptions, FactStore, Strata, Violation, solve_body
+from ddlite.engine import (
+    Builtin,
+    EvalOptions,
+    FactStore,
+    Strata,
+    Violation,
+    dump_facts,
+    solve_body,
+)
 from ddlite.graphs import DepGraph, DiffReport, Edge, MetaCallNode, PredNode, RuleNode, TagNode
 from ddlite.hybrid import (
     AggCol,
@@ -423,6 +431,61 @@ _PRINT_ATOMS = st.builds(
 def test_term_text_agrees_with_the_reference_printer(t):
     for quoted in (True, False):
         assert term_text(t, quoted) == reference_text(t, quoted)
+
+
+# Facts as a dump prints them: mostly flat (Const and Num arguments), with
+# 1 and 1.0, 0.0 and -0.0, quoted and operator names, '.'/2 and '.'/1,
+# prefixed facts, and nested arguments next to them.
+_FACT_LEAVES = st.one_of(
+    st.builds(Const, _SYMBOLS),
+    st.sampled_from([Num(1), Num(1.0), Num(0), Num(0.0), Num(-0.0), Num(-1)]),
+    st.builds(Num, st.integers(-20, 20)),
+    st.builds(Num, st.floats(allow_nan=False, allow_infinity=False)),
+)
+_FACT_TERMS = st.recursive(
+    _FACT_LEAVES,
+    lambda kids: st.builds(
+        lambda f, args: Compound(f, tuple(args)),
+        st.one_of(_SYMBOLS, _OPS),
+        st.lists(kids, min_size=1, max_size=3),
+    ),
+    max_leaves=6,
+)
+_FACTS = st.builds(
+    lambda p, args, module: Atom(p, tuple(args), module),
+    st.one_of(st.sampled_from(["p", "."]), _SYMBOLS, _OPS),
+    st.one_of(
+        st.lists(_FACT_LEAVES, max_size=3),
+        st.lists(st.one_of(_FACT_LEAVES, _FACT_TERMS), max_size=3),
+    ),
+    st.sampled_from([None, None, None, "prolog"]),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(_FACTS)
+def test_fact_keys_and_text_agree_with_the_term_walkers(fact):
+    # an atom's key holds its arguments' keys; repr tells the keys of 0.0
+    # and -0.0 apart, which compare equal
+    walked = tuple(sort_key(a) for a in fact.args)
+    expected = (fact.module_prefix or "", fact.predicate, len(fact.args), walked)
+    assert repr(sort_key(fact)) == repr(expected)
+    for quoted in (True, False):
+        assert term_text(fact, quoted) == reference_text(fact, quoted)
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(st.lists(_FACTS, max_size=8))
+def test_dump_facts_agrees_with_sort_key_and_term_text(facts):
+    store = FactStore()
+    for fact in facts:
+        store.add(fact)
+    # a fact prints as its term: without its prefix, a '.'/2 one as a list
+    expected = [
+        term_text(Compound(f.predicate, f.args) if f.args else Const(f.predicate)) + "."
+        for f in sorted(dict.fromkeys(facts), key=sort_key)
+    ]
+    assert dump_facts(store) == "".join(line + "\n" for line in expected)
 
 
 # ---------------------------------------------------------------------------
