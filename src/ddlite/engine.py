@@ -1,14 +1,17 @@
 """Bottom-up evaluation with embedded builtin calls.
 
 The pipeline is: check_calls -> check_safety -> stratify -> per-stratum
-semi-naive fixpoint.  Rules run as compiled plans (_Plan): each body is
-compiled once for the variables bound on entry (none in evaluate and in
-hybrid goals, the head's in replay).  In evaluate and in replay a plan solves
-its literals bound first: the delta literal, then whatever is a lookup,
-and a pt/2 call as soon as one side is bound.  A body with a builtin that
-can raise, or with a negated builtin, whose answer depends on what is
-bound where it runs, keeps its written order, and so does a goal
-(solve_body, as run by hybrid.solve_goal), whose answer order users see.
+semi-naive fixpoint.  FactStore is the one fact index: the delta a pass
+reads is the facts the previous pass added, which, as no fact is added
+during a pass, are the tail of every probe of the store.  Rules run as
+compiled plans (_Plan): each body is compiled once for the variables
+bound on entry (none in evaluate and in hybrid goals, the head's in
+replay).  In evaluate and in replay a plan solves its literals bound
+first: the delta literal, then whatever is a lookup, and a pt/2 call as
+soon as one side is bound.  A body with a builtin that can raise, or
+with a negated builtin, whose answer depends on what is bound where it
+runs, keeps its written order, and so does a goal (solve_body, as run by
+hybrid.solve_goal), whose answer order users see.
 A positive literal matches ground facts one way (kernel.match); mgu, with
 its occurs check, runs only where both sides may hold variables: a
 unifying builtin (pt, same_as) with open terms on both sides, and the
@@ -33,7 +36,7 @@ finds one in a fact, and render_proof_tree reads it as it is.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CycleError,
@@ -499,31 +502,52 @@ def _principal(t: Term):
     return None
 
 
-class FactIndex:
-    """Ground atoms grouped by predicate, each group in insertion order,
-    and indexed by (predicate, position, principal symbol).  A position's
-    index is built the first time a probe selects it and kept up to date
-    after, so positions no probe reads cost nothing.
+class FactStore:
+    """The model: ground atoms without duplicates, each with its origin,
+    grouped by predicate, each group in insertion order, and indexed by
+    (predicate, position, principal symbol).  A position's index is built
+    the first time a probe selects it and kept up to date after, so
+    positions no probe reads cost nothing.
 
-    Probes yield facts in insertion order, which is all a join needs; a
-    semi-naive delta is one of these holding a single iteration's facts.
+    Probes yield facts in insertion order, which is all a join needs.  No
+    fact is added during a semi-naive pass, so the facts the previous pass
+    added, its delta, are the tail of every probe.  Order is imposed here
+    and only here, for what users see: facts(), sorted_facts() and
+    sorted_candidates() yield in sort_key order.
     """
 
-    def __init__(self, facts: Iterable[Atom] = ()):
-        """facts: ground atoms, none repeated."""
+    def __init__(self):
         self._by_pred: dict[PredKey, list[Atom]] = {}
         # predicate -> per position, None or principal symbol -> facts
         self._index: dict[PredKey, list[Optional[dict]]] = {}
-        for fact in facts:
-            self._file(fact)
+        # every fact, in insertion order -> the rule that derived it, or None
+        self._origin: dict[Atom, Optional[str]] = {}
+        self._sorted_cache: dict[PredKey, list[Atom]] = {}
+        self._frozen = False
 
-    def _file(self, fact: Atom) -> None:
+    def __len__(self) -> int:
+        return len(self._origin)
+
+    def freeze(self) -> "FactStore":
+        self._frozen = True
+        return self
+
+    def add(self, fact: Atom, origin: Optional[str] = None) -> bool:
+        """Insert one ground atom; False if it was already present."""
+        if self._frozen:
+            raise EvalTypeError("fact store is frozen")
+        if not fact.ground:
+            raise EvalTypeError(f"non-ground fact {term_text(_atom_term(fact))}")
+        if fact in self._origin:
+            return False
+        self._origin[fact] = origin
         key = fact.key
         group = self._by_pred.get(key)
         if group is None:
             self._by_pred[key] = [fact]
         else:
             group.append(fact)
+        self._sorted_cache.pop(key, None)
         columns = self._index.get(key)
         if columns is not None:
             for column, arg in zip(columns, fact.args):
@@ -531,6 +555,7 @@ class FactIndex:
                     pk = _principal(arg)
                     if pk is not None:
                         column.setdefault(pk, []).append(fact)
+        return True
 
     def _column(self, key: PredKey, i: int) -> dict:
         columns = self._index.get(key)
@@ -545,9 +570,6 @@ class FactIndex:
                     column.setdefault(pk, []).append(fact)
         return column
 
-    def has_predicate(self, key: PredKey) -> bool:
-        return key in self._by_pred
-
     def candidates(self, query: Atom, s: Subst) -> Sequence[Atom]:
         """The facts that may match query under s, in insertion order: the
         index bucket of query's first argument that has a principal symbol
@@ -560,43 +582,6 @@ class FactIndex:
                 return self._column(query.key, i).get(pk, ())
         return self._by_pred.get(query.key, ())
 
-
-class FactStore(FactIndex):
-    """The model: a FactIndex without duplicates, with each fact's origin.
-
-    Order is imposed here and only here, for what users see: facts(),
-    sorted_facts() and sorted_candidates() yield in sort_key order.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._all: set[Atom] = set()
-        self._sorted_cache: dict[PredKey, list[Atom]] = {}
-        self._origin: dict[Atom, str] = {}
-        self._frozen = False
-
-    def __len__(self) -> int:
-        return len(self._all)
-
-    def freeze(self) -> "FactStore":
-        self._frozen = True
-        return self
-
-    def add(self, fact: Atom, origin: Optional[str] = None) -> bool:
-        """Insert one ground atom; False if it was already present."""
-        if self._frozen:
-            raise EvalTypeError("fact store is frozen")
-        if not fact.ground:
-            raise EvalTypeError(f"non-ground fact {term_text(_atom_term(fact))}")
-        if fact in self._all:
-            return False
-        self._all.add(fact)
-        self._file(fact)
-        self._sorted_cache.pop(fact.key, None)
-        if origin is not None:
-            self._origin[fact] = origin
-        return True
-
     def facts(self, key) -> list[Atom]:
         if not isinstance(key, PredKey) and len(key) == 2:
             key = PredKey(None, key[0], key[1])
@@ -607,7 +592,7 @@ class FactStore(FactIndex):
         return cached
 
     def has(self, fact: Atom) -> bool:
-        return fact in self._all
+        return fact in self._origin
 
     def origin(self, fact: Atom) -> Optional[str]:
         return self._origin.get(fact)
@@ -675,10 +660,10 @@ class _Plan:
     runs.  What a step does is settled here, once:
 
     - a positive literal takes its candidate facts from probe, or the
-      store (from the delta at delta_pos), and matches each one way
-      (kernel.match).  Only after a builtin that may bind a variable to
-      an open term, such as `pt(X, f(Y))` with Y unbound, does it unify
-      them with mgu;
+      store (at delta_pos only their tail that is in delta), and matches
+      each one way (kernel.match).  Only after a builtin that may bind a
+      variable to an open term, such as `pt(X, f(Y))` with Y unbound, does
+      it unify them with mgu;
     - a positive literal whose variables are all bound is one store.has
       lookup, unless it reads the delta or a probe;
     - a negated literal whose variables the pattern binds is one lookup.
@@ -703,7 +688,10 @@ class _Plan:
         emit: Callable[[Subst], object] = lambda s: s,
         reorder: bool = False,
     ):
-        self.delta: Optional[FactIndex] = None  # what the delta_pos literal reads
+        # the facts the delta_pos literal reads: the store's newest, held
+        # in any collection that answers `in`
+        self.delta: Container[Atom] = ()
+        self.store = store
         ground = set(bound)  # variables bound to ground terms here
         order: Iterable[int] = range(len(body))
         if reorder and len(body) > 1 and not any(_may_raise(i) for i in body):
@@ -748,7 +736,12 @@ class _Plan:
         self.run: Callable[[Subst], Iterator] = run
 
     def _delta_candidates(self, query: Atom, s: Subst) -> Sequence[Atom]:
-        return self.delta.candidates(query, s)
+        """The tail of store.candidates(query, s) that is in the delta."""
+        found, delta = self.store.candidates(query, s), self.delta
+        start = len(found)
+        while start and found[start - 1] in delta:
+            start -= 1
+        return found[start:]
 
 
 def _may_raise(item) -> bool:
@@ -949,11 +942,12 @@ def _rule_plan(
 def _rule_heads(
     rule: Rule,
     store: FactStore,
-    delta: Optional[FactIndex] = None,
+    delta: Container[Atom] = (),
     delta_pos: Optional[int] = None,
     plan: Optional[_Plan] = None,
 ) -> Iterator[Atom]:
-    """The heads the rule derives; plan, if given, is the rule's _rule_plan
+    """The heads the rule derives, the literal at delta_pos reading only
+    the store's facts in delta; plan, if given, is the rule's _rule_plan
     for store and delta_pos."""
     plan = plan or _rule_plan(rule, store, delta_pos)
     plan.delta = delta
@@ -1010,20 +1004,19 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
             for k, rule in enumerate(rules)
             for j in _positive_positions(rule)
         ]
-        read = {key for _, _, key in entries}
         # each rule compiled once per delta position it runs with
         plans: dict[tuple[int, Optional[int]], _Plan] = {}
         # the first pass is plain T_P over everything derived so far; after
         # it a rule runs once per positive literal whose predicate gained
         # facts in the previous pass, that literal matching only those
-        # facts, so the delta holds only predicates some literal reads
-        delta: Optional[FactIndex] = None
+        # facts: the delta, which are the store's newest
         runs: list[tuple[int, Optional[int]]] = [(k, None) for k in range(len(rules))]
+        # derivation order, kept so that join order (and which fact an
+        # error names) never depends on hashing
+        new: dict[Atom, str] = {}
         iteration = 1
         while True:
-            # derivation order, kept so that join order (and which fact an
-            # error names) never depends on hashing
-            new: dict[Atom, str] = {}
+            delta, new = new, {}
             for k, j in runs:
                 rule = rules[k]
                 if not rule.body and rule.head.ground:
@@ -1050,8 +1043,8 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
                     stratum=stratum,
                     delta_sample=sample,
                 )
-            delta = FactIndex(head for head in new if head.key in read)
-            runs = [(k, j) for k, j, key in entries if delta.has_predicate(key)]
+            gained = {head.key for head in new}
+            runs = [(k, j) for k, j, key in entries if key in gained]
     return store.freeze()
 
 
@@ -1331,9 +1324,10 @@ _CONS = PredKey(None, ".", 2)
 
 
 def dump_facts(store: FactStore) -> str:
-    """Sorted, re-parseable fact listing, one atom per line.  A fact
-    prints as its term (_atom_term): as the stored atom itself, but with
-    no module prefix, and a '.'/2 fact as a list."""
+    """Sorted fact listing, one atom per line, re-parseable up to the
+    parser's nesting limit (a deeper term reads as `term nested too
+    deeply`).  A fact prints as its term (_atom_term): as the stored atom
+    itself, but with no module prefix, and a '.'/2 fact as a list."""
     lines = [
         term_text(
             f if f.module_prefix is None and f.key != _CONS else _atom_term(f),

@@ -986,10 +986,38 @@ def swrl_to_datalog(rules: list[SwrlRule]) -> Program:
                 f"builtin atom {head.predicate!r} cannot be a rule head"
             )
         body = tuple(
-            Literal(_capitalize(a, renamed, taken)) for a in rule.antecedent
+            Literal(_registry_call(_capitalize(a, renamed, taken)))
+            for a in rule.antecedent
         )
         out.append(Rule(f"r{k}", head, body))
     return Program(tuple(out))
+
+
+# SWRL's comparison and arithmetic built-ins by name and arity, each with
+# the operator of the builtin that computes it
+_SWRL_OPERATORS = {
+    ("greaterThan", 2): ">",
+    ("greaterThanOrEqual", 2): ">=",
+    ("lessThan", 2): "<",
+    ("lessThanOrEqual", 2): "=<",
+    ("add", 3): "+",
+    ("subtract", 3): "-",
+    ("multiply", 3): "*",
+    ("divide", 3): "/",
+}
+
+
+def _registry_call(atom: Atom) -> Atom:
+    """atom, with a call of a SWRL comparison made the builtin comparison,
+    and add(Z, X, Y), subtract, multiply or divide made `Z is X op Y`.
+    It runs after _capitalize, which renames top-level arguments only."""
+    op = _SWRL_OPERATORS.get((atom.predicate, len(atom.args)))
+    if op is None or atom.module_prefix is None:
+        return atom
+    if len(atom.args) == 2:
+        return Atom(op, atom.args, atom.module_prefix)
+    z, x, y = atom.args
+    return Atom("is", (z, Compound(op, (x, y))), atom.module_prefix)
 
 
 _NOT_IN_VAR = re.compile(r"[^A-Za-z0-9_]")

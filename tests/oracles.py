@@ -1308,3 +1308,67 @@ def random_program(rng, allow_negation=False):
             )
             rules.append(Rule(f"r{k}", Atom(name, head_args), tuple(body)))
     return Program(tuple(rules))
+
+
+def random_recursive_program(rng):
+    """Rule text of a small safe, stratified program with recursion.
+
+    Layer 0 holds v0/1 facts and e0/2 facts over four constants, each
+    edge from a constant to a later one.  Every recursive rule steps along
+    such an edge, so no fact depends on itself and the program's auto_pt
+    version has a finite model too.  With four constants no chain of
+    edges is longer than three, which keeps the proof trees per fact few:
+    replay takes a literal's bucket by its first bound argument, not by
+    the bound tree, so a store with thousands of trees per fact replays
+    in about a minute.
+    Each layer i above defines p{i}/2 and q{i}/1 from lower layers and
+    from layer i itself: p{i} left-, right- or doubly recursive, or
+    through q{i}, which may read p{i} back, and now and then a constant
+    in a recursive literal.  A negated literal reads only a lower layer,
+    so the layers are strata.  One layer also defines a counter c{i}/2
+    bounded by prolog:(J < k), prolog:(K is J+1): a builtin that can raise
+    keeps the rule in its written order, where the recursive literal
+    comes first or after the literal that binds its first argument.
+    """
+    names = CONSTANTS[:4]
+    pairs = [tuple(sorted(rng.sample(names, 2))) for _ in range(rng.randint(3, 6))]
+    lines = [f"e0({x}, {y})." for x, y in dict.fromkeys(pairs)]
+    marked = [rng.choice(names) for _ in range(rng.randint(1, 3))]
+    lines += [f"v0({x})." for x in dict.fromkeys(marked)]
+    binary, unary = ["e0"], ["v0"]
+    top = rng.randint(1, 3)
+    counted = rng.randint(1, top)
+    for i in range(1, top + 1):
+        p, q = f"p{i}", f"q{i}"
+        b, u, c = rng.choice(binary), rng.choice(unary), rng.choice(names)
+        negation = f", not {rng.choice(unary)}(Y)" if rng.random() < 0.5 else ""
+        lines.append(f"{p}(X, Y) :- {b}(X, Y){negation}.")
+        lines += rng.sample(
+            [
+                f"{p}(X, Z) :- {p}(X, Y), {b}(Y, Z).",
+                f"{p}(X, Z) :- {b}(X, Y), {p}(Y, Z).",
+                f"{p}(X, Z) :- {p}(X, Y), {p}(Y, Z).",
+                f"{p}(X, {c}) :- {b}(X, Y), {p}(Y, {c}).",
+                f"{p}(X, Y) :- {q}(X), {b}(X, Y).",
+            ],
+            rng.randint(1, 2),
+        )
+        lines.append(f"{q}(X) :- {u}(X).")
+        lines.append(
+            rng.choice(
+                [
+                    f"{q}(Y) :- {p}(X, Y).",
+                    f"{q}(Y) :- {q}(X), {p}(X, Y).",
+                    f"{q}(Y) :- {p}({c}, Y), not {u}(Y).",
+                ]
+            )
+        )
+        if i == counted:
+            join = rng.choice([f"c{i}(X, J), {p}(X, Y)", f"{p}(X, Y), c{i}(X, J)"])
+            lines.append(f"c{i}(X, 0) :- {u}(X).")
+            lines.append(
+                f"c{i}(Y, K) :- {join}, prolog:(J < {rng.randint(1, 3)}), prolog:(K is J+1)."
+            )
+        binary.append(p)
+        unary.append(q)
+    return "\n".join(lines) + "\n"

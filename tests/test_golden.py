@@ -281,7 +281,8 @@ def cases() -> list[list[str]]:
         out.append(["eval", f])
         out.append(["query", f, "--goal", "q(X)", "--template", "[X]"])
         out.append(["prove", f, "--atom", "q(X)"])
-    for name in ("annotated", "flat_shapes"):
+    # SWRL comparison and arithmetic built-ins become the builtins
+    for name in ("annotated", "flat_shapes", "swrl_builtins"):
         out.append(["swrl", f"{INPUTS}/{name}.swrl", "--emit", "report"])
     # `not true` and `not !` fail, as Prolog's \+ true does; `true` and `!` hold
     control = f"{INPUTS}/negated_control.dl"

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ddlite.engine import check_calls, evaluate
 from ddlite.errors import (
     DdliteError,
     EmptyConsequent,
     ParseError,
     TranslationError,
+    UnknownBuiltin,
     UnsupportedConstruct,
     XmlParseError,
 )
@@ -532,7 +534,11 @@ def _swrl_atoms(draw, predicates):
 
 @settings(max_examples=150, derandomize=True, database=None)
 @given(
-    st.lists(_swrl_atoms(["p", "hasParent", "Person", "r-s", "swrlb:add"]), min_size=1, max_size=3),
+    st.lists(
+        _swrl_atoms(["p", "hasParent", "Person", "r-s", "swrlb:add", "swrlb:lessThan"]),
+        min_size=1,
+        max_size=3,
+    ),
     _swrl_atoms(["q", "hasUncle", "r-s"]),
 )
 def test_swrl_output_parses_back_to_the_same_program(body, head):
@@ -543,6 +549,45 @@ def test_swrl_output_parses_back_to_the_same_program(body, head):
     except TranslationError:
         assume(False)  # two source names that collide as one
     assert parse_program(print_program(prog)) == prog
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        ("swrlb:greaterThan(D-variable(a) 1)", "prolog:(A > 1)"),
+        ("swrlb:greaterThanOrEqual(D-variable(a) 1)", "prolog:(A >= 1)"),
+        ("swrlb:lessThan(D-variable(a) 1)", "prolog:(A < 1)"),
+        ("swrlb:lessThanOrEqual(D-variable(a) 1)", "prolog:(A =< 1)"),
+        ("builtin(swrlb:add D-variable(b) D-variable(a) 1)", "prolog:(B is A+1)"),
+        ("builtin(swrlb:subtract D-variable(b) D-variable(a) 1)", "prolog:(B is A-1)"),
+        ("builtin(swrlb:multiply D-variable(b) D-variable(a) 1)", "prolog:(B is A*1)"),
+        ("builtin(swrlb:divide D-variable(b) D-variable(a) 1)", "prolog:(B is A/1)"),
+        # other names and arities keep their SWRL name, which no builtin has
+        ("builtin(swrlb:add D-variable(b) D-variable(a))", "prolog:add(B, A)"),
+        ("swrlb:pow(D-variable(b) D-variable(a) 2)", "prolog:pow(B, A, 2)"),
+        ("swrlb:lessThan(D-variable(a) 1 2)", "prolog:lessThan(A, 1, 2)"),
+    ],
+)
+def test_swrl_comparisons_and_arithmetic_call_the_builtins(call, text):
+    rules = parse_swrl(
+        f"Implies(Antecedent(n(D-variable(a)) {call}) Consequent(q(D-variable(a))))"
+    )
+    prog = swrl_to_datalog(rules)
+    assert print_program(prog) == f"q(A) :- n(A), {text}.\n"
+    assert parse_program(print_program(prog)) == prog
+    if text.startswith("prolog:("):
+        check_calls(prog)
+    else:
+        with pytest.raises(UnknownBuiltin):
+            check_calls(prog)
+
+
+def test_swrl_builtins_evaluate():
+    source = Path(__file__).parent / "golden" / "inputs" / "swrl_builtins.swrl"
+    rules = parse_swrl(source.read_text(encoding="utf-8"))
+    text = print_program(swrl_to_datalog(rules)) + "age(ann, 30).\nage(bob, 12).\n"
+    store = evaluate(parse_program(text))
+    assert store.facts(("next_age", 2)) == [Atom("next_age", (Const("ann"), Num(31)))]
 
 
 def test_swrl_to_datalog_rejects_builtin_head():
@@ -941,7 +986,7 @@ def test_parse_ruleml_individuals_and_calls_translate():
     program = swrl_to_datalog([r for rule in ontology.rules for r in lloyd_topor(rule)])
     assert print_program(program) == (
         "knows(X, bob) :- person(X), prolog:same_as(X, mary),"
-        " prolog:different_from(X, Y), prolog:add(Z, Y, one).\n"
+        " prolog:different_from(X, Y), prolog:(Z is Y+one).\n"
     )
 
 
