@@ -63,7 +63,8 @@ _LIMITS = EvalOptions()  # the default limits
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig: a byte-order mark is no part of the text
+    with open(path, encoding="utf-8-sig") as handle:
         return handle.read()
 
 

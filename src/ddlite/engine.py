@@ -85,7 +85,12 @@ from .kernel import (
 
 
 class Builtin(Record):
-    """fn(args, s) returns the extensions of s that satisfy the call."""
+    """fn(args) answers a call whose arguments are args under the current
+    bindings.  A test (no outputs) returns whether it holds; a builtin
+    with one output returns the ground term to bind there, or None if the
+    call fails.  pt and same_as unify their two arguments instead
+    (_bi_unify), and take the bindings too.  The plan step, or
+    call_builtin, binds what a call returns (_answer)."""
 
     __slots__ = _fields = ("name", "arity", "inputs", "outputs", "fn")
 
@@ -139,12 +144,11 @@ def _arith(t: Term) -> float:
     return values[0]
 
 
-def _bi_is(args: tuple[Term, ...], s: Subst) -> list[Subst]:
-    out = bind_ground(s, args[0], Num(_arith(args[1])))
-    return [out] if out is not None else []
+def _bi_is(args: tuple[Term, ...]) -> Term:
+    return Num(_arith(args[1]))
 
 
-def _compare(op: str) -> Callable[[tuple[Term, ...], Subst], list[Subst]]:
+def _compare(op: str) -> Callable[[tuple[Term, ...]], bool]:
     tests = {
         "<": lambda a, b: a < b,
         "=<": lambda a, b: a <= b,
@@ -155,55 +159,49 @@ def _compare(op: str) -> Callable[[tuple[Term, ...], Subst], list[Subst]]:
     }
     test = tests[op]
 
-    def fn(args: tuple[Term, ...], s: Subst) -> list[Subst]:
-        return [dict(s)] if test(_arith(args[0]), _arith(args[1])) else []
+    def fn(args: tuple[Term, ...]) -> bool:
+        return test(_arith(args[0]), _arith(args[1]))
 
     return fn
 
 
-def _bi_atom_number(args: tuple[Term, ...], s: Subst) -> list[Subst]:
+def _bi_atom_number(args: tuple[Term, ...]) -> Optional[Term]:
     text = args[0]
     if isinstance(text, Var):
         raise InstantiationError("atom_number: first argument unbound")
     if not isinstance(text, Const):
         raise EvalTypeError("atom_number: first argument must be a constant")
-    num = parse_number(text.symbol)
-    if num is None:
-        return []
-    out = bind_ground(s, args[1], num)
-    return [out] if out is not None else []
+    return parse_number(text.symbol)
 
 
-def _bi_unify(args: tuple[Term, ...], s: Subst) -> list[Subst]:
+def _bi_unify(args: tuple[Term, ...], s: Subst, bind) -> Optional[Subst]:
+    """s extended to unify the two arguments: by bind when one side is
+    ground, by mgu when neither is."""
     a, b = args
     if is_ground(b):
-        out = bind_ground(s, a, b)
-    elif is_ground(a):
-        out = bind_ground(s, b, a)
-    else:
-        out = mgu(a, b, s)
-    return [out] if out is not None else []
+        return bind(s, a, b)
+    if is_ground(a):
+        return bind(s, b, a)
+    return mgu(a, b, s)
 
 
-def _bi_different_from(args: tuple[Term, ...], s: Subst) -> list[Subst]:
+def _bi_different_from(args: tuple[Term, ...]) -> bool:
     a, b = args
     if not (is_ground(a) and is_ground(b)):
         raise InstantiationError("different_from: both arguments must be ground")
-    return [dict(s)] if a != b else []
+    return a != b
 
 
-def _bi_create_owl_thing(args: tuple[Term, ...], s: Subst) -> list[Subst]:
+def _bi_create_owl_thing(args: tuple[Term, ...]) -> Term:
     for t in args[1:]:
         if not is_ground(t):
             raise InstantiationError(
                 "create_owl_thing: arguments 2..4 must be ground"
             )
-    skolem = Compound("skolem", (Const("create_owl_thing"),) + tuple(args[1:]))
-    out = bind_ground(s, args[0], skolem)
-    return [out] if out is not None else []
+    return Compound("skolem", (Const("create_owl_thing"),) + tuple(args[1:]))
 
 
-def _bi_append(args: tuple[Term, ...], s: Subst) -> list[Subst]:
+def _bi_append(args: tuple[Term, ...]) -> Term:
     outer = list_elements(args[0])
     if outer is None or not is_ground(args[0]):
         raise InstantiationError("append/2: first argument must be a ground list")
@@ -216,8 +214,7 @@ def _bi_append(args: tuple[Term, ...], s: Subst) -> list[Subst]:
         if inner is None or inner[1] != Const("[]"):
             raise EvalTypeError("append/2: expected a list of lists")
         flat.extend(inner[0])
-    out = bind_ground(s, args[1], mklist(flat))
-    return [out] if out is not None else []
+    return mklist(flat)
 
 
 BUILTINS: dict[tuple[str, int], Builtin] = {}
@@ -247,6 +244,34 @@ def lookup_builtin(atom: Atom) -> Builtin:
     raise UnknownBuiltin(f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span)
 
 
+def _match_one(s: Subst, t: Term, value: Term) -> Optional[Subst]:
+    """bind_ground where every value in s is ground, and t is an argument
+    under s: a variable there is unbound, so binding it is one dict copy."""
+    if t.__class__ is Var:
+        s2 = dict(s)
+        s2[t.name] = value
+        return s2
+    return match((t,), (value,), s)
+
+
+def _answer(spec: Builtin, bind) -> Callable[[tuple, Subst], Optional[Subst]]:
+    """answer(args, s): s extended by a call of spec on args, or None if
+    the call fails.  An output is bound by bind: bind_ground where s may
+    hold open terms, else _match_one."""
+    fn = spec.fn
+    if fn is _bi_unify:
+        return lambda args, s: _bi_unify(args, s, bind)
+    if not spec.outputs:
+        return lambda args, s: s if fn(args) else None
+    k = spec.outputs[0]
+
+    def answer(args: tuple, s: Subst) -> Optional[Subst]:
+        value = fn(args)
+        return None if value is None else bind(s, args[k], value)
+
+    return answer
+
+
 def call_builtin(goal: Atom, s: Optional[Subst] = None) -> list[Subst]:
     """Run one builtin goal under s; answers extend s.
 
@@ -254,7 +279,8 @@ def call_builtin(goal: Atom, s: Optional[Subst] = None) -> list[Subst]:
     arguments, type mismatches, and unknown builtin names.
     """
     s = s or {}
-    return lookup_builtin(goal).fn(apply(s, goal).args, s)
+    out = _answer(lookup_builtin(goal), bind_ground)(apply(s, goal).args, s)
+    return [] if out is None else [out]
 
 
 def check_calls(p: Optional[Program], goal: Optional[Sequence] = None) -> None:
@@ -670,10 +696,15 @@ class _Plan:
       Any other is looked up where it stands if it is ground there, and
       checked again at the end by deferred_negation_ok;
     - a builtin call, negated or not, runs the Builtin it names
-      (lookup_builtin) on its arguments under s; `true` and `!` hold,
-      and `not true` and `not !` fail, as Prolog's `\\+ true` does;
-    - an item that is not a Literal is answered by solve_item, whose
-      answers bind variables to ground terms.
+      (lookup_builtin) on its arguments under s, and binds what it
+      returns by one match, or, where s may hold open terms, by
+      bind_ground; `true` and `!` hold, and `not true` and `not !` fail,
+      as Prolog's `\\+ true` does;
+    - an item that is not a Literal is compiled by compile_item(item,
+      ground, open_), called here once with the variables bound to ground
+      terms at that point and whether s may hold open terms there.  It
+      adds the variables its answers bind to ground terms to ground, and
+      returns the step: a function of nxt, as the step functions below.
     """
 
     def __init__(
@@ -683,7 +714,7 @@ class _Plan:
         bound: Iterable[str] = (),
         open_: bool = False,
         probe: Optional[Callable[[Atom, Subst], Iterable[Atom]]] = None,
-        solve_item: Optional[Callable[[object, Subst], Iterable[Subst]]] = None,
+        compile_item: Optional[Callable[[object, set[str], bool], Callable]] = None,
         delta_pos: Optional[int] = None,
         emit: Callable[[Subst], object] = lambda s: s,
         reorder: bool = False,
@@ -701,11 +732,11 @@ class _Plan:
         for i in order:
             item = body[i]
             if not isinstance(item, Literal):
-                steps.append((_item_step, item, solve_item))
+                steps.append((compile_item(item, ground, open_),))
                 continue
             atom = item.atom
             if item.is_builtin():
-                steps.append((_builtin_step, atom, item.is_negated()))
+                steps.append((_builtin_step, atom, item.is_negated(), open_))
                 if not item.is_negated():
                     open_ = _builtin_binds(atom, ground) or open_
             elif not item.reads_relation():
@@ -726,13 +757,20 @@ class _Plan:
                     steps.append((_positive_step, atom, probe or store.candidates, open_))
                 ground |= names
 
-        def finish(s: Subst) -> Iterator:
-            if not late or deferred_negation_ok(late, s, store):
-                yield emit(s)
+        if late:
+            def finish(s: Subst) -> Iterable:
+                return (emit(s),) if deferred_negation_ok(late, s, store) else ()
+        else:
+            def finish(s: Subst) -> Iterable:
+                return (emit(s),)
 
-        run = finish
+        first = finish
         for step, *args in reversed(steps):
-            run = step(*args, run)
+            first = step(*args, first)
+
+        def run(s: Subst) -> Iterator:
+            yield from first(s)
+
         self.run: Callable[[Subst], Iterator] = run
 
     def _delta_candidates(self, query: Atom, s: Subst) -> Sequence[Atom]:
@@ -813,8 +851,10 @@ def _builtin_binds(atom: Atom, ground: set[str]) -> bool:
     return False
 
 
-# Each step function below builds one step of a plan: a generator function
-# of s that runs nxt, the rest of the plan, once per answer of its item.
+# Each step function below builds one step of a plan: a function of s
+# whose iterable runs nxt, the rest of the plan, once per answer of its
+# item.  A step with at most one answer returns nxt's iterable, or (), as
+# it is called, which saves a generator per answer; Plan.run is lazy.
 
 
 def _positive_step(atom: Atom, candidates, open_: bool, nxt):
@@ -837,15 +877,13 @@ def _positive_step(atom: Atom, candidates, open_: bool, nxt):
 def _has_step(atom: Atom, store: FactStore, nxt):
     if atom.ground:
         def run(s):
-            if store.has(atom):
-                yield from nxt(s)
+            return nxt(s) if store.has(atom) else ()
         return run
     build = _template(atom.args)
     predicate = atom.predicate
 
     def run(s):
-        if store.has(Atom(predicate, build(s))):
-            yield from nxt(s)
+        return nxt(s) if store.has(Atom(predicate, build(s))) else ()
     return run
 
 
@@ -855,33 +893,25 @@ def _negated_step(atom: Atom, store: FactStore, nxt):
 
     def run(s):
         bound = Atom(predicate, build(s))
-        if not (bound.ground and store.has(bound)):
-            yield from nxt(s)
+        return () if bound.ground and store.has(bound) else nxt(s)
     return run
 
 
-def _builtin_step(atom: Atom, negated: bool, nxt):
-    build, fn = _template(atom.args), lookup_builtin(atom).fn
+def _builtin_step(atom: Atom, negated: bool, open_: bool, nxt):
+    build = _template(atom.args)
+    answer = _answer(lookup_builtin(atom), bind_ground if open_ else _match_one)
     if negated:
         def run(s):
-            if not fn(build(s), s):
-                yield from nxt(s)
+            return nxt(s) if answer(build(s), s) is None else ()
     else:
         def run(s):
-            for s2 in fn(build(s), s):
-                yield from nxt(s2)
+            s2 = answer(build(s), s)
+            return () if s2 is None else nxt(s2)
     return run
 
 
 def _fail_step(nxt):
-    return lambda s: iter(())
-
-
-def _item_step(item, solve_item, nxt):
-    def run(s):
-        for s2 in solve_item(item, s):
-            yield from nxt(s2)
-    return run
+    return lambda s: ()
 
 
 def solve_body(
@@ -889,19 +919,19 @@ def solve_body(
     store: FactStore,
     s: Optional[Subst] = None,
     probe: Optional[Callable[[Atom, Subst], Iterable[Atom]]] = None,
-    solve_item: Optional[Callable[[object, Subst], Iterable[Subst]]] = None,
+    compile_item: Optional[Callable[[object, set[str], bool], Callable]] = None,
 ) -> Iterator[Subst]:
     """All substitutions solving the body (a rule body or a goal) left to
     right against store, through a plan compiled for s's bound variables.
 
     A positive literal is matched against the facts probe gives for it,
     store.candidates (in insertion order) unless given; answers come in
-    that order.  Body items that are not Literals are answered by
-    solve_item.
+    that order.  Body items that are not Literals are compiled into plan
+    steps by compile_item (see _Plan).
     """
     s = s or {}
     bound = [name for name, value in s.items() if is_ground(value)]
-    return _Plan(body, store, bound, len(bound) < len(s), probe, solve_item).run(s)
+    return _Plan(body, store, bound, len(bound) < len(s), probe, compile_item).run(s)
 
 
 # ===========================================================================

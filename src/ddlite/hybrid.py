@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     NonNumericAggregate,
@@ -77,7 +77,8 @@ class XmlNode(Term):
 
 
 def load_xml(path: str) -> XmlTerm:
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig: a byte-order mark is no part of the document
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_xml(handle.read(), filename=path)
 
 
@@ -160,38 +161,64 @@ class _ChildIndex:
                     by_value.setdefault(child.attributes[attr], []).append(child)
         return by_value.get(wanted, [])
 
-    def walk(
-        self, doc: XmlTerm, expr: PathExpr, env: Subst
-    ) -> list[Union[XmlTerm, Term]]:
-        """The hits of the steps from doc: elements, or Consts for a final
-        attribute access.  A filter is applied with the child step it
-        follows, so every item before the last step is an element."""
-        items: list = [doc]
-        for step, after in zip(expr.steps, expr.steps[1:] + (None,)):
-            if isinstance(step, Child) and isinstance(after, Filter):
-                wanted = _filter_text(after, env)
-                items = [
-                    hit
-                    for it in items
-                    for hit in self.with_value(it, step.tag, after.attr, wanted)
-                ]
-            elif isinstance(step, Child):
-                items = [hit for it in items for hit in self.children(it, step.tag)]
+    def compile(
+        self, expr: PathExpr
+    ) -> Callable[[XmlTerm, Subst], list[Union[XmlTerm, Term]]]:
+        """walk(root, s): the hits of the steps from root under s, in
+        document order: elements, or Consts for a final attribute access.
+        Each child step is paired here, once, with the filter that follows
+        it, and a filter's text is fixed here if its value is ground, else
+        read from s once per walk (_filter_reader)."""
+        children, with_value = self.children, self.with_value
+        moves = []  # per child step: (tag, filter attribute or None, its text)
+        final: Optional[str] = None  # the attribute a final access reads
+        steps = expr.steps
+        for step, after in zip(steps, steps[1:] + (None,)):
+            if isinstance(step, Child):
+                if isinstance(after, Filter):
+                    moves.append((step.tag, after.attr, _filter_reader(after.value)))
+                else:
+                    moves.append((step.tag, None, None))
             elif isinstance(step, AttrAccess):
-                items = [
-                    Const(it.attributes[step.name])
-                    for it in items
-                    if step.name in it.attributes
-                ]
-        return items
+                final = step.name
+
+        def walk(root: XmlTerm, s: Subst) -> list:
+            items: list = [root]
+            for tag, attr, text in moves:
+                if attr is None:
+                    items = [hit for it in items for hit in children(it, tag)]
+                else:
+                    wanted = text(s)
+                    items = [
+                        hit for it in items for hit in with_value(it, tag, attr, wanted)
+                    ]
+            if final is None:
+                return items
+            return [Const(it.attributes[final]) for it in items if final in it.attributes]
+
+        return walk
 
 
-def _filter_text(step: Filter, env: Subst) -> str:
-    value = apply(env, step.value)
-    if not is_ground(value):
-        names = ", ".join(sorted(term_vars(value)))
-        raise UnboundFilterError(f"filter variable {names} is unbound")
-    return _attr_text(value)
+def _filter_reader(value: Term) -> Callable[[Subst], str]:
+    """text(s): the attribute text a filter on value wants under s.  Fixed
+    once for a ground value; a variable bound to a constant or a number is
+    read with one lookup.  UnboundFilterError if value is open under s."""
+    if is_ground(value):
+        fixed = _attr_text(value)
+        return lambda s: fixed
+    name = value.name if value.__class__ is Var else None
+
+    def text(s: Subst) -> str:
+        bound = s.get(name)
+        if bound.__class__ is Const or bound.__class__ is Num:
+            return _attr_text(bound)
+        bound = apply(s, value)
+        if not is_ground(bound):
+            names = ", ".join(sorted(term_vars(bound)))
+            raise UnboundFilterError(f"filter variable {names} is unbound")
+        return _attr_text(bound)
+
+    return text
 
 
 def path_eval(
@@ -201,7 +228,7 @@ def path_eval(
     the result pairs each hit (an element, or a Const for attribute
     access) with the unchanged env."""
     env = env or {}
-    return [(hit, env) for hit in _ChildIndex().walk(doc, expr, env)]
+    return [(hit, env) for hit in _ChildIndex().compile(expr)(doc, env)]
 
 
 # ===========================================================================
@@ -228,9 +255,6 @@ class AggTemplate(Record):
         if not columns:
             raise ParseError("aggregation template must have at least one column")
         super().__init__(columns)
-
-    def group_vars(self) -> list[str]:
-        return [c.var for c in self.columns if isinstance(c, GroupCol)]
 
     def vars(self) -> list[str]:
         return [c.var for c in self.columns]
@@ -388,25 +412,58 @@ class _DocRegistry:
             self.docs[name] = load_xml(os.path.join(self.base_dir, name))
         return self.docs[name]
 
-    def solve_path(self, item: PathBinding, s: Subst) -> Iterator[Subst]:
-        """Extensions of s binding item.var to each hit, in document order."""
+    def compile(self, item: PathBinding, ground: set[str], open_: bool) -> Callable:
+        """The plan step of a path binding (engine._Plan's compile_item):
+        it extends s by item.var bound to each hit, in document order.
+        Fixed here, once: the source, the paired steps (_ChildIndex.compile),
+        whether a hit is an element to wrap as an XmlNode, and how a hit is
+        bound: by one match, or by bind_ground where s may hold open terms.
+        item.var joins ground."""
+        walk = self.index.compile(item.expr)
+        wrap = not isinstance(item.expr.steps[-1], AttrAccess)
+        name = item.var
+        target = Var(name)
+        ground.add(name)
         if item.doc is not None:
-            root = self.get(item.doc)
+            doc = item.doc
+
+            def root(s: Subst) -> XmlTerm:
+                return self.get(doc)
         else:
-            bound = apply(s, Var(item.from_var))
-            if isinstance(bound, Var):
-                raise PathError(f"path source variable {item.from_var} is unbound")
-            if not isinstance(bound, XmlNode):
-                raise PathError(
-                    f"path source variable {item.from_var} is not a document node"
-                )
-            root = bound.node
-        var = Var(item.var)
-        for hit in self.index.walk(root, item.expr, s):
-            value: Term = XmlNode(hit) if isinstance(hit, XmlTerm) else hit
-            s2 = bind_ground(s, var, value)
-            if s2 is not None:
-                yield s2
+            source = item.from_var
+
+            def root(s: Subst) -> XmlTerm:
+                bound = s.get(source)
+                if bound is None or bound.__class__ is Var:
+                    raise PathError(f"path source variable {source} is unbound")
+                if not isinstance(bound, XmlNode):
+                    raise PathError(
+                        f"path source variable {source} is not a document node"
+                    )
+                return bound.node
+
+        def step(nxt):
+            if open_:
+                def run(s):
+                    for hit in walk(root(s), s):
+                        s2 = bind_ground(s, target, XmlNode(hit) if wrap else hit)
+                        if s2 is not None:
+                            yield from nxt(s2)
+            else:
+                # every value in s is ground: kernel.match of one variable
+                def run(s):
+                    bound = s.get(name)
+                    for hit in walk(root(s), s):
+                        value = XmlNode(hit) if wrap else hit
+                        if bound is None:
+                            s2 = dict(s)
+                            s2[name] = value
+                            yield from nxt(s2)
+                        elif bound == value:
+                            yield from nxt(s)
+            return run
+
+        return step
 
 
 def _item_vars(item: GoalItem) -> set[str]:
@@ -438,7 +495,7 @@ def solve_goal(
     registry = _DocRegistry(docs, base_dir)
     return list(
         solve_body(
-            goal, store, probe=store.sorted_candidates, solve_item=registry.solve_path
+            goal, store, probe=store.sorted_candidates, compile_item=registry.compile
         )
     )
 
@@ -502,36 +559,39 @@ def ddbase_aggregate(
                 f"template variable {name} does not occur in the goal"
             )
     answers = solve_goal(goal, program, store, docs, base_dir)
-    group_cols = template.group_vars()
-    agg_cols = [c for c in template.columns if isinstance(c, AggCol)]
-    group_values: dict[tuple, dict[str, Term]] = {}
-    members: dict[tuple, dict[int, list[Term]]] = {}
+    columns = template.columns
+    names = template.vars()
+    grouped = [i for i, col in enumerate(columns) if isinstance(col, GroupCol)]
+    folded = [i for i, col in enumerate(columns) if isinstance(col, AggCol)]
+    # group key -> the first answer's column values, and the values of
+    # each folded column over the group's answers
+    groups: dict[tuple, tuple[list[Term], dict[int, list[Term]]]] = {}
     for s in answers:
-        projection: dict[str, Term] = {}
-        for name in template.vars():
-            value = apply(s, Var(name))
-            if not is_ground(value):
+        values = []
+        for name in names:
+            value = s.get(name)
+            if (
+                value.__class__ is not Num
+                and value.__class__ is not Const
+                and (value is None or not is_ground(value))
+            ):
                 raise TemplateVarUnbound(
                     f"template variable {name} is unbound in an answer"
                 )
-            projection[name] = value
-        key = tuple(_order_key(projection[name], name) for name in group_cols)
-        if key not in group_values:
-            group_values[key] = {n: projection[n] for n in group_cols}
-            members[key] = {i: [] for i in range(len(agg_cols))}
-        for i, col in enumerate(agg_cols):
-            members[key][i].append(projection[col.var])
+            values.append(value)
+        key = tuple([_order_key(values[i], names[i]) for i in grouped])
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (values, {i: [] for i in folded})
+        for i, members in group[1].items():
+            members.append(values[i])
     rows: list[list[Term]] = []
-    for key in sorted(group_values):
-        agg_i = 0
-        row: list[Term] = []
-        for col in template.columns:
-            if isinstance(col, GroupCol):
-                row.append(group_values[key][col.var])
-            else:
-                row.append(_fold(col, members[key][agg_i]))
-                agg_i += 1
-        rows.append(row)
+    for key in sorted(groups):
+        first, members = groups[key]
+        rows.append([
+            _fold(col, members[i]) if i in members else first[i]
+            for i, col in enumerate(columns)
+        ])
     return rows
 
 
@@ -577,7 +637,11 @@ def load_facts_csv(
     """
     facts: list[Atom] = []
     width: Optional[int] = None
-    with open(path, newline="", encoding="utf-8") as handle:
+    null = Const("null")
+    # cell text -> its term where no column is declared numeric: null, a
+    # number, or a constant; each distinct text is classified once
+    terms: dict[str, Term] = {}
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         for row_i, row in enumerate(reader):
             if header and row_i == 0:
@@ -593,21 +657,25 @@ def load_facts_csv(
                 )
             args: list[Term] = []
             for col_i, cell in enumerate(row):
-                if cell.lower() == "null":
-                    args.append(Const("null"))
-                    continue
-                num = parse_number(cell)
-                if numeric_cols is not None:
+                term = terms.get(cell)
+                if term is None:
+                    term = terms[cell] = _cell_term(cell, null)
+                if numeric_cols is not None and term is not null:
                     if col_i in numeric_cols:
-                        if num is None:
+                        if term.__class__ is not Num:
                             raise NumericParseError(
                                 f"{path}: line {reader.line_num}, column "
                                 f"{col_i + 1}: {cell!r} is not numeric"
                             )
-                        args.append(num)
-                    else:
-                        args.append(Const(cell))
-                else:
-                    args.append(num if num is not None else Const(cell))
+                    elif term.__class__ is Num:
+                        term = Const(cell)
+                args.append(term)
             facts.append(Atom(pred, tuple(args)))
     return facts
+
+
+def _cell_term(cell: str, null: Const) -> Term:
+    if cell.lower() == "null":
+        return null
+    num = parse_number(cell)
+    return Const(cell) if num is None else num

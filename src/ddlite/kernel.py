@@ -216,7 +216,9 @@ class Compound(Term):
     f(-0.0) stay two terms, equal as 0.0 and -0.0 are.
     """
 
-    __slots__ = ("functor", "args", "ground", "_hash", "_sort_key", "__weakref__")
+    __slots__ = (
+        "functor", "args", "ground", "_hash", "_sort_key", "_key_height", "__weakref__"
+    )
 
     def __new__(cls, functor: str, args: tuple[Term, ...]):
         if not args:
@@ -713,6 +715,12 @@ def sort_key(t):
     arithmetically equal float.  A compound keeps its key once made.  Any
     other term, such as a document node, has no place in the order: its
     key, and that of a term holding it, raises TypeError.
+
+    A compound's key is a nested tuple, compared by Python's tuple
+    comparison, unless the compound nests more than _KEY_HEIGHT levels:
+    then it is a _DeepKey, which compares in the same order on an explicit
+    stack.  Tuple comparison recurses on the C stack, and at each level of
+    a long shared prefix walks the rest of it again.
     """
     if isinstance(t, Atom):
         # a fact's arguments are mostly constants and numbers: their keys
@@ -748,9 +756,82 @@ def sort_key(t):
                 stack.extend(todo)
                 continue
             stack.pop()
-            key = (3, c.functor, len(c.args), tuple(sort_key(a) for a in c.args))
+            keys, height = [], 1
+            for a in c.args:
+                if isinstance(a, Compound):
+                    keys.append(a._sort_key)
+                    if a._key_height >= height:
+                        height = a._key_height + 1
+                else:
+                    keys.append(sort_key(a))
+            key = (3, c.functor, len(keys), tuple(keys))
+            if height > _KEY_HEIGHT:
+                key = _DeepKey(key, c._hash)
             object.__setattr__(c, "_sort_key", key)
+            object.__setattr__(c, "_key_height", height)
     return t._sort_key
+
+
+# the most levels of compounds whose keys are plain tuples (sort_key)
+_KEY_HEIGHT = 40
+
+
+class _DeepKey:
+    """The key of a deep compound: it orders as the tuple it holds would,
+    comparing on an explicit stack (_compare_keys).  Two compounds with
+    equal keys are equal terms, which nest alike, so a _DeepKey equals
+    only a _DeepKey, and its hash is the compound's.  A plain key holds no
+    _DeepKey, as its compound's arguments nest less deep than it."""
+
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, key: tuple, hash_: int):
+        self.key, self._hash = key, hash_
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            other.__class__ is _DeepKey
+            and other._hash == self._hash
+            and _compare_keys(self, other) == 0
+        )
+
+    def __lt__(self, other) -> bool:
+        return _compare_keys(self, other) < 0
+
+    def __gt__(self, other) -> bool:
+        return _compare_keys(self, other) > 0
+
+
+def _compare_keys(a, b) -> int:
+    """-1, 0 or 1 as key a sorts before, with or after key b, as tuple
+    comparison would have it.  Two plain keys are compared as tuples; a
+    _DeepKey is read as the compound key (3, functor, arity, arguments)
+    it holds, whose first arguments are compared next and the others
+    pushed on a stack."""
+    stack = [(a, b)]  # pairs still to compare, the next one last
+    while stack:
+        x, y = stack.pop()
+        while x is not y:
+            if x.__class__ is _DeepKey:
+                x = x.key
+            elif y.__class__ is not _DeepKey:
+                if x != y:
+                    return -1 if x < y else 1
+                break
+            if y.__class__ is _DeepKey:
+                y = y.key
+            # x or y is a compound's key; the first of its parts that
+            # differs from y's decides, and only the arguments can nest
+            if x[0] != y[0] or x[1] != y[1] or x[2] != y[2]:
+                return -1 if x[:3] < y[:3] else 1
+            xs, ys = x[3], y[3]
+            if len(xs) > 1:
+                stack.extend(zip(reversed(xs[1:]), reversed(ys[1:])))
+            x, y = xs[0], ys[0]
+    return 0
 
 
 _PLAIN_ATOM = None  # compiled lazily to keep import cheap

@@ -326,6 +326,25 @@ def test_eval_auto_pt(capsys):
     )
 
 
+def test_eval_sorts_facts_nested_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # n(s(...s(z)...), K) nests K compounds; comparing two such keys as
+    # plain tuples recurses once per level
+    f = tmp_path / "deep.dl"
+    f.write_text(
+        "n(z, 0).\n"
+        "n(s(X), K) :- n(X, J), prolog:(J < 1200), prolog:(K is J+1).\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "eval", str(f))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1201
+    # z sorts before any compound, and s(X) before s(s(X))
+    assert all(
+        line == f"n({'s(' * k}z{')' * k}, {k})." for k, line in enumerate(lines)
+    )
+
+
 def test_eval_iteration_limit(capsys, tmp_path):
     f = tmp_path / "chain.dl"
     f.write_text(
@@ -524,6 +543,46 @@ def test_query_sums_fact_matches_in_sort_key_order(capsys, tmp_path):
                          "--goal", "h(K, V)", "--template", "[K, sum(V)]")
     assert code == 0
     assert out == "[[a, 0.6000000000000001]]\n"
+
+
+def _with_bom(tmp_path, name):
+    """A copy of the fixture, in tmp_path, that starts with a UTF-8 BOM."""
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+    return str(path)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("eval", "route.dl"),
+    ("swrl", "uncle.swrl"),
+    ("swrl", "uncle.xml"),
+])
+def test_a_byte_order_mark_is_no_part_of_a_rule_file(capsys, tmp_path, command, name):
+    want = run(capsys, command, fx(name))
+    assert want[0] == 0
+    assert run(capsys, command, _with_bom(tmp_path, name)) == want
+
+
+def test_a_byte_order_mark_is_no_part_of_a_csv_cell(capsys, tmp_path):
+    goal = "employee('Borg', S, B, X, Sal, Sup, D)"
+    for csv_path in (fx("employee.csv"), _with_bom(tmp_path, "employee.csv")):
+        code, out, err = run(capsys, "query", "--csv", f"employee={csv_path}",
+                             "--goal", goal, "--template", "[D]")
+        assert (code, out, err) == (0, "[[1]]\n", "")
+
+
+def test_a_byte_order_mark_is_no_part_of_a_document(capsys, tmp_path):
+    _with_bom(tmp_path, "works_on.xml")
+    code, out, err = run(
+        capsys, "query",
+        "--csv", f"employee={_with_bom(tmp_path, 'employee.csv')}",
+        "--goal", HOURS_GOAL,
+        "--template", "[D, sum(H)]",
+        "--base-dir", str(tmp_path),
+    )
+    assert (code, out, err) == (0, "[[1, 12.5], [4, 30.0], [5, 47.5]]\n", "")
+    want = run(capsys, "graph", fx("works_on.xml"), "--kind", "schema")
+    assert run(capsys, "graph", str(tmp_path / "works_on.xml"), "--kind", "schema") == want
 
 
 def test_query_reads_prefixed_tags_in_path_steps(capsys):

@@ -293,6 +293,19 @@ def cases() -> list[list[str]]:
     out.append(["query", control, "--goal", "p(X), not true", "--template", "[count(X)]"])
     for atom in ("q(X)", "s(X)"):
         out.append(["prove", control, "--atom", atom])
+    # input files that start with a UTF-8 byte-order mark (BOM); parse,
+    # swrl and graph --kind schema read each of them above already
+    out.append(["eval", f"{INPUTS}/bom.dl"])
+    out.append(["query", "--csv", f"employee={INPUTS}/bom.csv", "--goal",
+                "employee('Borg', S, B, X, Sal, Sup, D)", "--template", "[D]"])
+    out.append(["query", "--base-dir", "tests/golden", "--goal",
+                "R := doc('inputs/bom.xml')/row::[@'ESSN' = 11]@'HOURS'",
+                "--template", "[R]"])
+    # facts nested deeper than the recursion limit, sorted for the answers
+    deep = f"{INPUTS}/deep_facts.dl"
+    for goal, template in (("n(X, K)", "[count(K)]"), ("n(X, K), K > 1198", "[K, count(X)]")):
+        out.append(["query", deep, "--goal", goal, "--template", template])
+    out.append(["prove", deep, "--atom", "n(X, K)"])
     return out
 
 

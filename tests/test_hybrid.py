@@ -6,8 +6,10 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddlite.engine import FactStore
+from ddlite.engine import FactStore, solve_body
 from ddlite.errors import (
     NonNumericAggregate,
     NumericParseError,
@@ -37,7 +39,18 @@ from ddlite.hybrid import (
     rows_to_json,
     solve_goal,
 )
-from ddlite.kernel import Atom, Const, Literal, Num, Var, apply, term_text
+from ddlite.kernel import (
+    NEGATED,
+    Atom,
+    Compound,
+    Const,
+    Literal,
+    Num,
+    Var,
+    apply,
+    sort_key,
+    term_text,
+)
 from ddlite.xmlterm import XmlTerm, parse_xml
 
 from oracles import scan_path_eval, sum_hours_by_dept
@@ -186,7 +199,9 @@ def test_indexed_path_eval_matches_the_scan_on_generated_documents():
             env = {"S": rng.choice((Num(33), Num(33.0), Const("x")))}
             want = _terms(scan_path_eval(doc, expr, env))
             assert _terms(path_eval(doc, expr, env)) == want
-            bound = registry.solve_path(PathBinding("X", "d.xml", None, expr), env)
+            # the binding as a one-item goal: a plan step compiled by the registry
+            binding = PathBinding("X", "d.xml", None, expr)
+            bound = solve_body((binding,), FactStore(), env, compile_item=registry.compile)
             assert [apply(s, Var("X")) for s in bound] == want
 
 
@@ -216,6 +231,127 @@ def test_paths_from_a_bound_node_keep_their_parents_apart():
     ]
     assert got == want
     assert [x for _, x in got] == [Const("a"), Const("c"), Const("d")]
+
+
+# A goal built around one or two path bindings: an optional open term
+# (same_as(O, f(Z))), relation literals that bind the filter variable S
+# (k/1) and, before the last path, its target (v/1); the first path from the
+# document, the second from the first one's node; then a negated literal.
+_KEYS = (Const("33"), Const("7"), Const("x"), Num(33), Num(33.0), Num(7), Num(2.5))
+_FILTERS = (None, None, None, Var("S"), Var("S")) + _KEYS[:6]
+_ATTRS = st.sampled_from(("33", "7", "33", "x", "33.0", None))
+
+
+def _element(tag, essn, pno, k, children=()):
+    attrs = "".join(
+        f' {name}="{value}"'
+        for name, value in (("ESSN", essn), ("PNO", pno), ("k", k))
+        if value is not None
+    )
+    return f"<{tag}{attrs}>{''.join(children)}</{tag}>"
+
+
+_CHILD = st.builds(_element, st.sampled_from(("cell", "row")), _ATTRS, _ATTRS, _ATTRS)
+_ROW = st.builds(_element, st.just("row"), _ATTRS, _ATTRS, _ATTRS, st.lists(_CHILD, max_size=4))
+_DOCS = st.builds(lambda rows: parse_xml(f"<table>{''.join(rows)}</table>"),
+                  st.lists(_ROW, min_size=2, max_size=6))
+
+
+@st.composite
+def _path_goals(draw):
+    doc = draw(_DOCS)
+    keys = draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=4, unique=True))
+    values = draw(st.lists(st.sampled_from(_KEYS[:4]), min_size=1, max_size=3, unique=True))
+    bad = draw(st.lists(st.sampled_from(_KEYS), max_size=2, unique=True))
+    open_term = draw(st.booleans())
+    first = draw(st.sampled_from(("W", "W", "Z", "O") if open_term else ("W",)))
+    filters = [draw(st.sampled_from(_FILTERS)) for _ in range(2)]
+    second = draw(st.sampled_from((None, "cell", "row")))
+    final = draw(st.sampled_from((None, "PNO", "k")))
+    # the last path's target is bound by v/1 first, to a value it may read
+    bound_target = final is not None and draw(st.booleans())
+    negated = draw(st.booleans())
+
+    def path(tag, value):
+        return (Child(tag),) if value is None else (Child(tag), Filter("ESSN", value))
+
+    items = []
+    if open_term:
+        o_term = Atom("same_as", (Var("O"), Compound("f", (Var("Z"),))), "prolog")
+        items.append(Literal(o_term))
+    if Var("S") in filters:
+        items.append(Literal(Atom("k", (Var("S"),))))
+    last = (AttrAccess(final),) if final else ()
+    target = first if second is None else "X"
+    if bound_target and second is None:
+        items.append(Literal(Atom("v", (Var(target),))))
+    steps = path("row", filters[0]) + (last if second is None else ())
+    items.append(PathBinding(first, "d.xml", None, PathExpr(steps)))
+    if second is not None:
+        if bound_target:
+            items.append(Literal(Atom("v", (Var(target),))))
+        steps = path(second, filters[1]) + last
+        items.append(PathBinding(target, None, first, PathExpr(steps)))
+    if negated:
+        items.append(Literal(Atom("bad", (Var(target),)), NEGATED))
+    facts = [Atom("k", (v,)) for v in keys] + [Atom("v", (v,)) for v in values]
+    facts += [Atom("bad", (v,)) for v in bad]
+    return doc, items, facts
+
+
+def _nested_loop_answers(doc, items, facts):
+    """The goal's answers by a nested-loop join in written order: facts in
+    sort_key order, path hits as scan_path_eval finds them."""
+
+    def value(env, name):
+        return apply(env, apply(env, Var(name)))  # O is f(Z), Z maybe bound
+
+    envs = [{}]
+    for item in items:
+        out = []
+        for env in envs:
+            if isinstance(item, PathBinding):
+                root = doc if item.doc else value(env, item.from_var).node
+                for hit, _ in scan_path_eval(root, item.expr, env):
+                    hit = XmlNode(hit) if isinstance(hit, XmlTerm) else hit
+                    now = value(env, item.var)
+                    if isinstance(now, Var):
+                        out.append({**env, item.var: hit})
+                    elif now == hit:
+                        out.append(env)
+            elif item.atom.predicate == "same_as":
+                out.append({**env, "O": item.atom.args[1]})
+            elif item.is_negated():
+                if Atom("bad", (value(env, item.atom.args[0].name),)) not in facts:
+                    out.append(env)
+            else:
+                name = item.atom.args[0].name
+                for fact in sorted(facts, key=sort_key):
+                    if fact.predicate != item.atom.predicate:
+                        continue
+                    now = value(env, name)
+                    if isinstance(now, Var):
+                        out.append({**env, name: fact.args[0]})
+                    elif now == fact.args[0]:
+                        out.append(env)
+        envs = out
+    return envs
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(_path_goals())
+def test_compiled_path_steps_agree_with_a_nested_loop_join(case):
+    doc, items, facts = case
+    store = FactStore()
+    for fact in facts:
+        store.add(fact)
+    names = ("O", "S", "W", "X", "Z")
+    got = solve_goal(items, None, store, docs={"d.xml": doc})
+    want = _nested_loop_answers(doc, items, facts)
+    # an answer binds O to f(Z) with Z's value in it, as mgu keeps it
+    assert [tuple(apply(s, Var(n)) for n in names) for s in got] == [
+        tuple(apply(env, apply(env, Var(n))) for n in names) for env in want
+    ]
 
 
 # ===========================================================================
@@ -325,7 +461,7 @@ def test_parse_goal_errors():
 def test_parse_template_columns():
     template = parse_template("[D, sum(H)]")
     assert template.columns == (GroupCol("D"), AggCol("sum", "H"))
-    assert template.group_vars() == ["D"]
+    assert template.vars() == ["D", "H"]
     every = parse_template("[G, count(A), sum(B), min(C), max(D), avg(E)]")
     assert [c.fn for c in every.columns[1:]] == ["count", "sum", "min", "max", "avg"]
 

@@ -152,6 +152,8 @@ def test_deep_ground_compound_needs_no_recursion():
     assert mgu(deep, twin) == {} and mgu(deep, other) is None
     assert mgu(Atom("p", (Var("X"), deep)), Atom("p", (deep, deep))) == {"X": deep}
     assert sort_key(deep) is sort_key(twin)
+    assert sort_key(other) < sort_key(deep) and sort_key(deep) > sort_key(other)
+    assert sorted([Atom("p", (deep,)), Atom("p", (other,))], key=sort_key)[0].args == (other,)
     # non-ground twins are not interned; == walks them on a stack
     assert chain(Var("X"), 10_000) == chain(Var("X"), 10_000)
 
@@ -326,6 +328,45 @@ def test_sort_key_orders_numbers_before_consts_before_vars():
     assert ordered[0] == Num(2) and ordered[1] == Num(10)
     assert ordered[2] == Const("b")
     assert isinstance(ordered[3], Var)
+
+
+def _nested_key(t):
+    """sort_key as plain nested tuples, built by recursion."""
+    if isinstance(t, Atom):
+        return (t.module_prefix or "", t.predicate, len(t.args),
+                tuple(_nested_key(a) for a in t.args))
+    if isinstance(t, Num):
+        return (0, float(t.value), 0 if t.is_int() else 1)
+    if isinstance(t, Const):
+        return (1, t.symbol)
+    if isinstance(t, Var):
+        return (2, t.name)
+    return (3, t.functor, len(t.args), tuple(_nested_key(a) for a in t.args))
+
+
+def test_keys_of_deep_compounds_order_as_nested_tuples():
+    # chains around the depth where keys stop being plain tuples, sharing
+    # long prefixes, so that comparisons reach the bottom
+    rng = random.Random(20171019)
+    leaves = [Num(1), Num(1.0), Num(0.0), Num(-0.0), Num(2), Const("a"), Const("b"),
+              Var("X"), Var("Y")]
+    terms = []
+    for _ in range(120):
+        t = rng.choice(leaves)
+        for _ in range(rng.randrange(1, 90)):
+            f = rng.choice(("s", "s", "s", "g"))
+            t = Compound(f, (t,)) if f == "s" else Compound(f, (rng.choice(leaves), t))
+        terms.append(t)
+    facts = [Atom("p", (t, rng.choice(leaves))) for t in terms]
+    for items in (terms, facts):
+        ordered = sorted(items, key=sort_key)
+        assert ordered == sorted(items, key=_nested_key)
+        # neighbours in the written order, and in sorted order, where the
+        # shared prefixes are longest
+        keys = [(sort_key(t), _nested_key(t)) for t in items + ordered]
+        for (k1, n1), (k2, n2) in zip(keys, keys[1:]):
+            assert (k1 == k2, k1 < k2, k1 > k2) == (n1 == n2, n1 < n2, n1 > n2)
+            assert k1 != k2 or hash(k1) == hash(k2)
 
 
 def test_term_text_quotes_only_when_needed():
