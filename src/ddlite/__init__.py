@@ -26,8 +26,8 @@ _EXPORTS = {
     "graphs": (
         "DepGraph", "DiffReport", "Edge", "MetaCallNode", "PredNode", "RuleNode",
         "TagNode", "build_pdg", "build_rpg", "equivalent_modulo_helpers",
-        "graph_diff", "graph_to_json", "on_cycle", "pdg_from_rpg", "reachable",
-        "schema_graph", "to_dot", "unfold_helper",
+        "graph_diff", "graph_to_json", "reachable", "schema_graph", "to_dot",
+        "unfold_helper",
     ),
     "hybrid": (
         "AggTemplate", "PathBinding", "PathExpr", "ddbase_aggregate",

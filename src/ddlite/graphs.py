@@ -17,7 +17,6 @@ Contracting the rule and call nodes of an RPG yields exactly the PDG.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -284,61 +283,23 @@ def build_rpg(p: Program, meta: Optional[dict] = None) -> DepGraph:
     return b.done()
 
 
-def pdg_from_rpg(g: DepGraph) -> DepGraph:
-    """Contract rule and meta-call nodes; an edge is Not-marked iff some
-    contracted path carried a Not mark."""
-    if g.kind != RPG:
-        raise GraphKindError(f"expected an rpg, got {g.kind}")
-    b = _Builder(PDG)
-    out = g.adjacency.out
-    preds = [n for n in g.nodes if isinstance(n, PredNode)]
-    for n in preds:
-        b.node(n)
-    for n in preds:
-        # walk through non-predicate nodes, or-ing marks along the way
-        queue = deque((e.dst, e.mark == NOT) for e in out[n])
-        seen = set()
-        while queue:
-            cur, marked = queue.popleft()
-            if isinstance(cur, PredNode):
-                b.edge(n, cur, NOT if marked else PLAIN)
-                continue
-            if (cur, marked) in seen:
-                continue
-            seen.add((cur, marked))
-            queue.extend((e.dst, marked or e.mark == NOT) for e in out[cur])
-    return b.done()
-
-
-def _reach(g: DepGraph, start: Node) -> set[Node]:
-    """Nodes reachable from start through at least one edge; start is in
-    the result only when it lies on a cycle."""
-    out = g.adjacency.out
-    seen: set[Node] = set()
-    stack = [start]
-    while stack:
-        for e in out.get(stack.pop(), ()):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
-    return seen
-
-
 def reachable(g: DepGraph, start: Node) -> frozenset[Node]:
     """Nodes strictly reachable from start (start itself excluded; for an
     RPG the result is filtered to predicate nodes)."""
-    if start not in g.adjacency.out:
+    out = g.adjacency.out
+    if start not in out:
         raise NodeNotFound(f"node {getattr(start, 'id', start)!r} not in graph")
-    seen = _reach(g, start)
+    seen: set[Node] = set()
+    stack = [start]
+    while stack:
+        for e in out[stack.pop()]:
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
     seen.discard(start)
     if g.kind == RPG:
         seen = {n for n in seen if isinstance(n, PredNode)}
     return frozenset(seen)
-
-
-def on_cycle(g: DepGraph, node: Node) -> bool:
-    """True if node can reach itself through at least one edge."""
-    return node in _reach(g, node)
 
 
 # ===========================================================================
@@ -424,8 +385,9 @@ def _call_descriptor(g: DepGraph, m: MetaCallNode) -> tuple:
     return (str(m.key), tuple(inner))
 
 
-def _rule_shape(g: DepGraph, rnode: RuleNode):
-    """Sort key describing a rule node: head key plus body target multiset."""
+def _rule_shape(g: DepGraph, rnode: RuleNode) -> tuple:
+    """A rule node by what it is: its head keys and the multiset of its
+    body targets, each meta-call by its descriptor."""
     heads = sorted(
         str(e.src.key) for e in g.adjacency.into[rnode] if isinstance(e.src, PredNode)
     )
@@ -439,47 +401,54 @@ def _rule_shape(g: DepGraph, rnode: RuleNode):
     return (tuple(heads), tuple(sorted(body)))
 
 
-def _canonicalize(g: DepGraph) -> tuple[DepGraph, dict[Node, Node]]:
-    """Renumber rule and meta-call nodes by shape so that reordering
-    clauses does not show up as a difference.  Returns the renamed graph
-    and the mapping canonical -> original.  Linear in the edges, plus the
-    sort."""
-    rule_nodes = [n for n in g.nodes if isinstance(n, RuleNode)]
-    order = sorted(
-        range(len(rule_nodes)), key=lambda i: (_rule_shape(g, rule_nodes[i]), i)
-    )
-    mapping: dict[Node, Node] = {}
-    back: dict[Node, Node] = {}
-    for k, idx in enumerate(order, start=1):
-        canon = RuleNode(f"c{k}")
-        mapping[rule_nodes[idx]] = canon
-        back[canon] = rule_nodes[idx]
-    # meta-call sites renumbered in the order their owning rules sort;
-    # within one rule, by call descriptor so body order does not matter
-    meta_nodes = []
-    for idx in order:
-        calls = [
-            e.dst
-            for e in g.adjacency.out[rule_nodes[idx]]
-            if isinstance(e.dst, MetaCallNode)
-        ]
-        meta_nodes.extend(sorted(calls, key=lambda m: _call_descriptor(g, m)))
-    for k, m in enumerate(meta_nodes, start=1):
-        canon = MetaCallNode(m.key, k)
-        mapping[m] = canon
-        back[canon] = m
-    nodes = tuple(mapping.get(n, n) for n in g.nodes)
-    edges = tuple(
-        Edge(mapping.get(e.src, e.src), mapping.get(e.dst, e.dst), e.mark)
-        for e in g.edges
-    )
-    return DepGraph(g.kind, nodes, edges), back
+def _rank(counts: dict, key) -> int:
+    """How many times key was counted before this call, which counts it."""
+    counts[key] = counts.get(key, -1) + 1
+    return counts[key]
+
+
+def _diff_keys(g1: DepGraph, g2: DepGraph) -> list[dict]:
+    """For each side, the key that each rule and meta-call node is compared
+    by; any other node is its own key.
+
+    A rule's key is its shape plus its rank among its side's rules of that
+    shape, in written order, so equal rules pair however they are ordered.
+    A rule with no same-shape partner is keyed instead by its heads and its
+    rank among its side's leftover rules under those heads: it pairs with
+    the leftover at the same rank on the other side, so a changed body
+    shows only its changed edges.  A meta-call's key is its rule's key, its
+    descriptor and its rank among that rule's calls with that descriptor.
+    """
+    sides = []
+    for g in (g1, g2):
+        shape_ranks: dict = {}
+        keys = {}
+        for n in g.nodes:
+            if isinstance(n, RuleNode):
+                shape = _rule_shape(g, n)
+                keys[n] = (*shape, _rank(shape_ranks, shape))
+        sides.append(keys)
+    paired = set(sides[0].values()) & set(sides[1].values())
+    for g, keys in zip((g1, g2), sides):
+        head_ranks: dict = {}
+        for n, key in keys.items():
+            if key not in paired:
+                keys[n] = (key[0], None, _rank(head_ranks, key[0]))
+        call_ranks: dict = {}
+        for n, rule_key in list(keys.items()):
+            for e in g.adjacency.out[n]:
+                if isinstance(e.dst, MetaCallNode) and e.dst not in keys:
+                    call = (rule_key, _call_descriptor(g, e.dst))
+                    keys[e.dst] = (*call, _rank(call_ranks, call))
+    return sides
 
 
 def graph_diff(
     g1: DepGraph, g2: DepGraph, helpers: frozenset[PredKey] = frozenset()
 ) -> DiffReport:
-    """Set difference of nodes and edges after canonical rule renumbering.
+    """Set difference of nodes and edges, rule and meta-call nodes compared
+    by the keys _diff_keys gives them; each side's nodes and edges are
+    reported under that side's own names.
 
     Predicates listed in helpers are factored out of the comparison and
     echoed in the report.  A nonempty report is an ordinary result, not an
@@ -511,27 +480,25 @@ def graph_diff(
         edges = tuple(e for e in g.edges if keep(e.src) and keep(e.dst))
         return DepGraph(g.kind, nodes, edges)
 
-    c1, back1 = _canonicalize(drop_helpers(g1))
-    c2, back2 = _canonicalize(drop_helpers(g2))
-    n1, n2 = set(c1.nodes), set(c2.nodes)
-    e1, e2 = set(c1.edges), set(c2.edges)
+    g1, g2 = drop_helpers(g1), drop_helpers(g2)
+    keyed = []
+    for g, keys in zip((g1, g2), _diff_keys(g1, g2)):
+        nodes = {keys.get(n, n): n for n in g.nodes}
+        edges = {
+            (keys.get(e.src, e.src), keys.get(e.dst, e.dst), e.mark): e
+            for e in g.edges
+        }
+        keyed.append((nodes, edges))
+    (n1, e1), (n2, e2) = keyed
 
-    def orig_edge(back, e):
-        return Edge(back.get(e.src, e.src), back.get(e.dst, e.dst), e.mark)
+    def only(a: dict, b: dict, sort_key) -> tuple:
+        return tuple(sorted((a[k] for k in a.keys() - b.keys()), key=sort_key))
 
     return DiffReport(
-        nodes_only_left=tuple(
-            sorted((back1.get(n, n) for n in n1 - n2), key=_node_key)
-        ),
-        nodes_only_right=tuple(
-            sorted((back2.get(n, n) for n in n2 - n1), key=_node_key)
-        ),
-        edges_only_left=tuple(
-            sorted((orig_edge(back1, e) for e in e1 - e2), key=_edge_key)
-        ),
-        edges_only_right=tuple(
-            sorted((orig_edge(back2, e) for e in e2 - e1), key=_edge_key)
-        ),
+        nodes_only_left=only(n1, n2, _node_key),
+        nodes_only_right=only(n2, n1, _node_key),
+        edges_only_left=only(e1, e2, _edge_key),
+        edges_only_right=only(e2, e1, _edge_key),
         equivalent_modulo=frozenset(helpers),
     )
 

@@ -306,6 +306,9 @@ def mklist(elements: Iterable[Term], tail: Term = NIL) -> Term:
 _NUMBER = None  # compiled lazily to keep import cheap
 
 
+# a query's atom_number calls read the same few texts many times over; a
+# Num is immutable, so one result can serve every caller
+@lru_cache(maxsize=4096)
 def parse_number(text: str) -> Optional[Num]:
     """Strict numeric reading of a text cell; None if it is not a number.
 
@@ -483,9 +486,6 @@ class Rule(Record):
 
     def __hash__(self) -> int:
         return hash((self.name, self.head, self.body))
-
-    def is_fact(self) -> bool:
-        return not self.body
 
 
 class Program(Record):

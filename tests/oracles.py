@@ -13,7 +13,8 @@ import math
 import re
 import xml.etree.ElementTree as ET
 
-from ddlite.errors import EvalTypeError, ParseError, XmlParseError
+from ddlite.errors import EvalTypeError, GraphKindError, ParseError, XmlParseError
+from ddlite.graphs import NOT, PDG, PLAIN, RPG, DepGraph, Edge, PredNode
 from ddlite.hybrid import AttrAccess, Child, Filter
 from ddlite.kernel import (
     NIL,
@@ -1233,6 +1234,47 @@ def reference_render_proof_tree(term, format="term"):
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown proof tree format {format!r}")
+
+
+# ===========================================================================
+# Graph walks, one edge list scan per step
+# ===========================================================================
+
+
+def pdg_from_rpg(g):
+    """The PDG an RPG contracts to: an edge from each predicate to every
+    predicate it reaches through rule and meta-call nodes alone, marked
+    not if some such path carries a not mark.  build_pdg must give it."""
+    if g.kind != RPG:
+        raise GraphKindError(f"expected an rpg, got {g.kind}")
+    preds = [n for n in g.nodes if isinstance(n, PredNode)]
+    edges = set()
+    for start in preds:
+        todo = [(e.dst, e.mark == NOT) for e in g.edges if e.src == start]
+        seen = set()
+        while todo:
+            node, marked = todo.pop()
+            if isinstance(node, PredNode):
+                edges.add(Edge(start, node, NOT if marked else PLAIN))
+            elif (node, marked) not in seen:
+                seen.add((node, marked))
+                todo += [
+                    (e.dst, marked or e.mark == NOT) for e in g.edges if e.src == node
+                ]
+    return DepGraph(PDG, tuple(preds), tuple(edges))
+
+
+def on_cycle(g, node):
+    """Whether node reaches itself through at least one edge."""
+    seen = set()
+    todo = [node]
+    while todo:
+        cur = todo.pop()
+        for e in g.edges:
+            if e.src == cur and e.dst not in seen:
+                seen.add(e.dst)
+                todo.append(e.dst)
+    return node in seen
 
 
 # ===========================================================================

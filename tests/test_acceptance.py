@@ -31,7 +31,6 @@ from ddlite.graphs import (
     build_rpg,
     equivalent_modulo_helpers,
     graph_diff,
-    on_cycle,
     unfold_helper,
 )
 from ddlite.kernel import PredKey, Program, apply, mgu, term_text
@@ -48,6 +47,7 @@ from naive import evaluate_naive
 from oracles import (
     ground_model,
     model_of_store,
+    on_cycle,
     random_program,
     random_term,
     sum_hours_by_dept,

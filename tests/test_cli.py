@@ -924,9 +924,9 @@ PUBLIC_NAMES = [
     "build_pdg", "build_rpg", "call_builtin", "check_safety", "ddbase_aggregate",
     "dump_facts", "engine", "equivalent_modulo_helpers", "errors", "evaluate",
     "facts_as_rules", "graph_diff", "graph_to_json", "graphs", "hybrid", "is_ground",
-    "kernel", "lloyd_topor", "load_facts_csv", "load_xml", "mgu", "mklist", "on_cycle",
+    "kernel", "lloyd_topor", "load_facts_csv", "load_xml", "mgu", "mklist",
     "parse_goal", "parse_program", "parse_ruleml_xml", "parse_swrl", "parse_template",
-    "parse_xml", "path_eval", "pdg_from_rpg", "print_program", "proof_tree", "reachable",
+    "parse_xml", "path_eval", "print_program", "proof_tree", "reachable",
     "rename_apart", "render_proof_tree", "rule_text", "schema_graph", "solve_goal",
     "stratify", "swrl_to_datalog", "syntax", "term_text", "term_vars", "to_dot", "tree_of",
     "unfold_helper", "validate_fact", "validate_store", "xml_to_text", "xmlterm",

@@ -1242,14 +1242,14 @@ def test_facts_as_rules_skips_taken_names():
     facts = [Atom("p", (Const("a"),)), Atom("p", (Const("b"),))]
     rules = facts_as_rules(facts, taken=("f1", "r1"))
     assert [r.name for r in rules] == ["f2", "f3"]
-    assert all(r.is_fact() for r in rules)
+    assert all(not r.body for r in rules)
 
 
 def test_dump_facts_reparses_to_the_same_facts():
     store = evaluate(fixture_program("route.dl"))
     text = dump_facts(store)
     reread = parse_program(text)
-    assert all(r.is_fact() for r in reread.rules)
+    assert all(not r.body for r in reread.rules)
     original = {term_text(Compound(f.predicate, f.args)) for f in store.sorted_facts()}
     reloaded = {term_text(Compound(r.head.predicate, r.head.args)) for r in reread.rules}
     assert reloaded == original

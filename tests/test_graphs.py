@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,18 +32,16 @@ from ddlite.graphs import (
     equivalent_modulo_helpers,
     graph_diff,
     graph_to_json,
-    on_cycle,
-    pdg_from_rpg,
     reachable,
     schema_graph,
     to_dot,
     unfold_helper,
 )
-from ddlite.kernel import Num, PredKey, Program
+from ddlite.kernel import Atom, Num, PredKey, Program, Rule
 from ddlite.syntax import parse_program
 from ddlite.xmlterm import parse_xml
 
-from oracles import random_program
+from oracles import on_cycle, pdg_from_rpg, random_program
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -354,6 +353,118 @@ def test_rpg_diff_against_a_rule_shuffled_copy_is_empty():
         assert graph_diff(build_rpg(p), build_rpg(shuffled)).is_empty()
 
 
+def diff_lines(left, right):
+    d = graph_diff(build_rpg(parse_program(left)), build_rpg(parse_program(right)))
+    return [
+        f"{side}: {n.id}"
+        for side, nodes in (("left", d.nodes_only_left), ("right", d.nodes_only_right))
+        for n in nodes
+    ] + [
+        f"{side}: {e.src.id} -> {e.dst.id}"
+        for side, edges in (("left", d.edges_only_left), ("right", d.edges_only_right))
+        for e in edges
+    ]
+
+
+def test_a_rule_inserted_first_is_the_only_difference():
+    v1 = "".join(f"p{i}(X) :- q{i}(X).\n" for i in range(1, 6))
+    v2 = "a0(X) :- b0(X).\n" + v1
+    assert diff_lines(v1, v2) == [
+        "right: a0/1",
+        "right: b0/1",
+        "right: r1",
+        "right: a0/1 -> r1",
+        "right: r1 -> b0/1",
+    ]
+    assert diff_lines(v2, v1) == [
+        "left: a0/1",
+        "left: b0/1",
+        "left: r1",
+        "left: a0/1 -> r1",
+        "left: r1 -> b0/1",
+    ]
+
+
+def test_a_changed_body_literal_reports_only_its_edges():
+    assert diff_lines("p1(X) :- q1(X), s(X).", "p1(X) :- q1(X), t(X).") == [
+        "left: s/1",
+        "right: t/1",
+        "left: r1 -> s/1",
+        "right: r1 -> t/1",
+    ]
+
+
+def test_a_changed_rule_pairs_with_the_leftover_under_its_head():
+    # p :- b and q :- a pair by shape; the changed rule pairs with the one
+    # rule left under p, its not/1 call too, so only one edge differs
+    left = "p :- a, not(c).\np :- b.\nq :- a."
+    right = "q :- a.\np :- d, not(c).\np :- b."
+    assert diff_lines(left, right) == [
+        "right: d/0",
+        "left: r1 -> a/0",
+        "right: r2 -> d/0",
+    ]
+
+
+def test_leftover_rules_under_one_head_pair_in_written_order():
+    # both rules changed c to d; pairing r1 with r2 would report only the
+    # c and d edges, but leftovers pair by rank, so each rule's a and b
+    # edges show too: the report is not always the smallest one
+    left = "p :- a, c.\np :- b, c."
+    right = "p :- b, d.\np :- a, d."
+    assert diff_lines(left, right) == [
+        "left: c/0",
+        "right: d/0",
+        "left: r1 -> a/0",
+        "left: r1 -> c/0",
+        "left: r2 -> b/0",
+        "left: r2 -> c/0",
+        "right: r1 -> b/0",
+        "right: r1 -> d/0",
+        "right: r2 -> a/0",
+        "right: r2 -> d/0",
+    ]
+
+
+def test_rpg_diff_reports_exactly_the_deleted_and_inserted_rules():
+    # delete k rules, insert k rules under fresh heads, then shuffle: the
+    # report holds the deleted rules on the left and the inserted ones on
+    # the right, each under its own name, plus the predicates that one side
+    # lacks.  Only a rule that no other rule matches in head and body
+    # literals is deleted: two such rules draw the same RPG, and the diff
+    # may name either.
+    def looks(r):
+        return (r.head.key, frozenset((l.atom.key, l.is_negated()) for l in r.body))
+
+    rng = random.Random(421)
+    for _ in range(200):
+        rules = list(random_program(rng, allow_negation=True).rules)
+        counts = Counter(looks(r) for r in rules)
+        unique = [r for r in rules if counts[looks(r)] == 1]
+        deleted = rng.sample(unique, min(rng.randint(1, 3), len(unique)))
+        inserted = [
+            Rule(f"new{i}", Atom(f"fresh{i}", r.head.args), r.body)
+            for i, r in enumerate(rng.choices(rules, k=len(deleted)))
+        ]
+        right = [r for r in rules if r not in deleted] + inserted
+        rng.shuffle(right)
+        g1, g2 = build_rpg(Program(tuple(rules))), build_rpg(Program(tuple(right)))
+        d = graph_diff(g1, g2)
+        for g, other, changed, nodes, edges in (
+            (g1, g2, deleted, d.nodes_only_left, d.edges_only_left),
+            (g2, g1, inserted, d.nodes_only_right, d.edges_only_right),
+        ):
+            own = {RuleNode(r.name) for r in changed}
+            own |= {
+                m for n in own for m in g.successors(n) if isinstance(m, MetaCallNode)
+            }
+            preds = {n for n in g.nodes if isinstance(n, PredNode)} - set(other.nodes)
+            assert set(nodes) == own | preds
+            assert len(nodes) == len(own | preds)
+            assert set(edges) == {e for e in g.edges if e.src in own or e.dst in own}
+            assert len(edges) == len(set(edges))
+
+
 def swrl_shaped_rules(rng, n):
     """(head, body literals) of n rules like the generated SWRL rule bases:
     two chained properties, sometimes a class test, a negated class test
@@ -389,8 +500,9 @@ def test_rpg_diff_of_a_large_shuffled_rule_base_is_empty_and_fast():
     d = graph_diff(build_rpg(p1), build_rpg(p2))
     elapsed = time.perf_counter() - t0
     assert d.is_empty()
-    # renumbering is linear in the edges plus a sort; a rescan of the edge
-    # list per rule took about 20 s here
+    # keying reads each rule's own edges through the adjacency, and the
+    # diff is dict lookups; a rescan of the edge list per rule took about
+    # 20 s here
     assert elapsed < 3.0, f"rpg diff of 2,000 rules took {elapsed:.2f} s"
 
 
