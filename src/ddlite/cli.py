@@ -4,12 +4,15 @@ Subcommands: parse | graph | diff | eval | swrl | query | prove.
 Exit codes: 0 success (a nonempty diff is still success), 1 domain errors
 (syntax, safety, stratification, evaluation), 2 I/O and usage errors.
 
-A command loads only what it runs: json is imported by the --format json
-branches, and the hybrid layer (with csv) by --csv, --xml, query and
-schema graphs.  main(argv) runs one command and returns its exit code;
-run() is the process entry (`ddlite`, `python -m ddlite.cli`), which
-freezes the heap before the interpreter exits (gc.freeze), so the
-collections at exit do not walk objects the process is about to drop.
+A command loads and builds only what it runs: json is imported by the
+--format json branches, the hybrid layer (with csv) by --csv, --xml,
+query and schema graphs, and the argument parser holds only the
+subparser of the command named first (all seven for help, no command
+or an unknown one).  main(argv) runs one command and returns its exit
+code; run() is the process entry (`ddlite`, `python -m ddlite.cli`),
+which runs it with the cyclic collector off (gc.disable) and freezes
+the heap before the interpreter exits (gc.freeze), so no collection
+walks objects the process is about to drop.
 """
 
 from __future__ import annotations
@@ -364,70 +367,91 @@ def cmd_prove(args) -> int:
 # ---------------------------------------------------------------- driver
 
 
-def build_parser(env_max_facts: int) -> argparse.ArgumentParser:
+COMMANDS = ("parse", "graph", "diff", "eval", "swrl", "query", "prove")
+
+
+def build_parser(
+    env_max_facts: int, command: Optional[str] = None
+) -> argparse.ArgumentParser:
+    """The parser of the command line; for a command in COMMANDS, it
+    holds that command's subparser alone.  Its usage line names every
+    command either way, as an `unrecognized arguments` error prints it;
+    errors that name the command argument itself (an unknown command or
+    none) come only from the parser that holds all of them."""
     top = argparse.ArgumentParser(
         prog="ddlite",
         description="Deductive-database toolkit: rule programs, dependency "
         "graphs, bottom-up evaluation with proof trees, SWRL import, and "
         "hybrid XML/CSV queries.",
     )
-    subs = top.add_subparsers(dest="command", required=True)
+    if command in COMMANDS:
+        built, metavar = (command,), "{" + ",".join(COMMANDS) + "}"
+    else:
+        built, metavar = COMMANDS, None
+    subs = top.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    sp = subs.add_parser("parse", help="parse a program and report safety")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_parse)
+    if "parse" in built:
+        sp = subs.add_parser("parse", help="parse a program and report safety")
+        sp.add_argument("file")
+        sp.set_defaults(func=cmd_parse)
 
-    sp = subs.add_parser("graph", help="emit a dependency graph")
-    sp.add_argument("file")
-    sp.add_argument("--kind", choices=("pdg", "rpg", "schema"), default="pdg")
-    sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    sp.add_argument("--no-attrs", action="store_true",
-                    help="schema graphs: skip @attribute leaves")
-    sp.add_argument("--meta-list", metavar="NAME/ARITY,...",
-                    help="extra meta-predicates that get call nodes")
-    sp.set_defaults(func=cmd_graph)
+    if "graph" in built:
+        sp = subs.add_parser("graph", help="emit a dependency graph")
+        sp.add_argument("file")
+        sp.add_argument("--kind", choices=("pdg", "rpg", "schema"), default="pdg")
+        sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        sp.add_argument("--no-attrs", action="store_true",
+                        help="schema graphs: skip @attribute leaves")
+        sp.add_argument("--meta-list", metavar="NAME/ARITY,...",
+                        help="extra meta-predicates that get call nodes")
+        sp.set_defaults(func=cmd_graph)
 
-    sp = subs.add_parser("diff", help="compare two graphs")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("--kind", choices=("pdg", "rpg", "schema"), default="pdg")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--helpers", metavar="NAME[,NAME...]",
-                    help="predicates factored out of the comparison")
-    sp.add_argument("--root", metavar="PRED",
-                    help="start predicate for helper-equivalence "
-                    "(default: first rule head of LEFT)")
-    sp.add_argument("--no-attrs", action="store_true")
-    sp.add_argument("--meta-list", metavar="NAME/ARITY,...")
-    sp.set_defaults(func=cmd_diff)
+    if "diff" in built:
+        sp = subs.add_parser("diff", help="compare two graphs")
+        sp.add_argument("left")
+        sp.add_argument("right")
+        sp.add_argument("--kind", choices=("pdg", "rpg", "schema"), default="pdg")
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+        sp.add_argument("--helpers", metavar="NAME[,NAME...]",
+                        help="predicates factored out of the comparison")
+        sp.add_argument("--root", metavar="PRED",
+                        help="start predicate for helper-equivalence "
+                        "(default: first rule head of LEFT)")
+        sp.add_argument("--no-attrs", action="store_true")
+        sp.add_argument("--meta-list", metavar="NAME/ARITY,...")
+        sp.set_defaults(func=cmd_diff)
 
-    sp = subs.add_parser("eval", help="bottom-up evaluation to a fact dump")
-    sp.add_argument("file")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    _add_eval_flags(sp, env_max_facts)
-    sp.set_defaults(func=cmd_eval)
+    if "eval" in built:
+        sp = subs.add_parser("eval", help="bottom-up evaluation to a fact dump")
+        sp.add_argument("file")
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+        _add_eval_flags(sp, env_max_facts)
+        sp.set_defaults(func=cmd_eval)
 
-    sp = subs.add_parser("swrl", help="translate a SWRL rule base")
-    sp.add_argument("file")
-    sp.add_argument("--emit", choices=("datalog", "report"), default="datalog")
-    sp.set_defaults(func=cmd_swrl)
+    if "swrl" in built:
+        sp = subs.add_parser("swrl", help="translate a SWRL rule base")
+        sp.add_argument("file")
+        sp.add_argument("--emit", choices=("datalog", "report"), default="datalog")
+        sp.set_defaults(func=cmd_swrl)
 
-    sp = subs.add_parser("query", help="aggregate a hybrid goal")
-    sp.add_argument("file", nargs="?", default=None)
-    sp.add_argument("--goal", required=True)
-    sp.add_argument("--template", required=True)
-    sp.add_argument("--base-dir", default=".",
-                    help="directory for doc('...') lookups")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    _add_eval_flags(sp, env_max_facts)
-    sp.set_defaults(func=cmd_query)
+    if "query" in built:
+        sp = subs.add_parser("query", help="aggregate a hybrid goal")
+        sp.add_argument("file", nargs="?", default=None)
+        sp.add_argument("--goal", required=True)
+        sp.add_argument("--template", required=True)
+        sp.add_argument("--base-dir", default=".",
+                        help="directory for doc('...') lookups")
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+        _add_eval_flags(sp, env_max_facts)
+        sp.set_defaults(func=cmd_query)
 
-    sp = subs.add_parser("prove", help="render the proof tree of a derived atom")
-    sp.add_argument("file")
-    sp.add_argument("--atom", required=True)
-    sp.add_argument("--format", choices=("term", "ascii", "dot"), default="term")
-    _add_eval_flags(sp, env_max_facts)
-    sp.set_defaults(func=cmd_prove)
+    if "prove" in built:
+        sp = subs.add_parser("prove", help="render the proof tree of a derived atom")
+        sp.add_argument("file")
+        sp.add_argument("--atom", required=True)
+        sp.add_argument("--format", choices=("term", "ascii", "dot"), default="term")
+        _add_eval_flags(sp, env_max_facts)
+        sp.set_defaults(func=cmd_prove)
 
     return top
 
@@ -451,8 +475,10 @@ def _env_max_facts() -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(_env_max_facts()).parse_args(argv)
+        parser = build_parser(_env_max_facts(), argv[0] if argv else None)
+        args = parser.parse_args(argv)
         return args.func(args)
     except DdliteError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -465,11 +491,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 def run() -> None:
     """The process entry: main() on sys.argv, then exit with its code.
 
-    The heap is frozen first (gc.freeze), so the collections that
-    interpreter finalization runs skip every object still alive: the
-    process is about to drop them all.  Output is flushed, and module
-    dicts cleared, as without it.  main(argv) leaves the collector as it
-    is, for a caller that goes on running."""
+    The cyclic collector is off while main runs (gc.disable): a command
+    builds a heap that grows with its input and holds no cycle worth
+    finding, so each collection would walk it for nothing.  The heap is
+    frozen before exit (gc.freeze), so the collections that interpreter
+    finalization runs, collector off or not, skip every object still
+    alive: the process is about to drop them all.  Output is flushed,
+    and module dicts cleared, as without it.  main(argv) leaves the
+    collector as it is, for a caller that goes on running."""
+    gc.disable()
     status = main()
     gc.freeze()
     sys.exit(status)

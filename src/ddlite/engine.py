@@ -719,10 +719,9 @@ class _Plan:
         emit: Callable[[Subst], object] = lambda s: s,
         reorder: bool = False,
     ):
-        # the facts the delta_pos literal reads: the store's newest, held
-        # in any collection that answers `in`
-        self.delta: Container[Atom] = ()
-        self.store = store
+        # reads the delta_pos literal's candidates; its caller sets
+        # delta.facts before each run
+        self.delta = _DeltaTail(store)
         ground = set(bound)  # variables bound to ground terms here
         order: Iterable[int] = range(len(body))
         if reorder and len(body) > 1 and not any(_may_raise(i) for i in body):
@@ -750,7 +749,7 @@ class _Plan:
             else:
                 names = term_vars(atom)
                 if i == delta_pos:
-                    steps.append((_positive_step, atom, self._delta_candidates, open_))
+                    steps.append((_positive_step, atom, self.delta, open_))
                 elif atom.ground or probe is None and not open_ and names <= ground:
                     steps.append((_has_step, atom, store))
                 else:
@@ -773,9 +772,24 @@ class _Plan:
 
         self.run: Callable[[Subst], Iterator] = run
 
-    def _delta_candidates(self, query: Atom, s: Subst) -> Sequence[Atom]:
-        """The tail of store.candidates(query, s) that is in the delta."""
-        found, delta = self.store.candidates(query, s), self.delta
+
+class _DeltaTail:
+    """The candidates of a delta literal: the tail of
+    store.candidates(query, s) that is in facts, the store's newest
+    facts, held in any collection that answers `in`.
+
+    A plan's steps hold it and not the plan, which holds them: so no
+    cycle keeps a dropped plan, and with it the store, alive until the
+    cyclic collector runs, which the command line turns off."""
+
+    __slots__ = ("store", "facts")
+
+    def __init__(self, store: FactStore):
+        self.store = store
+        self.facts: Container[Atom] = ()
+
+    def __call__(self, query: Atom, s: Subst) -> Sequence[Atom]:
+        found, delta = self.store.candidates(query, s), self.facts
         start = len(found)
         while start and found[start - 1] in delta:
             start -= 1
@@ -980,7 +994,7 @@ def _rule_heads(
     the store's facts in delta; plan, if given, is the rule's _rule_plan
     for store and delta_pos."""
     plan = plan or _rule_plan(rule, store, delta_pos)
-    plan.delta = delta
+    plan.delta.facts = delta
     try:
         yield from plan.run({})
     except DdliteError as err:

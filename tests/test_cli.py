@@ -879,14 +879,39 @@ def _in_process(argv):
         ["parse", fx("brother.csv")],  # a domain error: exit 1
         ["eval", fx("missing.dl")],  # an I/O error: exit 2
         ["eval", fx("route.dl"), "--bogus"],  # a usage error: exit 2
+        ["diff", fx("p1.dl"), fx("p2.dl"), "--bogus"],
+        [],
+        ["--help"],
+        ["-h", "eval"],
+        ["evl"],
+        ["eval", "--help"],
+        ["eval", fx("route.dl"), "--format", "xml"],
+        ["query", fx("route.dl"), "--template", "[L]"],
     ],
     ids=["parse", "graph", "diff", "eval", "swrl", "query", "prove", "domain-error",
-         "missing-file", "bad-flag"],
+         "missing-file", "bad-flag", "bad-diff-flag", "no-command", "help",
+         "help-before-command", "unknown-command", "command-help", "bad-choice",
+         "missing-goal"],
 )
 def test_the_process_entry_matches_main(argv):
     # run(), behind `python -m ddlite.cli` and the `ddlite` script, gives
     # main's exit code and output byte for byte, however the command ends
     assert _child("-m", "ddlite.cli", *argv) == _in_process(argv)
+
+
+def test_the_process_entry_reports_a_closed_stdout():
+    # output to a pipe that no one reads is an I/O error, as in main
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddlite.cli", "eval", fx("route.dl")],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize(
@@ -912,6 +937,60 @@ def test_a_command_loads_only_what_it_runs(argv, loaded):
     )
     code, _, err = _child("-S", "-c", script, *argv)
     assert (code, err) == (0, loaded + "\n")
+
+
+def _sized_inputs(directory: Path, n: int) -> list[list[str]]:
+    """Commands on inputs of size n, written to directory: a path/2 chain
+    of n edges, a CSV of n rows, n SWRL rules and two versions of a rule
+    base of n rules."""
+    chain, csv_file = directory / "chain.dl", directory / "emp.csv"
+    swrl, left, right = directory / "rules.swrl", directory / "v1.dl", directory / "v2.dl"
+    chain.write_text(
+        "".join(f"edge(n{i}, n{i + 1}).\n" for i in range(n))
+        + "path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z).\n"
+    )
+    csv_file.write_text("".join(f"e{i},{i},d{i % 5}\n" for i in range(n)))
+    swrl.write_text("".join(
+        f"Implies(Antecedent(p{i}(I-variable(x)) q{i}(I-variable(x) I-variable(y))) "
+        f"Consequent(r{i}(I-variable(y))))\n"
+        for i in range(n)
+    ))
+    rules = [f"p{i}(X) :- q{i}(X, Y), r{i}(Y).\n" for i in range(n)]
+    left.write_text("".join(rules))
+    right.write_text("".join(reversed(rules)))
+    return [
+        ["eval", str(chain)],
+        ["eval", str(chain), "--auto-pt"],
+        ["prove", str(chain), "--auto-pt", "--atom", f"path(n0, n{n}, T)"],
+        ["query", "--csv", f"emp={csv_file}", "--goal", "emp(N, S, D)",
+         "--template", "[D, count(N)]"],
+        ["swrl", str(swrl)],
+        ["diff", str(left), str(right), "--kind", "rpg"],
+    ]
+
+
+def test_a_command_leaves_no_garbage_that_grows_with_its_input(tmp_path):
+    # the process entry runs a command with the cyclic collector off, so
+    # a reference cycle through the data would hold it until exit: the
+    # objects gc.collect finds unreachable after each command are as many
+    # at n as at 4n
+    script = (
+        "import gc, io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from ddlite.cli import main\n"
+        "gc.disable()\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code, gc.collect())\n"
+    )
+    found = []
+    for n in (10, 40):
+        (tmp_path / str(n)).mkdir()
+        code, out, err = _child("-c", script, json.dumps(_sized_inputs(tmp_path / str(n), n)))
+        assert (code, err) == (0, "")
+        found.append(out.splitlines())
+    assert found[0] == found[1] and all(line.startswith("0 ") for line in found[0]), found
 
 
 PUBLIC_NAMES = [
@@ -968,25 +1047,35 @@ def test_package_names_resolve_on_first_use():
 
 
 def test_main_leaves_the_collector_alone(capsys):
-    # only the process entry freezes the heap: main(argv) runs inside
-    # callers, such as this test session, whose collector must stay as it is
+    # only the process entry turns the collector off and freezes the heap:
+    # main(argv) runs inside callers, such as this test session, whose
+    # collector must stay as it is
     frozen = gc.get_freeze_count()
     for argv in (
         ["eval", fx("route.dl")],
         ["prove", fx("route.dl"), "--atom", "route('KT', 'Mue', L, T)"],
         ["eval", fx("missing.dl")],
+        ["eval", fx("route.dl"), "--bogus"],
     ):
-        main(argv)
+        try:
+            main(argv)
+        except SystemExit:  # argparse usage errors
+            pass
         assert gc.isenabled() and gc.get_freeze_count() == frozen
-    callers = []
-    for path in sorted((Path(SRC) / "ddlite").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                callers += [
-                    f"{path.name}:{fn.name}"
-                    for node in ast.walk(fn)
-                    if isinstance(node, ast.Attribute) and node.attr == "freeze"
-                    and isinstance(node.value, ast.Name) and node.value.id == "gc"
-                ]
-    assert callers == ["cli.py:run"]
+
+    def gc_uses(tree):
+        return sorted(
+            f"gc.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "gc"
+        )
+
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((Path(SRC) / "ddlite").glob("*.py"))
+    }
+    uses = {name: gc_uses(tree) for name, tree in trees.items() if gc_uses(tree)}
+    run = next(fn for fn in trees["cli.py"].body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "run")
+    # every use, module level included, is in cli.run
+    assert uses == {"cli.py": ["gc.disable", "gc.freeze"]} == {"cli.py": gc_uses(run)}

@@ -12,7 +12,7 @@ from ddlite.engine import (
     EvalOptions,
     FactStore,
     Violation,
-    _Plan,
+    _DeltaTail,
     auto_pt,
     call_builtin,
     check_calls,
@@ -666,15 +666,15 @@ def _delta_reads(monkeypatch, program):
     evaluate of program: every fact a delta step hands to match is
     counted."""
     read = [0]
-    tail = _Plan._delta_candidates
+    tail = _DeltaTail.__call__
 
-    def counting_tail(plan, query, s):
-        facts = tail(plan, query, s)
+    def counting_tail(delta, query, s):
+        facts = tail(delta, query, s)
         read[0] += len(facts)
         return facts
 
     with monkeypatch.context() as m:
-        m.setattr(_Plan, "_delta_candidates", counting_tail)
+        m.setattr(_DeltaTail, "__call__", counting_tail)
         store = evaluate(program)
     return len(store), read[0]
 

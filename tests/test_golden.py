@@ -306,19 +306,44 @@ def cases() -> list[list[str]]:
     for goal, template in (("n(X, K)", "[count(K)]"), ("n(X, K), K > 1198", "[K, count(X)]")):
         out.append(["query", deep, "--goal", goal, "--template", template])
     out.append(["prove", deep, "--atom", "n(X, K)"])
+
+    # argparse texts: the top-level help and usage errors, each command's
+    # help, and an unrecognized flag after each command, which the
+    # top-level parser reports under its own usage line
+    out += [[], ["--help"], ["-h", "eval"], ["evl"]]
+    valid = {
+        "parse": [ROUTE],
+        "graph": [ROUTE],
+        "diff": [ROUTE, plain],
+        "eval": [ROUTE],
+        "swrl": [f"{FX}/uncle.swrl"],
+        "query": [ROUTE, "--goal", "route(A, B, L, T)", "--template", "[L]"],
+        "prove": [ROUTE, "--atom", "route(A, B, L, T)"],
+    }
+    for command, args in valid.items():
+        out.append([command, "--help"])
+        out.append([command] + args + ["--bogus"])
+    out.append(["eval", ROUTE, "--format", "xml"])
+    out.append(["query", ROUTE, "--template", "[L]"])
     return out
 
 
 @contextmanager
 def _at_root():
-    saved_dir, saved_env = os.getcwd(), os.environ.pop("DDLITE_MAX_FACTS", None)
+    # argparse wraps its texts to the width COLUMNS gives, else the terminal's
+    saved_dir = os.getcwd()
+    saved_env = {name: os.environ.pop(name, None) for name in ("DDLITE_MAX_FACTS", "COLUMNS")}
+    os.environ["COLUMNS"] = "80"
     os.chdir(ROOT)
     try:
         yield
     finally:
         os.chdir(saved_dir)
-        if saved_env is not None:
-            os.environ["DDLITE_MAX_FACTS"] = saved_env
+        for name, value in saved_env.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def transcript(argv: list[str]) -> dict:
