@@ -6,13 +6,14 @@ Exit codes: 0 success (a nonempty diff is still success), 1 domain errors
 
 A command loads and builds only what it runs: json is imported by the
 --format json branches, the hybrid layer (with csv) by --csv, --xml,
-query and schema graphs, and the argument parser holds only the
-subparser of the command named first (all seven for help, no command
-or an unknown one).  main(argv) runs one command and returns its exit
-code; run() is the process entry (`ddlite`, `python -m ddlite.cli`),
-which runs it with the cyclic collector off (gc.disable) and freezes
-the heap before the interpreter exits (gc.freeze), so no collection
-walks objects the process is about to drop.
+query and schema graphs, the magic-set rewrite (ddlite.magic) by prove,
+and the argument parser holds only the subparser of the command named
+first (all seven for help, no command or an unknown one).  main(argv)
+runs one command and returns its exit code; run() is the process entry
+(`ddlite`, `python -m ddlite.cli`), which runs it with the cyclic
+collector off (gc.disable) and freezes the heap before the interpreter
+exits (gc.freeze), so no collection walks objects the process is about
+to drop.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from .engine import (
     EvalOptions,
     auto_pt,
     check_calls,
+    check_program,
     check_safety,
+    deriving_rule,
     dump_facts,
     evaluate,
     facts_as_rules,
@@ -138,19 +141,27 @@ def _meta_dict(spec: Optional[str]) -> dict:
 
 
 def _eval_options(args) -> EvalOptions:
-    return EvalOptions(
-        max_iterations=args.max_iterations, max_facts=args.max_facts
-    )
+    """The limits of eval, query and prove: --max-facts, else the
+    environment's DDLITE_MAX_FACTS, read here and only by these three
+    commands, else the default."""
+    max_facts = args.max_facts
+    if max_facts is None:
+        raw = os.environ.get(_ENV_MAX_FACTS)
+        if raw is None:
+            max_facts = _LIMITS.max_facts
+        else:
+            max_facts = _non_negative_int(_ENV_MAX_FACTS, raw)
+    return EvalOptions(max_iterations=args.max_iterations, max_facts=max_facts)
 
 
-def _add_eval_flags(sub, env_default: int):
+def _add_eval_flags(sub):
     sub.add_argument("--csv", action="append", metavar="PRED=PATH",
                      help="load CSV rows as facts of PRED")
     sub.add_argument("--xml", action="append", metavar="NAME=PATH",
                      help="register an XML document under NAME")
     sub.add_argument("--max-iterations", default=_LIMITS.max_iterations,
                      type=lambda raw: _non_negative_int("--max-iterations", raw))
-    sub.add_argument("--max-facts", default=env_default,
+    sub.add_argument("--max-facts",
                      type=lambda raw: _non_negative_int("--max-facts", raw))
     sub.add_argument("--auto-pt", action="store_true",
                      help="add proof-tree arguments to every defined predicate")
@@ -283,8 +294,9 @@ def cmd_diff(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    opts = _eval_options(args)
     p = _load_program(args)
-    store = evaluate(p, _eval_options(args))
+    store = evaluate(p, opts)
     if args.format == "json":
         import json
 
@@ -324,8 +336,9 @@ def cmd_query(args) -> int:
         rows_to_json,
     )
 
+    opts = _eval_options(args)
     p = _load_program(args)
-    store = evaluate(p, _eval_options(args))
+    store = evaluate(p, opts)
     docs = _load_docs(args)
     goal = parse_goal(args.goal)
     template = parse_template(args.template)
@@ -340,9 +353,14 @@ def cmd_query(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from .magic import evaluate_goal
+
+    opts = _eval_options(args)
     p = _load_program(args)
-    store = evaluate(p, _eval_options(args))
+    check_program(p)  # its errors come before those of --atom
     query = parse_atom(args.atom)
+    # the facts matching query are those of p's model, the rest may not be
+    store = evaluate_goal(p, query, opts)
     # the first fact of the probed bucket, in sort_key order, that matches
     found = next(
         (
@@ -357,7 +375,7 @@ def cmd_prove(args) -> int:
         return 1
     tree = tree_of(found)
     if tree is None:
-        tree = proof_tree(found, store.origin(found) or "fact")
+        tree = proof_tree(found, deriving_rule(p, store, found) or "fact")
     sys.stdout.write(render_proof_tree(tree, args.format))
     if args.format == "term":
         sys.stdout.write("\n")
@@ -370,9 +388,7 @@ def cmd_prove(args) -> int:
 COMMANDS = ("parse", "graph", "diff", "eval", "swrl", "query", "prove")
 
 
-def build_parser(
-    env_max_facts: int, command: Optional[str] = None
-) -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of the command line; for a command in COMMANDS, it
     holds that command's subparser alone.  Its usage line names every
     command either way, as an `unrecognized arguments` error prints it;
@@ -425,7 +441,7 @@ def build_parser(
         sp = subs.add_parser("eval", help="bottom-up evaluation to a fact dump")
         sp.add_argument("file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        _add_eval_flags(sp, env_max_facts)
+        _add_eval_flags(sp)
         sp.set_defaults(func=cmd_eval)
 
     if "swrl" in built:
@@ -442,7 +458,7 @@ def build_parser(
         sp.add_argument("--base-dir", default=".",
                         help="directory for doc('...') lookups")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        _add_eval_flags(sp, env_max_facts)
+        _add_eval_flags(sp)
         sp.set_defaults(func=cmd_query)
 
     if "prove" in built:
@@ -450,7 +466,7 @@ def build_parser(
         sp.add_argument("file")
         sp.add_argument("--atom", required=True)
         sp.add_argument("--format", choices=("term", "ascii", "dot"), default="term")
-        _add_eval_flags(sp, env_max_facts)
+        _add_eval_flags(sp)
         sp.set_defaults(func=cmd_prove)
 
     return top
@@ -467,17 +483,10 @@ def _non_negative_int(name: str, raw: str) -> int:
     return value
 
 
-def _env_max_facts() -> int:
-    raw = os.environ.get(_ENV_MAX_FACTS)
-    if raw is None:
-        return _LIMITS.max_facts
-    return _non_negative_int(_ENV_MAX_FACTS, raw)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser = build_parser(_env_max_facts(), argv[0] if argv else None)
+        parser = build_parser(argv[0] if argv else None)
         args = parser.parse_args(argv)
         return args.func(args)
     except DdliteError as err:

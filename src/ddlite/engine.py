@@ -1009,19 +1009,26 @@ def _positive_positions(rule: Rule) -> list[int]:
     ]
 
 
-def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
-    """Stratified semi-naive fixpoint of the program.
-
-    Raises UnknownBuiltin (check_calls), SafetyError and CycleError up
-    front, ResourceLimitExceeded when the iteration or fact ceiling is hit
-    mid-run.
-    """
-    opts = opts or EvalOptions()
+def check_program(p: Program) -> Strata:
+    """The program's strata, once its checks pass, in the order evaluate
+    runs them: UnknownBuiltin (check_calls), then SafetyError, then
+    CycleError (stratify)."""
     check_calls(p)
     violations = check_safety(p)
     if violations:
         raise SafetyError(violations)
-    strata = stratify(p)
+    return stratify(p)
+
+
+def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
+    """Stratified semi-naive fixpoint of the program.
+
+    Raises UnknownBuiltin, SafetyError and CycleError up front
+    (check_program), ResourceLimitExceeded when the iteration or fact
+    ceiling is hit mid-run.
+    """
+    opts = opts or EvalOptions()
+    strata = check_program(p)
     by_stratum: dict[int, list[Rule]] = {}
     for rule in p.rules:
         by_stratum.setdefault(strata.of(rule.head.key), []).append(rule)
@@ -1310,31 +1317,39 @@ def auto_pt(p: Program) -> Program:
 # ===========================================================================
 
 
-def _replay(p: Program, store: FactStore) -> Callable[[Atom], bool]:
-    """validate_fact against store, with each rule compiled once for the
+def _replay(rules: Iterable[Rule], store: FactStore) -> Callable[[Atom], Optional[str]]:
+    """The name of the first of rules, in their order, that re-derives a
+    fact from store, or None, with each rule compiled once for the
     pattern with its head bound: a stored fact is ground, so matching the
     head binds the head's variables to ground terms."""
-    by_key: dict[PredKey, list[tuple[tuple, _Plan]]] = {}
-    for rule in p.rules:
+    by_key: dict[PredKey, list[tuple[str, tuple, _Plan]]] = {}
+    for rule in rules:
         plan = _Plan(rule.body, store, term_vars(rule.head), reorder=True)
-        by_key.setdefault(rule.head.key, []).append((rule.head.args, plan))
+        by_key.setdefault(rule.head.key, []).append((rule.name, rule.head.args, plan))
 
-    def derivable(fact: Atom) -> bool:
-        for head_args, plan in by_key.get(fact.key, ()):
+    def deriving(fact: Atom) -> Optional[str]:
+        for name, head_args, plan in by_key.get(fact.key, ()):
             s0 = match(head_args, fact.args, {})
             if s0 is not None:
                 for _ in plan.run(s0):
-                    return True
-        return False
+                    return name
+        return None
 
-    return derivable
+    return deriving
+
+
+def deriving_rule(p: Program, store: FactStore, fact: Atom) -> Optional[str]:
+    """The name of the first rule of p, in program order, that re-derives
+    fact from store, or None.  fact is ground, as every stored fact is,
+    so no rule variable can clash with it and the rules are used as
+    written.  Unlike store.origin(fact), the rule that derived it first,
+    it does not hang on the order evaluation found the fact in."""
+    return _replay([r for r in p.rules if r.head.key == fact.key], store)(fact)
 
 
 def validate_fact(p: Program, store: FactStore, fact: Atom) -> bool:
-    """True iff some rule re-derives exactly this fact from the store.
-    fact is ground, as every stored fact is, so no rule variable can
-    clash with it and the rules are used as written."""
-    return _replay(p, store)(fact)
+    """True iff some rule re-derives exactly this fact from the store."""
+    return deriving_rule(p, store, fact) is not None
 
 
 def validate_store(p: Program, store: FactStore) -> list[Atom]:
@@ -1342,10 +1357,10 @@ def validate_store(p: Program, store: FactStore) -> list[Atom]:
     contradicts them, in sort_key order; empty list means the store
     replays cleanly.  Only a tree's root conclusion is read: it is what
     the fact asserts.  Facts replay in insertion order."""
-    derivable = _replay(p, store)
+    derivable = _replay(p.rules, store)
     bad: list[Atom] = []
     for fact in (f for group in store._by_pred.values() for f in group):
-        ok = derivable(fact)
+        ok = derivable(fact) is not None
         if ok and fact.args and _is_tree_term(fact.args[-1]):
             conclusion = _conclusion_atom(fact.args[-1].args[0])
             if (

@@ -381,6 +381,19 @@ def test_eval_rejects_a_bad_fact_limit_in_the_env(capsys, monkeypatch, value):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["parse", fx("route.dl")], ["swrl", fx("uncle.swrl")], ["--help"]],
+    ids=["parse", "swrl", "help"],
+)
+def test_commands_without_limits_ignore_the_fact_limit_env(monkeypatch, argv):
+    # only eval, query and prove read DDLITE_MAX_FACTS
+    monkeypatch.delenv("DDLITE_MAX_FACTS", raising=False)
+    expected = _in_process(argv)
+    monkeypatch.setenv("DDLITE_MAX_FACTS", "abc")
+    assert _in_process(argv) == expected and expected[0] == 0
+
+
 @pytest.mark.parametrize("flag", ["--max-facts", "--max-iterations"])
 @pytest.mark.parametrize("value", ["-1", "-5", "abc"])
 def test_eval_rejects_a_bad_limit_flag(capsys, flag, value):
@@ -700,6 +713,36 @@ def test_prove_picks_the_sort_first_match(capsys, tmp_path):
     assert out == "t(q(a), r4)\n"
 
 
+@pytest.mark.parametrize("atom", ["p(a)", "p(X)"])
+def test_prove_names_the_first_rule_that_derives_the_fact(capsys, tmp_path, atom):
+    # p(a) comes from r4 a pass before q(a) gives it by r3 too: the
+    # origin is r3, the first deriving rule in program order, whichever
+    # pass found the fact first, and whether prove rewrites for the goal
+    f = tmp_path / "origin.dl"
+    f.write_text("e(a).\nq(X) :- e(X).\np(X) :- q(X).\np(X) :- e(X).\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "prove", str(f), "--atom", atom)
+    assert (code, out, err) == (0, "t(p(a), r3)\n", "")
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("p(a).\nq(X) :- p(X), prolog:foo(X).\n", "2:15: in rule r2: unknown builtin foo/1"),
+        ("p(a).\nq(X, Y) :- p(X).\n", "rule r2: variable Y in the head is not bound by the body"),
+        ("p(a).\nq(X) :- p(X), not q(X).\n", "negation on a cycle: q/1 -> q/1"),
+    ],
+    ids=["unknown-builtin", "unsafe", "not-stratified"],
+)
+def test_prove_reports_the_program_error_before_the_atom_error(capsys, tmp_path, text, error):
+    # the program is checked before --atom is read, as evaluate checks it
+    f = tmp_path / "bad.dl"
+    f.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "prove", str(f), "--atom", "q(a")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and error in err, err
+
+
 def test_prove_atom_takes_one_atom(capsys):
     code, out, err = run(capsys, "prove", fx("route.dl"),
                          "--atom", "route(KT, Mue, L, T) foo")
@@ -919,7 +962,7 @@ def test_the_process_entry_reports_a_closed_stdout():
     [
         ([], "[]"),
         (["eval", fx("route.dl")], "[]"),
-        (["prove", fx("route.dl"), "--atom", "route('KT', 'Mue', L, T)"], "[]"),
+        (["prove", fx("route.dl"), "--atom", "route('KT', 'Mue', L, T)"], "['ddlite.magic']"),
         (["query", fx("route.dl"), "--goal", "route(A, B, L, T)", "--template", "[L]"],
          "['csv', 'ddlite.hybrid']"),
     ],
@@ -927,13 +970,15 @@ def test_the_process_entry_reports_a_closed_stdout():
 )
 def test_a_command_loads_only_what_it_runs(argv, loaded):
     # json is loaded by --format json, the hybrid layer and csv by --csv,
-    # --xml, query and schema graphs; site-packages (-S) loads none of them
+    # --xml, query and schema graphs, the magic-set rewrite by prove alone;
+    # site-packages (-S) loads none of them
     script = (
         "import sys\n"
         "from ddlite.cli import main\n"
         "if sys.argv[1:]:\n"
         "    main(sys.argv[1:])\n"
-        "print(sorted({'json', 'csv', 'ddlite.hybrid'} & set(sys.modules)), file=sys.stderr)\n"
+        "print(sorted({'json', 'csv', 'ddlite.hybrid', 'ddlite.magic'} & set(sys.modules)),\n"
+        "      file=sys.stderr)\n"
     )
     code, _, err = _child("-S", "-c", script, *argv)
     assert (code, err) == (0, loaded + "\n")
