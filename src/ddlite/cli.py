@@ -35,6 +35,7 @@ from .engine import (
     evaluate,
     facts_as_rules,
     facts_to_json,
+    probe_positions,
     proof_tree,
     render_proof_tree,
     stratify,
@@ -362,10 +363,11 @@ def cmd_prove(args) -> int:
     # the facts matching query are those of p's model, the rest may not be
     store = evaluate_goal(p, query, opts)
     # the first fact of the probed bucket, in sort_key order, that matches
+    positions = probe_positions(query.args, ())
     found = next(
         (
             fact
-            for fact in store.sorted_candidates(query, {})
+            for fact in store.sorted_candidates(query, {}, positions)
             if match(query.args, fact.args, {}) is not None
         ),
         None,

@@ -1,12 +1,14 @@
 """Bottom-up evaluation with embedded builtin calls.
 
 The pipeline is: check_calls -> check_safety -> stratify -> per-stratum
-semi-naive fixpoint.  FactStore is the one fact index: the delta a pass
-reads is the facts the previous pass added, which, as no fact is added
-during a pass, are the tail of every probe of the store.  Rules run as
-compiled plans (_Plan): each body is compiled once for the variables
-bound on entry (none in evaluate and in hybrid goals, the head's in
-replay).  In evaluate and in replay a plan solves its literals bound
+semi-naive fixpoint.  FactStore is the one fact index, keyed by each
+argument itself: a probe reads the smallest bucket of the positions
+ground where its literal runs, and as no fact is added during a pass,
+the delta a pass reads, the facts the previous pass added, is the tail
+of every probe.  Rules run as compiled plans (_Plan): each body is
+compiled once for the variables bound on entry (none in evaluate and in
+hybrid goals, the head's in replay), which fixes each literal's probe
+positions.  In evaluate and in replay a plan solves its literals bound
 first: the delta literal, then whatever is a lookup, and a pt/2 call as
 soon as one side is bound.  A body with a builtin that can raise, or
 with a negated builtin, whose answer depends on what is bound where it
@@ -514,37 +516,34 @@ def _cycle_path(src, dst, out, comp_of) -> list[PredKey]:
 # ===========================================================================
 
 
-def _principal(t: Term):
-    """Index key of a term's outermost symbol: a constant's name, a
-    number's value or a compound's functor and arity; None for a variable
-    or an opaque leaf.  1 and 1.0 share a key, and match tells them apart."""
-    kind = t.__class__
-    if kind is Const:
-        return t.symbol
-    if kind is Num:
-        return t.value
-    if kind is Compound:
-        return (t.functor, len(t.args))
-    return None
+def probe_positions(args: tuple, bound: Container[str]) -> tuple[int, ...]:
+    """The positions of args a probe may key on: a ground argument, or a
+    variable in bound; an open compound is none."""
+    return tuple(
+        i for i, a in enumerate(args)
+        if (a.name in bound if a.__class__ is Var else is_ground(a))
+    )
 
 
 class FactStore:
     """The model: ground atoms without duplicates, each with its origin,
     grouped by predicate, each group in insertion order, and indexed by
-    (predicate, position, principal symbol).  A position's index is built
-    the first time a probe selects it and kept up to date after, so
-    positions no probe reads cost nothing.
+    (predicate, position, argument): facts are ground, so an argument is
+    its own key, and equal arguments share a bucket as kernel.match finds
+    them equal (0.0 and -0.0, not 1 and 1.0).  A position's index is
+    built the first time a probe reads it and kept up to date after.
 
-    Probes yield facts in insertion order, which is all a join needs.  No
-    fact is added during a semi-naive pass, so the facts the previous pass
-    added, its delta, are the tail of every probe.  Order is imposed here
-    and only here, for what users see: facts(), sorted_facts() and
-    sorted_candidates() yield in sort_key order.
+    A probe takes the smallest bucket of the positions its caller found
+    ground (probe_positions), in insertion order, which is all a join
+    needs.  No fact is added during a semi-naive pass, so the facts the
+    previous pass added, its delta, are the tail of every probe.  Order
+    is imposed here and only here, for what users see: facts(),
+    sorted_facts() and sorted_candidates() yield in sort_key order.
     """
 
     def __init__(self):
         self._by_pred: dict[PredKey, list[Atom]] = {}
-        # predicate -> per position, None or principal symbol -> facts
+        # predicate -> per position, None or argument -> facts
         self._index: dict[PredKey, list[Optional[dict]]] = {}
         # every fact, in insertion order -> the rule that derived it, or None
         self._origin: dict[Atom, Optional[str]] = {}
@@ -578,9 +577,7 @@ class FactStore:
         if columns is not None:
             for column, arg in zip(columns, fact.args):
                 if column is not None:
-                    pk = _principal(arg)
-                    if pk is not None:
-                        column.setdefault(pk, []).append(fact)
+                    column.setdefault(arg, []).append(fact)
         return True
 
     def _column(self, key: PredKey, i: int) -> dict:
@@ -591,26 +588,26 @@ class FactStore:
         if column is None:
             column = columns[i] = {}
             for fact in self._by_pred.get(key, ()):
-                pk = _principal(fact.args[i])
-                if pk is not None:
-                    column.setdefault(pk, []).append(fact)
+                column.setdefault(fact.args[i], []).append(fact)
         return column
 
-    def candidates(self, query: Atom, s: Subst) -> Sequence[Atom]:
+    def candidates(self, query: Atom, s: Subst, positions: tuple) -> Sequence[Atom]:
         """The facts that may match query under s, in insertion order: the
-        index bucket of query's first argument that has a principal symbol
-        under s, or all of the predicate's facts when there is none."""
-        for i, arg in enumerate(query.args):
+        smallest bucket of query's arguments at positions, each ground
+        under s, or all of the predicate's facts if positions is empty."""
+        found = self._by_pred.get(query.key, ())
+        for i in positions:
+            arg = query.args[i]
             if arg.__class__ is Var:
-                arg = s.get(arg.name, arg)
-            pk = _principal(arg)
-            if pk is not None:
-                return self._column(query.key, i).get(pk, ())
-        return self._by_pred.get(query.key, ())
+                arg = s[arg.name]
+            bucket = self._column(query.key, i).get(arg, ())
+            if not bucket:
+                return bucket
+            if len(bucket) < len(found):
+                found = bucket
+        return found
 
-    def facts(self, key) -> list[Atom]:
-        if not isinstance(key, PredKey) and len(key) == 2:
-            key = PredKey(None, key[0], key[1])
+    def facts(self, key: PredKey) -> list[Atom]:
         cached = self._sorted_cache.get(key)
         if cached is None:
             cached = sorted(self._by_pred.get(key, []), key=sort_key)
@@ -623,16 +620,16 @@ class FactStore:
     def origin(self, fact: Atom) -> Optional[str]:
         return self._origin.get(fact)
 
-    def sorted_candidates(self, query: Atom, s: Subst) -> list[Atom]:
+    def sorted_candidates(self, query: Atom, s: Subst, positions: tuple) -> list[Atom]:
         """Like candidates, but in sort_key order."""
-        found = self.candidates(query, s)
-        if found is self._by_pred.get(query.key):
+        if not positions:
             return self.facts(query.key)  # the whole group, sorted once
-        return sorted(found, key=sort_key)
+        return sorted(self.candidates(query, s, positions), key=sort_key)
 
     def unifies_any(self, query: Atom) -> bool:
         args = query.args
-        return any(match(args, f.args, {}) is not None for f in self.candidates(query, {}))
+        found = self.candidates(query, {}, probe_positions(args, ()))
+        return any(match(args, f.args, {}) is not None for f in found)
 
     def sorted_facts(self) -> list[Atom]:
         out: list[Atom] = []
@@ -655,10 +652,7 @@ def deferred_negation_ok(pending: list[Atom], s: Subst, store: FactStore) -> boo
     non-ground -> no stored fact may unify."""
     for atom in pending:
         bound = apply(s, atom)
-        if bound.ground:
-            if store.has(bound):
-                return False
-        elif store.unifies_any(bound):
+        if store.has(bound) if bound.ground else store.unifies_any(bound):
             return False
     return True
 
@@ -686,10 +680,11 @@ class _Plan:
     runs.  What a step does is settled here, once:
 
     - a positive literal takes its candidate facts from probe, or the
-      store (at delta_pos only their tail that is in delta), and matches
-      each one way (kernel.match).  Only after a builtin that may bind a
-      variable to an open term, such as `pt(X, f(Y))` with Y unbound, does
-      it unify them with mgu;
+      store (at delta_pos only their tail that is in delta), by the
+      positions ground where it runs (probe_positions of ground), and
+      matches each one way (kernel.match).  Only after a builtin that may
+      bind a variable to an open term, such as `pt(X, f(Y))` with Y
+      unbound, does it unify them with mgu;
     - a positive literal whose variables are all bound is one store.has
       lookup, unless it reads the delta or a probe;
     - a negated literal whose variables the pattern binds is one lookup.
@@ -713,7 +708,7 @@ class _Plan:
         store: FactStore,
         bound: Iterable[str] = (),
         open_: bool = False,
-        probe: Optional[Callable[[Atom, Subst], Iterable[Atom]]] = None,
+        probe: Optional[Callable[[Atom, Subst, tuple], Iterable[Atom]]] = None,
         compile_item: Optional[Callable[[object, set[str], bool], Callable]] = None,
         delta_pos: Optional[int] = None,
         emit: Callable[[Subst], object] = lambda s: s,
@@ -723,6 +718,7 @@ class _Plan:
         # delta.facts before each run
         self.delta = _DeltaTail(store)
         ground = set(bound)  # variables bound to ground terms here
+        candidates = probe or store.candidates
         order: Iterable[int] = range(len(body))
         if reorder and len(body) > 1 and not any(_may_raise(i) for i in body):
             order = _bound_first(body, ground, delta_pos)
@@ -748,12 +744,13 @@ class _Plan:
                 steps.append((_negated_step, atom, store))
             else:
                 names = term_vars(atom)
+                positions = probe_positions(atom.args, ground)
                 if i == delta_pos:
-                    steps.append((_positive_step, atom, self.delta, open_))
+                    steps.append((_positive_step, atom, positions, self.delta, open_))
                 elif atom.ground or probe is None and not open_ and names <= ground:
                     steps.append((_has_step, atom, store))
                 else:
-                    steps.append((_positive_step, atom, probe or store.candidates, open_))
+                    steps.append((_positive_step, atom, positions, candidates, open_))
                 ground |= names
 
         if late:
@@ -775,8 +772,8 @@ class _Plan:
 
 class _DeltaTail:
     """The candidates of a delta literal: the tail of
-    store.candidates(query, s) that is in facts, the store's newest
-    facts, held in any collection that answers `in`.
+    store.candidates(query, s, positions) that is in facts, the store's
+    newest facts, held in any collection that answers `in`.
 
     A plan's steps hold it and not the plan, which holds them: so no
     cycle keeps a dropped plan, and with it the store, alive until the
@@ -788,8 +785,8 @@ class _DeltaTail:
         self.store = store
         self.facts: Container[Atom] = ()
 
-    def __call__(self, query: Atom, s: Subst) -> Sequence[Atom]:
-        found, delta = self.store.candidates(query, s), self.facts
+    def __call__(self, query: Atom, s: Subst, positions: tuple) -> Sequence[Atom]:
+        found, delta = self.store.candidates(query, s, positions), self.facts
         start = len(found)
         while start and found[start - 1] in delta:
             start -= 1
@@ -871,17 +868,17 @@ def _builtin_binds(atom: Atom, ground: set[str]) -> bool:
 # it is called, which saves a generator per answer; Plan.run is lazy.
 
 
-def _positive_step(atom: Atom, candidates, open_: bool, nxt):
+def _positive_step(atom: Atom, positions: tuple, candidates, open_: bool, nxt):
     args = atom.args
     if open_:
         def run(s):
-            for fact in candidates(atom, s):
+            for fact in candidates(atom, s, positions):
                 s2 = mgu(atom, fact, s)
                 if s2 is not None:
                     yield from nxt(s2)
     else:
         def run(s):
-            for fact in candidates(atom, s):
+            for fact in candidates(atom, s, positions):
                 s2 = match(args, fact.args, s)
                 if s2 is not None:
                     yield from nxt(s2)
@@ -932,7 +929,7 @@ def solve_body(
     body: Sequence,
     store: FactStore,
     s: Optional[Subst] = None,
-    probe: Optional[Callable[[Atom, Subst], Iterable[Atom]]] = None,
+    probe: Optional[Callable[[Atom, Subst, tuple], Iterable[Atom]]] = None,
     compile_item: Optional[Callable[[object, set[str], bool], Callable]] = None,
 ) -> Iterator[Subst]:
     """All substitutions solving the body (a rule body or a goal) left to

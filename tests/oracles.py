@@ -1355,14 +1355,12 @@ def random_program(rng, allow_negation=False):
 def random_recursive_program(rng):
     """Rule text of a small safe, stratified program with recursion.
 
-    Layer 0 holds v0/1 facts and e0/2 facts over four constants, each
-    edge from a constant to a later one.  Every recursive rule steps along
-    such an edge, so no fact depends on itself and the program's auto_pt
-    version has a finite model too.  With four constants no chain of
-    edges is longer than three, which keeps the proof trees per fact few:
-    replay takes a literal's bucket by its first bound argument, not by
-    the bound tree, so a store with thousands of trees per fact replays
-    in about a minute.
+    Layer 0 holds v0/1 facts and e0/2 facts over the five CONSTANTS,
+    each edge from a constant to a later one.  Every recursive rule steps
+    along such an edge, so no fact depends on itself and the program's
+    auto_pt version has a finite model too, of a few thousand trees at
+    most.  Replay reads such a store in proportion to its size, as a
+    literal whose proof-tree argument is bound probes that tree's bucket.
     Each layer i above defines p{i}/2 and q{i}/1 from lower layers and
     from layer i itself: p{i} left-, right- or doubly recursive, or
     through q{i}, which may read p{i} back, and now and then a constant
@@ -1372,7 +1370,7 @@ def random_recursive_program(rng):
     keeps the rule in its written order, where the recursive literal
     comes first or after the literal that binds its first argument.
     """
-    names = CONSTANTS[:4]
+    names = CONSTANTS
     pairs = [tuple(sorted(rng.sample(names, 2))) for _ in range(rng.randint(3, 6))]
     lines = [f"e0({x}, {y})." for x, y in dict.fromkeys(pairs)]
     marked = [rng.choice(names) for _ in range(rng.randint(1, 3))]

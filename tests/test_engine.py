@@ -23,6 +23,7 @@ from ddlite.engine import (
     facts_as_rules,
     facts_to_json,
     lookup_builtin,
+    probe_positions,
     proof_tree,
     render_proof_tree,
     solve_body,
@@ -387,28 +388,73 @@ def test_store_freeze_blocks_mutation():
         store.add(Atom("p", (Const("b"),)))
 
 
-def test_store_facts_accepts_name_arity_pairs():
+def test_store_facts_lists_a_predicate_in_sort_order():
     store = FactStore()
     store.add(Atom("p", (Const("b"),)))
     store.add(Atom("p", (Const("a"),)))
-    listed = store.facts(("p", 1))
+    listed = store.facts(PredKey(None, "p", 1))
     assert [term_text(f.args[0]) for f in listed] == ["a", "b"]
-    assert store.facts(PredKey(None, "p", 1)) == listed
-    assert store.facts(("p", 2)) == []
+    assert store.facts(PredKey(None, "p", 2)) == []
 
 
-def test_store_matching_narrows_by_first_bound_argument():
+def _edge(x, y):
+    return Atom("edge", (Const(x), Const(y)))
+
+
+def test_store_probes_the_smallest_bucket_of_the_ground_arguments():
     store = FactStore()
     for i in range(5):
-        store.add(Atom("edge", (Const(f"n{i}"), Const(f"n{i + 1}"))))
-    n2_n3 = [Atom("edge", (Const("n2"), Const("n3")))]
+        store.add(_edge(f"n{i}", f"n{i + 1}"))
     query = Atom("edge", (Const("n2"), Var("Y")))
-    assert store.sorted_candidates(query, {}) == n2_n3
+    assert probe_positions(query.args, ()) == (0,)
+    assert store.sorted_candidates(query, {}, (0,)) == [_edge("n2", "n3")]
     bound = Atom("edge", (Var("X"), Var("Y")))
-    assert store.sorted_candidates(bound, {"X": Const("n2")}) == n2_n3
+    assert probe_positions(bound.args, {"X"}) == (0,)
+    assert store.sorted_candidates(bound, {"X": Const("n2")}, (0,)) == [_edge("n2", "n3")]
     results = list(solve_body((Literal(query),), store))
     assert len(results) == 1
     assert apply(results[0], Var("Y")) == Const("n3")
+    # a later bound argument with the smaller bucket: n0 leads four edges,
+    # and n3 ends two, so the probe reads n3's bucket
+    for y in ("n2", "n3", "n4"):
+        store.add(_edge("n0", y))
+    assert probe_positions(bound.args, {"X", "Y"}) == (0, 1)
+    s = {"X": Const("n0"), "Y": Const("n3")}
+    assert store.candidates(bound, s, (0, 1)) == [_edge("n2", "n3"), _edge("n0", "n3")]
+    assert store.candidates(bound, s, (0,)) == [
+        _edge("n0", "n1"), _edge("n0", "n2"), _edge("n0", "n3"), _edge("n0", "n4")
+    ]
+    # no position is ground: every fact of the predicate
+    assert len(store.candidates(bound, {}, ())) == 8
+    # a ground compound is its own key; an open compound is no position
+    trees = [Compound("t", (Const(x),)) for x in "abc"]
+    for tree, k in ((trees[0], 0), (trees[0], 1), (trees[1], 1), (trees[2], 1)):
+        store.add(Atom("tree", (tree, Num(k))))
+    one = Atom("tree", (trees[1], Num(1)))
+    assert probe_positions(one.args, ()) == (0, 1)
+    assert store.candidates(one, {}, (0, 1)) == [one]
+    open_tree = Atom("tree", (Compound("t", (Var("T"),)), Num(1)))
+    assert probe_positions(open_tree.args, ()) == (1,)
+    assert [f.args[0] for f in store.candidates(open_tree, {}, (1,))] == trees
+
+
+def test_store_keys_numbers_as_match_compares_them():
+    # 1 and 1.0 are two terms, 0.0 and -0.0 one, inside compounds too
+    store = FactStore()
+    for value in (Num(1), Num(1.0), Num(-0.0)):
+        for arg in (value, Compound("f", (value,))):
+            store.add(Atom("n", (arg,)))
+    x = Var("X")
+    for value in (Num(1), Num(1.0), Num(0.0), Num(-0.0)):
+        for arg in (value, Compound("f", (value,))):
+            query = Atom("n", (arg,))
+            found = store.candidates(query, {}, (0,))
+            matched = store.facts(query.key)
+            assert found == [f for f in matched if match(query.args, f.args, {}) is not None]
+            assert len(found) == 1
+            bound = store.candidates(Atom("n", (x,)), {"X": arg}, (0,))
+            assert bound == found
+    assert store.candidates(Atom("n", (Num(0.0),)), {}, (0,))[0].args[0] == Num(-0.0)
 
 
 def test_store_matching_yields_sort_key_order_whatever_the_insertion_order():
@@ -417,7 +463,8 @@ def test_store_matching_yields_sort_key_order_whatever_the_insertion_order():
         store.add(Atom("edge", (Const("n0"), Const(y))))
     store.add(Atom("edge", (Const("n1"), Const("a"))))
     query = Atom("edge", (Const("n0"), Var("Y")))
-    assert [term_text(f.args[1]) for f in store.sorted_candidates(query, {})] == list("abcde")
+    listed = store.sorted_candidates(query, {}, (0,))
+    assert [term_text(f.args[1]) for f in listed] == list("abcde")
     answers = solve_body((Literal(query),), store, probe=store.sorted_candidates)
     found = [term_text(apply(s, Var("Y"))) for s in answers]
     assert found == ["a", "b", "c", "d", "e"]
@@ -609,6 +656,67 @@ def test_a_plan_step_agrees_with_match_and_mgu_on_each_stored_fact(case):
     assert answers == expected
 
 
+def _random_term(rng, leaves, depth):
+    """A term over leaves, now and then a compound f/g of one or two
+    arguments, nested at most depth deep."""
+    if depth and rng.random() < 0.3:
+        args = tuple(_random_term(rng, leaves, depth - 1) for _ in range(rng.randint(1, 2)))
+        return Compound(rng.choice("fg"), args)
+    return rng.choice(leaves)
+
+
+def _random_instance(rng, t):
+    """t with each variable occurrence replaced on its own by a ground
+    term, so that a repeated variable may meet equal or different values."""
+    if isinstance(t, Var):
+        return _random_term(rng, _PLAN_LEAVES, 1)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_random_instance(rng, a) for a in t.args))
+    return t
+
+
+def test_a_probe_agrees_with_matching_every_fact_of_the_predicate():
+    # facts over constants, numbers and ground compounds, about half of
+    # them instances of the literal; literals over those, variables and
+    # open compounds; and substitutions binding a variable to a ground
+    # term, to an open one, or to nothing.  Whatever bucket a probe takes,
+    # the answers are those of unifying the literal with each fact of its
+    # predicate in turn
+    rng = random.Random(2018)
+    patterns = _PLAN_LEAVES + _PLAN_VARS
+    for _ in range(500):
+        arity = rng.randint(1, 3)
+        atom = Atom("p", tuple(_random_term(rng, patterns, 2) for _ in range(arity)))
+        s = {}
+        for v in _PLAN_VARS:
+            draw = rng.random()
+            if draw < 0.4:
+                s[v.name] = _random_term(rng, _PLAN_LEAVES, 2)
+            elif draw < 0.5:
+                s[v.name] = Compound("f", (Var("W"),))
+        store = FactStore()
+        added = []
+        for _ in range(rng.randint(0, 30)):
+            if rng.random() < 0.5:
+                fact = Atom("p", tuple(_random_instance(rng, a) for a in apply(s, atom).args))
+            else:
+                fact = Atom(rng.choice("pq"), tuple(
+                    _random_term(rng, _PLAN_LEAVES, 2) for _ in range(arity)
+                ))
+            if store.add(fact) and fact.predicate == "p":
+                added.append(fact)
+
+        def expected(facts):
+            return [_shown(u) for u in (mgu(atom, f, s) for f in facts) if u is not None]
+
+        body = (Literal(atom),)
+        assert [_shown(a) for a in solve_body(body, store, s)] == expected(added)
+        in_order = solve_body(body, store, s, probe=store.sorted_candidates)
+        assert [_shown(a) for a in in_order] == expected(sorted(added, key=sort_key))
+        query = apply(s, atom)
+        assert store.unifies_any(query) == any(mgu(query, f) is not None for f in added)
+
+
 def _auto_pt_chain(n):
     return auto_pt(parse_program(
         "".join(f"edge(n{i}, n{i + 1}).\n" for i in range(n))
@@ -617,17 +725,15 @@ def _auto_pt_chain(n):
     ))
 
 
-def _replay_visits(n):
-    """(facts in the model, facts replay reads) for the auto_pt chain of n
-    edges: every fact the store's candidates hands out is counted as
-    read."""
-    program = _auto_pt_chain(n)
+def _replay_visits(program):
+    """(facts in the model, facts replay reads) for program: every fact
+    the store's candidates hands out is counted as read."""
     store = evaluate(program)
     read = [0]
     candidates = store.candidates
 
-    def counting_candidates(query, s):
-        facts = candidates(query, s)
+    def counting_candidates(query, s, positions):
+        facts = candidates(query, s, positions)
         read[0] += len(facts)
         return facts
 
@@ -640,9 +746,31 @@ def test_replay_reads_facts_in_proportion_to_the_model():
     # the fact's own tree binds the child trees when pt/2 runs first, so
     # path(Y, Z, T2) is one lookup; run in the written order it scanned
     # Y's bucket of path/3, and reads grew at a facts exponent of 1.1-1.25
-    small, big = _replay_visits(50), _replay_visits(200)
+    small, big = _replay_visits(_auto_pt_chain(50)), _replay_visits(_auto_pt_chain(200))
     fact_ratio = big[0] / small[0]
     assert big[1] / small[1] <= fact_ratio ** 1.05, (small, big)
+
+
+@pytest.mark.parametrize("edges, size", [
+    ("e0(a, b). e0(b, c). e0(c, d).", 159),
+    ("e0(a, b). e0(a, c). e0(b, c). e0(c, d).", 198),
+])
+def test_replay_of_many_trees_per_fact_reads_one_fact_per_fact(edges, size):
+    # p and q each hold one fact per proof tree.  Replaying
+    # q(Y, T) :- p(X, Y, T1), pt(T, ...) with T bound, pt/2 binds T1,
+    # whose bucket holds one fact; probing by Y alone reads about fifty
+    # facts per stored fact here, and thousands on seven edges
+    program = auto_pt(parse_program(
+        edges + " v0(b).\n"
+        "p(X, Y) :- e0(X, Y).\n"
+        "p(X, Y) :- q(X), e0(X, Y).\n"
+        "p(X, Z) :- p(X, Y), p(Y, Z).\n"
+        "q(X) :- v0(X).\n"
+        "q(Y) :- p(X, Y).\n"
+    ))
+    facts, read = _replay_visits(program)
+    assert facts == size
+    assert read <= 2 * facts, (facts, read)
 
 
 def _path_chain(n):
@@ -668,8 +796,8 @@ def _delta_reads(monkeypatch, program):
     read = [0]
     tail = _DeltaTail.__call__
 
-    def counting_tail(delta, query, s):
-        facts = tail(delta, query, s)
+    def counting_tail(delta, query, s, positions):
+        facts = tail(delta, query, s, positions)
         read[0] += len(facts)
         return facts
 
@@ -795,7 +923,7 @@ def test_tp_step_rejects_non_ground_heads():
 def test_evaluate_route_reaches_the_expected_fixpoint():
     store = evaluate(fixture_program("route.dl"))
     assert len(store) == 5
-    routes = store.facts(("route", 4))
+    routes = store.facts(PredKey(None, "route", 4))
     assert len(routes) == 3
     ends = {(term_text(f.args[0]), term_text(f.args[1]), f.args[2]) for f in routes}
     assert ends == {
@@ -807,7 +935,7 @@ def test_evaluate_route_reaches_the_expected_fixpoint():
 
 def test_evaluate_records_the_deriving_rule():
     store = evaluate(fixture_program("route.dl"))
-    by_len = {f.args[2]: f for f in store.facts(("route", 4))}
+    by_len = {f.args[2]: f for f in store.facts(PredKey(None, "route", 4))}
     assert store.origin(by_len[Num(295)]) == "r"
     assert store.origin(by_len[Num(15)]) == "e"
 
@@ -815,7 +943,7 @@ def test_evaluate_records_the_deriving_rule():
 def test_evaluate_uncle():
     p = combined(fixture_text("uncle.dl"), "parent(a, b). brother(b, c).")
     store = evaluate(p)
-    uncles = store.facts(("uncle", 2))
+    uncles = store.facts(PredKey(None, "uncle", 2))
     assert [tuple(term_text(a) for a in f.args) for f in uncles] == [("a", "c")]
 
 
@@ -830,15 +958,15 @@ def test_evaluate_provenance_rule_and_skolem_sharing():
     store = evaluate(opm_program())
     derived = [
         f
-        for key in (("derived_sink", 2), ("derived_source", 2), ("derived_account", 2))
-        for f in store.facts(key)
+        for name in ("derived_sink", "derived_source", "derived_account")
+        for f in store.facts(PredKey(None, name, 2))
     ]
     assert len(derived) == 4
     firsts = {f.args[0] for f in derived}
     assert len(firsts) == 1
     (skolem,) = firsts
     assert isinstance(skolem, Compound) and skolem.functor == "skolem"
-    accounts = {term_text(f.args[1]) for f in store.facts(("derived_account", 2))}
+    accounts = {term_text(f.args[1]) for f in store.facts(PredKey(None, "derived_account", 2))}
     assert accounts == {"d", "g"}
 
 
@@ -968,7 +1096,8 @@ def test_builtin_errors_name_the_rule():
 def test_evaluate_defers_negation_until_the_body_binds():
     p = parse_program("p(a). p(b). q(a). s(X) :- not(q(X)), p(X).")
     store = evaluate(p)
-    assert [tuple(term_text(a) for a in f.args) for f in store.facts(("s", 1))] == [("b",)]
+    s_facts = store.facts(PredKey(None, "s", 1))
+    assert [tuple(term_text(a) for a in f.args) for f in s_facts] == [("b",)]
 
 
 # ===========================================================================
@@ -1117,7 +1246,7 @@ def test_render_proof_tree_agrees_with_the_typed_reference():
 
 def test_evaluated_route_carries_the_expected_tree():
     store = evaluate(fixture_program("route.dl"))
-    (best,) = [f for f in store.facts(("route", 4)) if f.args[2] == Num(295)]
+    (best,) = [f for f in store.facts(PredKey(None, "route", 4)) if f.args[2] == Num(295)]
     tree = tree_of(best)
     assert tree is not None
     assert render_proof_tree(tree, "term") == (
@@ -1135,7 +1264,8 @@ def test_a_proof_deeper_than_the_recursion_limit_converts_and_replays():
     ))
     store = evaluate(p)
     assert len(store) == 2201
-    (deepest,) = [f for f in store.facts(("reach", 2)) if f.args[0] == Const("n1100")]
+    reach = store.facts(PredKey(None, "reach", 2))
+    (deepest,) = [f for f in reach if f.args[0] == Const("n1100")]
     tree = tree_of(deepest)
     depth, node = 0, tree
     while len(node.args) > 2:

@@ -122,10 +122,11 @@ def cases() -> list[list[str]]:
     out.append(["eval", f"{FX}/uncle.dl", "--csv", "parent"])
     out.append(["eval", plain, "--max-facts", "3"])
     out.append(["eval", plain, "--max-iterations", "-1"])
+    out.append(["eval", f"{INPUTS}/path_chain.dl", "--max-iterations", "1"])
     out.append(["eval", f"{INPUTS}/negative_zero.dl"])
-    # a stratification cycle, a failing rule body, negation, the OWL and
+    # a stratification cycle, failing rule bodies, negation, the OWL and
     # list builtins, and the printer's operand, list and quoting shapes
-    for name in ("not_stratified", "division_by_zero", "negation_shapes",
+    for name in ("not_stratified", "division_by_zero", "unbound_arith", "negation_shapes",
                  "owl_builtins", "printer_shapes"):
         out.append(["eval", f"{INPUTS}/{name}.dl"])
     # flat atoms and the shapes next to them, rule text errors, and an
@@ -221,6 +222,9 @@ def cases() -> list[list[str]]:
     out.append(["query", f"{INPUTS}/eq_relation.dl", "--goal", "X = Y",
                 "--template", "[X, Y]"])
     out.append(["query", f"{INPUTS}/eq_body.dl", "--goal", "q(X)", "--template", "[X]"])
+    # builtins in a goal: division exact and not, atom_number of a compound
+    for goal in ("X is 6 / 3", "X is 7 / 2", "prolog:atom_number(f(a), X)"):
+        out.append(["query", "--goal", goal, "--template", "[X]"])
 
     # terms nested deeper than the recursion limit allows
     deep = "p(" + "f(" * 400 + "a" + ")" * 400 + ")"
@@ -298,6 +302,9 @@ def cases() -> list[list[str]]:
     out.append(["eval", f"{INPUTS}/bom.dl"])
     out.append(["query", "--csv", f"employee={INPUTS}/bom.csv", "--goal",
                 "employee('Borg', S, B, X, Sal, Sup, D)", "--template", "[D]"])
+    # a CSV row short of the first row's columns
+    out.append(["query", "--csv", f"r={INPUTS}/ragged.csv", "--goal", "r(X, Y)",
+                "--template", "[X]"])
     out.append(["query", "--base-dir", "tests/golden", "--goal",
                 "R := doc('inputs/bom.xml')/row::[@'ESSN' = 11]@'HOURS'",
                 "--template", "[R]"])

@@ -25,6 +25,7 @@ from ddlite.kernel import (
     Compound,
     Const,
     Num,
+    PredKey,
     Var,
     parse_number,
     term_text,
@@ -587,7 +588,8 @@ def test_swrl_builtins_evaluate():
     rules = parse_swrl(source.read_text(encoding="utf-8"))
     text = print_program(swrl_to_datalog(rules)) + "age(ann, 30).\nage(bob, 12).\n"
     store = evaluate(parse_program(text))
-    assert store.facts(("next_age", 2)) == [Atom("next_age", (Const("ann"), Num(31)))]
+    next_age = store.facts(PredKey(None, "next_age", 2))
+    assert next_age == [Atom("next_age", (Const("ann"), Num(31)))]
 
 
 def test_swrl_to_datalog_rejects_builtin_head():
