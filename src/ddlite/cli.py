@@ -6,23 +6,26 @@ Exit codes: 0 success (a nonempty diff is still success), 1 domain errors
 
 A command loads and builds only what it runs: json is imported by the
 --format json branches, the hybrid layer (with csv) by --csv, --xml,
-query and schema graphs, the magic-set rewrite (ddlite.magic) by prove,
-and the argument parser holds only the subparser of the command named
-first (all seven for help, no command or an unknown one).  main(argv)
-runs one command and returns its exit code; run() is the process entry
-(`ddlite`, `python -m ddlite.cli`), which runs it with the cyclic
-collector off (gc.disable) and freezes the heap before the interpreter
-exits (gc.freeze), so no collection walks objects the process is about
-to drop.
+query and schema graphs, and the magic-set rewrite (ddlite.magic) by
+prove.  Arguments are read from COMMAND_TABLE without argparse when they
+are in the plain form (_read_args); argparse is imported, and a parser
+built by build_parser, only for help, an abbreviated or unknown flag,
+--flag=value, -- or a usage error.  That parser holds only the subparser
+of the command named first (all seven for help, no command or an unknown
+one).  main(argv) runs one command and returns its exit code; run() is
+the process entry (`ddlite`, `python -m ddlite.cli`), which runs it with
+the cyclic collector off (gc.disable), flushes stdout and stderr, and
+ends the process with os._exit: no collection walks, and no teardown
+frees, objects the process is about to drop.  atexit handlers do not
+run; ddlite registers none.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
-from typing import Optional
+from types import SimpleNamespace
 
 from .engine import (
     EvalOptions,
@@ -54,7 +57,7 @@ from .graphs import (
     schema_graph,
     to_dot,
 )
-from .kernel import PredKey, Program, match
+from .kernel import PredKey, Program, match, read_text
 from .syntax import (
     lloyd_topor,
     parse_atom,
@@ -69,22 +72,16 @@ _ENV_MAX_FACTS = "DDLITE_MAX_FACTS"
 _LIMITS = EvalOptions()  # the default limits
 
 
-def _read(path: str) -> str:
-    # utf-8-sig: a byte-order mark is no part of the text
-    with open(path, encoding="utf-8-sig") as handle:
-        return handle.read()
-
-
 def _parse_checked(path: str) -> Program:
     """The program in the file, its builtin calls checked (check_calls)."""
-    p = parse_program(_read(path), path)
+    p = parse_program(read_text(path), path)
     check_calls(p)
     return p
 
 
 def _load_program(args) -> Program:
     if getattr(args, "file", None):
-        p = parse_program(_read(args.file), args.file)
+        p = parse_program(read_text(args.file), args.file)
     else:
         p = Program(())
     rules = list(p.rules)
@@ -117,7 +114,7 @@ def _load_docs(args) -> dict:
     return docs
 
 
-def _pred_key(entry: str) -> Optional[PredKey]:
+def _pred_key(entry: str) -> PredKey | None:
     """The predicate a `name/arity` entry names, or None for another form."""
     name, _, arity = entry.rpartition("/")
     if name and arity.isdecimal():
@@ -125,7 +122,7 @@ def _pred_key(entry: str) -> Optional[PredKey]:
     return None
 
 
-def _meta_dict(spec: Optional[str]) -> dict:
+def _meta_dict(spec: str | None) -> dict:
     """--meta-list name/arity,...: extra call-node predicates (inner goals
     are read from every argument position)."""
     meta = dict(DEFAULT_META)
@@ -153,19 +150,6 @@ def _eval_options(args) -> EvalOptions:
         else:
             max_facts = _non_negative_int(_ENV_MAX_FACTS, raw)
     return EvalOptions(max_iterations=args.max_iterations, max_facts=max_facts)
-
-
-def _add_eval_flags(sub):
-    sub.add_argument("--csv", action="append", metavar="PRED=PATH",
-                     help="load CSV rows as facts of PRED")
-    sub.add_argument("--xml", action="append", metavar="NAME=PATH",
-                     help="register an XML document under NAME")
-    sub.add_argument("--max-iterations", default=_LIMITS.max_iterations,
-                     type=lambda raw: _non_negative_int("--max-iterations", raw))
-    sub.add_argument("--max-facts",
-                     type=lambda raw: _non_negative_int("--max-facts", raw))
-    sub.add_argument("--auto-pt", action="store_true",
-                     help="add proof-tree arguments to every defined predicate")
 
 
 # ---------------------------------------------------------------- commands
@@ -223,7 +207,7 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _resolve_helpers(spec: Optional[str], programs: list[Program]) -> frozenset:
+def _resolve_helpers(spec: str | None, programs: list[Program]) -> frozenset:
     if not spec:
         return frozenset()
     keys = set()
@@ -308,7 +292,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_swrl(args) -> int:
-    text = _read(args.file)
+    text = read_text(args.file)
     if args.file.endswith(".xml") or text.lstrip().startswith("<"):
         rules = parse_ruleml_xml(text, args.file).rules
     else:
@@ -387,90 +371,99 @@ def cmd_prove(args) -> int:
 # ---------------------------------------------------------------- driver
 
 
-COMMANDS = ("parse", "graph", "diff", "eval", "swrl", "query", "prove")
+_EVAL_FLAGS = (
+    ("--csv", dict(action="append", metavar="PRED=PATH",
+                   help="load CSV rows as facts of PRED")),
+    ("--xml", dict(action="append", metavar="NAME=PATH",
+                   help="register an XML document under NAME")),
+    ("--max-iterations", dict(
+        default=_LIMITS.max_iterations,
+        type=lambda raw: _non_negative_int("--max-iterations", raw))),
+    ("--max-facts", dict(type=lambda raw: _non_negative_int("--max-facts", raw))),
+    ("--auto-pt", dict(action="store_true",
+                       help="add proof-tree arguments to every defined predicate")),
+)
+_KINDS = ("pdg", "rpg", "schema")
+
+# Each command's help line, function and arguments, in the order its help
+# lists them.  An argument is a --flag, or else a positional's dest, with
+# the keywords of argparse's add_argument; build_parser and _read_args
+# both read them from here.
+COMMAND_TABLE = {
+    "parse": ("parse a program and report safety", cmd_parse, (("file", {}),)),
+    "graph": ("emit a dependency graph", cmd_graph, (
+        ("file", {}),
+        ("--kind", dict(choices=_KINDS, default="pdg")),
+        ("--format", dict(choices=("text", "json", "dot"), default="text")),
+        ("--no-attrs", dict(action="store_true",
+                            help="schema graphs: skip @attribute leaves")),
+        ("--meta-list", dict(metavar="NAME/ARITY,...",
+                             help="extra meta-predicates that get call nodes")),
+    )),
+    "diff": ("compare two graphs", cmd_diff, (
+        ("left", {}),
+        ("right", {}),
+        ("--kind", dict(choices=_KINDS, default="pdg")),
+        ("--format", dict(choices=("text", "json"), default="text")),
+        ("--helpers", dict(metavar="NAME[,NAME...]",
+                           help="predicates factored out of the comparison")),
+        ("--root", dict(metavar="PRED", help="start predicate for helper-equivalence "
+                        "(default: first rule head of LEFT)")),
+        ("--no-attrs", dict(action="store_true")),
+        ("--meta-list", dict(metavar="NAME/ARITY,...")),
+    )),
+    "eval": ("bottom-up evaluation to a fact dump", cmd_eval, (
+        ("file", {}),
+        ("--format", dict(choices=("text", "json"), default="text")),
+        *_EVAL_FLAGS,
+    )),
+    "swrl": ("translate a SWRL rule base", cmd_swrl, (
+        ("file", {}),
+        ("--emit", dict(choices=("datalog", "report"), default="datalog")),
+    )),
+    "query": ("aggregate a hybrid goal", cmd_query, (
+        ("file", dict(nargs="?", default=None)),
+        ("--goal", dict(required=True)),
+        ("--template", dict(required=True)),
+        ("--base-dir", dict(default=".", help="directory for doc('...') lookups")),
+        ("--format", dict(choices=("text", "json"), default="text")),
+        *_EVAL_FLAGS,
+    )),
+    "prove": ("render the proof tree of a derived atom", cmd_prove, (
+        ("file", {}),
+        ("--atom", dict(required=True)),
+        ("--format", dict(choices=("term", "ascii", "dot"), default="term")),
+        *_EVAL_FLAGS,
+    )),
+}
+COMMANDS = tuple(COMMAND_TABLE)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of the command line; for a command in COMMANDS, it
-    holds that command's subparser alone.  Its usage line names every
+def build_parser(command: str | None = None):
+    """The argparse parser of the command line; for a command in COMMANDS,
+    it holds that command's subparser alone.  Its usage line names every
     command either way, as an `unrecognized arguments` error prints it;
     errors that name the command argument itself (an unknown command or
     none) come only from the parser that holds all of them."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="ddlite",
         description="Deductive-database toolkit: rule programs, dependency "
         "graphs, bottom-up evaluation with proof trees, SWRL import, and "
         "hybrid XML/CSV queries.",
     )
-    if command in COMMANDS:
+    if command in COMMAND_TABLE:
         built, metavar = (command,), "{" + ",".join(COMMANDS) + "}"
     else:
         built, metavar = COMMANDS, None
     subs = top.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    if "parse" in built:
-        sp = subs.add_parser("parse", help="parse a program and report safety")
-        sp.add_argument("file")
-        sp.set_defaults(func=cmd_parse)
-
-    if "graph" in built:
-        sp = subs.add_parser("graph", help="emit a dependency graph")
-        sp.add_argument("file")
-        sp.add_argument("--kind", choices=("pdg", "rpg", "schema"), default="pdg")
-        sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
-        sp.add_argument("--no-attrs", action="store_true",
-                        help="schema graphs: skip @attribute leaves")
-        sp.add_argument("--meta-list", metavar="NAME/ARITY,...",
-                        help="extra meta-predicates that get call nodes")
-        sp.set_defaults(func=cmd_graph)
-
-    if "diff" in built:
-        sp = subs.add_parser("diff", help="compare two graphs")
-        sp.add_argument("left")
-        sp.add_argument("right")
-        sp.add_argument("--kind", choices=("pdg", "rpg", "schema"), default="pdg")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--helpers", metavar="NAME[,NAME...]",
-                        help="predicates factored out of the comparison")
-        sp.add_argument("--root", metavar="PRED",
-                        help="start predicate for helper-equivalence "
-                        "(default: first rule head of LEFT)")
-        sp.add_argument("--no-attrs", action="store_true")
-        sp.add_argument("--meta-list", metavar="NAME/ARITY,...")
-        sp.set_defaults(func=cmd_diff)
-
-    if "eval" in built:
-        sp = subs.add_parser("eval", help="bottom-up evaluation to a fact dump")
-        sp.add_argument("file")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        _add_eval_flags(sp)
-        sp.set_defaults(func=cmd_eval)
-
-    if "swrl" in built:
-        sp = subs.add_parser("swrl", help="translate a SWRL rule base")
-        sp.add_argument("file")
-        sp.add_argument("--emit", choices=("datalog", "report"), default="datalog")
-        sp.set_defaults(func=cmd_swrl)
-
-    if "query" in built:
-        sp = subs.add_parser("query", help="aggregate a hybrid goal")
-        sp.add_argument("file", nargs="?", default=None)
-        sp.add_argument("--goal", required=True)
-        sp.add_argument("--template", required=True)
-        sp.add_argument("--base-dir", default=".",
-                        help="directory for doc('...') lookups")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        _add_eval_flags(sp)
-        sp.set_defaults(func=cmd_query)
-
-    if "prove" in built:
-        sp = subs.add_parser("prove", help="render the proof tree of a derived atom")
-        sp.add_argument("file")
-        sp.add_argument("--atom", required=True)
-        sp.add_argument("--format", choices=("term", "ascii", "dot"), default="term")
-        _add_eval_flags(sp)
-        sp.set_defaults(func=cmd_prove)
-
+    for name in built:
+        help_line, func, arguments = COMMAND_TABLE[name]
+        sp = subs.add_parser(name, help=help_line)
+        for arg, keywords in arguments:
+            sp.add_argument(arg, **keywords)
+        sp.set_defaults(func=func)
     return top
 
 
@@ -485,11 +478,73 @@ def _non_negative_int(name: str, raw: str) -> int:
     return value
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser(argv[0]).parse_args(argv) gives, read
+    without argparse when argv has the one form read here: the command
+    first, then flags spelled out in full, each value a word of its own
+    that does not start with '-', every choice met, every required flag
+    and positional given.  Type functions run in argv order, as argparse
+    runs them.  None for any other argv (help, an abbreviation,
+    --flag=value, --, an unknown flag, a usage error), which argparse
+    then reads."""
+    spec = COMMAND_TABLE.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    _, func, arguments = spec
+    values: dict = {"command": argv[0]}
+    flags, positionals = {}, []
+    for arg, keywords in arguments:
+        if arg.startswith("--"):
+            dest = arg[2:].replace("-", "_")
+            flags[arg] = dest, keywords
+            store_true = keywords.get("action") == "store_true"
+            values[dest] = False if store_true else keywords.get("default")
+        else:
+            positionals.append((arg, keywords))
+            values[arg] = keywords.get("default")
+    words, seen = [], set()
+    i = 1
+    while i < len(argv):
+        word = argv[i]
+        i += 1
+        if not word.startswith("-"):
+            words.append(word)
+            continue
+        if word not in flags:
+            return None
+        seen.add(word)
+        dest, keywords = flags[word]
+        action = keywords.get("action")
+        if action == "store_true":
+            values[dest] = True
+            continue
+        if i == len(argv) or argv[i].startswith("-"):
+            return None
+        value = argv[i]
+        i += 1
+        if "type" in keywords:
+            value = keywords["type"](value)
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[dest] = [*(values[dest] or ()), value] if action == "append" else value
+    # a positional with nargs="?" comes last, so words fill them in order
+    if len(words) > len(positionals) or any(
+        keywords.get("nargs") != "?" for _, keywords in positionals[len(words):]
+    ):
+        return None
+    if any(keywords.get("required") and arg not in seen for arg, keywords in arguments):
+        return None
+    values.update(zip((arg for arg, _ in positionals), words))
+    values["func"] = func
+    return SimpleNamespace(**values)
+
+
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser = build_parser(argv[0] if argv else None)
-        args = parser.parse_args(argv)
+        args = _read_args(argv)
+        if args is None:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except DdliteError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -504,16 +559,28 @@ def run() -> None:
 
     The cyclic collector is off while main runs (gc.disable): a command
     builds a heap that grows with its input and holds no cycle worth
-    finding, so each collection would walk it for nothing.  The heap is
-    frozen before exit (gc.freeze), so the collections that interpreter
-    finalization runs, collector off or not, skip every object still
-    alive: the process is about to drop them all.  Output is flushed,
-    and module dicts cleared, as without it.  main(argv) leaves the
-    collector as it is, for a caller that goes on running."""
+    finding, so each collection would walk it for nothing.  Then run()
+    flushes stdout and stderr itself, reporting a failed flush as main
+    reports an OSError (`error: ...`, exit 2), and ends the process with
+    os._exit: neither module teardown nor the collections of interpreter
+    finalization run, and atexit handlers are skipped (ddlite registers
+    none).  main(argv) leaves the collector as it is and returns, for a
+    caller that goes on running."""
     gc.disable()
-    status = main()
-    gc.freeze()
-    sys.exit(status)
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse's help and usage errors
+        status = exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        status = 2
+    try:
+        sys.stderr.flush()
+    except OSError:
+        status = 2
+    os._exit(status)
 
 
 if __name__ == "__main__":

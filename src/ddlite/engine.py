@@ -38,7 +38,6 @@ finds one in a fact, and render_proof_tree reads it as it is.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CycleError,
@@ -76,6 +75,10 @@ from .kernel import (
     term_text,
     term_vars,
 )
+
+TYPE_CHECKING = False  # typing is imported by type checkers alone
+if TYPE_CHECKING:
+    from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 # ===========================================================================
 # Builtin registry
@@ -1045,13 +1048,12 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
         rules = by_stratum.get(stratum, [])
         if not rules:
             continue
-        # (rule, body position, predicate read there): the runs a delta
-        # pass may make, in rule order and then body order
-        entries = [
-            (k, j, rule.body[j].atom.key)
-            for k, rule in enumerate(rules)
-            for j in _positive_positions(rule)
-        ]
+        # predicate -> the (rule, body position) runs that read it: the
+        # runs a delta pass may make, each in rule order, then body order
+        readers: dict[PredKey, list[tuple[int, int]]] = {}
+        for k, rule in enumerate(rules):
+            for j in _positive_positions(rule):
+                readers.setdefault(rule.body[j].atom.key, []).append((k, j))
         # each rule compiled once per delta position it runs with
         plans: dict[tuple[int, Optional[int]], _Plan] = {}
         # the first pass is plain T_P over everything derived so far; after
@@ -1091,8 +1093,9 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
                     stratum=stratum,
                     delta_sample=sample,
                 )
+            # only the runs that read a predicate which gained facts
             gained = {head.key for head in new}
-            runs = [(k, j) for k, j, key in entries if key in gained]
+            runs = sorted(run for key in gained for run in readers.get(key, ()))
     return store.freeze()
 
 

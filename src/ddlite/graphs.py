@@ -17,8 +17,8 @@ Contracting the rule and call nodes of an RPG yields exactly the PDG.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BuiltinLiteralError,
@@ -42,6 +42,10 @@ from .kernel import (
     term_vars,
 )
 from .xmlterm import XmlTerm
+
+TYPE_CHECKING = False  # typing is imported by type checkers alone
+if TYPE_CHECKING:
+    from typing import Optional, Sequence
 
 PDG = "pdg"
 RPG = "rpg"
@@ -138,17 +142,17 @@ class TagNode(Record):
 Node = object  # PredNode | RuleNode | MetaCallNode | TagNode
 
 
-class Edge(NamedTuple):
-    src: Node
-    dst: Node
-    mark: str = PLAIN
+class Edge(namedtuple("Edge", ("src", "dst", "mark"), defaults=(PLAIN,))):
+    """An edge from node src to node dst; mark is PLAIN or NOT."""
+
+    __slots__ = ()
 
 
-class Adjacency(NamedTuple):
-    """The edges leaving (out) and entering (into) each node, in edge order."""
+class Adjacency(namedtuple("Adjacency", ("out", "into"))):
+    """The edges leaving (out) and entering (into) each node, in edge
+    order: dicts from a node to its list of edges."""
 
-    out: dict[Node, list[Edge]]
-    into: dict[Node, list[Edge]]
+    __slots__ = ()
 
 
 class DepGraph(Record):

@@ -11,8 +11,8 @@ template like [DNO, sum(HOURS)] and folds the tagged columns.
 from __future__ import annotations
 
 import csv
+import io
 import os
-from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     NonNumericAggregate,
@@ -42,12 +42,17 @@ from .kernel import (
     is_ground,
     list_elements,
     parse_number,
+    read_text,
     sort_key,
     term_text,
     term_vars,
 )
 from .syntax import TermParser
 from .xmlterm import XmlTerm, parse_xml
+
+TYPE_CHECKING = False  # typing is imported by type checkers alone
+if TYPE_CHECKING:
+    from typing import Callable, Optional, Sequence, Union
 
 # ===========================================================================
 # Documents as terms
@@ -77,9 +82,7 @@ class XmlNode(Term):
 
 
 def load_xml(path: str) -> XmlTerm:
-    # utf-8-sig: a byte-order mark is no part of the document
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_xml(handle.read(), filename=path)
+    return parse_xml(read_text(path), filename=path)
 
 
 # ===========================================================================
@@ -99,7 +102,8 @@ class AttrAccess(Record):
     __slots__ = _fields = ("name",)
 
 
-Step = Union[Child, Filter, AttrAccess]
+if TYPE_CHECKING:
+    Step = Union[Child, Filter, AttrAccess]
 
 
 class PathExpr(Record):
@@ -235,7 +239,8 @@ def path_eval(
 # Goal and template parsing
 # ===========================================================================
 
-GoalItem = Union[Literal, PathBinding]
+if TYPE_CHECKING:
+    GoalItem = Union[Literal, PathBinding]
 
 AGG_FNS = ("sum", "count", "min", "max", "avg")
 
@@ -641,36 +646,36 @@ def load_facts_csv(
     # cell text -> its term where no column is declared numeric: null, a
     # number, or a constant; each distinct text is classified once
     terms: dict[str, Term] = {}
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        for row_i, row in enumerate(reader):
-            if header and row_i == 0:
-                continue
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise RaggedRowError(
-                    f"{path}: line {reader.line_num}: expected {width} "
-                    f"columns, got {len(row)}"
-                )
-            args: list[Term] = []
-            for col_i, cell in enumerate(row):
-                term = terms.get(cell)
-                if term is None:
-                    term = terms[cell] = _cell_term(cell, null)
-                if numeric_cols is not None and term is not null:
-                    if col_i in numeric_cols:
-                        if term.__class__ is not Num:
-                            raise NumericParseError(
-                                f"{path}: line {reader.line_num}, column "
-                                f"{col_i + 1}: {cell!r} is not numeric"
-                            )
-                    elif term.__class__ is Num:
-                        term = Const(cell)
-                args.append(term)
-            facts.append(Atom(pred, tuple(args)))
+    # newline="": the csv module splits rows at line ends itself
+    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    for row_i, row in enumerate(reader):
+        if header and row_i == 0:
+            continue
+        if not row:
+            continue
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise RaggedRowError(
+                f"{path}: line {reader.line_num}: expected {width} "
+                f"columns, got {len(row)}"
+            )
+        args: list[Term] = []
+        for col_i, cell in enumerate(row):
+            term = terms.get(cell)
+            if term is None:
+                term = terms[cell] = _cell_term(cell, null)
+            if numeric_cols is not None and term is not null:
+                if col_i in numeric_cols:
+                    if term.__class__ is not Num:
+                        raise NumericParseError(
+                            f"{path}: line {reader.line_num}, column "
+                            f"{col_i + 1}: {cell!r} is not numeric"
+                        )
+                elif term.__class__ is Num:
+                    term = Const(cell)
+            args.append(term)
+        facts.append(Atom(pred, tuple(args)))
     return facts
 
 

@@ -17,8 +17,12 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import namedtuple
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Union
+
+TYPE_CHECKING = False  # typing is imported by type checkers alone
+if TYPE_CHECKING:
+    from typing import Iterable, Optional, Union
 
 # ===========================================================================
 # Value classes
@@ -90,8 +94,27 @@ class Record:
 
 
 # ===========================================================================
-# Source positions
+# Source files and positions
 # ===========================================================================
+
+
+def read_text(path: str, newline: str | None = None) -> str:
+    """The text of the UTF-8 file at path, less one leading byte-order
+    mark, which is no part of the text.  Line ends read as open() with
+    this newline reads them: None turns CR LF and a lone CR into LF, ""
+    keeps them.  An undecodable byte is an OSError that names the path
+    and the byte's offset, as an unreadable file is one."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as err:
+        raise OSError(f"{path}: {err}") from None
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    if newline is None:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 class SourceSpan(Record):
@@ -357,12 +380,11 @@ def list_elements(t: Term) -> Optional[tuple[list[Term], Term]]:
 # ===========================================================================
 
 
-class PredKey(NamedTuple):
-    """Identity of a predicate: optional module prefix, name, arity."""
+class PredKey(namedtuple("PredKey", ("module", "name", "arity"))):
+    """Identity of a predicate: optional module prefix (a str or None),
+    name, arity."""
 
-    module: Optional[str]
-    name: str
-    arity: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.module:

@@ -30,11 +30,13 @@ Ramakrishnan, JLP 1991), and evaluate_goal runs it through evaluate:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
-
 from .engine import EvalOptions, FactStore, evaluate
 from .errors import DdliteError
 from .kernel import Atom, Literal, PredKey, Program, Rule, Var, is_ground, term_vars
+
+TYPE_CHECKING = False  # typing is imported by type checkers alone
+if TYPE_CHECKING:
+    from typing import Iterable, Iterator, Optional
 
 
 def evaluate_goal(

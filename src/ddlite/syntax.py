@@ -12,7 +12,6 @@ parse/print round-trip: parse_program(print_program(p)) == p.
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional, TypeVar, Union
 
 from .errors import (
     EmptyConsequent,
@@ -41,6 +40,10 @@ from .kernel import (
     term_text,
 )
 from .xmlterm import Text, XmlTerm, parse_xml
+
+TYPE_CHECKING = False  # typing is imported by type checkers alone
+if TYPE_CHECKING:
+    from typing import Callable, Optional, TypeVar, Union
 
 # ===========================================================================
 # Lexers for rule text (shared with the goal language in hybrid) and SWRL
@@ -290,7 +293,8 @@ def tokenize(text: str, filename: str = "<string>") -> list[Token]:
     return tokens
 
 
-_T = TypeVar("_T")
+if TYPE_CHECKING:
+    _T = TypeVar("_T")
 
 
 class TermParser(TokenCursor):

@@ -10,10 +10,13 @@ DTD handling.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .errors import XmlParseError
 from .kernel import SourceSpan
+
+TYPE_CHECKING = False  # typing is imported by type checkers alone
+if TYPE_CHECKING:
+    from typing import Optional
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 

@@ -302,6 +302,10 @@ def cases() -> list[list[str]]:
     out.append(["eval", f"{INPUTS}/bom.dl"])
     out.append(["query", "--csv", f"employee={INPUTS}/bom.csv", "--goal",
                 "employee('Borg', S, B, X, Sal, Sup, D)", "--template", "[D]"])
+    # bytes that are no UTF-8: an I/O error naming the file and the offset;
+    # parse reads undecodable.dl and graph --kind schema undecodable.xml above
+    out.append(["query", "--csv", f"r={INPUTS}/undecodable.csv", "--goal", "r(X, Y)",
+                "--template", "[X]"])
     # a CSV row short of the first row's columns
     out.append(["query", "--csv", f"r={INPUTS}/ragged.csv", "--goal", "r(X, Y)",
                 "--template", "[X]"])
