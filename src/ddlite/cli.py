@@ -560,7 +560,8 @@ def run() -> None:
     The cyclic collector is off while main runs (gc.disable): a command
     builds a heap that grows with its input and holds no cycle worth
     finding, so each collection would walk it for nothing.  Then run()
-    flushes stdout and stderr itself, reporting a failed flush as main
+    flushes stdout and stderr itself (each that Python opened at all),
+    reporting a failed flush as main
     reports an OSError (`error: ...`, exit 2), and ends the process with
     os._exit: neither module teardown nor the collections of interpreter
     finalization run, and atexit handlers are skipped (ddlite registers
@@ -571,15 +572,18 @@ def run() -> None:
         status = main()
     except SystemExit as exc:  # argparse's help and usage errors
         status = exc.code
-    try:
-        sys.stdout.flush()
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        status = 2
-    try:
-        sys.stderr.flush()
-    except OSError:
-        status = 2
+    if sys.stdout is not None:  # None where the fd was closed at start-up
+        try:
+            sys.stdout.flush()
+        except OSError as err:
+            if sys.stderr is not None:
+                print(f"error: {err}", file=sys.stderr)
+            status = 2
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            status = 2
     os._exit(status)
 
 

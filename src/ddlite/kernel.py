@@ -104,17 +104,12 @@ def read_text(path: str, newline: str | None = None) -> str:
     this newline reads them: None turns CR LF and a lone CR into LF, ""
     keeps them.  An undecodable byte is an OSError that names the path
     and the byte's offset, as an unreadable file is one."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as err:
-        raise OSError(f"{path}: {err}") from None
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    if newline is None:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            text = handle.read()  # decoded at once: offsets are the file's
+        except UnicodeDecodeError as err:
+            raise OSError(f"{path}: {err}") from None
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 class SourceSpan(Record):

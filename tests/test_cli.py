@@ -960,6 +960,27 @@ def test_the_process_entry_reports_a_closed_stdout():
     assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
 
 
+@pytest.mark.parametrize(
+    "fd, argv, code",
+    [
+        (2, ["eval", fx("route.dl")], 0),
+        (2, ["eval", "nosuch.dl"], 2),
+        (1, ["eval", "--help"], 0),
+        (1, ["eval", "nosuch.dl"], 2),
+        (1, ["eval", fx("route.dl"), "--bogus"], 2),
+    ],
+    ids=["stderr-eval", "stderr-error", "stdout-help", "stdout-error", "stdout-usage"],
+)
+def test_the_process_entry_keeps_its_status_with_a_stream_closed(fd, argv, code):
+    # a stream whose fd is closed at start-up is None in sys; run() flushes
+    # only the streams it has and exits with main's status
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddlite.cli", *argv], capture_output=True, text=True,
+        preexec_fn=lambda: os.close(fd), env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    assert (proc.returncode, "Traceback" in proc.stderr) == (code, False)
+
+
 def _outcome(read, argv):
     """vars() of the namespace read(argv) gives, None, or what it raised:
     (exception type, message), or ("exit", code) for argparse's exits."""
@@ -1044,39 +1065,46 @@ def test_the_reader_agrees_with_argparse_or_declines(argv):
 
 
 @pytest.mark.parametrize(
-    "argv, loaded",
+    "argv, code, loaded",
     [
-        ([], "[]"),
-        (["eval", fx("route.dl")], "[]"),
-        (["prove", fx("route.dl"), "--atom", "route('KT', 'Mue', L, T)"], "['ddlite.magic']"),
+        ([], 0, "[]"),
+        (["eval", fx("route.dl")], 0, "[]"),
+        (["prove", fx("route.dl"), "--atom", "route('KT', 'Mue', L, T)"], 0, "['ddlite.magic']"),
         (["query", fx("route.dl"), "--goal", "route(A, B, L, T)", "--template", "[L]"],
-         "['csv', 'ddlite.hybrid']"),
-        (["eval", "--help"], "['argparse']"),
-        (["eval", fx("route.dl"), "--bogus"], "['argparse']"),
+         0, "['csv', 'ddlite.hybrid']"),
+        (["eval", "--help"], 0, "['argparse']"),
+        (["eval", fx("route.dl"), "--bogus"], 2, "['argparse']"),
     ],
     ids=["import", "eval", "prove", "query", "help", "usage-error"],
 )
-def test_a_command_loads_only_what_it_runs(argv, loaded):
+def test_a_command_loads_only_what_it_runs(argv, code, loaded):
     # json is loaded by --format json, the hybrid layer and csv by --csv,
     # --xml, query and schema graphs, the magic-set rewrite by prove alone,
     # argparse (with gettext and locale) by help and usage errors alone,
-    # and typing by nothing; site-packages (-S) loads none of them
+    # and typing by nothing; site-packages (-S) loads none of them.  The
+    # child exits with main's status, and its stderr is the loaded line
+    # alone, but for a usage error's message before it
     script = (
         "import sys\n"
         "from ddlite.cli import main\n"
+        "status = 0\n"
         "if sys.argv[1:]:\n"
         "    try:\n"
-        "        main(sys.argv[1:])\n"
-        "    except SystemExit:\n"
-        "        pass\n"
+        "        status = main(sys.argv[1:])\n"
+        "    except SystemExit as exc:  # argparse's help and usage errors\n"
+        "        status = exc.code\n"
         "names = {'json', 'csv', 'ddlite.hybrid', 'ddlite.magic', 'argparse', 'gettext',\n"
         "         'locale', 'typing'}\n"
         "if 'argparse' in sys.modules:  # what it loads itself varies by version\n"
         "    names -= {'gettext', 'locale'}\n"
         "print(sorted(names & set(sys.modules)), file=sys.stderr)\n"
+        "sys.exit(status)\n"
     )
-    code, _, err = _child("-S", "-c", script, *argv)
-    assert (code, err.splitlines()[-1]) == (0, loaded)
+    got_code, _, err = _child("-S", "-c", script, *argv)
+    if code == 2:
+        assert err.startswith("usage: ")
+        err = err.splitlines(keepends=True)[-1]
+    assert (got_code, err) == (code, loaded + "\n")
 
 
 def _sized_inputs(directory: Path, n: int) -> list[list[str]]:
