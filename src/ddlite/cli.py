@@ -155,9 +155,16 @@ def _eval_options(args) -> EvalOptions:
 # ---------------------------------------------------------------- commands
 
 
+def _write(text: str) -> None:
+    """Write text to stdout; nothing, as print does, where Python opened
+    no stdout (its fd was closed at start-up), and main's status stands."""
+    if sys.stdout is not None:
+        sys.stdout.write(text)
+
+
 def cmd_parse(args) -> int:
     p = _parse_checked(args.file)
-    sys.stdout.write(print_program(p))
+    _write(print_program(p))
     violations = check_safety(p)
     if violations:
         for v in violations:
@@ -197,13 +204,13 @@ def _graph_text(g: DepGraph) -> str:
 def cmd_graph(args) -> int:
     g = _build_graph(args, args.file)
     if args.format == "dot":
-        sys.stdout.write(to_dot(g))
+        _write(to_dot(g))
     elif args.format == "json":
         import json
 
         print(json.dumps(graph_to_json(g), indent=2))
     else:
-        sys.stdout.write(_graph_text(g))
+        _write(_graph_text(g))
     return 0
 
 
@@ -287,7 +294,7 @@ def cmd_eval(args) -> int:
 
         print(json.dumps(facts_to_json(store), indent=2))
     else:
-        sys.stdout.write(dump_facts(store))
+        _write(dump_facts(store))
     return 0
 
 
@@ -300,7 +307,7 @@ def cmd_swrl(args) -> int:
     split = [r for rule in rules for r in lloyd_topor(rule)]
     program = swrl_to_datalog(split)
     if args.emit == "datalog":
-        sys.stdout.write(print_program(program))
+        _write(print_program(program))
         return 0
     check_calls(program)
     violations = check_safety(program)
@@ -362,9 +369,9 @@ def cmd_prove(args) -> int:
     tree = tree_of(found)
     if tree is None:
         tree = proof_tree(found, deriving_rule(p, store, found) or "fact")
-    sys.stdout.write(render_proof_tree(tree, args.format))
+    _write(render_proof_tree(tree, args.format))
     if args.format == "term":
-        sys.stdout.write("\n")
+        _write("\n")
     return 0
 
 

@@ -1,9 +1,10 @@
 """Bottom-up evaluation with embedded builtin calls.
 
 The pipeline is: check_calls -> check_safety -> stratify -> per-stratum
-semi-naive fixpoint.  FactStore is the one fact index, keyed by each
-argument itself: a probe reads the smallest bucket of the positions
-ground where its literal runs, and as no fact is added during a pass,
+semi-naive fixpoint, a stratum's facts stored before its first pass.
+FactStore is the one fact index, keyed by each argument itself: a probe
+reads the smallest bucket of the positions ground where its literal
+runs, and as no fact is added during a pass,
 the delta a pass reads, the facts the previous pass added, is the tail
 of every probe.  Rules run as compiled plans (_Plan): each body is
 compiled once for the variables bound on entry (none in evaluate and in
@@ -295,7 +296,10 @@ def check_calls(p: Optional[Program], goal: Optional[Sequence] = None) -> None:
     such as `X = a`, and no fact or rule head of p defines.  Every command
     runs this before it prints anything, so all report the same error."""
     defined = p.idb() if p is not None else frozenset()
-    bodies = [(goal, None)] if goal is not None else [(r.body, r) for r in p.rules]
+    if goal is not None:
+        bodies = [(goal, None)]
+    else:
+        bodies = [(r.body, r) for r in p.rules if r.body]
     for body, rule in bodies:
         for item in body:
             if not isinstance(item, Literal):
@@ -352,11 +356,20 @@ def _bound_vars(rule: Rule) -> set[str]:
     return bound
 
 
+def _is_fact(rule: Rule) -> bool:
+    """A bodyless rule with a ground head, such as a `.dl` fact or a --csv
+    row: evaluate stores its head before its stratum's first pass, no
+    check can fault it, and it depends on nothing."""
+    return not rule.body and rule.head.ground
+
+
 def check_safety(p: Program) -> list[Violation]:
     """Range-restriction check; an empty list means the program is safe.
     A call naming no builtin raises UnknownBuiltin (check_calls first)."""
     violations: list[Violation] = []
     for rule in p.rules:
+        if _is_fact(rule):
+            continue
         bound = _bound_vars(rule)
         for v in sorted(term_vars(rule.head) - bound):
             violations.append(
@@ -451,12 +464,22 @@ def stratify(p: Program) -> Strata:
     """Least stratification from the predicate dependency graph.
 
     Raises CycleError (with the offending predicate sequence) when a
-    negated dependency lies on a cycle.
+    negated dependency lies on a cycle.  Facts (_is_fact) depend on
+    nothing, so the walk leaves them out; a predicate they alone define
+    is in stratum 0.
     """
-    g = build_pdg(p)
+    rules: list[Rule] = []
+    fact_keys: list[PredKey] = []
+    for rule in p.rules:
+        if _is_fact(rule):
+            fact_keys.append(rule.head.key)
+        else:
+            rules.append(rule)
+    walked = Program(tuple(rules))
+    g = build_pdg(walked)
     out = g.adjacency.out
     nodes = sorted(
-        set(g.nodes) | {PredNode(k) for k in p.pred_keys()},
+        set(g.nodes) | {PredNode(k) for k in walked.pred_keys()},
         key=lambda n: (n.key.module or "", n.key.name, n.key.arity),
     )
 
@@ -485,6 +508,8 @@ def stratify(p: Program) -> Strata:
         stratum_of_comp[i] = level
         for n in comp:
             assignment[n.key] = level
+    for key in fact_keys:
+        assignment.setdefault(key, 0)
     return Strata(assignment)
 
 
@@ -1023,15 +1048,24 @@ def check_program(p: Program) -> Strata:
 def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
     """Stratified semi-naive fixpoint of the program.
 
+    A stratum's facts (_is_fact: a bodyless rule with a ground head, as
+    a --csv row is) are stored before its first pass, in program order,
+    each with its rule name as origin; they run as no rule and compile
+    no plan.  The first pass then runs every other rule of the stratum
+    over all that is stored, and each later pass only the rules that
+    read a predicate which gained facts in the pass before.
+
     Raises UnknownBuiltin, SafetyError and CycleError up front
     (check_program), ResourceLimitExceeded when the iteration or fact
     ceiling is hit mid-run.
     """
     opts = opts or EvalOptions()
     strata = check_program(p)
+    facts: dict[int, list[Rule]] = {}
     by_stratum: dict[int, list[Rule]] = {}
     for rule in p.rules:
-        by_stratum.setdefault(strata.of(rule.head.key), []).append(rule)
+        group = facts if _is_fact(rule) else by_stratum
+        group.setdefault(strata.of(rule.head.key), []).append(rule)
 
     store = FactStore()
 
@@ -1045,6 +1079,10 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
             )
 
     for stratum in range(strata.max_stratum + 1):
+        stored = facts.get(stratum, ())
+        for rule in stored:
+            store.add(rule.head, rule.name)
+        limit_check(stratum, (rule.head for rule in stored))
         rules = by_stratum.get(stratum, [])
         if not rules:
             continue
@@ -1056,7 +1094,7 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
                 readers.setdefault(rule.body[j].atom.key, []).append((k, j))
         # each rule compiled once per delta position it runs with
         plans: dict[tuple[int, Optional[int]], _Plan] = {}
-        # the first pass is plain T_P over everything derived so far; after
+        # the first pass is plain T_P over everything stored so far; after
         # it a rule runs once per positive literal whose predicate gained
         # facts in the previous pass, that literal matching only those
         # facts: the delta, which are the store's newest
@@ -1069,14 +1107,10 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
             delta, new = new, {}
             for k, j in runs:
                 rule = rules[k]
-                if not rule.body and rule.head.ground:
-                    heads: Iterable[Atom] = (rule.head,)  # needs no plan
-                else:
-                    plan = plans.get((k, j))
-                    if plan is None:
-                        plan = plans[k, j] = _rule_plan(rule, store, j)
-                    heads = _rule_heads(rule, store, delta, j, plan)
-                for head in heads:
+                plan = plans.get((k, j))
+                if plan is None:
+                    plan = plans[k, j] = _rule_plan(rule, store, j)
+                for head in _rule_heads(rule, store, delta, j, plan):
                     if head not in new and not store.has(head):
                         new[head] = rule.name
             for head, origin in new.items():
@@ -1109,10 +1143,11 @@ def facts_as_rules(
     k = 0
     for fact in facts:
         k += 1
-        while f"f{k}" in used:
+        name = f"f{k}"
+        while name in used:
             k += 1
-        used.add(f"f{k}")
-        rules.append(Rule(f"f{k}", fact))
+            name = f"f{k}"
+        rules.append(Rule(name, fact))
     return tuple(rules)
 
 

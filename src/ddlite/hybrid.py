@@ -41,7 +41,7 @@ from .kernel import (
     bind_ground,
     is_ground,
     list_elements,
-    parse_number,
+    read_number,
     read_text,
     sort_key,
     term_text,
@@ -682,5 +682,5 @@ def load_facts_csv(
 def _cell_term(cell: str, null: Const) -> Term:
     if cell.lower() == "null":
         return null
-    num = parse_number(cell)
+    num = read_number(cell)
     return Const(cell) if num is None else num

@@ -324,10 +324,7 @@ def mklist(elements: Iterable[Term], tail: Term = NIL) -> Term:
 _NUMBER = None  # compiled lazily to keep import cheap
 
 
-# a query's atom_number calls read the same few texts many times over; a
-# Num is immutable, so one result can serve every caller
-@lru_cache(maxsize=4096)
-def parse_number(text: str) -> Optional[Num]:
+def read_number(text: str) -> Optional[Num]:
     """Strict numeric reading of a text cell; None if it is not a number.
 
     A number is an optional sign, decimal digits with an optional '.' and
@@ -354,6 +351,12 @@ def parse_number(text: str) -> Optional[Num]:
             pass
     value = float(text)
     return Num(value) if math.isfinite(value) else None
+
+
+# read_number, remembered: a query's atom_number calls read the same few
+# texts many times over, and a Num is immutable, so one result can serve
+# every caller.  A CSV file, which meets each text once, reads uncached
+parse_number = lru_cache(maxsize=4096)(read_number)
 
 
 def list_elements(t: Term) -> Optional[tuple[list[Term], Term]]:

@@ -120,23 +120,27 @@ def _escape(s: str, attr: bool = False) -> str:
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.:\-]*"
-_PATTERNS = None  # compiled on first use, so commands that read no XML skip it
+# compiled on first use, so commands that read no XML skip them, and the
+# part patterns only for a start tag the whole-tag pattern does not read
+_PATTERNS = None
+_PART_PATTERNS = None
 
 
 def _patterns() -> tuple[re.Pattern, ...]:
-    """The scanner's anchored patterns.  Each always matches; the groups
-    that took part say how far the markup is well formed, and the match
-    ends where the first missing part should start."""
+    """The scanner's anchored patterns for well-formed markup."""
     global _PATTERNS
     if _PATTERNS is None:
         _PATTERNS = (
-            # `<tag` of a start tag, the '<' known present
-            re.compile(f"<({_NAME})?"),
-            # one attribute, or the tag's end: (1) `>` or `/>`, (2) name,
-            # (3) `=`, (4) or (5) value inside " or ', (6) closing quote
+            # (1) whitespace, then a start tag: (2) name, (3) its
+            # attributes, each after whitespace, with a quoted value holding
+            # no '<' or '&', and (4) `>` or `/>`.  No name can end early, as
+            # a name character follows, so a match reads what the part
+            # patterns would
             re.compile(
-                rf"""\s*(?:(/?>)|({_NAME})\s*(?:(=\s*)(?:"([^"<]*)|'([^'<]*))?(["']?))?)?"""
+                rf"""(\s*)<({_NAME})((?:\s+{_NAME}\s*=\s*(?:"[^"<&]*"|'[^'<&]*'))*)\s*(/?>)"""
             ),
+            # one attribute of group 3 above: (1) name, (2) or (3) value
+            re.compile(rf"""\s+({_NAME})\s*=\s*(?:"([^"]*)"|'([^']*)')"""),
             # (1) character data up to the next '<', then (2) `</` with (3)
             # a name and (4) `>`, or (5) the start, not passed, of a comment,
             # processing instruction or DTD declaration
@@ -147,16 +151,40 @@ def _patterns() -> tuple[re.Pattern, ...]:
     return _PATTERNS
 
 
+def _part_patterns() -> tuple[re.Pattern, ...]:
+    """A start tag's patterns part by part.  Each always matches; the
+    groups that took part say how far the markup is well formed, and the
+    match ends where the first missing part should start."""
+    global _PART_PATTERNS
+    if _PART_PATTERNS is None:
+        _PART_PATTERNS = (
+            # `<tag` of a start tag, the '<' known present
+            re.compile(f"<({_NAME})?"),
+            # one attribute, or the tag's end: (1) `>` or `/>`, (2) name,
+            # (3) `=`, (4) or (5) value inside " or ', (6) closing quote
+            re.compile(
+                rf"""\s*(?:(/?>)|({_NAME})\s*(?:(=\s*)(?:"([^"<]*)|'([^'<]*))?(["']?))?)?"""
+            ),
+        )
+    return _PART_PATTERNS
+
+
 class _XmlScanner:
-    """One anchored match per start tag name, attribute, tag end, and run of
-    character data with the closing tag that follows it.  A failed part is
-    reported where the match stopped."""
+    """One anchored match per start tag with all its attributes (and the
+    whitespace before it, where that is all the text there), and one per
+    run of character data with the closing tag after it.  A start tag
+    that match does not read (a value with an entity or a '<', no space
+    between attributes, a repeated name, or an error) is read again a
+    part at a time: the name, each attribute and the tag's end, each in a
+    match of its own, and a failed part is reported where its match
+    stopped.  So well-formed markup costs at most two matches an element,
+    and every error keeps its message and offset."""
 
     def __init__(self, source: str, filename: str):
         self.src = source
         self.pos = 0
         self.filename = filename
-        self.start, self.attr, self.content_run, self.misc = _patterns()
+        self.tag, self.attrs, self.content_run, self.misc = _patterns()
 
     def fail(self, msg: str, at: int):
         """Raise msg at offset at."""
@@ -219,26 +247,58 @@ class _XmlScanner:
         return root
 
     def element(self) -> XmlTerm:
-        """One element with everything inside it.  Open elements live on an
-        explicit stack, so nesting depth is not bounded by the recursion
-        limit."""
-        root, has_content = self.start_tag()
-        stack = [root] if has_content else []
-        while stack:
-            if self.content(stack[-1]):
-                child, has_content = self.start_tag()
+        """One element with everything inside it, the cursor at its '<'.
+        Open elements live on an explicit stack, so nesting depth is not
+        bounded by the recursion limit."""
+        root = None
+        stack: list[XmlTerm] = []
+        while True:
+            read = self.whole_tag(stack)
+            if read is None:
+                if stack:
+                    if not self.content(stack[-1]):  # it read a closing tag
+                        stack.pop()
+                        if not stack:
+                            return root
+                        continue
+                    read = self.whole_tag(stack)  # at the next start tag
+                if read is None:
+                    read = self.start_tag()
+            child, has_content = read
+            if stack:
                 stack[-1].children.append(child)
-                if has_content:
-                    stack.append(child)
             else:
-                stack.pop()
-        return root
+                root = child
+            if has_content:
+                stack.append(child)
+            elif not stack:  # an empty root
+                return root
+
+    def whole_tag(self, stack: list[XmlTerm]) -> Optional[tuple[XmlTerm, bool]]:
+        """The start tag at the cursor, after any whitespace, read in one
+        match, the whitespace going to the open element stack[-1] as Text;
+        True when content follows.  None, the cursor unmoved, where that
+        match does not read them."""
+        src = self.src
+        m = self.tag.match(src, self.pos)
+        if m is None:
+            return None
+        found = self.attrs.findall(src, m.start(3), m.end(3))
+        attributes = {key: double or single for key, double, single in found}
+        if len(attributes) < len(found):  # a name repeats
+            return None
+        if m[1]:
+            stack[-1].children.append(Text(m[1]))
+        self.pos = m.end()
+        return XmlTerm(m[2], attributes, []), m[4] == ">"
 
     def start_tag(self) -> tuple[XmlTerm, bool]:
-        """`<tag attr="v"...>` or `<tag .../>` at the cursor; True when
-        content follows."""
-        src, match = self.src, self.attr.match
-        m = self.start.match(src, self.pos)
+        """`<tag attr="v"...>` or `<tag .../>` at the cursor, read a part
+        at a time; True when content follows."""
+        src = self.src
+        start, attr = _part_patterns()
+        match = attr.match
+        m = start.match(src, self.pos)
         tag = m[1]
         if tag is None:
             self.fail("expected a name", m.end())

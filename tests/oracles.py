@@ -558,6 +558,170 @@ class _XmlStepper:
 
 
 # ===========================================================================
+# XML scanner, a part of a tag at a time
+# ===========================================================================
+
+_PART_NAME = r"[A-Za-z_][A-Za-z0-9_.:\-]*"
+# `<tag` of a start tag, the '<' known present
+_PART_START = re.compile(f"<({_PART_NAME})?")
+# one attribute, or the tag's end: (1) `>` or `/>`, (2) name, (3) `=`,
+# (4) or (5) value inside " or ', (6) closing quote
+_PART_ATTR = re.compile(
+    rf"""\s*(?:(/?>)|({_PART_NAME})\s*(?:(=\s*)(?:"([^"<]*)|'([^'<]*))?(["']?))?)?"""
+)
+# (1) character data up to the next '<', then (2) `</` with (3) a name and
+# (4) `>`, or (5) the start, not passed, of a comment, processing
+# instruction or DTD declaration
+_PART_CONTENT = re.compile(rf"([^<]*)(?:(</)(?:({_PART_NAME})\s*(>)?)?|(?=(<[!?])))?")
+# whitespace, comments and processing instructions
+_PART_MISC = re.compile(r"\s*(?:(?:<!--.*?-->|<\?.*?\?>)\s*)*", re.DOTALL)
+
+
+def reference_scan_xml(source, filename="<xml>"):
+    """parse_xml as the package read it before a start tag was read in one
+    match: one anchored match per start tag name, attribute and tag end,
+    and one per run of character data with the closing tag after it.  The
+    same trees, and the same XmlParseError message at the same offset."""
+    return _XmlPartScanner(source, filename).document()
+
+
+class _XmlPartScanner:
+    def __init__(self, source, filename):
+        self.src, self.pos, self.filename = source, 0, filename
+
+    def fail(self, msg, at):
+        raise XmlParseError(msg, SourceSpan.at(self.filename, self.src, at))
+
+    def skip_markup(self):
+        src, pos = self.src, self.pos
+        if src.startswith("<!--", pos):
+            end = src.find("-->", pos + 4)
+            if end < 0:
+                self.fail("unterminated comment", pos)
+            self.pos = end + 3
+        elif src.startswith("<?", pos):
+            end = src.find("?>", pos + 2)
+            if end < 0:
+                self.fail("unterminated processing instruction", pos)
+            self.pos = end + 2
+        elif src.startswith("<!", pos):
+            self.fail("DTD declarations are not supported", pos)
+        else:
+            return False
+        return True
+
+    def skip_misc(self):
+        self.pos = _PART_MISC.match(self.src, self.pos).end()
+        self.skip_markup()
+
+    def decode(self, at, end):
+        src = self.src
+        out = []
+        amp = src.find("&", at, end)
+        while amp >= 0:
+            semi = src.find(";", amp + 1)
+            if semi < 0 or semi - amp > 7:
+                self.fail("malformed entity reference", amp + 1)
+            ref = src[amp + 1 : semi]
+            if ref not in _XML_ENTITIES:
+                self.fail(f"unsupported entity &{ref};", amp + 1)
+            out += (src[at:amp], _XML_ENTITIES[ref])
+            at = semi + 1
+            amp = src.find("&", at, end)
+        out.append(src[at:end])
+        return "".join(out)
+
+    def document(self):
+        self.skip_misc()
+        if not self.src.startswith("<", self.pos):
+            self.fail("expected a root element", self.pos)
+        root = self.element()
+        self.skip_misc()
+        if self.pos < len(self.src):
+            self.fail("content after the root element", self.pos)
+        return root
+
+    def element(self):
+        root, has_content = self.start_tag()
+        stack = [root] if has_content else []
+        while stack:
+            if self.content(stack[-1]):
+                child, has_content = self.start_tag()
+                stack[-1].children.append(child)
+                if has_content:
+                    stack.append(child)
+            else:
+                stack.pop()
+        return root
+
+    def start_tag(self):
+        src = self.src
+        m = _PART_START.match(src, self.pos)
+        tag = m[1]
+        if tag is None:
+            self.fail("expected a name", m.end())
+        attributes = {}
+        while True:
+            m = _PART_ATTR.match(src, m.end())
+            end, key, _, double, single, closed = m.groups()
+            if end:
+                self.pos = m.end()
+                return XmlTerm(tag, attributes, []), end == ">"
+            if not closed or key in attributes:
+                self.attribute_error(m, attributes)
+            value = double if double is not None else single
+            if "&" in value:
+                group = 4 if double is not None else 5
+                value = self.decode(m.start(group), m.end(group))
+            attributes[key] = value
+
+    def attribute_error(self, m, attributes):
+        at = m.end()
+        key, eq, double, single = m[2], m[3], m[4], m[5]
+        if key is None:
+            self.fail("expected a name", at)
+        if eq is None:
+            self.fail("expected '='", at)
+        if key in attributes:
+            self.fail(f"duplicate attribute {key!r}", m.end(3))
+        if double is None and single is None:
+            self.fail("expected a quoted attribute value", at)
+        group = 4 if double is not None else 5
+        self.decode(m.start(group), m.end(group))
+        if self.src.startswith("<", at):
+            self.fail("'<' inside attribute value", at)
+        self.fail("unterminated attribute value", at)
+
+    def content(self, node):
+        src = self.src
+        text = []
+        while True:
+            m = _PART_CONTENT.match(src, self.pos)
+            run, closing, name, gt, markup = m.groups()
+            if run:
+                text.append(self.decode(m.start(1), m.end(1)) if "&" in run else run)
+            self.pos = m.end()
+            if markup:
+                self.skip_markup()
+                continue
+            if text:
+                node.children.append(Text("".join(text)))
+            if closing:
+                if name is None:
+                    self.fail("expected a name", self.pos)
+                if name != node.tag:
+                    self.fail(
+                        f"mismatched closing tag </{name}> for <{node.tag}>", m.end(3)
+                    )
+                if gt is None:
+                    self.fail("expected '>'", self.pos)
+                return False
+            if self.pos == len(src):
+                self.fail(f"unterminated element <{node.tag}>", self.pos)
+            return True
+
+
+# ===========================================================================
 # Numeric cells, by trying int() and float()
 # ===========================================================================
 

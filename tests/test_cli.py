@@ -981,6 +981,34 @@ def test_the_process_entry_keeps_its_status_with_a_stream_closed(fd, argv, code)
     assert (proc.returncode, "Traceback" in proc.stderr) == (code, False)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", fx("route.dl")],
+        ["graph", fx("route.dl")],
+        ["graph", fx("route.dl"), "--format", "dot"],
+        ["diff", fx("route.dl"), fx("route_plain.dl")],
+        ["eval", fx("route.dl")],
+        ["swrl", fx("uncle.swrl")],
+        ["query", fx("route.dl"), "--goal", "route(A, B, L, T)", "--template", "[L]"],
+        ["prove", fx("route.dl"), "--atom", "route(A, B, L, T)"],
+    ],
+    ids=["parse", "graph", "graph-dot", "diff", "eval", "swrl", "query", "prove"],
+)
+def test_a_command_with_stdout_closed_keeps_its_status(argv):
+    # with fd 1 closed at start-up, sys.stdout is None: a command writes
+    # nothing, as print then does, and exits as it does with stdout open
+    def child(**closing):
+        return subprocess.run(
+            [sys.executable, "-m", "ddlite.cli", *argv], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=60, **closing,
+        )
+
+    opened, closed = child(), child(preexec_fn=lambda: os.close(1))
+    assert opened.stdout
+    assert (closed.returncode, "Traceback" in closed.stderr) == (opened.returncode, False)
+
+
 def _outcome(read, argv):
     """vars() of the namespace read(argv) gives, None, or what it raised:
     (exception type, message), or ("exit", code) for argparse's exits."""

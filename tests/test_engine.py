@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddlite import engine
 from ddlite.engine import (
     EvalOptions,
     FactStore,
@@ -848,6 +849,36 @@ def test_a_pass_visits_only_the_rules_that_read_what_it_gained():
     first_pass = _best_evaluate_s(_reach_beside_idle_rules(1, idle))
     both = _best_evaluate_s(_reach_beside_idle_rules(passes, idle))
     assert both < 5 * (chain + first_pass), (chain, first_pass, both)
+
+
+def _plans_compiled(monkeypatch, p):
+    """The number of _rule_plan calls evaluate(p) makes."""
+    made = [0]
+    rule_plan = engine._rule_plan
+
+    def counting(*args, **kwargs):
+        made[0] += 1
+        return rule_plan(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_rule_plan", counting)
+        evaluate(p)
+    return made[0]
+
+
+def test_facts_are_stored_before_the_first_pass(monkeypatch):
+    # a fact is in the store when its stratum's first pass runs, so a rule
+    # that reads only facts compiles one plan and derives all it can in
+    # that pass.  Adding facts after the first pass compiles three: the
+    # first pass, then one delta plan for each of the two literals
+    uncle = combined(fixture_text("uncle.dl"), "parent(a, b). brother(b, c).")
+    assert _plans_compiled(monkeypatch, uncle) == 1
+    n = 300
+    base = parse_program("".join(
+        f"g{i}(X) :- f{i}(X), h{i}(X).\nf{i}(a). h{i}(a).\n" for i in range(n)
+    ))
+    assert _plans_compiled(monkeypatch, base) == n
+    assert len(evaluate(base)) == 3 * n
 
 
 def _shuffled(p, rng):

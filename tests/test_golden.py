@@ -242,6 +242,18 @@ def cases() -> list[list[str]]:
         out.append(["prove", plain, "--auto-pt", "--atom", "route(A, B, L, T)",
                     "--format", fmt])
     out.append(["prove", f"{FX}/uncle.dl", "--atom", "uncle(a, Z)"] + uncle_csv)
+    # the f1, f2, ... names of --csv rows, and an atom that a fact and a
+    # rule both give, in the model, the proof trees and the tags
+    out.append(["eval", f"{FX}/uncle.dl", "--auto-pt"] + uncle_csv)
+    out.append(["prove", f"{FX}/uncle.dl", "--atom", "parent(a, b)", "--format", "ascii"]
+               + uncle_csv)
+    both = f"{INPUTS}/fact_and_rule.dl"
+    out.append(["eval", both])
+    out.append(["eval", both, "--auto-pt"])
+    for atom in ("q(a)", "s(a)"):
+        out.append(["prove", both, "--atom", atom, "--format", "ascii"])
+        out.append(["prove", both, "--auto-pt", "--atom", atom[:-1] + ", T)",
+                    "--format", "ascii"])
     for atom in (
         "route(KT, Mue, L, T)",
         "route(KT, Mue, L, T).",

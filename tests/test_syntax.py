@@ -51,6 +51,7 @@ from oracles import (
     reference_parse_program,
     reference_parse_swrl,
     reference_parse_xml,
+    reference_scan_xml,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -722,6 +723,69 @@ def test_parse_xml_agrees_with_the_stepping_scanner(document, edits):
         rest = document[at + (op != "insert") :]
         mutant = document[:at] + ("" if op == "delete" else char) + rest
         assert _xml_outcome(parse_xml, mutant) == _xml_outcome(reference_parse_xml, mutant), mutant
+
+
+# Generated documents for the whole-tag match: attribute names that may
+# repeat, values that may hold '<' or an entity reference, either quote,
+# runs of whitespace or none between attributes and around `=`, text with
+# comments and processing instructions, and self-closing and nested tags.
+_TAG_VALUE = st.lists(
+    st.sampled_from(["v", "<", "w x", ">", "\n", "&amp;", "&quot;", "'", '"']),
+    max_size=3,
+).map("".join)
+_TAG_SPACE = st.sampled_from([" ", "  ", "\n\t", " \r\n ", ""])
+_TAG_EDITS = st.lists(
+    st.tuples(
+        st.integers(min_value=0),
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.sampled_from(list("<>/=\"'&;!?- ax\n")),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def _tagged_element(draw, depth=0):
+    tag = draw(_XML_NAMES)
+    out = [f"<{tag}"]
+    for key, value in draw(st.lists(st.tuples(_XML_NAMES, _TAG_VALUE), max_size=4)):
+        quote = draw(st.sampled_from(["'", '"']))
+        value = value.replace(quote, "&quot;" if quote == '"' else "&apos;")
+        out.append(draw(_TAG_SPACE))
+        out.append(f"{key}{draw(st.sampled_from(['=', ' = ', '=  ']))}{quote}{value}{quote}")
+    out.append(draw(_TAG_SPACE))
+    children = draw(st.integers(min_value=0, max_value=3 if depth < 2 else 0))
+    if not children and draw(st.booleans()):
+        return "".join(out) + "/>"
+    out.append(">")
+    for _ in range(children):
+        out.append(draw(_XML_TEXT))
+        out.append(draw(_tagged_element(depth + 1)))
+    out.append(draw(_XML_TEXT))
+    out.append(f"</{tag}{draw(st.sampled_from(_XML_CLOSE_SPACE))}>")
+    return "".join(out)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(
+    st.tuples(
+        st.sampled_from(["", '<?xml version="1.0"?>\n', "<!-- lead -->\n", " "]),
+        _tagged_element(),
+        st.sampled_from(["", "\n", "\n<!-- tail --><?p?>\n"]),
+    ).map("".join),
+    _TAG_EDITS,
+)
+def test_parse_xml_agrees_with_the_part_scanner(document, edits):
+    # the scanner as it read a start tag before the whole-tag match: the
+    # same tree, or the same error message at the same offset, on the
+    # document and on each one-character edit of it
+    assert _xml_outcome(parse_xml, document) == _xml_outcome(reference_scan_xml, document)
+    for at, op, char in edits:
+        at %= len(document) + 1
+        rest = document[at + (op != "insert") :]
+        mutant = document[:at] + ("" if op == "delete" else char) + rest
+        assert _xml_outcome(parse_xml, mutant) == _xml_outcome(reference_scan_xml, mutant), mutant
 
 
 _NUMBER_PIECES = st.sampled_from(
