@@ -4,12 +4,20 @@ Subcommands: parse | graph | diff | eval | swrl | query | prove.
 Exit codes: 0 success (a nonempty diff is still success), 1 domain errors
 (syntax, safety, stratification, evaluation), 2 I/O and usage errors.
 
-A command loads and builds only what it runs: json is imported by the
---format json branches, the hybrid layer (with csv) by --csv, --xml,
-query and schema graphs, and the magic-set rewrite (ddlite.magic) by
-prove.  Arguments are read from COMMAND_TABLE without argparse when they
-are in the plain form (_read_args); argparse is imported, and a parser
-built by build_parser, only for help, an abbreviated or unknown flag,
+A command loads and builds only what it runs; importing this module
+loads the kernel and the readers (ddlite.syntax) alone.  The engine
+(ddlite.engine, which loads ddlite.graphs) is imported by the commands
+that check or evaluate a program: parse, graph and diff of rule text,
+eval, query, prove and swrl --emit report.  The graphs are imported by
+graph and diff, json by the --format json branches, the hybrid layer
+(with csv and the XML reader) by --csv, --xml, query and schema graphs,
+the XML reader (ddlite.xmlterm) by RuleML input too, and the magic-set
+rewrite (ddlite.magic) by prove.  So swrl, translating SWRL to rule
+text, runs on the kernel and the readers alone.
+
+Arguments are read from COMMAND_TABLE without argparse when they are in
+the plain form (_read_args); argparse is imported, and a parser built by
+build_parser, only for help, an abbreviated or unknown flag,
 --flag=value, -- or a usage error.  That parser holds only the subparser
 of the command named first (all seven for help, no command or an unknown
 one).  main(argv) runs one command and returns its exit code; run() is
@@ -27,36 +35,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .engine import (
-    EvalOptions,
-    auto_pt,
-    check_calls,
-    check_program,
-    check_safety,
-    deriving_rule,
-    dump_facts,
-    evaluate,
-    facts_as_rules,
-    facts_to_json,
-    probe_positions,
-    proof_tree,
-    render_proof_tree,
-    stratify,
-    tree_of,
-)
 from .errors import CycleError, DdliteError
-from .graphs import (
-    DEFAULT_META,
-    DepGraph,
-    build_pdg,
-    build_rpg,
-    diff_to_json,
-    equivalent_modulo_helpers,
-    graph_diff,
-    graph_to_json,
-    schema_graph,
-    to_dot,
-)
 from .kernel import PredKey, Program, match, read_text
 from .syntax import (
     lloyd_topor,
@@ -68,12 +47,18 @@ from .syntax import (
     swrl_to_datalog,
 )
 
+TYPE_CHECKING = False  # each command imports the engine and graphs it runs
+if TYPE_CHECKING:
+    from .engine import EvalOptions
+    from .graphs import DepGraph
+
 _ENV_MAX_FACTS = "DDLITE_MAX_FACTS"
-_LIMITS = EvalOptions()  # the default limits
 
 
 def _parse_checked(path: str) -> Program:
     """The program in the file, its builtin calls checked (check_calls)."""
+    from .engine import check_calls
+
     p = parse_program(read_text(path), path)
     check_calls(p)
     return p
@@ -90,6 +75,7 @@ def _load_program(args) -> Program:
         pred, _, path = spec.partition("=")
         if not path:
             raise DdliteError(f"--csv expects pred=path, got {spec!r}")
+        from .engine import facts_as_rules
         from .hybrid import load_facts_csv
 
         facts = load_facts_csv(path, pred)
@@ -98,6 +84,8 @@ def _load_program(args) -> Program:
         rules.extend(new)
     p = Program(tuple(rules))
     if getattr(args, "auto_pt", False):
+        from .engine import auto_pt
+
         p = auto_pt(p)
     return p
 
@@ -125,6 +113,8 @@ def _pred_key(entry: str) -> PredKey | None:
 def _meta_dict(spec: str | None) -> dict:
     """--meta-list name/arity,...: extra call-node predicates (inner goals
     are read from every argument position)."""
+    from .graphs import DEFAULT_META
+
     meta = dict(DEFAULT_META)
     if not spec:
         return meta
@@ -139,17 +129,24 @@ def _meta_dict(spec: str | None) -> dict:
 
 
 def _eval_options(args) -> EvalOptions:
-    """The limits of eval, query and prove: --max-facts, else the
-    environment's DDLITE_MAX_FACTS, read here and only by these three
-    commands, else the default."""
+    """The limits of eval, query and prove: --max-iterations, else the
+    default; --max-facts, else the environment's DDLITE_MAX_FACTS, read
+    here and only by these three commands, else the default.  The
+    defaults are EvalOptions's own."""
+    from .engine import EvalOptions
+
+    limits = EvalOptions()
     max_facts = args.max_facts
     if max_facts is None:
         raw = os.environ.get(_ENV_MAX_FACTS)
         if raw is None:
-            max_facts = _LIMITS.max_facts
+            max_facts = limits.max_facts
         else:
             max_facts = _non_negative_int(_ENV_MAX_FACTS, raw)
-    return EvalOptions(max_iterations=args.max_iterations, max_facts=max_facts)
+    max_iterations = args.max_iterations
+    if max_iterations is None:
+        max_iterations = limits.max_iterations
+    return EvalOptions(max_iterations=max_iterations, max_facts=max_facts)
 
 
 # ---------------------------------------------------------------- commands
@@ -163,6 +160,8 @@ def _write(text: str) -> None:
 
 
 def cmd_parse(args) -> int:
+    from .engine import check_safety, stratify
+
     p = _parse_checked(args.file)
     _write(print_program(p))
     violations = check_safety(p)
@@ -180,6 +179,8 @@ def cmd_parse(args) -> int:
 
 
 def _build_graph(args, path: str) -> DepGraph:
+    from .graphs import build_pdg, build_rpg, schema_graph
+
     if args.kind == "schema":
         from .hybrid import load_xml
 
@@ -190,6 +191,8 @@ def _build_graph(args, path: str) -> DepGraph:
 
 
 def _graph_text(g: DepGraph) -> str:
+    from .graphs import graph_to_json
+
     data = graph_to_json(g)
     lines = [f"{data['kind']} graph: {len(data['nodes'])} nodes, "
              f"{len(data['edges'])} edges"]
@@ -202,6 +205,8 @@ def _graph_text(g: DepGraph) -> str:
 
 
 def cmd_graph(args) -> int:
+    from .graphs import graph_to_json, to_dot
+
     g = _build_graph(args, args.file)
     if args.format == "dot":
         _write(to_dot(g))
@@ -233,6 +238,14 @@ def _resolve_helpers(spec: str | None, programs: list[Program]) -> frozenset:
 
 
 def cmd_diff(args) -> int:
+    from .graphs import (
+        build_pdg,
+        build_rpg,
+        diff_to_json,
+        equivalent_modulo_helpers,
+        graph_diff,
+    )
+
     if args.kind == "schema":
         g1, g2 = _build_graph(args, args.left), _build_graph(args, args.right)
         helpers = frozenset()
@@ -286,6 +299,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .engine import dump_facts, evaluate, facts_to_json
+
     opts = _eval_options(args)
     p = _load_program(args)
     store = evaluate(p, opts)
@@ -309,6 +324,8 @@ def cmd_swrl(args) -> int:
     if args.emit == "datalog":
         _write(print_program(program))
         return 0
+    from .engine import check_calls, check_safety
+
     check_calls(program)
     violations = check_safety(program)
     if violations:
@@ -327,6 +344,7 @@ def cmd_query(args) -> int:
         render_rows,
         rows_to_json,
     )
+    from .engine import evaluate
 
     opts = _eval_options(args)
     p = _load_program(args)
@@ -345,6 +363,14 @@ def cmd_query(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from .engine import (
+        check_program,
+        deriving_rule,
+        probe_positions,
+        proof_tree,
+        render_proof_tree,
+        tree_of,
+    )
     from .magic import evaluate_goal
 
     opts = _eval_options(args)
@@ -384,7 +410,6 @@ _EVAL_FLAGS = (
     ("--xml", dict(action="append", metavar="NAME=PATH",
                    help="register an XML document under NAME")),
     ("--max-iterations", dict(
-        default=_LIMITS.max_iterations,
         type=lambda raw: _non_negative_int("--max-iterations", raw))),
     ("--max-facts", dict(type=lambda raw: _non_negative_int("--max-facts", raw))),
     ("--auto-pt", dict(action="store_true",

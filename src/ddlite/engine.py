@@ -49,7 +49,7 @@ from .errors import (
     SafetyError,
     UnknownBuiltin,
 )
-from .graphs import NOT, Edge, Node, PredNode, build_pdg
+from .graphs import NOT, build_pdg
 from .kernel import (
     OPERATORS,
     Atom,
@@ -411,37 +411,39 @@ class Strata(Record):
         return self.assignment.get(key, 0)
 
 
-def _sccs(nodes: list[Node], out: dict[Node, list[Edge]]) -> list[list[Node]]:
-    """Tarjan's algorithm, iterative; components are emitted callees-first."""
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    on_stack: set[Node] = set()
-    stack: list[Node] = []
-    result: list[list[Node]] = []
-    counter = [0]
+def _sccs(succ: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, over the nodes 0, 1, ... of succ,
+    which lists each node's (successor, step) pairs; components are
+    emitted callees-first."""
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: list[int] = []
+    result: list[list[int]] = []
+    counter = 0
 
-    for root in nodes:
-        if root in index:
+    for root in range(len(succ)):
+        if index[root] >= 0:
             continue
-        work: list[tuple[Node, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, 0)]
         while work:
             node, child_i = work[-1]
             if child_i == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
+                index[node] = low[node] = counter
+                counter += 1
                 stack.append(node)
-                on_stack.add(node)
+                on_stack[node] = True
             advanced = False
-            successors = out.get(node, ())
+            successors = succ[node]
             for k in range(child_i, len(successors)):
-                succ = successors[k].dst
-                if succ not in index:
+                w = successors[k][0]
+                if index[w] < 0:
                     work[-1] = (node, k + 1)
-                    work.append((succ, 0))
+                    work.append((w, 0))
                     advanced = True
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
+                if on_stack[w]:
+                    low[node] = min(low[node], index[w])
             if advanced:
                 continue
             work.pop()
@@ -449,7 +451,7 @@ def _sccs(nodes: list[Node], out: dict[Node, list[Edge]]) -> list[list[Node]]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == node:
                         break
@@ -466,7 +468,9 @@ def stratify(p: Program) -> Strata:
     Raises CycleError (with the offending predicate sequence) when a
     negated dependency lies on a cycle.  Facts (_is_fact) depend on
     nothing, so the walk leaves them out; a predicate they alone define
-    is in stratum 0.
+    is in stratum 0.  The walk runs over integers, one per predicate in
+    key order: the graph's nodes, and the predicates of the walked rules
+    that no edge joins (meta-predicates such as findall/3).
     """
     rules: list[Rule] = []
     fact_keys: list[PredKey] = []
@@ -477,22 +481,32 @@ def stratify(p: Program) -> Strata:
             rules.append(rule)
     walked = Program(tuple(rules))
     g = build_pdg(walked)
-    out = g.adjacency.out
-    nodes = sorted(
-        set(g.nodes) | {PredNode(k) for k in walked.pred_keys()},
-        key=lambda n: (n.key.module or "", n.key.name, n.key.arity),
+    keys = sorted(
+        {*walked.pred_keys(), *(n.key for n in g.nodes)},
+        key=lambda k: (k.module or "", k.name, k.arity),
     )
+    number = {key: i for i, key in enumerate(keys)}
+    # each predicate's (callee, step) pairs in edge order: step 1 across
+    # a negated edge, 0 across a plain one
+    succ: list[list[tuple[int, int]]] = [[] for _ in keys]
+    for e in g.edges:
+        succ[number[e.src.key]].append((number[e.dst.key], 1 if e.mark == NOT else 0))
 
-    comp_of: dict[Node, int] = {}
-    comps = _sccs(nodes, out)
+    comps = _sccs(succ)
+    comp_of = [0] * len(keys)
     for i, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = i
+        for v in comp:
+            comp_of[v] = i
 
-    bad = [e for e in g.edges if e.mark == NOT and comp_of[e.src] == comp_of[e.dst]]
+    bad = [
+        (src, dst)
+        for src, edges in enumerate(succ)
+        for dst, step in edges
+        if step and comp_of[src] == comp_of[dst]
+    ]
     if bad:
-        first = min(bad, key=lambda e: (e.src.key, e.dst.key))
-        raise CycleError(_cycle_path(first.src, first.dst, out, comp_of))
+        src, dst = min(bad, key=lambda e: (keys[e[0]], keys[e[1]]))
+        raise CycleError([keys[v] for v in _cycle_path(src, dst, succ, comp_of)])
 
     # components come out callees-first, so dependencies are already ranked
     stratum_of_comp: list[int] = [0] * len(comps)
@@ -500,34 +514,32 @@ def stratify(p: Program) -> Strata:
     for i, comp in enumerate(comps):
         level = 0
         for src in comp:
-            for e in out.get(src, ()):
-                if comp_of[e.dst] == i:
-                    continue
-                step = 1 if e.mark == NOT else 0
-                level = max(level, stratum_of_comp[comp_of[e.dst]] + step)
+            for dst, step in succ[src]:
+                if comp_of[dst] != i:
+                    level = max(level, stratum_of_comp[comp_of[dst]] + step)
         stratum_of_comp[i] = level
-        for n in comp:
-            assignment[n.key] = level
+        for v in comp:
+            assignment[keys[v]] = level
     for key in fact_keys:
         assignment.setdefault(key, 0)
     return Strata(assignment)
 
 
-def _cycle_path(src, dst, out, comp_of) -> list[PredKey]:
+def _cycle_path(src: int, dst: int, succ, comp_of: list[int]) -> list[int]:
     """A dst -> ... -> src walk inside one component, closing the bad edge."""
     target_comp = comp_of[src]
-    prev: dict[Node, Node] = {}
+    prev: dict[int, int] = {}
     queue = deque([dst])
     seen = {dst}
     while queue:
         cur = queue.popleft()
         if cur == src:
             break
-        for e in out[cur]:
-            if comp_of[e.dst] == target_comp and e.dst not in seen:
-                seen.add(e.dst)
-                prev[e.dst] = cur
-                queue.append(e.dst)
+        for w, _ in succ[cur]:
+            if comp_of[w] == target_comp and w not in seen:
+                seen.add(w)
+                prev[w] = cur
+                queue.append(w)
     path = [src]
     cur = src
     while cur != dst and cur in prev:
@@ -536,7 +548,7 @@ def _cycle_path(src, dst, out, comp_of) -> list[PredKey]:
     if path[-1] != dst:
         path.append(dst)
     path.reverse()  # dst ... src
-    return [n.key for n in [src] + path]  # src, dst, ..., src
+    return [src] + path  # src, dst, ..., src
 
 
 # ===========================================================================

@@ -41,11 +41,12 @@ from .kernel import (
     rename_apart,
     term_vars,
 )
-from .xmlterm import XmlTerm
 
-TYPE_CHECKING = False  # typing is imported by type checkers alone
+TYPE_CHECKING = False  # typing and xmlterm are imported by type checkers alone
 if TYPE_CHECKING:
     from typing import Optional, Sequence
+
+    from .xmlterm import XmlTerm
 
 PDG = "pdg"
 RPG = "rpg"
@@ -63,10 +64,15 @@ DEFAULT_META: dict[PredKey, tuple[int, ...]] = {
 
 
 class PredNode(Record):
-    __slots__ = _fields = ("key",)
+    """A predicate's node.  A build makes one per predicate key (_Builder),
+    and every node kind computes its hash once, when it is made."""
+
+    __slots__ = ("key", "_hash")
+    _fields = ("key",)
 
     def __init__(self, key: PredKey):
         object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash((key,)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -74,7 +80,7 @@ class PredNode(Record):
         return self.key == other.key
 
     def __hash__(self) -> int:
-        return hash((self.key,))
+        return self._hash
 
     @property
     def id(self) -> str:
@@ -82,10 +88,12 @@ class PredNode(Record):
 
 
 class RuleNode(Record):
-    __slots__ = _fields = ("rule_name",)
+    __slots__ = ("rule_name", "_hash")
+    _fields = ("rule_name",)
 
     def __init__(self, rule_name: str):
         object.__setattr__(self, "rule_name", rule_name)
+        object.__setattr__(self, "_hash", hash((rule_name,)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -93,7 +101,7 @@ class RuleNode(Record):
         return self.rule_name == other.rule_name
 
     def __hash__(self) -> int:
-        return hash((self.rule_name,))
+        return self._hash
 
     @property
     def id(self) -> str:
@@ -101,11 +109,13 @@ class RuleNode(Record):
 
 
 class MetaCallNode(Record):
-    __slots__ = _fields = ("key", "call_site")
+    __slots__ = ("key", "call_site", "_hash")
+    _fields = ("key", "call_site")
 
     def __init__(self, key: PredKey, call_site: int):
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "call_site", call_site)
+        object.__setattr__(self, "_hash", hash((key, call_site)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -113,7 +123,7 @@ class MetaCallNode(Record):
         return (self.key, self.call_site) == (other.key, other.call_site)
 
     def __hash__(self) -> int:
-        return hash((self.key, self.call_site))
+        return self._hash
 
     @property
     def id(self) -> str:
@@ -121,10 +131,12 @@ class MetaCallNode(Record):
 
 
 class TagNode(Record):
-    __slots__ = _fields = ("tag",)
+    __slots__ = ("tag", "_hash")
+    _fields = ("tag",)
 
     def __init__(self, tag: str):
         object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "_hash", hash((tag,)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -132,7 +144,7 @@ class TagNode(Record):
         return self.tag == other.tag
 
     def __hash__(self) -> int:
-        return hash((self.tag,))
+        return self._hash
 
     @property
     def id(self) -> str:
@@ -187,24 +199,29 @@ class DepGraph(Record):
 
 
 class _Builder:
-    """Accumulates nodes and edges preserving first-insertion order."""
+    """Accumulates nodes and edges preserving first-insertion order, with
+    one PredNode per predicate key.  An edge joins nodes added already."""
 
     def __init__(self, kind: str):
         self.kind = kind
-        self.nodes: dict[Node, None] = {}
+        # each node under its predicate key (a PredNode) or itself (others)
+        self.nodes: dict[object, Node] = {}
         self.edges: dict[Edge, None] = {}
 
+    def pred(self, key: PredKey) -> PredNode:
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = PredNode(key)
+        return node
+
     def node(self, n: Node) -> Node:
-        self.nodes.setdefault(n, None)
-        return n
+        return self.nodes.setdefault(n, n)
 
     def edge(self, src: Node, dst: Node, mark: str = PLAIN):
-        self.node(src)
-        self.node(dst)
         self.edges.setdefault(Edge(src, dst, mark), None)
 
     def done(self) -> DepGraph:
-        return DepGraph(self.kind, tuple(self.nodes), tuple(self.edges))
+        return DepGraph(self.kind, tuple(self.nodes.values()), tuple(self.edges))
 
 
 def _inner_goals(t: Term) -> list[PredKey]:
@@ -251,14 +268,14 @@ def build_pdg(p: Program, meta: Optional[dict] = None) -> DepGraph:
     meta = DEFAULT_META if meta is None else meta
     b = _Builder(PDG)
     for rule in p.rules:
-        head = b.node(PredNode(rule.head.key))
+        head = b.pred(rule.head.key)
         for lit in rule.body:
             classified = _body_targets(lit, meta)
             if classified is None:
                 continue
             _, targets, mark = classified
             for key in targets:
-                b.edge(head, PredNode(key), mark)
+                b.edge(head, b.pred(key), mark)
     return b.done()
 
 
@@ -268,8 +285,8 @@ def build_rpg(p: Program, meta: Optional[dict] = None) -> DepGraph:
     b = _Builder(RPG)
     site = 0
     for rule in p.rules:
-        head = b.node(PredNode(rule.head.key))
-        rnode = RuleNode(rule.name)
+        head = b.pred(rule.head.key)
+        rnode = b.node(RuleNode(rule.name))
         b.edge(head, rnode)
         for lit in rule.body:
             classified = _body_targets(lit, meta)
@@ -277,13 +294,13 @@ def build_rpg(p: Program, meta: Optional[dict] = None) -> DepGraph:
                 continue
             meta_key, targets, mark = classified
             if meta_key is None:
-                b.edge(rnode, PredNode(targets[0]), mark)
+                b.edge(rnode, b.pred(targets[0]), mark)
             else:
                 site += 1
-                call = MetaCallNode(meta_key, site)
+                call = b.node(MetaCallNode(meta_key, site))
                 b.edge(rnode, call, mark)
                 for key in targets:
-                    b.edge(call, PredNode(key))
+                    b.edge(call, b.pred(key))
     return b.done()
 
 
@@ -412,8 +429,9 @@ def _rank(counts: dict, key) -> int:
 
 
 def _diff_keys(g1: DepGraph, g2: DepGraph) -> list[dict]:
-    """For each side, the key that each rule and meta-call node is compared
-    by; any other node is its own key.
+    """For each side, the key that each predicate, rule and meta-call node
+    is compared by, as a small integer that equal keys on both sides share;
+    any other node is its own key.  A predicate node's key is the node.
 
     A rule's key is its shape plus its rank among its side's rules of that
     shape, in written order, so equal rules pair however they are ordered.
@@ -423,36 +441,50 @@ def _diff_keys(g1: DepGraph, g2: DepGraph) -> list[dict]:
     shows only its changed edges.  A meta-call's key is its rule's key, its
     descriptor and its rank among that rule's calls with that descriptor.
     """
+    ids: dict = {}  # each key met, on either side, and its integer
+    shapes: dict = {}  # each rule shape met, and its integer
+
+    def number(key) -> int:
+        return ids.setdefault(key, len(ids))
+
     sides = []
     for g in (g1, g2):
-        shape_ranks: dict = {}
-        keys = {}
+        ranks: dict = {}
+        rules = {}
         for n in g.nodes:
-            if isinstance(n, RuleNode):
-                shape = _rule_shape(g, n)
-                keys[n] = (*shape, _rank(shape_ranks, shape))
-        sides.append(keys)
-    paired = set(sides[0].values()) & set(sides[1].values())
-    for g, keys in zip((g1, g2), sides):
+            if n.__class__ is RuleNode:
+                heads, body = _rule_shape(g, n)
+                shape = shapes.setdefault((heads, body), len(shapes))
+                rules[n] = (heads, number((shape, _rank(ranks, shape))))
+        sides.append(rules)
+    paired = {k for _, k in sides[0].values()} & {k for _, k in sides[1].values()}
+    out = []
+    for g, rules in zip((g1, g2), sides):
+        keys = {}
         head_ranks: dict = {}
-        for n, key in keys.items():
-            if key not in paired:
-                keys[n] = (key[0], None, _rank(head_ranks, key[0]))
         call_ranks: dict = {}
-        for n, rule_key in list(keys.items()):
-            for e in g.adjacency.out[n]:
-                if isinstance(e.dst, MetaCallNode) and e.dst not in keys:
-                    call = (rule_key, _call_descriptor(g, e.dst))
-                    keys[e.dst] = (*call, _rank(call_ranks, call))
-    return sides
+        for n in g.nodes:
+            if n.__class__ is PredNode:
+                keys[n] = number(n)
+            elif n.__class__ is RuleNode:
+                heads, key = rules[n]
+                if key not in paired:
+                    key = number((heads, None, _rank(head_ranks, heads)))
+                keys[n] = key
+                for e in g.adjacency.out[n]:
+                    if e.dst.__class__ is MetaCallNode:
+                        call = (key, _call_descriptor(g, e.dst))
+                        keys[e.dst] = number((*call, _rank(call_ranks, call)))
+        out.append(keys)
+    return out
 
 
 def graph_diff(
     g1: DepGraph, g2: DepGraph, helpers: frozenset[PredKey] = frozenset()
 ) -> DiffReport:
-    """Set difference of nodes and edges, rule and meta-call nodes compared
-    by the keys _diff_keys gives them; each side's nodes and edges are
-    reported under that side's own names.
+    """Set difference of nodes and edges, each node compared by the key
+    _diff_keys gives it; each side's nodes and edges are reported under
+    that side's own names.
 
     Predicates listed in helpers are factored out of the comparison and
     echoed in the report.  A nonempty report is an ordinary result, not an
@@ -521,14 +553,12 @@ def schema_graph(x: XmlTerm, include_attrs: bool = True) -> DepGraph:
     stack: list[tuple[Optional[TagNode], XmlTerm]] = [(None, x)]
     while stack:
         parent, node = stack.pop()
-        src = TagNode(node.tag)
-        if parent is None:
-            b.node(src)
-        else:
+        src = b.node(TagNode(node.tag))
+        if parent is not None:
             b.edge(parent, src)
         if include_attrs:
             for attr in node.attributes:
-                b.edge(src, TagNode(f"@{attr}"))
+                b.edge(src, b.node(TagNode(f"@{attr}")))
         stack.extend((src, child) for child in reversed(node.child_elements()))
     return b.done()
 

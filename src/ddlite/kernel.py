@@ -163,7 +163,7 @@ class Var(Term):
         return self.name == other.name
 
     def __hash__(self) -> int:
-        return hash((self.name,))
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
@@ -183,7 +183,7 @@ class Const(Term):
         return self.symbol == other.symbol
 
     def __hash__(self) -> int:
-        return hash((self.symbol,))
+        return hash(self.symbol)
 
     def __repr__(self) -> str:
         return f"Const({self.symbol!r})"
@@ -196,8 +196,9 @@ class Num(Term):
     """A number.  Integers are exact; floats are 64-bit.
 
     An integer and a float never unify even when arithmetically equal
-    (15 is not 15.0 as a term), so equality and hashing carry the
-    concrete type alongside the value.
+    (15 is not 15.0 as a term), so equality compares the concrete type
+    alongside the value.  The hash is the value's own: 15 and 15.0 share
+    it, and compare unequal.
     """
 
     __slots__ = _fields = ("value",)
@@ -214,7 +215,7 @@ class Num(Term):
         return type(self.value) is type(other.value) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash((type(self.value).__name__, self.value))
+        return hash(self.value)
 
     def __repr__(self) -> str:
         return f"Num({self.value!r})"

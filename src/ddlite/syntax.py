@@ -39,11 +39,12 @@ from .kernel import (
     rule_text,
     term_text,
 )
-from .xmlterm import Text, XmlTerm, parse_xml
 
 TYPE_CHECKING = False  # typing is imported by type checkers alone
 if TYPE_CHECKING:
     from typing import Callable, Optional, TypeVar, Union
+
+    from .xmlterm import XmlTerm
 
 # ===========================================================================
 # Lexers for rule text (shared with the goal language in hybrid) and SWRL
@@ -94,8 +95,7 @@ class Token:
 # quote that no quote follows, so never inside a doubled one; a quote left
 # over opens an atom that never closes.  That quote, and any other
 # character that starts no token, is a bad token.
-_RULE_TOKEN = re.compile(
-    r"""\s*(?:
+_RULE_TOKEN = r"""\s*(?:
         (?P<var>[A-Z_]\w*)
       | (?P<atom>[a-z]\w*)
       | (?P<end>\.(?=\s|%|\Z))
@@ -106,9 +106,7 @@ _RULE_TOKEN = re.compile(
       | (?P<comment>%[^\n]*)
       | (?P<eof>\Z)
       | (?P<bad>[\s\S])
-    )""",
-    re.VERBOSE,
-)
+    )"""
 _DIRECTIVE = re.compile(r"%\s*name:\s*(\S+)\s*$")
 _ESCAPE = re.compile(r"\\[\s\S]|''")
 _ESCAPED = {"\\n": "\n", "\\t": "\t"}
@@ -154,25 +152,37 @@ _RULE_VALUES = {
 }
 
 
-# Flat argument lists of rule text: '(' and ')' around arguments that are
-# each one variable, plain name or unsigned integer, split by ',' with
-# whitespace, but no comment, between the tokens.  An integer here has at
-# most 18 ASCII digits; a longer one (int() refuses one of more than 4,300)
-# or one with other decimal digits is read token by token.  An argument
-# ends where its token would, or the list is not flat.  Group 1 holds the
-# arguments, which the second pattern finds one by one.
+# A flat literal of rule text, which is also the flat argument list of a
+# name.  Each part is optional, so the pattern matches anywhere, and a
+# reader looks at the groups that took part: (1) `not` and the whitespace
+# after it, (2) a plain name, (3) '(' and ')' around (4) arguments that are
+# each one variable, plain name or unsigned integer, split by ',', and (5)
+# the `:-`, ',' or '.' after the literal.  Whitespace, but no comment, may
+# come between the tokens.  An integer here has at most 18 ASCII digits; a
+# longer one (int() refuses one of more than 4,300) or one with other
+# decimal digits is read token by token.  A name or argument ends where
+# its token would, or the literal is not flat.  A '.' is an end token only
+# where the token pattern's lookahead (end) allows, which the reader checks
+# itself: the lookahead would cost this pattern more to compile than the
+# check costs to run.
 _RULE_ARG = r"(?:[A-Za-z_]\w*|[0-9]{1,18})"
-_RULE_FLAT: Optional[tuple[re.Pattern, re.Pattern]] = None
+_RULE_LITERAL = (
+    r"\s*(not\s+)?([a-z]\w*)?"
+    rf"(\s*\(\s*({_RULE_ARG}(?:\s*,\s*{_RULE_ARG})*)\s*\))?"
+    r"\s*(:-|,|\.)?"
+)
+_RULE_SOURCES = {"token": _RULE_TOKEN, "literal": _RULE_LITERAL}
+_RULE_PATTERNS: dict[str, re.Pattern] = {}
 
 
-def _rule_flat() -> tuple[re.Pattern, re.Pattern]:
-    global _RULE_FLAT
-    if _RULE_FLAT is None:  # compiled on first use, to keep import cheap
-        _RULE_FLAT = (
-            re.compile(rf"\s*\(\s*({_RULE_ARG}(?:\s*,\s*{_RULE_ARG})*)\s*\)"),
-            re.compile(_RULE_ARG),
-        )
-    return _RULE_FLAT
+def _rule_pattern(name: str) -> re.Pattern:
+    """The rule-text pattern of that name in _RULE_SOURCES, compiled on
+    first use: importing costs none, and a reader compiles only what the
+    text it reads needs."""
+    pattern = _RULE_PATTERNS.get(name)
+    if pattern is None:
+        pattern = _RULE_PATTERNS[name] = re.compile(_RULE_SOURCES[name], re.VERBOSE)
+    return pattern
 
 
 class TokenCursor:
@@ -187,10 +197,11 @@ class TokenCursor:
 
     # The language: a token's kind is the named group of pattern that
     # matched, and it starts where that group does, so the pattern alone
-    # places every token, eof and bad ones included.  values maps a kind
-    # to a function of the matched text giving the token's (kind, value),
-    # or (None, None) to drop it; other kinds keep the matched text.
-    pattern = _RULE_TOKEN
+    # places every token, eof and bad ones included; None stands for the
+    # rule-text token pattern.  values maps a kind to a function of the
+    # matched text giving the token's (kind, value), or (None, None) to
+    # drop it; other kinds keep the matched text.
+    pattern: Optional[re.Pattern] = None
     values = _RULE_VALUES
 
     def __init__(self, source: Union[str, list[Token]], filename: str = "<string>"):
@@ -209,7 +220,8 @@ class TokenCursor:
         """The token at index i, lexed up to it; the last one past the end."""
         tokens, pos = self.tokens, self.pos
         if pos is not None and len(tokens) <= i:
-            text, values, match = self.text, self.values, self.pattern.match
+            text, values = self.text, self.values
+            match = (self.pattern or _rule_pattern("token")).match
             line, line_start, seen = self.line, self.line_start, self.seen
             while True:
                 m = match(text, pos)
@@ -299,8 +311,9 @@ if TYPE_CHECKING:
 
 class TermParser(TokenCursor):
     """Recursive-descent / precedence-climbing parser of rule text.  Where
-    an argument list may follow a name, it first tries one match for a
-    flat list (_RULE_FLAT) and builds the arguments from it; anything
+    a clause starts in unlexed text, it first tries to read it one flat
+    literal per match (flat_clause), and where an argument list may follow
+    a name, one match for a flat list; both with _RULE_LITERAL.  Anything
     else, and every term in a token list, is read token by token."""
 
     def __init__(self, source: Union[str, list[Token]], filename: str = "<string>"):
@@ -414,24 +427,29 @@ class TermParser(TokenCursor):
         after the name is lexed already."""
         if not self.unlexed():
             return None
-        flat, arg = _rule_flat()
-        m = flat.match(self.text, self.pos)
-        if m is None:
+        m = _rule_pattern("literal").match(self.text, self.pos)
+        if m[4] is None or m[2] is not None or m[1] is not None:
             return None
-        args: list[Term] = []
-        for word in arg.findall(m[1]):
+        self.pos = m.end(3)
+        return self.flat_terms(m[4])
+
+    def flat_terms(self, args: str) -> tuple[Term, ...]:
+        """The terms of the arguments of a flat list (group 4 of
+        _RULE_LITERAL), left to right as the token path reads them."""
+        terms: list[Term] = []
+        for word in args.split(","):
+            word = word.strip()
             first = word[0]
             if first >= "a":
-                args.append(Const(word))
+                terms.append(Const(word))
             elif first <= "9":
-                args.append(Num(int(word)))
+                terms.append(Num(int(word)))
             elif word == "_":
-                args.append(self.fresh_anon())
+                terms.append(self.fresh_anon())
             else:
                 self._clause_vars.add(word)
-                args.append(Var(word))
-        self.pos = m.end()
-        return tuple(args)
+                terms.append(Var(word))
+        return tuple(terms)
 
     def arg_list(self) -> tuple[Term, ...]:
         self.expect("(")
@@ -509,6 +527,77 @@ class TermParser(TokenCursor):
                 return Literal(inner, NEGATED)
         return Literal(self.goal_atom(), POSITIVE)
 
+    def flat_clause(self) -> Optional[tuple[Atom, list[Literal]]]:
+        """The head and body of the clause at the cursor, read one literal
+        per match of _RULE_LITERAL and passed over at its end '.'; None
+        where the text after the cursor is lexed already or is no flat
+        clause (an operator, `not(`, a module prefix, a quoted name, a
+        list, a comment, an error), which the token path reads.  Where only
+        whitespace is left, it lexes the eof token itself, as lex would."""
+        if not self.unlexed():
+            return None
+        text, pos, match = self.text, self.pos, _rule_pattern("literal").match
+        line, line_start, seen = self.line, self.line_start, self.seen
+        anon = self._anon
+        self.begin_clause()
+        head: Optional[Atom] = None
+        body: list[Literal] = []
+        while True:
+            m = match(text, pos)
+            negated, name, args, stop = m.group(1, 2, 4, 5)
+            if stop == ".":  # an end token before whitespace, a comment or the end
+                after = text[m.end() : m.end() + 1]
+                if after and after != "%" and not after.isspace():
+                    stop = None
+            # a head is no negation and no ',' follows it, no `:-` follows
+            # a body literal, and `not(` opens a negation the token path reads
+            if head is None and m.lastindex is None and m.end() == len(text):
+                at = m.end()  # the end of the text, where lex puts eof
+            elif name is None or stop is None or (
+                (negated is not None or stop == ",")
+                if head is None
+                else (stop == ":-" or (name == "not" and args is not None))
+            ):
+                self._anon = anon
+                return None
+            else:
+                at = m.start(2)
+            last_break = text.rfind("\n", seen, at)
+            if last_break >= 0:  # only '\n' ends a line
+                line += text.count("\n", seen, last_break + 1)
+                line_start = last_break + 1
+            seen = at
+            if name is None:
+                self.tokens.append(Token("eof", None, line, at - line_start + 1, at))
+                self.pos, self.line, self.line_start, self.seen = None, line, line_start, at
+                return None
+            span = SourceSpan(self.filename, line, at - line_start + 1)
+            atom = Atom(name, () if args is None else self.flat_terms(args), None, span)
+            if head is None:
+                head = atom
+            else:
+                body.append(Literal(atom, POSITIVE if negated is None else NEGATED))
+            pos = m.end()
+            if stop == ".":
+                self.pos, self.line, self.line_start, self.seen = pos, line, line_start, seen
+                return head, body
+
+    def clause(self) -> tuple[Atom, list[Literal]]:
+        """The head and body of the clause at the cursor, token by token."""
+        self.begin_clause()
+        head = self.goal_atom(prefixed=False)
+        body: list[Literal] = []
+        if self.at_punct(":-"):
+            self.next()
+            body.append(self.literal())
+            while self.at_punct(","):
+                self.next()
+                body.append(self.literal())
+        tok = self.next()
+        if tok.kind != "end":
+            self.fail(f"expected '.', found {tok.value!r}", tok)
+        return head, body
+
     def clauses(self) -> list[tuple[Optional[str], Rule]]:
         """The clauses up to the end of the text, each with the name its
         `% name:` directive gives, or None."""
@@ -516,27 +605,21 @@ class TermParser(TokenCursor):
         explicit: set[str] = set()
         while True:
             name = None
-            tok = self.peek()
-            while tok.kind == "directive":
+            read = self.flat_clause()
+            while read is None:
+                tok = self.peek()
+                if tok.kind != "directive":
+                    break
                 name = tok.value
                 self.i += 1
-                tok = self.peek()
-            if tok.kind == "eof":
-                if name is not None:
-                    self.fail("name directive without a clause", tok)
-                return raw
-            self.begin_clause()
-            head = self.goal_atom(prefixed=False)
-            body: list[Literal] = []
-            if self.at_punct(":-"):
-                self.next()
-                body.append(self.literal())
-                while self.at_punct(","):
-                    self.next()
-                    body.append(self.literal())
-            tok = self.next()
-            if tok.kind != "end":
-                self.fail(f"expected '.', found {tok.value!r}", tok)
+                read = self.flat_clause()
+            if read is None:
+                if tok.kind == "eof":
+                    if name is not None:
+                        self.fail("name directive without a clause", tok)
+                    return raw
+                read = self.clause()
+            head, body = read
             if name is not None:
                 if name in explicit:
                     raise ParseError(f"duplicate rule name {name!r}", head.span)
@@ -836,7 +919,10 @@ def parse_swrl(text: str, filename: str = "<string>") -> list[SwrlRule]:
 
 
 def parse_ruleml_xml(text: str, filename: str = "<xml>") -> SwrlOntology:
-    """Read a swrlx:Ontology document into SWRL rules and class assertions."""
+    """Read a swrlx:Ontology document into SWRL rules and class assertions.
+    The XML reader (ddlite.xmlterm) is loaded here, where XML is read."""
+    from .xmlterm import parse_xml
+
     root = parse_xml(text, filename)
     if root.tag != "swrlx:Ontology":
         raise UnsupportedConstruct(f"expected swrlx:Ontology, found <{root.tag}>")
@@ -854,6 +940,8 @@ def parse_ruleml_xml(text: str, filename: str = "<xml>") -> SwrlOntology:
 
 
 def _elements(node: XmlTerm) -> list[XmlTerm]:
+    from .xmlterm import Text
+
     for c in node.children:
         if isinstance(c, Text) and c.value.strip():
             raise UnsupportedConstruct(

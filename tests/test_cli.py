@@ -1096,22 +1096,27 @@ def test_the_reader_agrees_with_argparse_or_declines(argv):
     "argv, code, loaded",
     [
         ([], 0, "[]"),
-        (["eval", fx("route.dl")], 0, "[]"),
-        (["prove", fx("route.dl"), "--atom", "route('KT', 'Mue', L, T)"], 0, "['ddlite.magic']"),
+        (["eval", fx("route.dl")], 0, "['ddlite.engine', 'ddlite.graphs']"),
+        (["prove", fx("route.dl"), "--atom", "route('KT', 'Mue', L, T)"], 0,
+         "['ddlite.engine', 'ddlite.graphs', 'ddlite.magic']"),
         (["query", fx("route.dl"), "--goal", "route(A, B, L, T)", "--template", "[L]"],
-         0, "['csv', 'ddlite.hybrid']"),
+         0, "['csv', 'ddlite.engine', 'ddlite.graphs', 'ddlite.hybrid', 'ddlite.xmlterm']"),
+        (["swrl", fx("uncle.swrl")], 0, "[]"),
         (["eval", "--help"], 0, "['argparse']"),
         (["eval", fx("route.dl"), "--bogus"], 2, "['argparse']"),
     ],
-    ids=["import", "eval", "prove", "query", "help", "usage-error"],
+    ids=["import", "eval", "prove", "query", "swrl", "help", "usage-error"],
 )
 def test_a_command_loads_only_what_it_runs(argv, code, loaded):
-    # json is loaded by --format json, the hybrid layer and csv by --csv,
-    # --xml, query and schema graphs, the magic-set rewrite by prove alone,
-    # argparse (with gettext and locale) by help and usage errors alone,
-    # and typing by nothing; site-packages (-S) loads none of them.  The
-    # child exits with main's status, and its stderr is the loaded line
-    # alone, but for a usage error's message before it
+    # json is loaded by --format json, the engine (with graphs) by the
+    # commands that check or evaluate a program, graphs by graph and diff,
+    # the hybrid layer and csv by --csv, --xml, query and schema graphs,
+    # the XML reader by --xml, query, schema graphs and RuleML, the
+    # magic-set rewrite by prove alone, argparse (with gettext and locale)
+    # by help and usage errors alone, and typing by nothing; site-packages
+    # (-S) loads none of them.  swrl runs on the kernel and the readers
+    # alone.  The child exits with main's status, and its stderr is the
+    # loaded line alone, but for a usage error's message before it
     script = (
         "import sys\n"
         "from ddlite.cli import main\n"
@@ -1121,8 +1126,8 @@ def test_a_command_loads_only_what_it_runs(argv, code, loaded):
         "        status = main(sys.argv[1:])\n"
         "    except SystemExit as exc:  # argparse's help and usage errors\n"
         "        status = exc.code\n"
-        "names = {'json', 'csv', 'ddlite.hybrid', 'ddlite.magic', 'argparse', 'gettext',\n"
-        "         'locale', 'typing'}\n"
+        "names = {'json', 'csv', 'ddlite.engine', 'ddlite.graphs', 'ddlite.hybrid',\n"
+        "         'ddlite.magic', 'ddlite.xmlterm', 'argparse', 'gettext', 'locale', 'typing'}\n"
         "if 'argparse' in sys.modules:  # what it loads itself varies by version\n"
         "    names -= {'gettext', 'locale'}\n"
         "print(sorted(names & set(sys.modules)), file=sys.stderr)\n"

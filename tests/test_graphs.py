@@ -520,6 +520,35 @@ def test_adjacency_lists_edges_per_node_in_edge_order():
     ]
 
 
+def _pred_nodes_made(monkeypatch, run):
+    """The keys of the PredNodes that run() constructs, in order."""
+    made = []
+    init = PredNode.__init__
+
+    def counted(self, key):
+        made.append(key)
+        init(self, key)
+
+    monkeypatch.setattr(PredNode, "__init__", counted)
+    run()
+    return made
+
+
+def test_a_build_and_stratify_make_one_pred_node_per_predicate(monkeypatch):
+    # 70 rules over k = 19 predicates (g0-g9, f0-f6, h and the negated e),
+    # with a fact and a findall call, whose key no edge joins; each build
+    # and stratify make one node per predicate, not one per literal
+    n = 70
+    p = parse_program(
+        "".join(f"g{i % 10}(X) :- f{i % 7}(X), h(X), not e(X).\n" for i in range(n))
+        + "h(a).\ng0(X) :- findall(Y, f0(Y), X).\n"
+    )
+    k = 19
+    for run in (lambda: build_pdg(p), lambda: build_rpg(p), lambda: stratify(p)):
+        made = _pred_nodes_made(monkeypatch, run)
+        assert len(made) == len(set(made)) == k
+
+
 # ---------------------------------------------------------------------------
 # schema graphs
 # ---------------------------------------------------------------------------

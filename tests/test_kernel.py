@@ -579,9 +579,9 @@ def _rule():
 # fields), or None where instances are unhashable
 VALUES = [
     (lambda: SourceSpan("f.dl", 3, 7), ("f.dl", 3, 7)),
-    (lambda: Var("X"), ("X",)),
-    (lambda: Const("a"), ("a",)),
-    (lambda: Num(2.5), ("float", 2.5)),
+    (lambda: Var("X"), "X"),  # a one-field term hashes as its field
+    (lambda: Const("a"), "a"),
+    (lambda: Num(2.5), 2.5),
     (lambda: Compound("f", (Var("X"), Num(1))), ("f", (Var("X"), Num(1)))),
     (_atom, ("p", (Var("X"), Const("a")), None)),
     (lambda: Literal(_atom(), NEGATED), (_atom(), NEGATED)),

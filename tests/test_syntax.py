@@ -30,6 +30,7 @@ from ddlite.kernel import (
     parse_number,
     term_text,
 )
+from ddlite import syntax
 from ddlite.syntax import (
     SwrlRule,
     TermParser,
@@ -442,6 +443,21 @@ def test_parse_swrl_is_linear_in_the_text(tmp_path):
     program = swrl_to_datalog([r for rule in rules for r in lloyd_topor(rule)])
     assert case.steps[0].check(print_program(program).encode()) is None
     assert elapsed < 1.5
+
+
+def test_a_reader_compiles_only_the_rule_patterns_its_text_needs(monkeypatch):
+    # the rule-text patterns compile on first use: SWRL, and its Datalog
+    # translation printed, compile none; a program of flat clauses only the
+    # literal pattern, up to its end; a comment or an operator the token
+    # pattern too
+    monkeypatch.setattr(syntax, "_RULE_PATTERNS", {})
+    rules = parse_swrl(fixture("uncle.swrl"), "uncle.swrl")
+    text = print_program(swrl_to_datalog([r for rule in rules for r in lloyd_topor(rule)]))
+    assert syntax._RULE_PATTERNS == {}
+    parse_program(text + "parent(a, b).\n\n")
+    assert list(syntax._RULE_PATTERNS) == ["literal"]
+    parse_program("% name: u\np(X) :- q(X).")
+    assert sorted(syntax._RULE_PATTERNS) == ["literal", "token"]
 
 
 def test_lloyd_topor_splits_consequents():
@@ -919,6 +935,17 @@ def _program_outcome(reader, text):
 @example("p(1.).", [(3, "delete", "x")])
 @example("p(" + "7" * 4301 + ").", [(4000, "delete", "x")])
 @example("'q r'(X) :- 'p'(X), '.'(X, Y).", [(1, "replace", "'")])
+@example("% name: a\np(X) :- q(X, 1).\n% name: b\nr :- not s, t(_).", [(22, "insert", "\n")])
+@example("% name: a\np.\n% name: a\nq(Y) :- p.", [(17, "replace", "b")])
+@example("p(X) :- q(X).\n% name: z\n", [(14, "delete", "x")])
+@example("p :- not (p), not(p(X)), not, q.", [(9, "delete", "x")])
+@example("p :- q, not.", [(11, "delete", "x")])
+@example("p(123456789012345678).\nq(1234567890123456789).", [(4, "insert", "1")])
+@example("p(X,\n  Y)\n  :- q(X),\n\n  not\n r(Y)\n  .\ns(\n1).", [(20, "insert", "%")])
+@example("p(X) :- q(X)% c\n.\nr.", [(12, "delete", "x")])
+@example("p(_, _G1) :- q(_G1, _), r(_, _G2).\ns(_).", [(3, "replace", "X")])
+@example("p(X) :- q(X)", [(12, "insert", ",")])
+@example("p(X) :- q(X).r(X).", [(13, "insert", " ")])
 def test_parse_program_agrees_with_the_token_reader(text, edits):
     assert _program_outcome(parse_program, text) == _program_outcome(
         reference_parse_program, text
