@@ -10,22 +10,23 @@ loads the kernel and the readers (ddlite.syntax) alone.  The engine
 that check or evaluate a program: parse, graph and diff of rule text,
 eval, query, prove and swrl --emit report.  The graphs are imported by
 graph and diff, json by the --format json branches, the hybrid layer
-(with csv and the XML reader) by --csv, --xml, query and schema graphs,
+(with csv and the XML reader) by --csv, query and schema graphs,
 the XML reader (ddlite.xmlterm) by RuleML input too, and the magic-set
 rewrite (ddlite.magic) by prove.  So swrl, translating SWRL to rule
 text, runs on the kernel and the readers alone.
 
 Arguments are read from COMMAND_TABLE without argparse when they are in
-the plain form (_read_args); argparse is imported, and a parser built by
-build_parser, only for help, an abbreviated or unknown flag,
---flag=value, -- or a usage error.  That parser holds only the subparser
-of the command named first (all seven for help, no command or an unknown
-one).  main(argv) runs one command and returns its exit code; run() is
-the process entry (`ddlite`, `python -m ddlite.cli`), which runs it with
-the cyclic collector off (gc.disable), flushes stdout and stderr, and
-ends the process with os._exit: no collection walks, and no teardown
-frees, objects the process is about to drop.  atexit handlers do not
-run; ddlite registers none.
+the plain form (_read_args); argparse is imported, and the parser of all
+seven commands built by build_parser, only for help, an abbreviated or
+unknown flag, --flag=value, -- or a usage error.  main(argv) runs one
+command and returns its exit code; run() is the process entry (`ddlite`,
+`python -m ddlite.cli`), which runs it with the cyclic collector off
+(gc.disable), flushes stdout and stderr, and ends the process with
+os._exit: no collection walks, and no teardown frees, objects the
+process is about to drop.  atexit handlers do not run; ddlite registers
+none.  Output goes through print, which writes nothing where Python
+opened no stdout (its fd was closed at start-up), so main's status
+stands.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _load_program(args) -> Program:
 
 def _load_docs(args) -> dict:
     docs = {}
-    for spec in getattr(args, "xml", None) or []:
+    for spec in args.xml or []:
         name, _, path = spec.partition("=")
         if not path:
             raise DdliteError(f"--xml expects name=path, got {spec!r}")
@@ -152,18 +153,11 @@ def _eval_options(args) -> EvalOptions:
 # ---------------------------------------------------------------- commands
 
 
-def _write(text: str) -> None:
-    """Write text to stdout; nothing, as print does, where Python opened
-    no stdout (its fd was closed at start-up), and main's status stands."""
-    if sys.stdout is not None:
-        sys.stdout.write(text)
-
-
 def cmd_parse(args) -> int:
     from .engine import check_safety, stratify
 
     p = _parse_checked(args.file)
-    _write(print_program(p))
+    print(print_program(p), end="")
     violations = check_safety(p)
     if violations:
         for v in violations:
@@ -209,13 +203,13 @@ def cmd_graph(args) -> int:
 
     g = _build_graph(args, args.file)
     if args.format == "dot":
-        _write(to_dot(g))
+        print(to_dot(g), end="")
     elif args.format == "json":
         import json
 
         print(json.dumps(graph_to_json(g), indent=2))
     else:
-        _write(_graph_text(g))
+        print(_graph_text(g), end="")
     return 0
 
 
@@ -309,7 +303,7 @@ def cmd_eval(args) -> int:
 
         print(json.dumps(facts_to_json(store), indent=2))
     else:
-        _write(dump_facts(store))
+        print(dump_facts(store), end="")
     return 0
 
 
@@ -322,7 +316,7 @@ def cmd_swrl(args) -> int:
     split = [r for rule in rules for r in lloyd_topor(rule)]
     program = swrl_to_datalog(split)
     if args.emit == "datalog":
-        _write(print_program(program))
+        print(print_program(program), end="")
         return 0
     from .engine import check_calls, check_safety
 
@@ -395,20 +389,17 @@ def cmd_prove(args) -> int:
     tree = tree_of(found)
     if tree is None:
         tree = proof_tree(found, deriving_rule(p, store, found) or "fact")
-    _write(render_proof_tree(tree, args.format))
-    if args.format == "term":
-        _write("\n")
+    # the term form is one line, ended here; the others end in a newline
+    print(render_proof_tree(tree, args.format), end="\n" if args.format == "term" else "")
     return 0
 
 
 # ---------------------------------------------------------------- driver
 
 
+_CSV_FLAG = ("--csv", dict(action="append", metavar="PRED=PATH",
+                           help="load CSV rows as facts of PRED"))
 _EVAL_FLAGS = (
-    ("--csv", dict(action="append", metavar="PRED=PATH",
-                   help="load CSV rows as facts of PRED")),
-    ("--xml", dict(action="append", metavar="NAME=PATH",
-                   help="register an XML document under NAME")),
     ("--max-iterations", dict(
         type=lambda raw: _non_negative_int("--max-iterations", raw))),
     ("--max-facts", dict(type=lambda raw: _non_negative_int("--max-facts", raw))),
@@ -447,6 +438,7 @@ COMMAND_TABLE = {
     "eval": ("bottom-up evaluation to a fact dump", cmd_eval, (
         ("file", {}),
         ("--format", dict(choices=("text", "json"), default="text")),
+        _CSV_FLAG,
         *_EVAL_FLAGS,
     )),
     "swrl": ("translate a SWRL rule base", cmd_swrl, (
@@ -459,24 +451,25 @@ COMMAND_TABLE = {
         ("--template", dict(required=True)),
         ("--base-dir", dict(default=".", help="directory for doc('...') lookups")),
         ("--format", dict(choices=("text", "json"), default="text")),
+        _CSV_FLAG,
+        ("--xml", dict(action="append", metavar="NAME=PATH",
+                       help="register an XML document under NAME")),
         *_EVAL_FLAGS,
     )),
     "prove": ("render the proof tree of a derived atom", cmd_prove, (
         ("file", {}),
         ("--atom", dict(required=True)),
         ("--format", dict(choices=("term", "ascii", "dot"), default="term")),
+        _CSV_FLAG,
         *_EVAL_FLAGS,
     )),
 }
 COMMANDS = tuple(COMMAND_TABLE)
 
 
-def build_parser(command: str | None = None):
-    """The argparse parser of the command line; for a command in COMMANDS,
-    it holds that command's subparser alone.  Its usage line names every
-    command either way, as an `unrecognized arguments` error prints it;
-    errors that name the command argument itself (an unknown command or
-    none) come only from the parser that holds all of them."""
+def build_parser():
+    """The argparse parser of the command line, with a subparser for each
+    command in COMMANDS."""
     import argparse
 
     top = argparse.ArgumentParser(
@@ -485,13 +478,8 @@ def build_parser(command: str | None = None):
         "graphs, bottom-up evaluation with proof trees, SWRL import, and "
         "hybrid XML/CSV queries.",
     )
-    if command in COMMAND_TABLE:
-        built, metavar = (command,), "{" + ",".join(COMMANDS) + "}"
-    else:
-        built, metavar = COMMANDS, None
-    subs = top.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in built:
-        help_line, func, arguments = COMMAND_TABLE[name]
+    subs = top.add_subparsers(dest="command", required=True)
+    for name, (help_line, func, arguments) in COMMAND_TABLE.items():
         sp = subs.add_parser(name, help=help_line)
         for arg, keywords in arguments:
             sp.add_argument(arg, **keywords)
@@ -511,7 +499,7 @@ def _non_negative_int(name: str, raw: str) -> int:
 
 
 def _read_args(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace build_parser(argv[0]).parse_args(argv) gives, read
+    """The namespace build_parser().parse_args(argv) gives, read
     without argparse when argv has the one form read here: the command
     first, then flags spelled out in full, each value a word of its own
     that does not start with '-', every choice met, every required flag
@@ -576,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _read_args(argv)
         if args is None:
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except DdliteError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -118,18 +118,23 @@ def _arith(t: Term) -> float:
                 values.append(-values.pop())
                 continue
             b, a = values.pop(), values.pop()
-            if functor == "+":
-                values.append(a + b)
-            elif functor == "-":
-                values.append(a - b)
-            elif functor == "*":
-                values.append(a * b)
-            elif b == 0:
-                raise EvalTypeError("division by zero")
-            elif isinstance(a, int) and isinstance(b, int) and a % b == 0:
-                values.append(a // b)
-            else:
-                values.append(a / b)
+            try:
+                if functor == "+":
+                    values.append(a + b)
+                elif functor == "-":
+                    values.append(a - b)
+                elif functor == "*":
+                    values.append(a * b)
+                elif b == 0:
+                    raise EvalTypeError("division by zero")
+                elif isinstance(a, int) and isinstance(b, int) and a % b == 0:
+                    values.append(a // b)
+                else:
+                    values.append(a / b)
+            except OverflowError:  # a float met an int, or a quotient, beyond its range
+                raise EvalTypeError(
+                    f"arithmetic beyond float range: {term_text(t)}"
+                ) from None
         elif isinstance(item, Num):
             values.append(item.value)
         elif isinstance(item, Var):
@@ -150,8 +155,26 @@ def _arith(t: Term) -> float:
     return values[0]
 
 
+def too_long(value) -> bool:
+    """Whether value is an int with more digits than str() prints and
+    int() reads (sys.get_int_max_str_digits(): 4,300 by default, 640 at
+    the least, 0 for no limit), so that no reader could read it back."""
+    if not isinstance(value, int) or value.bit_length() <= 2000:  # 603 digits at most
+        return False
+    try:
+        str(value)
+    except ValueError:
+        return True
+    return False
+
+
 def _bi_is(args: tuple[Term, ...]) -> Term:
-    return Num(_arith(args[1]))
+    value = _arith(args[1])
+    if too_long(value):
+        raise EvalTypeError(
+            f"arithmetic result is an integer with too many digits: {term_text(args[1])}"
+        )
+    return Num(value)
 
 
 def _compare(op: str) -> Callable[[tuple[Term, ...]], bool]:

@@ -92,8 +92,9 @@ class InstantiationError(DdliteError):
 
 
 class EvalTypeError(DdliteError):
-    """A builtin was called with an argument of the wrong shape
-    (e.g. arithmetic over a non-number)."""
+    """A builtin was called with an argument of the wrong shape (e.g.
+    arithmetic over a non-number), or arithmetic, in a builtin or an
+    aggregate, left the numbers ddlite reads."""
 
 
 class UnknownBuiltin(DdliteError):

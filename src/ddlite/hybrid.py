@@ -15,6 +15,7 @@ import io
 import os
 
 from .errors import (
+    EvalTypeError,
     NonNumericAggregate,
     NumericParseError,
     ParseError,
@@ -24,7 +25,7 @@ from .errors import (
     UnboundFilterError,
     UnorderedAggregate,
 )
-from .engine import BUILTINS, FactStore, check_calls, solve_body
+from .engine import BUILTINS, FactStore, check_calls, solve_body, too_long
 from .kernel import (
     CONTROL,
     Atom,
@@ -536,11 +537,15 @@ def _fold(col: AggCol, values: list[Term]) -> Term:
     fn = col.fn
     if fn == "count":
         return Num(len(values))
-    if fn == "sum":
-        return Num(sum(_numeric_values(fn, values)))
-    if fn == "avg":
+    if fn == "sum" or fn == "avg":
         nums = _numeric_values(fn, values)
-        return Num(float(sum(nums)) / len(nums))
+        try:
+            value = sum(nums) if fn == "sum" else float(sum(nums)) / len(nums)
+        except OverflowError:  # an int beyond float range met a float
+            raise EvalTypeError(f"{fn}({col.var}) is beyond float range") from None
+        if too_long(value):
+            raise EvalTypeError(f"{fn}({col.var}) is an integer with too many digits")
+        return Num(value)
     ordered = sorted(values, key=lambda v: _order_key(v, col.var))
     return ordered[0] if fn == "min" else ordered[-1]
 

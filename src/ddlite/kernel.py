@@ -732,10 +732,11 @@ def sort_key(t):
     """Total-order key over ground (and almost-ground) terms and atoms.
 
     Numbers sort before constants, constants before variables, variables
-    before compounds; numbers compare arithmetically with ints before an
-    arithmetically equal float.  A compound keeps its key once made.  Any
-    other term, such as a document node, has no place in the order: its
-    key, and that of a term holding it, raises TypeError.
+    before compounds; numbers compare arithmetically, by value (Python
+    compares an int with a float exactly, however large the int), with
+    ints before an arithmetically equal float.  A compound keeps its key
+    once made.  Any other term, such as a document node, has no place in
+    the order: its key, and that of a term holding it, raises TypeError.
 
     A compound's key is a nested tuple, compared by Python's tuple
     comparison, unless the compound nests more than _KEY_HEIGHT levels:
@@ -753,12 +754,12 @@ def sort_key(t):
                 keys.append((1, a.symbol))
             elif cls is Num:
                 value = a.value
-                keys.append((0, float(value), 0 if isinstance(value, int) else 1))
+                keys.append((0, value, 0 if isinstance(value, int) else 1))
             else:
                 keys.append(sort_key(a))
         return (t.module_prefix or "", t.predicate, len(keys), tuple(keys))
     if isinstance(t, Num):
-        return (0, float(t.value), 0 if t.is_int() else 1)
+        return (0, t.value, 0 if t.is_int() else 1)
     if isinstance(t, Const):
         return (1, t.symbol)
     if isinstance(t, Var):

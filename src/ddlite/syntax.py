@@ -152,12 +152,12 @@ _RULE_VALUES = {
 }
 
 
-# A flat literal of rule text, which is also the flat argument list of a
-# name.  Each part is optional, so the pattern matches anywhere, and a
-# reader looks at the groups that took part: (1) `not` and the whitespace
-# after it, (2) a plain name, (3) '(' and ')' around (4) arguments that are
-# each one variable, plain name or unsigned integer, split by ',', and (5)
-# the `:-`, ',' or '.' after the literal.  Whitespace, but no comment, may
+# A flat literal of rule text, which flat_clause reads in one match.  Each
+# part is optional, so the pattern matches anywhere, and a reader looks at
+# the groups that took part: (1) `not` and the whitespace after it, (2) a
+# plain name, (3) '(' and ')' around (4) arguments that are each one
+# variable, plain name or unsigned integer, split by ',', and (5) the
+# `:-`, ',' or '.' after the literal.  Whitespace, but no comment, may
 # come between the tokens.  An integer here has at most 18 ASCII digits; a
 # longer one (int() refuses one of more than 4,300) or one with other
 # decimal digits is read token by token.  A name or argument ends where
@@ -190,10 +190,11 @@ class TokenCursor:
     a time; rule text, goals, templates, `--atom` and SWRL are all read
     through it.  The text is lexed on demand: a token is matched when a
     reader first asks for it, so a reader may pass over a stretch of text
-    with one match of its own (a flat atom) that makes no tokens.  A cursor
-    over a token list lexed already, such as tokenize's, reads it the same
-    way.  A "bad" token holds a lexical error that is raised only when a
-    reader reaches it, so an earlier syntax error is the one reported."""
+    with matches of its own (a flat clause, a flat SWRL atom) that make no
+    tokens.  A cursor over a token list lexed already, such as tokenize's,
+    reads it the same way.  A "bad" token holds a lexical error that is
+    raised only when a reader reaches it, so an earlier syntax error is
+    the one reported."""
 
     # The language: a token's kind is the named group of pattern that
     # matched, and it starts where that group does, so the pattern alone
@@ -255,7 +256,8 @@ class TokenCursor:
 
     def unlexed(self) -> bool:
         """Whether the text after the last token read is still unlexed, so
-        that a reader may match it itself."""
+        that a reader may match it itself, as flat_clause and the SWRL
+        reader do."""
         return self.i == len(self.tokens) and self.pos is not None
 
     def peek(self, k: int = 0) -> Token:
@@ -312,9 +314,9 @@ if TYPE_CHECKING:
 class TermParser(TokenCursor):
     """Recursive-descent / precedence-climbing parser of rule text.  Where
     a clause starts in unlexed text, it first tries to read it one flat
-    literal per match (flat_clause), and where an argument list may follow
-    a name, one match for a flat list; both with _RULE_LITERAL.  Anything
-    else, and every term in a token list, is read token by token."""
+    literal per match of _RULE_LITERAL (flat_clause).  Anything else, such
+    as a goal, a template or `--atom`, and every term in a token list, is
+    read token by token."""
 
     def __init__(self, source: Union[str, list[Token]], filename: str = "<string>"):
         super().__init__(source, filename)
@@ -362,11 +364,9 @@ class TermParser(TokenCursor):
             return tok.value
         return None
 
-    def term(self, max_prec: int = 999, left: Optional[Term] = None) -> Term:
-        """A term of priority up to max_prec; left, if given, is its first
-        operand, read already."""
-        if left is None:
-            left = self.primary()
+    def term(self, max_prec: int = 999) -> Term:
+        """A term of priority up to max_prec."""
+        left = self.primary()
         while True:
             op = self.infix_op()
             if op is None or OPERATORS[op][0] > max_prec:
@@ -398,12 +398,9 @@ class TermParser(TokenCursor):
             self._clause_vars.add(tok.value)
             return Var(tok.value)
         if tok.kind in ("atom", "quoted"):
-            args = self.flat_args()
-            if args is None:
-                if not self.at_punct("("):
-                    return Const(tok.value)
-                args = self.arg_list()
-            return Compound(tok.value, args)
+            if self.at_punct("("):
+                return Compound(tok.value, self.arg_list())
+            return Const(tok.value)
         if tok.kind == "punct":
             if tok.value == "(":
                 inner = self.term(1200)
@@ -420,18 +417,6 @@ class TermParser(TokenCursor):
             if tok.value == "!":
                 return Const("!")
         self.fail(f"unexpected token {tok.value!r}", tok)
-
-    def flat_args(self) -> Optional[tuple[Term, ...]]:
-        """The arguments of a flat argument list right after the name just
-        read, passed over in one match; None if none follows, or the text
-        after the name is lexed already."""
-        if not self.unlexed():
-            return None
-        m = _rule_pattern("literal").match(self.text, self.pos)
-        if m[4] is None or m[2] is not None or m[1] is not None:
-            return None
-        self.pos = m.end(3)
-        return self.flat_terms(m[4])
 
     def flat_terms(self, args: str) -> tuple[Term, ...]:
         """The terms of the arguments of a flat list (group 4 of
@@ -479,23 +464,12 @@ class TermParser(TokenCursor):
 
     def goal_atom(self, prefixed: bool = True) -> Atom:
         """One callable goal, with an optional module prefix unless prefixed
-        is False (a rule head).  A plain name with flat arguments that no
-        operator takes as its left operand is made an Atom at once."""
+        is False (a rule head)."""
         tok = self.peek()
-        if tok.kind == "atom":
-            self.i += 1
-            args = self.flat_args()
-            if args is not None:
-                op = self.infix_op()
-                if op is None or OPERATORS[op][0] > 999:
-                    return Atom(tok.value, args, None, tok.span(self.filename))
-                left = self.term(999, Compound(tok.value, args))  # p(X) = q
-                return self.to_atom(left, None, tok)
-            if prefixed and self.at_punct(":"):
-                self.next()
-                # a parenthesized goal is a primary too: prolog:(L is N+M)
-                return self.to_atom(self.primary(), tok.value, tok)
-            self.i -= 1  # read the name again, as a term
+        if prefixed and tok.kind == "atom" and self.at_punct(":", k=1):
+            self.i += 2
+            # a parenthesized goal is a primary too: prolog:(L is N+M)
+            return self.to_atom(self.primary(), tok.value, tok)
         return self.to_atom(self.term(999), None, tok)
 
     def to_atom(self, t: Term, module: Optional[str], tok: Token) -> Atom:

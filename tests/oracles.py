@@ -1064,6 +1064,19 @@ def reference_parse_program(text, filename="<string>"):
     return Program(tuple(rules))
 
 
+def reference_parse_atom(text, filename="<atom>"):
+    """parse_atom over a token list lexed first: one goal, then an optional
+    '.' and the end of the text."""
+    parser = _RefTermParser(reference_tokenize(text, filename), filename)
+    atom = parser.goal_atom()
+    tok = parser.next()
+    if tok.kind == "end":
+        tok = parser.next()
+    if tok.kind != "eof":
+        parser.fail(f"unexpected trailing {tok.value!r}", tok)
+    return atom
+
+
 def _ref_call(name, args):
     return Atom(name.rsplit(":", 1)[-1], args, "prolog")
 

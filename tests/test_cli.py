@@ -1023,7 +1023,7 @@ def _outcome(read, argv):
 
 
 def _argparse(argv):
-    return build_parser(argv[0] if argv else None).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def test_the_reader_agrees_with_argparse_on_every_golden_argv():
@@ -1110,9 +1110,9 @@ def test_the_reader_agrees_with_argparse_or_declines(argv):
 def test_a_command_loads_only_what_it_runs(argv, code, loaded):
     # json is loaded by --format json, the engine (with graphs) by the
     # commands that check or evaluate a program, graphs by graph and diff,
-    # the hybrid layer and csv by --csv, --xml, query and schema graphs,
-    # the XML reader by --xml, query, schema graphs and RuleML, the
-    # magic-set rewrite by prove alone, argparse (with gettext and locale)
+    # the hybrid layer and csv by --csv, query and schema graphs, the XML
+    # reader by query, schema graphs and RuleML, the magic-set rewrite by
+    # prove alone, argparse (with gettext and locale)
     # by help and usage errors alone, and typing by nothing; site-packages
     # (-S) loads none of them.  swrl runs on the kernel and the readers
     # alone.  The child exits with main's status, and its stderr is the

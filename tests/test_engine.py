@@ -152,6 +152,27 @@ def test_is_rejects_a_result_that_is_not_a_number():
     assert call_builtin(bi("is", Var("X"), inf))[0]["X"] == Num(float("inf"))
 
 
+def test_is_rejects_a_result_the_reader_could_not_read_back():
+    # an int beyond float range that meets a float, or whose quotient is no
+    # int, has no float value; an int of more digits than int() reads
+    # could not be printed
+    big = Num(10**400)
+    for expr in (Compound("/", (big, Num(3))), Compound("*", (big, Num(1.5)))):
+        with pytest.raises(EvalTypeError, match="beyond float range"):
+            call_builtin(bi("is", Var("X"), expr))
+    huge = Num(int("7" * 3000))
+    square = Compound("*", (huge, huge))
+    with pytest.raises(EvalTypeError, match="too many digits"):
+        call_builtin(bi("is", Var("X"), square))
+    p = parse_program(f"big({10**400}).\nq(Y) :- big(X), prolog:(Y is X / 3).")
+    with pytest.raises(EvalTypeError, match="beyond float range"):
+        evaluate(p)
+    # exact results of any size stay, and so do comparisons
+    exact = call_builtin(bi("is", Var("X"), Compound("/", (big, Num(10)))))
+    assert exact[0]["X"] == Num(10**399)
+    assert call_builtin(bi(">", square, Num(1.5)))
+
+
 def test_is_non_arithmetic_operand():
     with pytest.raises(EvalTypeError, match="not an arithmetic expression"):
         call_builtin(bi("is", Var("X"), Const("woof")))

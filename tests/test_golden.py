@@ -134,6 +134,21 @@ def cases() -> list[list[str]]:
     for name in ("flat_shapes", "infix_after_atom", "dot_in_args", "not_var",
                  "long_integer", "lex_after_syntax", "eq_body", "deep_list"):
         out.append(["eval", f"{INPUTS}/{name}.dl"])
+    # integers beyond float range: ordered by value, and an error where
+    # arithmetic or an aggregate leaves the numbers ddlite reads
+    huge = f"{INPUTS}/huge_integer.dl"
+    out.append(["eval", huge])
+    out.append(["prove", huge, "--atom", "p(X)"])
+    for goal, template in (
+        ("p(X)", "[X]"),
+        ("p(X)", "[min(X), max(X)]"),
+        ("p(X)", "[sum(X)]"),
+        ("p(X)", "[avg(X)]"),
+        ("p(X), X > 100, Y is X / 3", "[Y]"),
+        ("p(X), X > 100, Y is X * 1.5", "[Y]"),
+        ("big(X), Y is X * X", "[Y]"),
+    ):
+        out.append(["query", huge, "--goal", goal, "--template", template])
 
     # swrl: fixtures in both forms, then the malformed and edge-case inputs
     for f in swrl + xml:
@@ -347,6 +362,10 @@ def cases() -> list[list[str]]:
         out.append([command, "--help"])
         out.append([command] + args + ["--bogus"])
     out.append(["eval", ROUTE, "--format", "xml"])
+    # --xml is a flag of query alone
+    out.append(["eval", ROUTE, "--xml", f"d={FX}/works_on.xml"])
+    out.append(["prove", ROUTE, "--atom", "route(A, B, L, T)",
+                "--xml", f"d={FX}/works_on.xml"])
     out.append(["query", ROUTE, "--template", "[L]"])
     return out
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ddlite.engine import FactStore, solve_body
 from ddlite.errors import (
+    EvalTypeError,
     NonNumericAggregate,
     NumericParseError,
     ParseError,
@@ -694,6 +695,27 @@ def test_aggregate_sum_rejects_non_numbers():
             None,
             employee_store(),
         )
+
+
+def test_aggregate_rejects_a_sum_or_avg_the_reader_could_not_read_back():
+    # the sum of an int beyond float range and a float, or its average,
+    # has no float value; a sum of more digits than int() reads could not
+    # be printed; min and max order such ints by value
+    store = FactStore()
+    for value in (10**400, 2.5, 1):
+        store.add(Atom("q", (Num(value),)))
+    for fn in ("sum", "avg"):
+        with pytest.raises(EvalTypeError, match=f"{fn}\\(X\\) is beyond float range"):
+            ddbase_aggregate(parse_template(f"[{fn}(X)]"), parse_goal("q(X)"), None, store)
+    template = parse_template("[min(X), max(X)]")
+    assert ddbase_aggregate(template, parse_goal("q(X)"), None, store) == [
+        [Num(1), Num(10**400)]
+    ]
+    store = FactStore()
+    for digit in "98":
+        store.add(Atom("r", (Num(int(digit * 4300)),)))
+    with pytest.raises(EvalTypeError, match="too many digits"):
+        ddbase_aggregate(parse_template("[sum(X)]"), parse_goal("r(X)"), None, store)
 
 
 def test_aggregate_template_variable_must_occur_in_the_goal():

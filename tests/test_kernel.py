@@ -330,6 +330,19 @@ def test_sort_key_orders_numbers_before_consts_before_vars():
     assert isinstance(ordered[3], Var)
 
 
+def test_sort_key_orders_numbers_by_value_beyond_float_range():
+    # ints compare with floats exactly: no int is too large for its key,
+    # and ints that one float stands for keep their own order
+    big, edge = 10**400, 2**53
+    terms = [Num(big + 1), Num(2.5), Num(edge + 1), Num(float(edge)), Num(big),
+             Num(1.0), Num(1), Num(-big)]
+    ordered = [Num(-big), Num(1), Num(1.0), Num(2.5), Num(float(edge)), Num(edge + 1),
+               Num(big), Num(big + 1)]
+    assert sorted(terms, key=sort_key) == ordered
+    facts = sorted((Atom("p", (t,)) for t in terms), key=sort_key)
+    assert [f.args[0] for f in facts] == ordered
+
+
 def _nested_key(t):
     """sort_key as plain nested tuples, built by recursion."""
     if isinstance(t, Atom):

@@ -48,6 +48,7 @@ from ddlite.hybrid import parse_goal, parse_template
 from ddlite.xmlterm import Text, XmlTerm, parse_xml, xml_to_text
 from oracles import (
     char_tokens,
+    reference_parse_atom,
     reference_parse_number,
     reference_parse_program,
     reference_parse_swrl,
@@ -449,7 +450,8 @@ def test_a_reader_compiles_only_the_rule_patterns_its_text_needs(monkeypatch):
     # the rule-text patterns compile on first use: SWRL, and its Datalog
     # translation printed, compile none; a program of flat clauses only the
     # literal pattern, up to its end; a comment or an operator the token
-    # pattern too
+    # pattern too; a goal, `--atom` or a template, flat or not, only the
+    # token pattern
     monkeypatch.setattr(syntax, "_RULE_PATTERNS", {})
     rules = parse_swrl(fixture("uncle.swrl"), "uncle.swrl")
     text = print_program(swrl_to_datalog([r for rule in rules for r in lloyd_topor(rule)]))
@@ -458,6 +460,15 @@ def test_a_reader_compiles_only_the_rule_patterns_its_text_needs(monkeypatch):
     assert list(syntax._RULE_PATTERNS) == ["literal"]
     parse_program("% name: u\np(X) :- q(X).")
     assert sorted(syntax._RULE_PATTERNS) == ["literal", "token"]
+    workloads = _perfbench_workloads()
+    for read, text in (
+        (parse_atom, "route(c0, c16, L, T)"),
+        (parse_goal, workloads.HOURS_GOAL),
+        (parse_template, workloads.HOURS_TEMPLATE),
+    ):
+        monkeypatch.setattr(syntax, "_RULE_PATTERNS", {})
+        read(text)
+        assert list(syntax._RULE_PATTERNS) == ["token"], text
 
 
 def test_lloyd_topor_splits_consequents():
@@ -954,6 +965,29 @@ def test_parse_program_agrees_with_the_token_reader(text, edits):
         assert _program_outcome(parse_program, mutant) == _program_outcome(
             reference_parse_program, mutant
         ), mutant
+
+
+def _atom_outcome(reader, text):
+    """The atom with its span, which equality skips, or the error with its
+    span."""
+    try:
+        atom = reader(text, "<a>")
+    except ParseError as err:
+        return str(err)
+    return atom, atom.span
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(st.one_of(_rule_atom(), _rule_goal()), _EDITS)
+@example("route(c0, c16, L, T)", [(19, "insert", ".")])
+@example("p(X) = q", [(4, "delete", "x")])
+@example("prolog:p(X, 1)", [(6, "replace", " ")])
+@example("p(X).", [(5, "insert", "q")])
+def test_parse_atom_agrees_with_the_token_reader(text, edits):
+    for goal in (text, *_edited(text, edits)):
+        assert _atom_outcome(parse_atom, goal) == _atom_outcome(
+            reference_parse_atom, goal
+        ), goal
 
 
 _FLAT_SWRL_ARGS = st.sampled_from(
