@@ -37,7 +37,7 @@ import sys
 from types import SimpleNamespace
 
 from .errors import CycleError, DdliteError
-from .kernel import PredKey, Program, match, read_text
+from .kernel import PredKey, Program, check_calls, match, read_text
 from .syntax import (
     lloyd_topor,
     parse_atom,
@@ -58,8 +58,6 @@ _ENV_MAX_FACTS = "DDLITE_MAX_FACTS"
 
 def _parse_checked(path: str) -> Program:
     """The program in the file, its builtin calls checked (check_calls)."""
-    from .engine import check_calls
-
     p = parse_program(read_text(path), path)
     check_calls(p)
     return p
@@ -318,7 +316,7 @@ def cmd_swrl(args) -> int:
     if args.emit == "datalog":
         print(print_program(program), end="")
         return 0
-    from .engine import check_calls, check_safety
+    from .engine import check_safety
 
     check_calls(program)
     violations = check_safety(program)

@@ -15,14 +15,18 @@ soon as one side is bound.  A body with a builtin that can raise, or
 with a negated builtin, whose answer depends on what is bound where it
 runs, keeps its written order, and so does a goal (solve_body, as run by
 hybrid.solve_goal), whose answer order users see.
-A positive literal matches ground facts one way (kernel.match); mgu, with
-its occurs check, runs only where both sides may hold variables: a
-unifying builtin (pt, same_as) with open terms on both sides, and the
-literals after one.  A literal whose variables are bound is a lookup,
-and a head is built from a template.  A literal with a `prolog:` (or
-any) prefix calls the builtin lookup_builtin finds in a small registry
-instead of matching facts; check_calls, which evaluate, solve_goal and
-every command run first, reports one that names no builtin.  Negated
+A step calls the next step once per answer and returns whether to stop,
+so a derivation costs a probe, a compare and an insert.  A positive
+literal whose arguments are variables and ground terms matches ground
+facts through a match compiled into its step (_match_step), one holding
+an open compound one way (kernel.match); mgu, with its occurs check,
+runs only where both sides may hold variables: a unifying builtin (pt,
+same_as) with open terms on both sides, and the literals after one.  A
+literal whose variables are bound is a lookup, and a head is built from
+a template.  A literal with a `prolog:` (or any) prefix calls the
+builtin lookup_builtin finds in a small registry instead of matching
+facts; kernel.check_calls, which evaluate, solve_goal and every command
+run first, reports one that names no builtin.  Negated
 literals are checked against the store, which by stratification is
 already complete for the negated predicate; a negated literal still
 carrying variables is deferred to the end of the body and then read as
@@ -38,7 +42,10 @@ finds one in a fact, and render_proof_tree reads it as it is.
 
 from __future__ import annotations
 
+import math
+import re
 from collections import deque
+from operator import attrgetter, itemgetter
 
 from .errors import (
     CycleError,
@@ -51,7 +58,6 @@ from .errors import (
 )
 from .graphs import NOT, build_pdg
 from .kernel import (
-    OPERATORS,
     Atom,
     Compound,
     Const,
@@ -66,12 +72,14 @@ from .kernel import (
     Var,
     apply,
     bind_ground,
+    check_calls,
     is_ground,
     list_elements,
     match,
     mgu,
     mklist,
     parse_number,
+    rule_error,
     sort_key,
     term_text,
     term_vars,
@@ -79,7 +87,7 @@ from .kernel import (
 
 TYPE_CHECKING = False  # typing is imported by type checkers alone
 if TYPE_CHECKING:
-    from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
+    from typing import Callable, Container, Iterable, Optional, Sequence
 
 # ===========================================================================
 # Builtin registry
@@ -133,7 +141,7 @@ def _arith(t: Term) -> float:
                     values.append(a / b)
             except OverflowError:  # a float met an int, or a quotient, beyond its range
                 raise EvalTypeError(
-                    f"arithmetic beyond float range: {term_text(t)}"
+                    f"arithmetic beyond float range: {_expr_text(t)}"
                 ) from None
         elif isinstance(item, Num):
             values.append(item.value)
@@ -146,13 +154,34 @@ def _arith(t: Term) -> float:
             stack.append((item.functor, len(item.args)))
             stack.extend(reversed(item.args))
         else:
-            raise EvalTypeError(f"not an arithmetic expression: {term_text(item)}")
+            raise EvalTypeError(f"not an arithmetic expression: {_expr_text(item)}")
     if values[0] != values[0]:
         # NaN, as from inf - inf: kernel.match finds it unequal to itself
         # and a store lookup finds it, so its joins would hang on the order
         # a plan takes
-        raise EvalTypeError(f"arithmetic result is not a number: {term_text(t)}")
+        raise EvalTypeError(f"arithmetic result is not a number: {_expr_text(t)}")
     return values[0]
+
+
+def _expr_text(t: Term) -> str:
+    """term_text(t) for an error message, each integer of more than 50
+    digits written as its first and last ten digits and its length, so
+    that the message stays one line a reader can read.  A quoted constant
+    is written as it is."""
+    return re.sub(_LONG_INT, _shorten, term_text(t))
+
+
+# a quoted constant, in which term_text writes a backslash before each
+# backslash and quote (kernel._const_text), or a run of more than 50
+# digits standing alone, as an integer prints; compiled at its first use
+_LONG_INT = r"'(?:[^'\\]|\\.)*'|(?<!\w)[0-9]{51,}(?!\w)"
+
+
+def _shorten(m: re.Match) -> str:
+    text = m[0]
+    if text[0] == "'":
+        return text
+    return f"{text[:10]}...{text[-10:]} ({len(text)} digits)"
 
 
 def too_long(value) -> bool:
@@ -169,12 +198,20 @@ def too_long(value) -> bool:
 
 
 def _bi_is(args: tuple[Term, ...]) -> Term:
+    """The value of args[1], which must be one a reader reads back: an
+    infinite float (1.0e308 * 10.0) is an error, as a NaN is (_arith)."""
     value = _arith(args[1])
     if too_long(value):
         raise EvalTypeError(
-            f"arithmetic result is an integer with too many digits: {term_text(args[1])}"
+            f"arithmetic result is an integer with too many digits: {_expr_text(args[1])}"
         )
+    if value in _INFINITE:
+        raise EvalTypeError(f"arithmetic beyond float range: {_expr_text(args[1])}")
     return Num(value)
+
+
+# compared by `in`, as math.isinf would overflow on an int beyond float range
+_INFINITE = (math.inf, -math.inf)
 
 
 def _compare(op: str) -> Callable[[tuple[Term, ...]], bool]:
@@ -246,6 +283,8 @@ def _bi_append(args: tuple[Term, ...]) -> Term:
     return mklist(flat)
 
 
+# what each builtin of kernel.BUILTIN_NAMES, which check_calls reads,
+# does: BUILTINS has the same keys
 BUILTINS: dict[tuple[str, int], Builtin] = {}
 
 
@@ -310,35 +349,6 @@ def call_builtin(goal: Atom, s: Optional[Subst] = None) -> list[Subst]:
     s = s or {}
     out = _answer(lookup_builtin(goal), bind_ground)(apply(s, goal).args, s)
     return [] if out is None else [out]
-
-
-def check_calls(p: Optional[Program], goal: Optional[Sequence] = None) -> None:
-    """Raise UnknownBuiltin at the first literal, of goal if given, else of
-    p's rule bodies (the error then naming the rule), that is a call naming
-    no builtin, negated or not, or that an operator names with no prefix,
-    such as `X = a`, and no fact or rule head of p defines.  Every command
-    runs this before it prints anything, so all report the same error."""
-    defined = p.idb() if p is not None else frozenset()
-    if goal is not None:
-        bodies = [(goal, None)]
-    else:
-        bodies = [(r.body, r) for r in p.rules if r.body]
-    for body, rule in bodies:
-        for item in body:
-            if not isinstance(item, Literal):
-                continue
-            atom = item.atom
-            try:
-                if item.is_builtin():
-                    lookup_builtin(atom)
-                elif atom.predicate in OPERATORS and atom.key not in defined:
-                    raise UnknownBuiltin(
-                        f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span
-                    )
-            except UnknownBuiltin as err:
-                if rule is None:
-                    raise
-                raise _wrap_rule_errors(rule, err) from err
 
 
 # ===========================================================================
@@ -673,8 +683,7 @@ class FactStore:
     def facts(self, key: PredKey) -> list[Atom]:
         cached = self._sorted_cache.get(key)
         if cached is None:
-            cached = sorted(self._by_pred.get(key, []), key=sort_key)
-            self._sorted_cache[key] = cached
+            cached = self._sorted_cache[key] = _sort_facts(self._by_pred.get(key, []))
         return cached
 
     def has(self, fact: Atom) -> bool:
@@ -687,7 +696,7 @@ class FactStore:
         """Like candidates, but in sort_key order."""
         if not positions:
             return self.facts(query.key)  # the whole group, sorted once
-        return sorted(self.candidates(query, s, positions), key=sort_key)
+        return _sort_facts(self.candidates(query, s, positions))
 
     def unifies_any(self, query: Atom) -> bool:
         args = query.args
@@ -699,6 +708,29 @@ class FactStore:
         for key in sorted(self._by_pred, key=lambda k: (k.module or "", k.name, k.arity)):
             out.extend(self.facts(key))
         return out
+
+
+def _sort_facts(facts: Sequence[Atom]) -> list[Atom]:
+    """Facts of one predicate in sort_key order, sorted by flat keys.
+
+    The facts share their predicate, so their keys differ only in the
+    arguments' keys.  A column whose arguments are all constants is keyed
+    by the symbols themselves, which order as their keys (1, symbol) do
+    and compare in C; any other column keeps sort_key.  The sort is
+    stable, as sorting by sort_key is."""
+    if len(facts) < 2 or not facts[0].args:
+        return list(facts)
+    columns = [
+        list(map(_symbol, column)) if set(map(type, column)) == _CONST_ONLY
+        else list(map(sort_key, column))
+        for column in zip(*[f.args for f in facts])
+    ]
+    keys = columns[0] if len(columns) == 1 else list(zip(*columns))
+    return [facts[i] for i in sorted(range(len(facts)), key=keys.__getitem__)]
+
+
+_symbol = attrgetter("symbol")
+_CONST_ONLY = {Const}
 
 
 def _atom_term(a: Atom) -> Term:
@@ -729,25 +761,41 @@ def _template(args: tuple) -> Callable[[Subst], tuple]:
     return lambda s: tuple([a if n is None else s.get(n, a) for n, a in parts])
 
 
+def _stop(s: Subst) -> bool:
+    return True
+
+
 class _Plan:
-    """A body compiled once for one binding pattern; run(s) yields its
-    answers for an entry substitution s, in order, as emit(s).
+    """A body compiled once for one binding pattern; run(s) solves it for
+    an entry substitution s, calling the plan's last step once per answer,
+    in order, and returns True if a step stopped the run.
 
     The pattern is the set of variables bound to ground terms on entry:
     none in evaluate and query, the head's in replay.  Each body item
-    becomes one step, which runs the next step once per answer.  The
-    steps come in the written order, or with reorder (evaluate and
-    replay) in bound-first order (_bound_first), unless a builtin of the
-    body can raise, or is negated (_may_raise): then the written order
-    decides which error comes first, and what is bound when the negation
-    runs.  What a step does is settled here, once:
+    becomes one step: a function of s that calls the next step once per
+    answer of its item, depth first, and returns True, at once, when the
+    next step does, else False.  So no step makes a generator, and a sink
+    that returns True ends the run.  The last step is finish(ground,
+    open_), called here once with the variables bound to ground terms at
+    the end of the body and whether s may hold open terms there: evaluate
+    records each head (_head_step), replay stops at the first answer (the
+    default), and solve_body collects the answers.  The steps come in the
+    written order, or with reorder (evaluate and replay) in bound-first
+    order (_bound_first), unless a builtin of the body can raise, or is
+    negated (_may_raise): then the written order decides which error
+    comes first, and what is bound when the negation runs.  What a step
+    does is settled here, once:
 
     - a positive literal takes its candidate facts from probe, or the
       store (at delta_pos only their tail that is in delta), by the
-      positions ground where it runs (probe_positions of ground), and
-      matches each one way (kernel.match).  Only after a builtin that may
+      positions ground where it runs (probe_positions of ground).  If its
+      arguments are variables and ground terms, its match is compiled
+      (_match_step): the positions that hold a ground term or a variable
+      bound before it are compared with one tuple comparison, and its new
+      variables bound by position.  A literal holding an open compound is
+      matched one way by kernel.match, and only after a builtin that may
       bind a variable to an open term, such as `pt(X, f(Y))` with Y
-      unbound, does it unify them with mgu;
+      unbound, is it unified with mgu;
     - a positive literal whose variables are all bound is one store.has
       lookup, unless it reads the delta or a probe;
     - a negated literal whose variables the pattern binds is one lookup.
@@ -774,7 +822,9 @@ class _Plan:
         probe: Optional[Callable[[Atom, Subst, tuple], Iterable[Atom]]] = None,
         compile_item: Optional[Callable[[object, set[str], bool], Callable]] = None,
         delta_pos: Optional[int] = None,
-        emit: Callable[[Subst], object] = lambda s: s,
+        finish: Callable[[set[str], bool], Callable[[Subst], object]] = (
+            lambda ground, open_: _stop
+        ),
         reorder: bool = False,
     ):
         # reads the delta_pos literal's candidates; its caller sets
@@ -808,29 +858,27 @@ class _Plan:
             else:
                 names = term_vars(atom)
                 positions = probe_positions(atom.args, ground)
+                bound_here = frozenset(ground)
                 if i == delta_pos:
-                    steps.append((_positive_step, atom, positions, self.delta, open_))
+                    step = (_positive_step, atom, positions, self.delta, open_, bound_here)
                 elif atom.ground or probe is None and not open_ and names <= ground:
-                    steps.append((_has_step, atom, store))
+                    step = (_has_step, atom, store)
                 else:
-                    steps.append((_positive_step, atom, positions, candidates, open_))
+                    step = (_positive_step, atom, positions, candidates, open_, bound_here)
+                steps.append(step)
                 ground |= names
 
+        last = finish(ground, open_)
         if late:
-            def finish(s: Subst) -> Iterable:
-                return (emit(s),) if deferred_negation_ok(late, s, store) else ()
-        else:
-            def finish(s: Subst) -> Iterable:
-                return (emit(s),)
+            answer = last
 
-        first = finish
+            def last(s: Subst) -> object:
+                return deferred_negation_ok(late, s, store) and answer(s)
+
+        first = last
         for step, *args in reversed(steps):
             first = step(*args, first)
-
-        def run(s: Subst) -> Iterator:
-            yield from first(s)
-
-        self.run: Callable[[Subst], Iterator] = run
+        self.run: Callable[[Subst], object] = first
 
 
 class _DeltaTail:
@@ -925,39 +973,103 @@ def _builtin_binds(atom: Atom, ground: set[str]) -> bool:
     return False
 
 
-# Each step function below builds one step of a plan: a function of s
-# whose iterable runs nxt, the rest of the plan, once per answer of its
-# item.  A step with at most one answer returns nxt's iterable, or (), as
-# it is called, which saves a generator per answer; Plan.run is lazy.
+# Each step function below builds one step of a plan from the step that
+# follows it, nxt: a function of s that calls nxt once per answer of its
+# item and returns True as soon as nxt does (see _Plan).
 
 
-def _positive_step(atom: Atom, positions: tuple, candidates, open_: bool, nxt):
+def _positive_step(
+    atom: Atom, positions: tuple, candidates, open_: bool, ground: frozenset, nxt
+):
     args = atom.args
     if open_:
         def run(s):
             for fact in candidates(atom, s, positions):
                 s2 = mgu(atom, fact, s)
-                if s2 is not None:
-                    yield from nxt(s2)
-    else:
+                if s2 is not None and nxt(s2):
+                    return True
+            return False
+    elif any(a.__class__ is Compound and not a.ground for a in args):
         def run(s):
             for fact in candidates(atom, s, positions):
                 s2 = match(args, fact.args, s)
-                if s2 is not None:
-                    yield from nxt(s2)
+                if s2 is not None and nxt(s2):
+                    return True
+            return False
+    else:
+        run = _match_step(atom, positions, candidates, ground, nxt)
+    return run
+
+
+def _match_step(atom: Atom, positions: tuple, candidates, ground: Container[str], nxt):
+    """The step of a positive literal whose arguments are variables and
+    ground terms, with the variables in ground bound on entry, to ground
+    terms: it binds what kernel.match(atom.args, fact.args, s) binds.
+
+    The positions that hold a ground term or a bound variable are read
+    from a fact at once (itemgetter) and compared, as one tuple, with the
+    terms that must stand there, which are worked out once per run.  A
+    new variable is bound to the argument at its rightmost position, and
+    where it occurs again, that argument is compared with each other one:
+    match visits the arguments right to left, so p(X, X) against
+    p(0.0, -0.0) binds X to -0.0.  A tuple comparison takes one object on
+    both sides as equal without asking it, where match asks: only a NaN,
+    unequal to itself, could tell the two apart, and none reaches a fact
+    (_bi_is rejects it)."""
+    args = atom.args
+    at: list[int] = []  # the positions that must hold given terms ...
+    parts: list[tuple] = []  # ... and for each (bound variable or None, term)
+    new: dict[str, int] = {}  # each new variable -> its rightmost position
+    again: list[tuple[int, int]] = []  # (rightmost, other) positions of one
+    for i in range(len(args) - 1, -1, -1):
+        a = args[i]
+        if a.__class__ is not Var:
+            at.append(i)
+            parts.append((None, a))
+        elif a.name in ground:
+            at.append(i)
+            parts.append((a.name, a))
+        elif a.name in new:
+            again.append((new[a.name], i))
+        else:
+            new[a.name] = i
+    key = itemgetter(*at) if at else None
+    names = [n for n, _ in parts if n is not None]
+    if not names:  # the same terms on every run
+        fixed = parts[0][1] if len(parts) == 1 else tuple(t for _, t in parts)
+        wanted = lambda s: fixed
+    elif len(names) == len(parts):
+        wanted = itemgetter(*names)
+    else:
+        wanted = lambda s: tuple([t if n is None else s[n] for n, t in parts])
+    right = itemgetter(*[r for r, _ in again]) if again else None
+    left = itemgetter(*[o for _, o in again]) if again else None
+    binds = list(new.items())  # right to left, the order match binds in
+
+    def run(s):
+        want = wanted(s)
+        for fact in candidates(atom, s, positions):
+            a = fact.args
+            if (key is None or want == key(a)) and (right is None or right(a) == left(a)):
+                s2 = s.copy()
+                for name, i in binds:
+                    s2[name] = a[i]
+                if nxt(s2):
+                    return True
+        return False
     return run
 
 
 def _has_step(atom: Atom, store: FactStore, nxt):
     if atom.ground:
         def run(s):
-            return nxt(s) if store.has(atom) else ()
+            return store.has(atom) and nxt(s)
         return run
     build = _template(atom.args)
     predicate = atom.predicate
 
     def run(s):
-        return nxt(s) if store.has(Atom(predicate, build(s))) else ()
+        return store.has(Atom(predicate, build(s))) and nxt(s)
     return run
 
 
@@ -967,7 +1079,7 @@ def _negated_step(atom: Atom, store: FactStore, nxt):
 
     def run(s):
         bound = Atom(predicate, build(s))
-        return () if bound.ground and store.has(bound) else nxt(s)
+        return not (bound.ground and store.has(bound)) and nxt(s)
     return run
 
 
@@ -976,16 +1088,16 @@ def _builtin_step(atom: Atom, negated: bool, open_: bool, nxt):
     answer = _answer(lookup_builtin(atom), bind_ground if open_ else _match_one)
     if negated:
         def run(s):
-            return nxt(s) if answer(build(s), s) is None else ()
+            return answer(build(s), s) is None and nxt(s)
     else:
         def run(s):
             s2 = answer(build(s), s)
-            return () if s2 is None else nxt(s2)
+            return s2 is not None and nxt(s2)
     return run
 
 
 def _fail_step(nxt):
-    return lambda s: ()
+    return lambda s: False
 
 
 def solve_body(
@@ -994,7 +1106,7 @@ def solve_body(
     s: Optional[Subst] = None,
     probe: Optional[Callable[[Atom, Subst, tuple], Iterable[Atom]]] = None,
     compile_item: Optional[Callable[[object, set[str], bool], Callable]] = None,
-) -> Iterator[Subst]:
+) -> list[Subst]:
     """All substitutions solving the body (a rule body or a goal) left to
     right against store, through a plan compiled for s's bound variables.
 
@@ -1005,7 +1117,12 @@ def solve_body(
     """
     s = s or {}
     bound = [name for name, value in s.items() if is_ground(value)]
-    return _Plan(body, store, bound, len(bound) < len(s), probe, compile_item).run(s)
+    answers: list[Subst] = []
+    _Plan(
+        body, store, bound, len(bound) < len(s), probe, compile_item,
+        finish=lambda ground, open_: answers.append,
+    ).run(s)
+    return answers
 
 
 # ===========================================================================
@@ -1018,47 +1135,53 @@ class EvalOptions(Record):
     _defaults = {"max_iterations": 10000, "max_facts": 1_000_000}
 
 
-def _wrap_rule_errors(rule: Rule, err: DdliteError) -> DdliteError:
-    if isinstance(err, (InstantiationError, EvalTypeError, UnknownBuiltin)):
-        return type(err)(f"in rule {rule.name}: {err.message}", err.span or rule.span)
-    return err
-
-
 def _rule_plan(
-    rule: Rule, store: FactStore, delta_pos: Optional[int] = None
+    rule: Rule, store: FactStore, delta_pos: Optional[int], sink: Callable[[Atom], object]
 ) -> _Plan:
     """The rule compiled for evaluation: nothing bound on entry, and each
-    answer emitted as the head built from its template."""
-    head = rule.head
-    build = _template(head.args)
+    answer's head handed to sink (_head_step)."""
+    return _Plan(
+        rule.body, store, delta_pos=delta_pos, reorder=True,
+        finish=lambda ground, open_: _head_step(rule.head, sink, ground, open_),
+    )
 
-    def emit(s: Subst) -> Atom:
-        fact = Atom(head.predicate, build(s), head.module_prefix, head.span)
+
+def _head_step(head: Atom, sink: Callable[[Atom], object], ground: set[str], open_: bool):
+    """The last step of a rule's plan: sink(the head under s), which
+    returns whether to stop.  Where every argument is a variable that the
+    body binds to a ground term, the arguments are read from s at once
+    (itemgetter); any other head is built from its template, and raises
+    if it is not ground."""
+    args = head.args
+    names = [a.name for a in args if a.__class__ is Var]
+    if open_ or not names or len(names) != len(args) or not ground.issuperset(names):
+        build = _template(args)
+    elif len(names) == 1:
+        name = names[0]
+        build = lambda s: (s[name],)
+    else:
+        build = itemgetter(*names)
+    predicate, prefix, span = head.predicate, head.module_prefix, head.span
+
+    def finish(s: Subst) -> object:
+        fact = Atom(predicate, build(s), prefix, span)
         if not fact.ground:
             raise EvalTypeError(
                 f"derived a non-ground fact {term_text(_atom_term(fact))}"
             )
-        return fact
+        return sink(fact)
 
-    return _Plan(rule.body, store, delta_pos=delta_pos, emit=emit, reorder=True)
+    return finish
 
 
-def _rule_heads(
-    rule: Rule,
-    store: FactStore,
-    delta: Container[Atom] = (),
-    delta_pos: Optional[int] = None,
-    plan: Optional[_Plan] = None,
-) -> Iterator[Atom]:
-    """The heads the rule derives, the literal at delta_pos reading only
-    the store's facts in delta; plan, if given, is the rule's _rule_plan
-    for store and delta_pos."""
-    plan = plan or _rule_plan(rule, store, delta_pos)
+def _run_rule(rule: Rule, plan: _Plan, delta: Container[Atom] = ()) -> None:
+    """Run the rule's plan (_rule_plan) once, the delta literal, if any,
+    reading only the store's facts in delta; an error names the rule."""
     plan.delta.facts = delta
     try:
-        yield from plan.run({})
+        plan.run({})
     except DdliteError as err:
-        raise _wrap_rule_errors(rule, err) from err
+        raise rule_error(rule, err) from err
 
 
 def _positive_positions(rule: Rule) -> list[int]:
@@ -1103,6 +1226,7 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
         group.setdefault(strata.of(rule.head.key), []).append(rule)
 
     store = FactStore()
+    has = store.has
 
     def limit_check(stratum: int, batch: Iterable[Atom]):
         if len(store) > opts.max_facts:
@@ -1137,6 +1261,17 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
         # derivation order, kept so that join order (and which fact an
         # error names) never depends on hashing
         new: dict[Atom, str] = {}
+
+        def recorder(name: str) -> Callable[[Atom], None]:
+            """The sink of a rule named name: it records a head that is
+            new in this pass, in the pass's own dict (new)."""
+
+            def record(fact: Atom) -> None:
+                if fact not in new and not has(fact):
+                    new[fact] = name
+
+            return record
+
         iteration = 1
         while True:
             delta, new = new, {}
@@ -1144,10 +1279,8 @@ def evaluate(p: Program, opts: Optional[EvalOptions] = None) -> FactStore:
                 rule = rules[k]
                 plan = plans.get((k, j))
                 if plan is None:
-                    plan = plans[k, j] = _rule_plan(rule, store, j)
-                for head in _rule_heads(rule, store, delta, j, plan):
-                    if head not in new and not store.has(head):
-                        new[head] = rule.name
+                    plan = plans[k, j] = _rule_plan(rule, store, j, recorder(rule.name))
+                _run_rule(rule, plan, delta)
             for head, origin in new.items():
                 store.add(head, origin)
             limit_check(stratum, new)
@@ -1400,9 +1533,8 @@ def _replay(rules: Iterable[Rule], store: FactStore) -> Callable[[Atom], Optiona
     def deriving(fact: Atom) -> Optional[str]:
         for name, head_args, plan in by_key.get(fact.key, ()):
             s0 = match(head_args, fact.args, {})
-            if s0 is not None:
-                for _ in plan.run(s0):
-                    return name
+            if s0 is not None and plan.run(s0):
+                return name
         return None
 
     return deriving

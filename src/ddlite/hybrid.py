@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 
 from .errors import (
@@ -25,8 +26,9 @@ from .errors import (
     UnboundFilterError,
     UnorderedAggregate,
 )
-from .engine import BUILTINS, FactStore, check_calls, solve_body, too_long
+from .engine import FactStore, solve_body, too_long
 from .kernel import (
+    BUILTIN_NAMES,
     CONTROL,
     Atom,
     Compound,
@@ -40,6 +42,7 @@ from .kernel import (
     Var,
     apply,
     bind_ground,
+    check_calls,
     is_ground,
     list_elements,
     read_number,
@@ -325,7 +328,7 @@ def _path_binding(parser: TermParser) -> PathBinding:
 def _as_builtin(lit: Literal) -> Literal:
     """Bare builtin names act as builtins inside queries."""
     atom = lit.atom
-    if atom.module_prefix is None and (atom.predicate, len(atom.args)) in BUILTINS:
+    if atom.module_prefix is None and (atom.predicate, len(atom.args)) in BUILTIN_NAMES:
         return Literal(
             Atom(atom.predicate, atom.args, "prolog", atom.span), lit.polarity
         )
@@ -453,8 +456,9 @@ class _DocRegistry:
                 def run(s):
                     for hit in walk(root(s), s):
                         s2 = bind_ground(s, target, XmlNode(hit) if wrap else hit)
-                        if s2 is not None:
-                            yield from nxt(s2)
+                        if s2 is not None and nxt(s2):
+                            return True
+                    return False
             else:
                 # every value in s is ground: kernel.match of one variable
                 def run(s):
@@ -464,9 +468,11 @@ class _DocRegistry:
                         if bound is None:
                             s2 = dict(s)
                             s2[name] = value
-                            yield from nxt(s2)
-                        elif bound == value:
-                            yield from nxt(s)
+                            if nxt(s2):
+                                return True
+                        elif bound == value and nxt(s):
+                            return True
+                    return False
             return run
 
         return step
@@ -499,10 +505,8 @@ def solve_goal(
     (check_calls)."""
     check_calls(program, goal)
     registry = _DocRegistry(docs, base_dir)
-    return list(
-        solve_body(
-            goal, store, probe=store.sorted_candidates, compile_item=registry.compile
-        )
+    return solve_body(
+        goal, store, probe=store.sorted_candidates, compile_item=registry.compile
     )
 
 
@@ -542,7 +546,9 @@ def _fold(col: AggCol, values: list[Term]) -> Term:
         try:
             value = sum(nums) if fn == "sum" else float(sum(nums)) / len(nums)
         except OverflowError:  # an int beyond float range met a float
-            raise EvalTypeError(f"{fn}({col.var}) is beyond float range") from None
+            value = math.inf
+        if value in (math.inf, -math.inf):  # or a float sum overflowed
+            raise EvalTypeError(f"{fn}({col.var}) is beyond float range")
         if too_long(value):
             raise EvalTypeError(f"{fn}({col.var}) is an integer with too many digits")
         return Num(value)

@@ -1,12 +1,13 @@
 """Core term algebra: terms, atoms, literals, rules, substitutions.
 
 Terms are immutable; a list is a chain of '.'/2 cons cells (mklist builds
-one), and there is no other list form.  Ground compounds are interned:
-equal ground terms are one object, so `==` on them is an identity test,
-and substitution, unification and variable collection return at once on
-them (Compound gives the details).  Substitutions are plain dicts mapping
-variable names to terms, kept in triangular solved form so that applying
-one twice equals applying it once.  mgu() performs syntactic unification
+one), and there is no other list form.  Constants and ground compounds
+are interned: equal ones are one object, so `==` on them is an identity
+test, and substitution, unification and variable collection return at
+once on a ground compound (Const and Compound give the details).
+Substitutions are plain dicts mapping variable names to terms, kept in
+triangular solved form so that applying one twice equals applying it
+once.  mgu() performs syntactic unification
 with the occurs check; match() is the one-way case of a pattern against
 ground terms under a substitution whose values are all ground, which
 binds with one store.  Failure is an ordinary None result, not an
@@ -19,6 +20,8 @@ import math
 import weakref
 from collections import namedtuple
 from functools import lru_cache
+
+from .errors import DdliteError, EvalTypeError, InstantiationError, UnknownBuiltin
 
 TYPE_CHECKING = False  # typing is imported by type checkers alone
 if TYPE_CHECKING:
@@ -170,23 +173,62 @@ class Var(Term):
 
 
 class Const(Term):
-    """A symbolic constant ('KT', null, [] ...)."""
+    """A symbolic constant ('KT', null, [] ...).
 
-    __slots__ = _fields = ("symbol",)
+    Constants are interned, as ground compounds are: building one whose
+    symbol is that of a live constant returns that constant.  So equal
+    constants are one object, `==` is object identity and the hash is the
+    object's own, both compared and computed in C wherever a tuple, a
+    dict or kernel.match meets a constant.  A hash therefore differs from
+    one process to the next: nothing a command prints may follow a hash
+    order.  The intern table holds its constants weakly (_ConstRef).
+    Pickling and copying build the constant again, which finds the
+    interned one.
+    """
 
-    def __init__(self, symbol: str):
-        _set(self, "symbol", symbol)
+    __slots__ = ("symbol", "__weakref__")
+    _fields = ("symbol",)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.symbol == other.symbol
+    def __new__(cls, symbol: str):
+        ref = _CONSTS.get(symbol)
+        if ref is not None:
+            c = ref()
+            if c is not None:
+                return c
+        c = object.__new__(cls)
+        _set(c, "symbol", symbol)
+        ref = _ConstRef(c, _drop_const)
+        ref.symbol = symbol
+        _CONSTS[symbol] = ref
+        return c
 
-    def __hash__(self) -> int:
-        return hash(self.symbol)
+    __init__ = object.__init__  # __new__ has built or found the constant
+    # the C slots of object: identity and the address hash
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return Const, (self.symbol,)
 
     def __repr__(self) -> str:
         return f"Const({self.symbol!r})"
+
+
+class _ConstRef(weakref.ref):
+    """The intern table's reference to a constant, which knows its symbol
+    so that the entry can go when the constant does (_drop_const)."""
+
+    __slots__ = ("symbol",)
+
+
+# interned constants by symbol, each kept only while in use elsewhere
+_CONSTS: dict[str, _ConstRef] = {}
+
+
+def _drop_const(ref: _ConstRef) -> None:
+    # the symbol may name a newer constant by now
+    if _CONSTS.get(ref.symbol) is ref:
+        del _CONSTS[ref.symbol]
 
 
 NIL = Const("[]")
@@ -414,18 +456,20 @@ class Atom(Record):
         module_prefix: Optional[str] = None,
         span: Optional[SourceSpan] = None,
     ):
-        _set(self, "predicate", predicate)
-        _set(self, "args", args)
-        _set(self, "module_prefix", module_prefix)
-        _set(self, "span", span)
-        _set(self, "key", _pred_key(module_prefix, predicate, len(args)))
+        # each slot is filled through its member descriptor, which skips
+        # the attribute lookup by name that object.__setattr__ makes
+        _atom_predicate(self, predicate)
+        _atom_args(self, args)
+        _atom_module_prefix(self, module_prefix)
+        _atom_span(self, span)
+        _atom_key(self, _pred_key(module_prefix, predicate, len(args)))
         ground = True
         for a in args:
             if a.__class__ is Var or a.__class__ is Compound and not a.ground:
                 ground = False
                 break
-        _set(self, "ground", ground)
-        _set(self, "_hash", None)
+        _atom_ground(self, ground)
+        _atom_hash(self, None)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -447,6 +491,12 @@ class Atom(Record):
 
     def __repr__(self) -> str:
         return f"Atom({self.key}, {self.args!r})"
+
+
+(
+    _atom_predicate, _atom_args, _atom_module_prefix, _atom_span, _atom_key,
+    _atom_ground, _atom_hash,
+) = [getattr(Atom, name).__set__ for name in Atom.__slots__]
 
 
 POSITIVE = "positive"
@@ -531,6 +581,57 @@ class Program(Record):
                 if lit.reads_relation():
                     keys.add(lit.atom.key)
         return frozenset(keys)
+
+
+# ===========================================================================
+# Builtin calls
+# ===========================================================================
+
+# the name and arity of every builtin; engine.BUILTINS holds what each one
+# does, under the same keys
+BUILTIN_NAMES = frozenset({
+    ("is", 2), ("<", 2), ("=<", 2), (">", 2), (">=", 2), ("=:=", 2), ("=\\=", 2),
+    ("atom_number", 2), ("pt", 2), ("same_as", 2), ("different_from", 2),
+    ("create_owl_thing", 4), ("append", 2),
+})
+
+
+def check_calls(p: Optional[Program], goal: Optional[Iterable] = None) -> None:
+    """Raise UnknownBuiltin at the first literal, of goal if given, else of
+    p's rule bodies (the error then naming the rule), that is a call naming
+    no builtin (BUILTIN_NAMES) whatever its module prefix, negated or not,
+    or that an operator names with no prefix, such as `X = a`, and no fact
+    or rule head of p defines.  Every command runs this before it prints
+    anything, so all report the same error."""
+    defined = p.idb() if p is not None else frozenset()
+    if goal is not None:
+        bodies = [(goal, None)]
+    else:
+        bodies = [(r.body, r) for r in p.rules if r.body]
+    for body, rule in bodies:
+        for item in body:
+            if not isinstance(item, Literal):
+                continue
+            atom = item.atom
+            if item.is_builtin():
+                known = (atom.predicate, len(atom.args)) in BUILTIN_NAMES
+            else:
+                known = atom.predicate not in OPERATORS or atom.key in defined
+            if not known:
+                err = UnknownBuiltin(
+                    f"unknown builtin {atom.predicate}/{len(atom.args)}", atom.span
+                )
+                if rule is None:
+                    raise err
+                raise rule_error(rule, err) from err
+
+
+def rule_error(rule: Rule, err: DdliteError) -> DdliteError:
+    """err as raised while checking or running rule: an error of a call or
+    of arithmetic names the rule, and falls back on its span."""
+    if isinstance(err, (InstantiationError, EvalTypeError, UnknownBuiltin)):
+        return type(err)(f"in rule {rule.name}: {err.message}", err.span or rule.span)
+    return err
 
 
 # ===========================================================================
@@ -745,19 +846,7 @@ def sort_key(t):
     a long shared prefix walks the rest of it again.
     """
     if isinstance(t, Atom):
-        # a fact's arguments are mostly constants and numbers: their keys
-        # are built here rather than by a call each
-        keys = []
-        for a in t.args:
-            cls = a.__class__
-            if cls is Const:
-                keys.append((1, a.symbol))
-            elif cls is Num:
-                value = a.value
-                keys.append((0, value, 0 if isinstance(value, int) else 1))
-            else:
-                keys.append(sort_key(a))
-        return (t.module_prefix or "", t.predicate, len(keys), tuple(keys))
+        return (t.module_prefix or "", t.predicate, len(t.args), tuple(map(sort_key, t.args)))
     if isinstance(t, Num):
         return (0, t.value, 0 if t.is_int() else 1)
     if isinstance(t, Const):

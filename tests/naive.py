@@ -1,8 +1,8 @@
 """Naive bottom-up evaluation, the reference the semi-naive engine is
 checked against.
 
-Unlike oracles.py this shares the engine's body solver (through
-_rule_heads): it differs from evaluate only in re-running every rule
+Unlike oracles.py this shares the engine's body solver (a rule's
+_rule_plan, run by _run_rule): it differs from evaluate only in re-running every rule
 against the whole store on every pass, so a disagreement points at the
 semi-naive bookkeeping rather than at joins or builtins.
 """
@@ -14,7 +14,8 @@ from typing import Optional
 from ddlite.engine import (
     EvalOptions,
     FactStore,
-    _rule_heads,
+    _rule_plan,
+    _run_rule,
     check_safety,
     stratify,
 )
@@ -30,9 +31,9 @@ def tp_step(p: Program, store: FactStore) -> set[Atom]:
     new: set[Atom] = set()
     for rule in p.rules:
         fresh = rename_apart(rule, "_t") if rule.body else rule
-        for head in _rule_heads(fresh, store):
-            if not store.has(head):
-                new.add(head)
+        heads: list[Atom] = []
+        _run_rule(fresh, _rule_plan(fresh, store, None, heads.append))
+        new.update(head for head in heads if not store.has(head))
     return new
 
 

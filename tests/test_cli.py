@@ -942,6 +942,36 @@ def test_the_process_entry_matches_main(argv):
     assert _child("-m", "ddlite.cli", *argv) == _in_process(argv)
 
 
+def test_eval_prints_the_same_bytes_in_every_process(tmp_path):
+    # constants hash by identity, which differs from one process to the
+    # next, as string hashes differ by PYTHONHASHSEED: a closure, a same
+    # generation and a negation over them print alike all the same
+    chain = [f"n{i}" for i in range(12)]
+    facts = [f"edge({a}, {b})." for a, b in zip(chain, chain[1:])]
+    facts += [f"edge(n{2 * k}, leaf{k})." for k in range(4)]
+    facts += [f"par(t{i}, t{(i - 1) // 2})." for i in range(1, 15)]
+    facts += [f"node({n})." for n in chain + [f"t{i}" for i in range(15)]]
+    program = tmp_path / "closure.dl"
+    program.write_text("\n".join([
+        "path(X, Y) :- edge(X, Y).",
+        "path(X, Y) :- edge(X, Z), path(Z, Y).",
+        "sg(X, Y) :- par(X, P), par(Y, P).",
+        "sg(X, Y) :- par(X, XP), sg(XP, YP), par(Y, YP).",
+        "unreach(X) :- node(X), not path(n0, X).",
+        *facts[::-1],
+    ]) + "\n")
+    for fmt in ("text", "json"):
+        runs = {
+            subprocess.run(
+                [sys.executable, "-m", "ddlite.cli", "eval", str(program), "--format", fmt],
+                capture_output=True, env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed),
+                timeout=60, check=True,
+            ).stdout
+            for seed in ("0", "1", "random")
+        }
+        assert len(runs) == 1
+
+
 def test_the_process_entry_reports_a_closed_stdout():
     # output to a pipe that no one reads is an I/O error, as in main, also
     # where stdout is block-buffered (no PYTHONUNBUFFERED) and the first
@@ -1102,14 +1132,16 @@ def test_the_reader_agrees_with_argparse_or_declines(argv):
         (["query", fx("route.dl"), "--goal", "route(A, B, L, T)", "--template", "[L]"],
          0, "['csv', 'ddlite.engine', 'ddlite.graphs', 'ddlite.hybrid', 'ddlite.xmlterm']"),
         (["swrl", fx("uncle.swrl")], 0, "[]"),
+        (["diff", fx("p1.dl"), fx("p2.dl"), "--kind", "rpg"], 0, "['ddlite.graphs']"),
         (["eval", "--help"], 0, "['argparse']"),
         (["eval", fx("route.dl"), "--bogus"], 2, "['argparse']"),
     ],
-    ids=["import", "eval", "prove", "query", "swrl", "help", "usage-error"],
+    ids=["import", "eval", "prove", "query", "swrl", "diff", "help", "usage-error"],
 )
 def test_a_command_loads_only_what_it_runs(argv, code, loaded):
     # json is loaded by --format json, the engine (with graphs) by the
-    # commands that check or evaluate a program, graphs by graph and diff,
+    # commands that check a program's safety or evaluate it, graphs by
+    # graph and diff, which check rule text's builtin calls in the kernel,
     # the hybrid layer and csv by --csv, query and schema graphs, the XML
     # reader by query, schema graphs and RuleML, the magic-set rewrite by
     # prove alone, argparse (with gettext and locale)

@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddlite import engine
@@ -42,6 +42,7 @@ from ddlite.errors import (
     UnknownBuiltin,
 )
 from ddlite.kernel import (
+    BUILTIN_NAMES,
     NEGATED,
     Atom,
     Compound,
@@ -149,21 +150,33 @@ def test_is_rejects_a_result_that_is_not_a_number():
     )
     with pytest.raises(EvalTypeError, match="not a number"):
         evaluate(p)
-    assert call_builtin(bi("is", Var("X"), inf))[0]["X"] == Num(float("inf"))
 
 
 def test_is_rejects_a_result_the_reader_could_not_read_back():
     # an int beyond float range that meets a float, or whose quotient is no
-    # int, has no float value; an int of more digits than int() reads
-    # could not be printed
+    # int, has no float value, and a float product beyond it is inf, which
+    # would print as a constant; an int of more digits than int() reads
+    # could not be printed.  The message shortens each integer of more
+    # than 50 digits, and only integers
     big = Num(10**400)
-    for expr in (Compound("/", (big, Num(3))), Compound("*", (big, Num(1.5)))):
+    inf = Compound("*", (Num(1.0e308), Num(10.0)))
+    for expr in (Compound("/", (big, Num(3))), Compound("*", (big, Num(1.5))), inf,
+                 Compound("-", (Num(-1.0e308), inf))):
         with pytest.raises(EvalTypeError, match="beyond float range"):
             call_builtin(bi("is", Var("X"), expr))
     huge = Num(int("7" * 3000))
     square = Compound("*", (huge, huge))
-    with pytest.raises(EvalTypeError, match="too many digits"):
+    with pytest.raises(EvalTypeError) as err:
         call_builtin(bi("is", Var("X"), square))
+    assert err.value.message == (
+        "arithmetic result is an integer with too many digits: "
+        "(7777777777...7777777777 (3000 digits)*7777777777...7777777777 (3000 digits))"
+    )
+    # a quoted constant of digits is not an integer, and is written whole
+    digits = Const("1" * 60)
+    with pytest.raises(EvalTypeError) as err:
+        call_builtin(bi("is", Var("X"), Compound("+", (digits, huge))))
+    assert err.value.message == f"not an arithmetic expression: '{'1' * 60}'"
     p = parse_program(f"big({10**400}).\nq(Y) :- big(X), prolog:(Y is X / 3).")
     with pytest.raises(EvalTypeError, match="beyond float range"):
         evaluate(p)
@@ -286,6 +299,12 @@ def test_a_call_that_names_no_builtin_is_reported_before_anything_runs():
     check_calls(parse_program("a = b."), goal)
     with pytest.raises(UnknownBuiltin, match="^goal:1:6: unknown builtin =/2$"):
         check_calls(None, goal)
+
+
+def test_the_builtins_are_those_check_calls_knows():
+    # check_calls reads kernel.BUILTIN_NAMES, so that the commands that
+    # only check rule text need not load the engine
+    assert set(engine.BUILTINS) == BUILTIN_NAMES
 
 
 def test_lookup_builtin_reads_the_name_and_arity_whatever_the_prefix():
@@ -676,6 +695,92 @@ def test_a_plan_step_agrees_with_match_and_mgu_on_each_stored_fact(case):
                 expected.append(unifier)
     answers = [_shown(a) for a in solve_body((Literal(atom),), store, s)]
     assert answers == expected
+
+
+@st.composite
+def _flat_cases(draw):
+    """(literal atom whose arguments are variables and ground terms, facts,
+    entry substitution binding some of its variables to ground terms)."""
+    args = tuple(draw(st.lists(
+        st.one_of(st.sampled_from(_PLAN_VARS), _PLAN_GROUND), min_size=1, max_size=4
+    )))
+    facts = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(*(_plan_instance(a) for a in args)),
+                st.tuples(*(_PLAN_GROUND for _ in args)),
+            ),
+            max_size=6,
+        )
+    )
+    names = draw(st.lists(st.sampled_from(["X", "Y", "Z"]), unique=True, max_size=2))
+    s = {name: draw(_PLAN_GROUND) for name in names}
+    return Atom("p", args), [Atom("p", f) for f in facts], s
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(_flat_cases())
+@example((  # X takes -0.0, the rightmost of two equal values
+    Atom("p", (Var("X"), Const("a"), Var("X"))),
+    [Atom("p", (_PLAN_LEAVES[4], Const("a"), _PLAN_LEAVES[5]))],
+    {},
+))
+@example((  # X is bound: only its position is compared, Y takes 0.0
+    Atom("p", (Var("Y"), Var("X"), Var("Y"))),
+    [Atom("p", (_PLAN_LEAVES[5], Num(1), _PLAN_LEAVES[4])),
+     Atom("p", (_PLAN_LEAVES[5], _PLAN_LEAVES[3], _PLAN_LEAVES[4]))],
+    {"X": Num(1)},
+))
+def test_a_compiled_match_binds_what_match_binds(case):
+    # repeated variables, bound on entry or new, constants, ground
+    # compounds, 0.0 and -0.0 (equal: a repeated new variable takes the
+    # rightmost) and 1 and 1.0 (not equal): each answer binds match's own
+    # values, the same objects, in match's order, and a next step that
+    # returns True stops the step at its first answer
+    atom, facts, s = case
+    expected = [m for m in (match(atom.args, f.args, s) for f in facts) if m is not None]
+
+    def probe(query, s, positions):
+        return facts
+
+    answers = []
+    run = engine._match_step(atom, (), probe, frozenset(s), answers.append)
+    assert run(s) is False
+    assert [[(k, id(v)) for k, v in a.items()] for a in answers] == [
+        [(k, id(v)) for k, v in m.items()] for m in expected
+    ]
+    assert engine._match_step(atom, (), probe, frozenset(s), lambda s2: True)(s) is bool(expected)
+
+
+_SORT_CONSTS = [Const("a"), Const("b"), Const("c"), Const("B"), Const("a b")]
+
+
+@st.composite
+def _sort_groups(draw):
+    """Rows of one arity, a column all constants or a mix of constants,
+    numbers and compounds."""
+    columns = [
+        st.sampled_from(_SORT_CONSTS) if draw(st.booleans())
+        else st.one_of(st.sampled_from(_SORT_CONSTS), _PLAN_GROUND)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return draw(st.lists(st.tuples(*columns), max_size=12))
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(_sort_groups())
+def test_a_predicate_sorts_by_flat_keys_in_sort_key_order(rows):
+    store = FactStore()
+    for row in rows:
+        store.add(Atom("p", row))
+    if not rows:
+        return
+    key = PredKey(None, "p", len(rows[0]))
+    group = list(store.candidates(Atom("p", tuple(Var("X") for _ in rows[0])), {}, ()))
+    want = sorted(group, key=sort_key)
+    for got in (store.facts(key), store.sorted_candidates(Atom("p", rows[0]), {}, (0,))):
+        bucket = [f for f in want if f in got]
+        assert len(got) == len(bucket) and all(a is b for a, b in zip(got, bucket))
 
 
 def _random_term(rng, leaves, depth):

@@ -149,6 +149,11 @@ def cases() -> list[list[str]]:
         ("big(X), Y is X * X", "[Y]"),
     ):
         out.append(["query", huge, "--goal", goal, "--template", template])
+    # a float result beyond float range, from `is` or a sum, is an error
+    out.append(["eval", f"{INPUTS}/float_overflow.dl"])
+    out.append(["query", "--goal", "X is 1.0e308 * 10.0", "--template", "[X]"])
+    for template in ("[sum(X)]", "[avg(X)]"):
+        out.append(["query", f"{INPUTS}/float_sum.dl", "--goal", "f(X)", "--template", template])
 
     # swrl: fixtures in both forms, then the malformed and edge-case inputs
     for f in swrl + xml:

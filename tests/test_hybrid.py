@@ -699,14 +699,18 @@ def test_aggregate_sum_rejects_non_numbers():
 
 def test_aggregate_rejects_a_sum_or_avg_the_reader_could_not_read_back():
     # the sum of an int beyond float range and a float, or its average,
-    # has no float value; a sum of more digits than int() reads could not
+    # has no float value, and a sum of floats beyond it is inf, which would
+    # print as a constant; a sum of more digits than int() reads could not
     # be printed; min and max order such ints by value
     store = FactStore()
     for value in (10**400, 2.5, 1):
         store.add(Atom("q", (Num(value),)))
+    for value in (1.0e308, 1.5e308):
+        store.add(Atom("f", (Num(value),)))
     for fn in ("sum", "avg"):
-        with pytest.raises(EvalTypeError, match=f"{fn}\\(X\\) is beyond float range"):
-            ddbase_aggregate(parse_template(f"[{fn}(X)]"), parse_goal("q(X)"), None, store)
+        for goal in ("q(X)", "f(X)"):
+            with pytest.raises(EvalTypeError, match=f"{fn}\\(X\\) is beyond float range"):
+                ddbase_aggregate(parse_template(f"[{fn}(X)]"), parse_goal(goal), None, store)
     template = parse_template("[min(X), max(X)]")
     assert ddbase_aggregate(template, parse_goal("q(X)"), None, store) == [
         [Num(1), Num(10**400)]

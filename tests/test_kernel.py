@@ -117,13 +117,27 @@ def test_apply_returns_a_ground_term_unchanged():
 
 
 def test_intern_table_drops_terms_no_longer_used():
-    gc.collect()
-    before = len(kernel._INTERNED)
-    terms = [Compound("interned_probe", (Num(i),)) for i in range(500)]
-    assert len(kernel._INTERNED) >= before + 500
-    del terms
-    gc.collect()
-    assert len(kernel._INTERNED) <= before
+    # ground compounds and constants alike
+    for table, build in (
+        ("_INTERNED", lambda i: Compound("interned_probe", (Num(i),))),
+        ("_CONSTS", lambda i: Const(f"interned_probe_{i}")),
+    ):
+        gc.collect()
+        before = len(getattr(kernel, table))
+        terms = [build(i) for i in range(500)]
+        assert len(getattr(kernel, table)) >= before + 500
+        del terms
+        gc.collect()
+        assert len(getattr(kernel, table)) <= before
+
+
+def test_constants_stay_interned_through_pickle_and_copies():
+    a = Const("a")
+    for copied in (Const("a"), pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert copied is a
+    fact = Atom("p", (a, Compound("f", (Var("X"), a))))
+    for copied in (pickle.loads(pickle.dumps(fact)), copy.deepcopy(fact)):
+        assert copied.args[0] is a and copied.args[1].args[1] is a
 
 
 def test_signed_zeros_are_two_terms_that_print_as_built():
@@ -593,7 +607,7 @@ def _rule():
 VALUES = [
     (lambda: SourceSpan("f.dl", 3, 7), ("f.dl", 3, 7)),
     (lambda: Var("X"), "X"),  # a one-field term hashes as its field
-    (lambda: Const("a"), "a"),
+    (lambda: Const("a"), "a"),  # interned (INTERNED): equal to no str all the same
     (lambda: Num(2.5), 2.5),
     (lambda: Compound("f", (Var("X"), Num(1))), ("f", (Var("X"), Num(1)))),
     (_atom, ("p", (Var("X"), Const("a")), None)),
@@ -698,6 +712,8 @@ VALUE_REPRS = {
     ),
 }
 MUTABLE = (Token, Text, XmlTerm)
+# classes whose equal values are one object, hashed by its identity
+INTERNED = (Const,)
 
 
 def _name(case):
@@ -707,13 +723,16 @@ def _name(case):
 @pytest.mark.parametrize("build, hashes_like", VALUES, ids=map(_name, VALUES))
 def test_value_class_contract(build, hashes_like):
     x, y = build(), build()
-    assert x is not y
+    if isinstance(x, INTERNED):
+        assert x is y and hash(x) == object.__hash__(x)
+    else:
+        assert x is not y
     assert x == y and not x != y
     assert x != hashes_like and x != object()
     if hashes_like is None:
         with pytest.raises(TypeError):
             hash(x)
-    else:
+    elif not isinstance(x, INTERNED):
         assert hash(x) == hash(y) == hash(hashes_like)
     assert repr(x) == VALUE_REPRS[type(x).__name__]
     field = (getattr(x, "_fields", ()) or type(x).__slots__)[0]
