@@ -43,7 +43,6 @@ finds one in a fact, and render_proof_tree reads it as it is.
 from __future__ import annotations
 
 import math
-import re
 from collections import deque
 from operator import attrgetter, itemgetter
 
@@ -79,14 +78,16 @@ from .kernel import (
     mgu,
     mklist,
     parse_number,
+    pattern,
     rule_error,
     sort_key,
     term_text,
     term_vars,
 )
 
-TYPE_CHECKING = False  # typing is imported by type checkers alone
+TYPE_CHECKING = False  # typing and re are imported by type checkers alone
 if TYPE_CHECKING:
+    import re
     from typing import Callable, Container, Iterable, Optional, Sequence
 
 # ===========================================================================
@@ -168,12 +169,12 @@ def _expr_text(t: Term) -> str:
     digits written as its first and last ten digits and its length, so
     that the message stays one line a reader can read.  A quoted constant
     is written as it is."""
-    return re.sub(_LONG_INT, _shorten, term_text(t))
+    return pattern(_LONG_INT).sub(_shorten, term_text(t))
 
 
 # a quoted constant, in which term_text writes a backslash before each
 # backslash and quote (kernel._const_text), or a run of more than 50
-# digits standing alone, as an integer prints; compiled at its first use
+# digits standing alone, as an integer prints
 _LONG_INT = r"'(?:[^'\\]|\\.)*'|(?<!\w)[0-9]{51,}(?!\w)"
 
 
@@ -832,9 +833,15 @@ class _Plan:
         self.delta = _DeltaTail(store)
         ground = set(bound)  # variables bound to ground terms here
         candidates = probe or store.candidates
+        # each literal's variables, and each argument's, worked out once
+        var_sets = [
+            (term_vars(item), [term_vars(a) for a in item.atom.args])
+            if isinstance(item, Literal) else None
+            for item in body
+        ]
         order: Iterable[int] = range(len(body))
         if reorder and len(body) > 1 and not any(_may_raise(i) for i in body):
-            order = _bound_first(body, ground, delta_pos)
+            order = _bound_first(body, ground, delta_pos, var_sets)
         steps: list[tuple] = []  # (step function, its arguments but the next step)
         late: list[Atom] = []
         for i in order:
@@ -846,17 +853,17 @@ class _Plan:
             if item.is_builtin():
                 steps.append((_builtin_step, atom, item.is_negated(), open_))
                 if not item.is_negated():
-                    open_ = _builtin_binds(atom, ground) or open_
+                    open_ = _builtin_binds(atom, var_sets[i][1], ground) or open_
             elif not item.reads_relation():
                 if item.is_negated():
                     steps.append((_fail_step,))
                 continue
             elif item.is_negated():
-                if not term_vars(atom) <= ground:
+                if not var_sets[i][0] <= ground:
                     late.append(atom)
                 steps.append((_negated_step, atom, store))
             else:
-                names = term_vars(atom)
+                names = var_sets[i][0]
                 positions = probe_positions(atom.args, ground)
                 bound_here = frozenset(ground)
                 if i == delta_pos:
@@ -916,7 +923,7 @@ def _may_raise(item) -> bool:
     return item.is_negated() or lookup_builtin(item.atom).fn is not _bi_unify
 
 
-def _bound_first(body: Sequence, bound: set[str], delta_pos: Optional[int]) -> list:
+def _bound_first(body: Sequence, bound: set[str], delta_pos: Optional[int], var_sets) -> list:
     """The positions of body in the order a reordered plan solves them.
 
     The delta literal comes first.  Then, greedily (Selinger et al.,
@@ -925,51 +932,53 @@ def _bound_first(body: Sequence, bound: set[str], delta_pos: Optional[int]) -> l
     side bound, which binds the other; else the positive literal with the
     most arguments bound, the first of them on a tie; else the first item
     left.  So where nothing is bound and no argument is a constant, as in
-    the first pass of most rules, the written order stands."""
+    the first pass of most rules, the written order stands.  var_sets
+    holds the variables of each literal and of each of its arguments."""
     ground = set(bound)
     left = list(range(len(body)))
     order: list[int] = []
     if delta_pos is not None:
         left.remove(delta_pos)
         order.append(delta_pos)
-        ground |= term_vars(body[delta_pos].atom)
+        ground |= var_sets[delta_pos][0]
     while left:
         pick, most = left[0], -1
         for i in left:
             lit = body[i]
+            names, arg_names = var_sets[i]
             if lit.is_builtin() and not lit.is_negated():
-                if any(term_vars(a) <= ground for a in lit.atom.args):
+                if any(a <= ground for a in arg_names):
                     pick = i
                     break
-            elif term_vars(lit.atom) <= ground:
+            elif names <= ground:
                 pick = i
                 break
             elif not lit.is_negated():
-                n = sum(term_vars(a) <= ground for a in lit.atom.args)
+                n = sum(a <= ground for a in arg_names)
                 if n > most:
                     pick, most = i, n
         left.remove(pick)
         order.append(pick)
         lit = body[pick]
         if lit.is_builtin():
-            _builtin_binds(lit.atom, ground)
+            _builtin_binds(lit.atom, var_sets[pick][1], ground)
         elif not lit.is_negated():
-            ground |= term_vars(lit.atom)
+            ground |= var_sets[pick][0]
     return order
 
 
-def _builtin_binds(atom: Atom, ground: set[str]) -> bool:
-    """Add the variables the builtin call binds to ground terms to ground;
-    True if it may bind one to an open term instead."""
+def _builtin_binds(atom: Atom, arg_names: list[set[str]], ground: set[str]) -> bool:
+    """Add the variables the builtin call binds to ground terms to ground,
+    arg_names holding each argument's; True if it may bind one to an open term instead."""
     spec = lookup_builtin(atom)
     if spec.fn is _bi_unify:
-        left, right = (term_vars(a) for a in atom.args)
+        left, right = arg_names
         if not (left <= ground or right <= ground):
             return True
         ground |= left | right
         return False
     for k in spec.outputs:
-        ground |= term_vars(atom.args[k])
+        ground |= arg_names[k]
     return False
 
 

@@ -63,95 +63,64 @@ DEFAULT_META: dict[PredKey, tuple[int, ...]] = {
 }
 
 
-class PredNode(Record):
-    """A predicate's node.  A build makes one per predicate key (_Builder),
-    and every node kind computes its hash once, when it is made."""
+class Node(Record):
+    """Base of the graph-node kinds.  A node is built from its fields in
+    order (_fields), and their tuple and its hash are worked out once, then:
+    nodes of one kind are equal when the tuples are, and hash as they do.
+    A kind gives only its fields and its id, the text DOT and JSON print."""
 
-    __slots__ = ("key", "_hash")
-    _fields = ("key",)
+    __slots__ = ("_key", "_hash")
 
-    def __init__(self, key: PredKey):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash((key,)))
+    def __init__(self, *values):
+        fields, init = self._fields, object.__setattr__
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, values):
+            init(self, name, value)
+        init(self, "_key", values)
+        init(self, "_hash", hash(values))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.key == other.key
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
+
+
+class PredNode(Node):
+    """A predicate's node; a build makes one per predicate key (_Builder)."""
+
+    __slots__ = _fields = ("key",)
 
     @property
     def id(self) -> str:
         return str(self.key)
 
 
-class RuleNode(Record):
-    __slots__ = ("rule_name", "_hash")
-    _fields = ("rule_name",)
-
-    def __init__(self, rule_name: str):
-        object.__setattr__(self, "rule_name", rule_name)
-        object.__setattr__(self, "_hash", hash((rule_name,)))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rule_name == other.rule_name
-
-    def __hash__(self) -> int:
-        return self._hash
+class RuleNode(Node):
+    __slots__ = _fields = ("rule_name",)
 
     @property
     def id(self) -> str:
         return self.rule_name
 
 
-class MetaCallNode(Record):
-    __slots__ = ("key", "call_site", "_hash")
-    _fields = ("key", "call_site")
-
-    def __init__(self, key: PredKey, call_site: int):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "call_site", call_site)
-        object.__setattr__(self, "_hash", hash((key, call_site)))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.key, self.call_site) == (other.key, other.call_site)
-
-    def __hash__(self) -> int:
-        return self._hash
+class MetaCallNode(Node):
+    __slots__ = _fields = ("key", "call_site")
 
     @property
     def id(self) -> str:
         return f"{self.key}#{self.call_site}"
 
 
-class TagNode(Record):
-    __slots__ = ("tag", "_hash")
-    _fields = ("tag",)
-
-    def __init__(self, tag: str):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "_hash", hash((tag,)))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.tag == other.tag
-
-    def __hash__(self) -> int:
-        return self._hash
+class TagNode(Node):
+    __slots__ = _fields = ("tag",)
 
     @property
     def id(self) -> str:
         return self.tag
-
-
-Node = object  # PredNode | RuleNode | MetaCallNode | TagNode
 
 
 class Edge(namedtuple("Edge", ("src", "dst", "mark"), defaults=(PLAIN,))):

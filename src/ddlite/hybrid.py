@@ -30,6 +30,7 @@ from .engine import FactStore, solve_body, too_long
 from .kernel import (
     BUILTIN_NAMES,
     CONTROL,
+    NUMBER,
     Atom,
     Compound,
     Const,
@@ -45,7 +46,8 @@ from .kernel import (
     check_calls,
     is_ground,
     list_elements,
-    read_number,
+    matched_number,
+    pattern,
     read_text,
     sort_key,
     term_text,
@@ -657,6 +659,7 @@ def load_facts_csv(
     # cell text -> its term where no column is declared numeric: null, a
     # number, or a constant; each distinct text is classified once
     terms: dict[str, Term] = {}
+    number = pattern(NUMBER).fullmatch  # fetched once for every cell
     # newline="": the csv module splits rows at line ends itself
     reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
     for row_i, row in enumerate(reader):
@@ -675,7 +678,7 @@ def load_facts_csv(
         for col_i, cell in enumerate(row):
             term = terms.get(cell)
             if term is None:
-                term = terms[cell] = _cell_term(cell, null)
+                term = terms[cell] = _cell_term(cell, null, number)
             if numeric_cols is not None and term is not null:
                 if col_i in numeric_cols:
                     if term.__class__ is not Num:
@@ -690,8 +693,8 @@ def load_facts_csv(
     return facts
 
 
-def _cell_term(cell: str, null: Const) -> Term:
+def _cell_term(cell: str, null: Const, number) -> Term:
     if cell.lower() == "null":
         return null
-    num = read_number(cell)
+    num = matched_number(cell, number(cell))
     return Const(cell) if num is None else num

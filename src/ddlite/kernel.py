@@ -44,8 +44,9 @@ class Record:
     `Name(field=value, ...)` repr, pickling, and AttributeError on setting
     or deleting an attribute.  The methods are written here rather than
     generated when the module loads, which keeps start-up cheap; classes
-    built, hashed or compared per token, term, fact or node write out
-    their own __init__, __eq__ and __hash__, which are faster than these.
+    built, hashed or compared per token, term or fact write out their own
+    __init__, __eq__ and __hash__, which are faster than these, and the
+    graph-node kinds share those of one base (graphs.Node).
     """
 
     __slots__ = ()
@@ -115,6 +116,17 @@ def read_text(path: str, newline: str | None = None) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
+@lru_cache(maxsize=None)
+def pattern(source: str):
+    """The pattern of source (flags written inline, as (?x)), compiled on
+    first use, here and nowhere else: so importing compiles none, and a
+    command only what its input needs.  A reader that matches per token
+    or cell fetches its pattern once and keeps it while it reads."""
+    import re
+
+    return re.compile(source)
+
+
 class SourceSpan(Record):
     """1-based position of a construct in its source text."""
 
@@ -175,31 +187,27 @@ class Var(Term):
 class Const(Term):
     """A symbolic constant ('KT', null, [] ...).
 
-    Constants are interned, as ground compounds are: building one whose
-    symbol is that of a live constant returns that constant.  So equal
-    constants are one object, `==` is object identity and the hash is the
-    object's own, both compared and computed in C wherever a tuple, a
-    dict or kernel.match meets a constant.  A hash therefore differs from
-    one process to the next: nothing a command prints may follow a hash
-    order.  The intern table holds its constants weakly (_ConstRef).
-    Pickling and copying build the constant again, which finds the
-    interned one.
+    Constants are interned, as ground compounds are, in the same table
+    (_INTERNED), keyed by their symbol: building one whose symbol is that
+    of a live constant returns that constant.  So equal constants are one
+    object, `==` is object identity and the hash is the object's own,
+    both compared and computed in C wherever a tuple, a dict or
+    kernel.match meets a constant.  A hash therefore differs from one
+    process to the next: nothing a command prints may follow a hash
+    order.  Pickling and copying build the constant again, which finds
+    the interned one.
     """
 
     __slots__ = ("symbol", "__weakref__")
     _fields = ("symbol",)
 
     def __new__(cls, symbol: str):
-        ref = _CONSTS.get(symbol)
-        if ref is not None:
-            c = ref()
-            if c is not None:
-                return c
-        c = object.__new__(cls)
-        _set(c, "symbol", symbol)
-        ref = _ConstRef(c, _drop_const)
-        ref.symbol = symbol
-        _CONSTS[symbol] = ref
+        ref = _INTERNED.get(symbol)
+        c = ref and ref()
+        if c is None:
+            c = object.__new__(cls)
+            _set(c, "symbol", symbol)
+            _intern(symbol, c)
         return c
 
     __init__ = object.__init__  # __new__ has built or found the constant
@@ -214,21 +222,29 @@ class Const(Term):
         return f"Const({self.symbol!r})"
 
 
-class _ConstRef(weakref.ref):
-    """The intern table's reference to a constant, which knows its symbol
-    so that the entry can go when the constant does (_drop_const)."""
+class _InternRef(weakref.ref):
+    """The intern table's reference to a term, which knows the term's key
+    so that the entry can go when the term does (_drop)."""
 
-    __slots__ = ("symbol",)
-
-
-# interned constants by symbol, each kept only while in use elsewhere
-_CONSTS: dict[str, _ConstRef] = {}
+    __slots__ = ("key",)
 
 
-def _drop_const(ref: _ConstRef) -> None:
-    # the symbol may name a newer constant by now
-    if _CONSTS.get(ref.symbol) is ref:
-        del _CONSTS[ref.symbol]
+# interned terms, each kept only while in use elsewhere: a constant under
+# its symbol, a ground compound under a tuple (Compound), so no key of
+# one kind equals a key of the other
+_INTERNED: dict[object, _InternRef] = {}
+
+
+def _intern(key, term: Term) -> None:
+    ref = _InternRef(term, _drop)
+    ref.key = key
+    _INTERNED[key] = ref
+
+
+def _drop(ref: _InternRef) -> None:
+    # the key may name a newer term by now
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
 
 
 NIL = Const("[]")
@@ -270,11 +286,13 @@ class Compound(Term):
     is built, from its args (which are built already).  Ground compounds
     are hash-consed: building one that prints the same as a live ground
     compound returns that compound, so `==` on two of them is an identity
-    test unless their hashes agree.  The intern table holds its terms
-    weakly.  Its key holds a ground compound argument by identity (that
-    argument is interned already, and outlives the entry, which goes when
-    the compound holding it does) and a float by its text, so f(0.0) and
-    f(-0.0) stay two terms, equal as 0.0 and -0.0 are.
+    test unless their hashes agree.  They share the intern table of
+    constants (_INTERNED), which holds its terms weakly.  A compound's key
+    is the tuple of its functor and arguments, which holds a ground
+    compound argument by identity (that argument is interned already, and
+    outlives the entry, which goes when the compound holding it does) and
+    a float by its text, so f(0.0) and f(-0.0) stay two terms, equal as
+    0.0 and -0.0 are.
     """
 
     __slots__ = (
@@ -300,7 +318,8 @@ class Compound(Term):
                 key.append(a)
         if key is not None:
             key = tuple(key)
-            t = _INTERNED.get(key)
+            ref = _INTERNED.get(key)
+            t = ref and ref()
             if t is not None:
                 return t
         t = object.__new__(cls)
@@ -311,7 +330,7 @@ class Compound(Term):
         init(t, "_hash", hash((functor, args)))
         init(t, "_sort_key", None)
         if key is not None:
-            _INTERNED[key] = t
+            _intern(key, t)
         return t
 
     __init__ = object.__init__  # __new__ has built or found the term
@@ -352,10 +371,6 @@ class Compound(Term):
         return f"Compound({self.functor!r}, {self.args!r})"
 
 
-# interned ground compounds, each kept only while in use elsewhere
-_INTERNED: "weakref.WeakValueDictionary[tuple, Compound]" = weakref.WeakValueDictionary()
-
-
 def mklist(elements: Iterable[Term], tail: Term = NIL) -> Term:
     """Build the cons-cell chain '.'(e1, '.'(e2, ... tail)), the one list form."""
     out = tail
@@ -364,11 +379,13 @@ def mklist(elements: Iterable[Term], tail: Term = NIL) -> Term:
     return out
 
 
-_NUMBER = None  # compiled lazily to keep import cheap
+# a number, as matched_number reads one
+NUMBER = r"[+-]?(?=\.?\d)\d*(\.\d*)?([eE][+-]?\d+)?"
 
 
-def read_number(text: str) -> Optional[Num]:
-    """Strict numeric reading of a text cell; None if it is not a number.
+def matched_number(text: str, m) -> Optional[Num]:
+    """Strict numeric reading of a text cell, given m, the full match of
+    NUMBER on text; None if there is none, and text is no number.
 
     A number is an optional sign, decimal digits with an optional '.' and
     fraction (a digit on at least one side), and an optional exponent.  A
@@ -379,12 +396,6 @@ def read_number(text: str) -> Optional[Num]:
     digits than int() converts (4,300 by default) goes to float(), which
     reads it as a finite float only when it is mostly leading zeros.
     """
-    global _NUMBER
-    if _NUMBER is None:
-        import re
-
-        _NUMBER = re.compile(r"[+-]?(?=\.?\d)\d*(\.\d*)?([eE][+-]?\d+)?")
-    m = _NUMBER.fullmatch(text)
     if m is None:
         return None
     if m.lastindex is None:  # no fraction and no exponent
@@ -396,10 +407,13 @@ def read_number(text: str) -> Optional[Num]:
     return Num(value) if math.isfinite(value) else None
 
 
-# read_number, remembered: a query's atom_number calls read the same few
-# texts many times over, and a Num is immutable, so one result can serve
-# every caller.  A CSV file, which meets each text once, reads uncached
-parse_number = lru_cache(maxsize=4096)(read_number)
+@lru_cache(maxsize=4096)
+def parse_number(text: str) -> Optional[Num]:
+    """The number text reads as (matched_number), remembered: a query's
+    atom_number calls read the same few texts many times over, and a Num
+    is immutable, so one result can serve every caller.  A CSV file,
+    which meets each text once, matches NUMBER itself, uncached."""
+    return matched_number(text, pattern(NUMBER).fullmatch(text))
 
 
 def list_elements(t: Term) -> Optional[tuple[list[Term], Term]]:
@@ -945,18 +959,6 @@ def _compare_keys(a, b) -> int:
     return 0
 
 
-_PLAIN_ATOM = None  # compiled lazily to keep import cheap
-
-
-def _needs_quotes(symbol: str) -> bool:
-    global _PLAIN_ATOM
-    if _PLAIN_ATOM is None:
-        import re
-
-        _PLAIN_ATOM = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
-    return not (_PLAIN_ATOM.match(symbol) or symbol in ("[]", "!", ";", "{}"))
-
-
 # Operator table: symbol -> (priority, associativity).  The parser reads
 # all of it.  The printer writes every operator but ',' infix, letting
 # priority and associativity decide the parentheses of nested operands (the
@@ -1069,10 +1071,12 @@ def _push_infix(stack: list, op: str, args: tuple) -> None:
 
 @lru_cache(maxsize=4096)
 def _const_text(symbol: str, quoted: bool) -> str:
-    if quoted and _needs_quotes(symbol):
-        body = symbol.replace("\\", "\\\\").replace("'", "\\'")
-        return f"'{body}'"
-    return symbol
+    if not quoted or symbol in ("[]", "!", ";", "{}"):
+        return symbol
+    if pattern(r"[a-z][a-zA-Z0-9_]*\Z").match(symbol):
+        return symbol
+    body = symbol.replace("\\", "\\\\").replace("'", "\\'")
+    return f"'{body}'"
 
 
 def _functor_text(functor: str, quoted: bool) -> str:

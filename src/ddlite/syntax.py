@@ -11,8 +11,6 @@ parse/print round-trip: parse_program(print_program(p)) == p.
 
 from __future__ import annotations
 
-import re
-
 from .errors import (
     EmptyConsequent,
     ParseError,
@@ -36,6 +34,7 @@ from .kernel import (
     Term,
     Var,
     mklist,
+    pattern,
     rule_text,
     term_text,
 )
@@ -95,7 +94,7 @@ class Token:
 # quote that no quote follows, so never inside a doubled one; a quote left
 # over opens an atom that never closes.  That quote, and any other
 # character that starts no token, is a bad token.
-_RULE_TOKEN = r"""\s*(?:
+_RULE_TOKEN = r"""(?x)\s*(?:
         (?P<var>[A-Z_]\w*)
       | (?P<atom>[a-z]\w*)
       | (?P<end>\.(?=\s|%|\Z))
@@ -107,8 +106,8 @@ _RULE_TOKEN = r"""\s*(?:
       | (?P<eof>\Z)
       | (?P<bad>[\s\S])
     )"""
-_DIRECTIVE = re.compile(r"%\s*name:\s*(\S+)\s*$")
-_ESCAPE = re.compile(r"\\[\s\S]|''")
+_DIRECTIVE = r"%\s*name:\s*(\S+)\s*$"
+_ESCAPE = r"\\[\s\S]|''"
 _ESCAPED = {"\\n": "\n", "\\t": "\t"}
 
 
@@ -125,11 +124,11 @@ def _word(text: str) -> tuple[str, str]:
 
 
 def _quoted(text: str) -> tuple[str, str]:
-    return "quoted", _ESCAPE.sub(lambda e: _ESCAPED.get(e[0], e[0][1]), text[1:-1])
+    return "quoted", pattern(_ESCAPE).sub(lambda e: _ESCAPED.get(e[0], e[0][1]), text[1:-1])
 
 
 def _comment(text: str) -> tuple[Optional[str], Optional[str]]:
-    directive = _DIRECTIVE.match(text)
+    directive = pattern(_DIRECTIVE).match(text)
     return ("directive", directive[1]) if directive else (None, None)
 
 
@@ -171,18 +170,6 @@ _RULE_LITERAL = (
     rf"(\s*\(\s*({_RULE_ARG}(?:\s*,\s*{_RULE_ARG})*)\s*\))?"
     r"\s*(:-|,|\.)?"
 )
-_RULE_SOURCES = {"token": _RULE_TOKEN, "literal": _RULE_LITERAL}
-_RULE_PATTERNS: dict[str, re.Pattern] = {}
-
-
-def _rule_pattern(name: str) -> re.Pattern:
-    """The rule-text pattern of that name in _RULE_SOURCES, compiled on
-    first use: importing costs none, and a reader compiles only what the
-    text it reads needs."""
-    pattern = _RULE_PATTERNS.get(name)
-    if pattern is None:
-        pattern = _RULE_PATTERNS[name] = re.compile(_RULE_SOURCES[name], re.VERBOSE)
-    return pattern
 
 
 class TokenCursor:
@@ -190,19 +177,21 @@ class TokenCursor:
     a time; rule text, goals, templates, `--atom` and SWRL are all read
     through it.  The text is lexed on demand: a token is matched when a
     reader first asks for it, so a reader may pass over a stretch of text
-    with matches of its own (a flat clause, a flat SWRL atom) that make no
-    tokens.  A cursor over a token list lexed already, such as tokenize's,
-    reads it the same way.  A "bad" token holds a lexical error that is
-    raised only when a reader reaches it, so an earlier syntax error is
-    the one reported."""
+    with matches of its own (a flat clause, a comment between clauses, a
+    flat SWRL atom) that make no tokens.  The token pattern is fetched
+    through kernel.pattern when a token is first lexed, so a reader that
+    passes over all of its text so compiles none.  A cursor over a token
+    list lexed already, such as tokenize's, reads it the same way.  A
+    "bad" token holds a lexical error that is raised only when a reader
+    reaches it, so an earlier syntax error is the one reported."""
 
-    # The language: a token's kind is the named group of pattern that
-    # matched, and it starts where that group does, so the pattern alone
-    # places every token, eof and bad ones included; None stands for the
-    # rule-text token pattern.  values maps a kind to a function of the
-    # matched text giving the token's (kind, value), or (None, None) to
-    # drop it; other kinds keep the matched text.
-    pattern: Optional[re.Pattern] = None
+    # The language: a token's kind is the named group of the token
+    # pattern (the source token_source) that matched, and it starts where
+    # that group does, so the pattern alone places every token, eof and
+    # bad ones included.  values maps a kind to a function of the matched
+    # text giving the token's (kind, value), or (None, None) to drop it;
+    # other kinds keep the matched text.
+    token_source = _RULE_TOKEN
     values = _RULE_VALUES
 
     def __init__(self, source: Union[str, list[Token]], filename: str = "<string>"):
@@ -222,7 +211,7 @@ class TokenCursor:
         tokens, pos = self.tokens, self.pos
         if pos is not None and len(tokens) <= i:
             text, values = self.text, self.values
-            match = (self.pattern or _rule_pattern("token")).match
+            match = pattern(self.token_source).match
             line, line_start, seen = self.line, self.line_start, self.seen
             while True:
                 m = match(text, pos)
@@ -323,6 +312,7 @@ class TermParser(TokenCursor):
         self._anon = 0
         self._clause_vars: set[str] = set()
         self._clause_start = 0  # the index of the clause's first token
+        self._directive: Optional[str] = None  # the name a `% name:` before it gives
 
     def read(self, reader: Callable[[], _T]) -> _T:
         """reader(), with its errors reported as if the whole text had been
@@ -506,11 +496,13 @@ class TermParser(TokenCursor):
         per match of _RULE_LITERAL and passed over at its end '.'; None
         where the text after the cursor is lexed already or is no flat
         clause (an operator, `not(`, a module prefix, a quoted name, a
-        list, a comment, an error), which the token path reads.  Where only
+        list, a comment inside it, an error), which the token path reads.
+        Comment lines before the clause are passed over, as lex drops
+        them, a `% name:` directive's name kept in _directive.  Where only
         whitespace is left, it lexes the eof token itself, as lex would."""
         if not self.unlexed():
             return None
-        text, pos, match = self.text, self.pos, _rule_pattern("literal").match
+        text, pos, match = self.text, self.pos, pattern(_RULE_LITERAL).match
         line, line_start, seen = self.line, self.line_start, self.seen
         anon = self._anon
         self.begin_clause()
@@ -525,8 +517,10 @@ class TermParser(TokenCursor):
                     stop = None
             # a head is no negation and no ',' follows it, no `:-` follows
             # a body literal, and `not(` opens a negation the token path reads
-            if head is None and m.lastindex is None and m.end() == len(text):
-                at = m.end()  # the end of the text, where lex puts eof
+            if head is None and m.lastindex is None and (
+                m.end() == len(text) or text[m.end()] == "%"
+            ):
+                at = m.end()  # the end of the text, where lex puts eof, or a comment
             elif name is None or stop is None or (
                 (negated is not None or stop == ",")
                 if head is None
@@ -541,6 +535,15 @@ class TermParser(TokenCursor):
                 line += text.count("\n", seen, last_break + 1)
                 line_start = last_break + 1
             seen = at
+            if at < len(text) and name is None:  # a comment, to the end of its line
+                pos = text.find("\n", at)
+                if pos < 0:
+                    pos = len(text)
+                kind, value = _comment(text[at:pos])
+                if kind is not None:
+                    self._directive = value
+                self.pos, self.line, self.line_start, self.seen = pos, line, line_start, seen
+                continue
             if name is None:
                 self.tokens.append(Token("eof", None, line, at - line_start + 1, at))
                 self.pos, self.line, self.line_start, self.seen = None, line, line_start, at
@@ -578,15 +581,16 @@ class TermParser(TokenCursor):
         raw: list[tuple[Optional[str], Rule]] = []
         explicit: set[str] = set()
         while True:
-            name = None
+            self._directive = None
             read = self.flat_clause()
             while read is None:
                 tok = self.peek()
                 if tok.kind != "directive":
                     break
-                name = tok.value
+                self._directive = tok.value
                 self.i += 1
                 read = self.flat_clause()
+            name = self._directive
             if read is None:
                 if tok.kind == "eof":
                     if name is not None:
@@ -676,7 +680,7 @@ def _call(name: str, args: tuple[Term, ...]) -> Atom:
 
 # SWRL.  The end of input and unreadable input both sit right after the
 # previous token, where the reader reports them.
-_SWRL_TOKEN = r"""\s*(?:
+_SWRL_TOKEN = r"""(?x)\s*(?:
         (?P<num>\d+(?:\.\d+)?)
       | (?P<str>"[^"]*")
       | (?P<name>[A-Za-z_][A-Za-z0-9_:.\-]*)
@@ -705,39 +709,22 @@ _SWRL_ARG = (
 )
 
 
-class _SwrlPatterns:
-    """The SWRL reader's patterns: its token pattern, the flat atom and
-    argument patterns, and the frames that open its two atom lists."""
-
-    def __init__(self):
-        self.token = re.compile(_SWRL_TOKEN, re.VERBOSE)
-        self.flat = re.compile(rf"\s*({_SWRL_NAME})\s*\(((?:{_SWRL_ARG})*)\s*\)")
-        self.arg = re.compile(_SWRL_ARG)
-        self.antecedent = re.compile(r"\s*\(\s*Antecedent\s*\(")
-        self.consequent = re.compile(r"\s*Consequent\s*\(")
-
-
-_SWRL_PATTERNS: Optional[_SwrlPatterns] = None
-
-
-def _swrl_patterns() -> _SwrlPatterns:
-    global _SWRL_PATTERNS
-    if _SWRL_PATTERNS is None:  # compiled on first use, to keep import cheap
-        _SWRL_PATTERNS = _SwrlPatterns()
-    return _SWRL_PATTERNS
+_SWRL_FLAT = rf"\s*({_SWRL_NAME})\s*\(((?:{_SWRL_ARG})*)\s*\)"
+_SWRL_ANTECEDENT = r"\s*\(\s*Antecedent\s*\("
+_SWRL_CONSEQUENT = r"\s*Consequent\s*\("
 
 
 class _SwrlReader(TokenCursor):
     """The SWRL reader.  Where an atom list expects an atom, it first tries
-    one match for a flat atom, and around the atom lists one match for
-    their frame (_SwrlPatterns); anything else is read token by token."""
+    one match for a flat atom (_SWRL_FLAT), and around the atom lists one
+    match for their frame; anything else is read token by token."""
 
+    token_source = _SWRL_TOKEN
     values = _SWRL_VALUES
 
     def __init__(self, text: str, filename: str):
         super().__init__(text, filename)
-        self.patterns = _swrl_patterns()
-        self.pattern = self.patterns.token
+        self.flat, self.args = pattern(_SWRL_FLAT).match, pattern(_SWRL_ARG).findall
 
     def rules(self) -> list[SwrlRule]:
         out = []
@@ -748,7 +735,7 @@ class _SwrlReader(TokenCursor):
     def rule(self) -> SwrlRule:
         self.expect("Implies", "name")
         annotations = []
-        if not self.passed(self.patterns.antecedent):
+        if not self.passed(_SWRL_ANTECEDENT):
             self.expect("(")
             while self.peek().kind == "name" and self.peek().value == "annotation":
                 self.next()
@@ -756,7 +743,7 @@ class _SwrlReader(TokenCursor):
             self.expect("Antecedent", "name")
             self.expect("(")
         antecedent = self.atom_list()
-        if not self.passed(self.patterns.consequent):
+        if not self.passed(_SWRL_CONSEQUENT):
             self.expect("Consequent", "name")
             self.expect("(")
         consequent = self.atom_list()
@@ -775,10 +762,10 @@ class _SwrlReader(TokenCursor):
                 depth += 1 if tok.value == "(" else -1
         return self.text[start.pos : tok.pos + 1]
 
-    def passed(self, pattern: re.Pattern) -> bool:
-        """Whether pattern matches the unlexed text at the cursor, which it
-        then passes over."""
-        m = pattern.match(self.text, self.pos) if self.unlexed() else None
+    def passed(self, frame: str) -> bool:
+        """Whether the pattern of source frame matches the unlexed text at
+        the cursor, which it then passes over."""
+        m = pattern(frame).match(self.text, self.pos) if self.unlexed() else None
         if m is not None:
             self.pos = m.end()
         return m is not None
@@ -804,10 +791,10 @@ class _SwrlReader(TokenCursor):
         none is there, or the text after the cursor is lexed already."""
         if not self.unlexed():
             return None
-        m = self.patterns.flat.match(self.text, self.pos)
+        m = self.flat(self.text, self.pos)
         if m is None:
             return None
-        found = self.patterns.arg.findall(m[2])
+        found = self.args(m[2])
         args: list[Term] = []
         for var, num, string, name in found:
             if var:
@@ -1086,7 +1073,7 @@ def _registry_call(atom: Atom) -> Atom:
     return Atom("is", (z, Compound(op, (x, y))), atom.module_prefix)
 
 
-_NOT_IN_VAR = re.compile(r"[^A-Za-z0-9_]")
+_NOT_IN_VAR = r"[^A-Za-z0-9_]"
 
 
 def _capitalize(atom: Atom, renamed: dict[str, Var], taken: dict[str, str]) -> Atom:
@@ -1104,7 +1091,7 @@ def _capitalize(atom: Atom, renamed: dict[str, Var], taken: dict[str, str]) -> A
             new = renamed.get(arg.name)
             if new is None:
                 name = arg.name
-                cap = _NOT_IN_VAR.sub("_", name[0].upper() + name[1:])
+                cap = pattern(_NOT_IN_VAR).sub("_", name[0].upper() + name[1:])
                 if cap[0].isdigit():
                     cap = "_" + cap
                 elif cap == "_":

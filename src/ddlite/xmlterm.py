@@ -9,13 +9,12 @@ DTD handling.
 
 from __future__ import annotations
 
-import re
-
 from .errors import XmlParseError
-from .kernel import SourceSpan
+from .kernel import SourceSpan, pattern
 
-TYPE_CHECKING = False  # typing is imported by type checkers alone
+TYPE_CHECKING = False  # typing and re are imported by type checkers alone
 if TYPE_CHECKING:
+    import re
     from typing import Optional
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
@@ -119,54 +118,30 @@ def _escape(s: str, attr: bool = False) -> str:
     return s
 
 
+# the scanner's pattern sources, which kernel.pattern compiles on first use
 _NAME = r"[A-Za-z_][A-Za-z0-9_.:\-]*"
-# compiled on first use, so commands that read no XML skip them, and the
-# part patterns only for a start tag the whole-tag pattern does not read
-_PATTERNS = None
-_PART_PATTERNS = None
-
-
-def _patterns() -> tuple[re.Pattern, ...]:
-    """The scanner's anchored patterns for well-formed markup."""
-    global _PATTERNS
-    if _PATTERNS is None:
-        _PATTERNS = (
-            # (1) whitespace, then a start tag: (2) name, (3) its
-            # attributes, each after whitespace, with a quoted value holding
-            # no '<' or '&', and (4) `>` or `/>`.  No name can end early, as
-            # a name character follows, so a match reads what the part
-            # patterns would
-            re.compile(
-                rf"""(\s*)<({_NAME})((?:\s+{_NAME}\s*=\s*(?:"[^"<&]*"|'[^'<&]*'))*)\s*(/?>)"""
-            ),
-            # one attribute of group 3 above: (1) name, (2) or (3) value
-            re.compile(rf"""\s+({_NAME})\s*=\s*(?:"([^"]*)"|'([^']*)')"""),
-            # (1) character data up to the next '<', then (2) `</` with (3)
-            # a name and (4) `>`, or (5) the start, not passed, of a comment,
-            # processing instruction or DTD declaration
-            re.compile(rf"([^<]*)(?:(</)(?:({_NAME})\s*(>)?)?|(?=(<[!?])))?"),
-            # whitespace, comments and processing instructions
-            re.compile(r"\s*(?:(?:<!--.*?-->|<\?.*?\?>)\s*)*", re.DOTALL),
-        )
-    return _PATTERNS
-
-
-def _part_patterns() -> tuple[re.Pattern, ...]:
-    """A start tag's patterns part by part.  Each always matches; the
-    groups that took part say how far the markup is well formed, and the
-    match ends where the first missing part should start."""
-    global _PART_PATTERNS
-    if _PART_PATTERNS is None:
-        _PART_PATTERNS = (
-            # `<tag` of a start tag, the '<' known present
-            re.compile(f"<({_NAME})?"),
-            # one attribute, or the tag's end: (1) `>` or `/>`, (2) name,
-            # (3) `=`, (4) or (5) value inside " or ', (6) closing quote
-            re.compile(
-                rf"""\s*(?:(/?>)|({_NAME})\s*(?:(=\s*)(?:"([^"<]*)|'([^'<]*))?(["']?))?)?"""
-            ),
-        )
-    return _PART_PATTERNS
+# Anchored patterns for well-formed markup: (1) whitespace, then a start
+# tag: (2) name, (3) its attributes, each after whitespace, with a quoted
+# value holding no '<' or '&', and (4) `>` or `/>`.  No name can end early,
+# as a name character follows, so a match reads what the part patterns
+# would
+_TAG = rf"""(\s*)<({_NAME})((?:\s+{_NAME}\s*=\s*(?:"[^"<&]*"|'[^'<&]*'))*)\s*(/?>)"""
+# one attribute of group 3 above: (1) name, (2) or (3) value
+_ATTR = rf"""\s+({_NAME})\s*=\s*(?:"([^"]*)"|'([^']*)')"""
+# (1) character data up to the next '<', then (2) `</` with (3) a name and
+# (4) `>`, or (5) the start, not passed, of a comment, processing
+# instruction or DTD declaration
+_CONTENT_RUN = rf"([^<]*)(?:(</)(?:({_NAME})\s*(>)?)?|(?=(<[!?])))?"
+# whitespace, comments and processing instructions
+_MISC = r"(?s)\s*(?:(?:<!--.*?-->|<\?.*?\?>)\s*)*"
+# A start tag's patterns part by part.  Each always matches; the groups
+# that took part say how far the markup is well formed, and the match ends
+# where the first missing part should start.  First `<tag` of a start
+# tag, the '<' known present; then one attribute, or the tag's end: (1)
+# `>` or `/>`, (2) name, (3) `=`, (4) or (5) value inside " or ', (6)
+# closing quote
+_START_PART = f"<({_NAME})?"
+_ATTR_PART = rf"""\s*(?:(/?>)|({_NAME})\s*(?:(=\s*)(?:"([^"<]*)|'([^'<]*))?(["']?))?)?"""
 
 
 class _XmlScanner:
@@ -178,13 +153,16 @@ class _XmlScanner:
     part at a time: the name, each attribute and the tag's end, each in a
     match of its own, and a failed part is reported where its match
     stopped.  So well-formed markup costs at most two matches an element,
-    and every error keeps its message and offset."""
+    and every error keeps its message and offset.  A scanner fetches the
+    patterns of well-formed markup once, through kernel.pattern, and the
+    part patterns only in a start tag it reads part by part."""
 
     def __init__(self, source: str, filename: str):
         self.src = source
         self.pos = 0
         self.filename = filename
-        self.tag, self.attrs, self.content_run, self.misc = _patterns()
+        self.tag, self.attrs = pattern(_TAG).match, pattern(_ATTR).findall
+        self.content_run, self.misc = pattern(_CONTENT_RUN).match, pattern(_MISC).match
 
     def fail(self, msg: str, at: int):
         """Raise msg at offset at."""
@@ -213,7 +191,7 @@ class _XmlScanner:
     def skip_misc(self):
         """Skip whitespace, comments, and processing instructions; markup
         left at the cursor is unterminated or a DTD, and raises."""
-        self.pos = self.misc.match(self.src, self.pos).end()
+        self.pos = self.misc(self.src, self.pos).end()
         self.skip_markup()
 
     def decode(self, at: int, end: int) -> str:
@@ -280,10 +258,10 @@ class _XmlScanner:
         True when content follows.  None, the cursor unmoved, where that
         match does not read them."""
         src = self.src
-        m = self.tag.match(src, self.pos)
+        m = self.tag(src, self.pos)
         if m is None:
             return None
-        found = self.attrs.findall(src, m.start(3), m.end(3))
+        found = self.attrs(src, m.start(3), m.end(3))
         attributes = {key: double or single for key, double, single in found}
         if len(attributes) < len(found):  # a name repeats
             return None
@@ -296,9 +274,8 @@ class _XmlScanner:
         """`<tag attr="v"...>` or `<tag .../>` at the cursor, read a part
         at a time; True when content follows."""
         src = self.src
-        start, attr = _part_patterns()
-        match = attr.match
-        m = start.match(src, self.pos)
+        match = pattern(_ATTR_PART).match
+        m = pattern(_START_PART).match(src, self.pos)
         tag = m[1]
         if tag is None:
             self.fail("expected a name", m.end())
@@ -341,7 +318,7 @@ class _XmlScanner:
         up to its next child element (True, left at its '<') or through its
         closing tag (False).  Character data split by comments or
         processing instructions is one Text."""
-        src, match = self.src, self.content_run.match
+        src, match = self.src, self.content_run
         text: list[str] = []
         while True:
             m = match(src, self.pos)

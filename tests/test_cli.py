@@ -867,6 +867,19 @@ def test_import_generates_no_code():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_import_compiles_no_pattern():
+    # every module keeps its patterns as sources that kernel.pattern
+    # compiles on first use, so importing compiles none
+    code = (
+        "import re; seen = []; compile = re.compile\n"
+        "re.compile = lambda *a, **k: seen.append(a[0]) or compile(*a, **k)\n"
+        "import ddlite.cli, ddlite.engine, ddlite.graphs, ddlite.hybrid\n"
+        "import ddlite.magic, ddlite.syntax, ddlite.xmlterm\n"
+        "print(seen)"
+    )
+    assert _child("-S", "-c", code) == (0, "[]\n", "")
+
+
 def test_every_imported_name_is_used():
     # an import that nothing reads is start-up work and a false lead for
     # the reader; __init__ is exempt, as it imports to re-export

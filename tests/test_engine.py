@@ -1007,6 +1007,22 @@ def test_facts_are_stored_before_the_first_pass(monkeypatch):
     assert len(evaluate(base)) == 3 * n
 
 
+def test_a_plan_works_out_each_literals_variables_once(monkeypatch):
+    # ordering a body bound first reads the variable sets of its literals
+    # and their arguments at each pick; they are worked out once a plan
+    rule = parse_program("g(X, Y, Z) :- f(X), h(X, Y), k(Y, Z), m(Z).").rules[0]
+    calls = [0]
+    term_vars = engine.term_vars
+
+    def counting(t):
+        calls[0] += 1
+        return term_vars(t)
+
+    monkeypatch.setattr(engine, "term_vars", counting)
+    engine._rule_plan(rule, FactStore(), None, lambda fact: False)
+    assert calls[0] <= 4 + 6  # one a literal and one an argument
+
+
 def _shuffled(p, rng):
     """p with each rule's relation literals and pt/same_as calls in a
     random order, and its other builtins after them in their own order:

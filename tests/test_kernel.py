@@ -19,7 +19,9 @@ from ddlite.engine import (
     dump_facts,
     solve_body,
 )
-from ddlite.graphs import DepGraph, DiffReport, Edge, MetaCallNode, PredNode, RuleNode, TagNode
+from ddlite.graphs import (
+    DepGraph, DiffReport, Edge, MetaCallNode, Node, PredNode, RuleNode, TagNode
+)
 from ddlite.hybrid import (
     AggCol,
     AggTemplate,
@@ -117,18 +119,19 @@ def test_apply_returns_a_ground_term_unchanged():
 
 
 def test_intern_table_drops_terms_no_longer_used():
-    # ground compounds and constants alike
-    for table, build in (
-        ("_INTERNED", lambda i: Compound("interned_probe", (Num(i),))),
-        ("_CONSTS", lambda i: Const(f"interned_probe_{i}")),
+    # ground compounds and constants alike, in the one table
+    for build in (
+        lambda i: Compound("interned_probe", (Num(i),)),
+        lambda i: Const(f"interned_probe_{i}"),
     ):
         gc.collect()
-        before = len(getattr(kernel, table))
+        before = len(kernel._INTERNED)
         terms = [build(i) for i in range(500)]
-        assert len(getattr(kernel, table)) >= before + 500
+        assert len(kernel._INTERNED) >= before + 500
+        assert {type(ref) for ref in kernel._INTERNED.values()} == {kernel._InternRef}
         del terms
         gc.collect()
-        assert len(getattr(kernel, table)) <= before
+        assert len(kernel._INTERNED) <= before
 
 
 def test_constants_stay_interned_through_pickle_and_copies():
@@ -756,7 +759,7 @@ def test_every_value_class_has_a_contract_case():
         for sub in pending.pop().__subclasses__():
             classes.add(sub)
             pending.append(sub)
-    classes -= {Term}
+    classes -= {Term, Node}
     assert classes | set(MUTABLE) == {type(build()) for build, _ in VALUES}
 
 

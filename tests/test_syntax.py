@@ -30,7 +30,7 @@ from ddlite.kernel import (
     parse_number,
     term_text,
 )
-from ddlite import syntax
+from ddlite import kernel, syntax, xmlterm
 from ddlite.syntax import (
     SwrlRule,
     TermParser,
@@ -446,29 +446,60 @@ def test_parse_swrl_is_linear_in_the_text(tmp_path):
     assert elapsed < 1.5
 
 
+def _compiled(monkeypatch, read):
+    """The sources of the patterns kernel.pattern compiles while read()
+    runs, its cache emptied first."""
+    import re
+
+    compile_, seen = re.compile, []
+    kernel.pattern.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(re, "compile", lambda source: seen.append(source) or compile_(source))
+        read()
+    return seen
+
+
 def test_a_reader_compiles_only_the_rule_patterns_its_text_needs(monkeypatch):
     # the rule-text patterns compile on first use: SWRL, and its Datalog
     # translation printed, compile none; a program of flat clauses only the
-    # literal pattern, up to its end; a comment or an operator the token
-    # pattern too; a goal, `--atom` or a template, flat or not, only the
-    # token pattern
-    monkeypatch.setattr(syntax, "_RULE_PATTERNS", {})
-    rules = parse_swrl(fixture("uncle.swrl"), "uncle.swrl")
-    text = print_program(swrl_to_datalog([r for rule in rules for r in lloyd_topor(rule)]))
-    assert syntax._RULE_PATTERNS == {}
-    parse_program(text + "parent(a, b).\n\n")
-    assert list(syntax._RULE_PATTERNS) == ["literal"]
-    parse_program("% name: u\np(X) :- q(X).")
-    assert sorted(syntax._RULE_PATTERNS) == ["literal", "token"]
+    # literal pattern, up to its end, comment lines and `% name:`
+    # directives between clauses included; a comment inside a clause or an
+    # operator the token pattern too; a goal, `--atom` or a template, flat
+    # or not, only the token pattern
+    names = {syntax._RULE_TOKEN: "token", syntax._RULE_LITERAL: "literal"}
+
+    def rule_patterns(read):
+        return sorted(names[s] for s in _compiled(monkeypatch, read) if s in names)
+
+    def swrl_as_rule_text():
+        rules = parse_swrl(fixture("uncle.swrl"), "uncle.swrl")
+        return print_program(swrl_to_datalog([r for rule in rules for r in lloyd_topor(rule)]))
+
+    assert rule_patterns(lambda: parse_swrl(fixture("opm.swrl"), "opm.swrl")) == []
+    assert rule_patterns(swrl_as_rule_text) == []
+    text = swrl_as_rule_text()
+    assert rule_patterns(lambda: parse_program(text + "parent(a, b).\n\n")) == ["literal"]
+    for text in ("% name: u\np(X) :- q(X).", "% c\n%name: u\n\n  % d\np(X) :- q(X). % e"):
+        assert rule_patterns(lambda: parse_program(text)) == ["literal"], text
+    for text in ("p(X) :- % c\nq(X).", "p(X) :- q(X), X = a."):
+        assert rule_patterns(lambda: parse_program(text)) == ["literal", "token"], text
     workloads = _perfbench_workloads()
     for read, text in (
         (parse_atom, "route(c0, c16, L, T)"),
         (parse_goal, workloads.HOURS_GOAL),
         (parse_template, workloads.HOURS_TEMPLATE),
     ):
-        monkeypatch.setattr(syntax, "_RULE_PATTERNS", {})
-        read(text)
-        assert list(syntax._RULE_PATTERNS) == ["token"], text
+        assert rule_patterns(lambda: read(text)) == ["token"], text
+
+
+def test_well_formed_tags_compile_no_part_pattern(monkeypatch):
+    # a start tag the whole-tag pattern reads needs no part pattern; one
+    # it does not read, such as a value holding an entity, needs both
+    parts = {xmlterm._START_PART, xmlterm._ATTR_PART}
+    compiled = _compiled(monkeypatch, lambda: parse_xml(fixture("works_on.xml")))
+    assert compiled and not parts & set(compiled)
+    compiled = _compiled(monkeypatch, lambda: parse_xml('<a b="&amp;"/>'))
+    assert parts <= set(compiled)
 
 
 def test_lloyd_topor_splits_consequents():
