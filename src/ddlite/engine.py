@@ -72,6 +72,7 @@ from .kernel import (
     apply,
     bind_ground,
     check_calls,
+    fresh_names,
     is_ground,
     list_elements,
     match,
@@ -1315,17 +1316,8 @@ def facts_as_rules(
 ) -> tuple[Rule, ...]:
     """Wrap ground atoms as bodyless rules named f1, f2, ... (skipping
     names already in use)."""
-    used = set(taken)
-    rules: list[Rule] = []
-    k = 0
-    for fact in facts:
-        k += 1
-        name = f"f{k}"
-        while name in used:
-            k += 1
-            name = f"f{k}"
-        rules.append(Rule(name, fact))
-    return tuple(rules)
+    names = fresh_names("f", set(taken), 1)
+    return tuple([Rule(next(names), fact) for fact in facts])
 
 
 # ===========================================================================
@@ -1476,22 +1468,13 @@ def auto_pt(p: Program) -> Program:
     defined = p.idb()
     out: list[Rule] = []
     for rule in p.rules:
-        used = set(term_vars(rule))
-
-        def fresh(base: str, k: Optional[int] = None) -> str:
-            name = base if k is None else f"{base}{k}"
-            i = k or 0
-            while name in used:
-                i += 1
-                name = f"{base}{i}"
-            used.add(name)
-            return name
-
-        head_var = Var(fresh("T"))
+        # the head's tree is T or the first free T<k>, and each child's the
+        # next free one: the k-th child's is T<k> or the first free after it
+        tree_vars = fresh_names("T", set(term_vars(rule)))
+        head_var = Var(next(tree_vars))
         new_body: list[Literal] = []
         child_vars: list[Term] = []
         side_terms: list[Term] = []
-        n_child = 0
         for lit in rule.body:
             if lit.is_negated():
                 new_body.append(lit)
@@ -1500,8 +1483,7 @@ def auto_pt(p: Program) -> Program:
                 if (lit.atom.predicate, len(lit.atom.args)) != ("pt", 2):
                     side_terms.append(_atom_term(lit.atom))
             elif lit.atom.key in defined:
-                n_child += 1
-                tv = Var(fresh("T", n_child))
+                tv = Var(next(tree_vars))
                 new_body.append(
                     Literal(
                         Atom(

@@ -25,7 +25,7 @@ from .errors import DdliteError, EvalTypeError, InstantiationError, UnknownBuilt
 
 TYPE_CHECKING = False  # typing is imported by type checkers alone
 if TYPE_CHECKING:
-    from typing import Iterable, Optional, Union
+    from typing import Iterable, Iterator, Optional, Union
 
 # ===========================================================================
 # Value classes
@@ -43,10 +43,12 @@ class Record:
     same class and a hash, both over the tuple of field values, a
     `Name(field=value, ...)` repr, pickling, and AttributeError on setting
     or deleting an attribute.  The methods are written here rather than
-    generated when the module loads, which keeps start-up cheap; classes
-    built, hashed or compared per token, term or fact write out their own
-    __init__, __eq__ and __hash__, which are faster than these, and the
-    graph-node kinds share those of one base (graphs.Node).
+    generated when the module loads, which keeps start-up cheap.  A class
+    built per token, term or fact writes out its own __init__, which is
+    faster than this one; it writes its own __eq__ or __hash__ only where
+    they differ from these (Num's compares the value's type, Rule's leave
+    out its span) or run per fact (Atom), and the graph-node kinds share
+    those of one base (graphs.Node).
     """
 
     __slots__ = ()
@@ -143,14 +145,6 @@ class SourceSpan(Record):
         line = text.count("\n", 0, offset) + 1
         return cls(file, line, offset - text.rfind("\n", 0, offset))
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.file, self.line, self.col) == (other.file, other.line, other.col)
-
-    def __hash__(self) -> int:
-        return hash((self.file, self.line, self.col))
-
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
 
@@ -171,11 +165,6 @@ class Var(Term):
 
     def __init__(self, name: str):
         _set(self, "name", name)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -524,14 +513,6 @@ class Literal(Record):
         _set(self, "atom", atom)
         _set(self, "polarity", polarity)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.atom, self.polarity) == (other.atom, other.polarity)
-
-    def __hash__(self) -> int:
-        return hash((self.atom, self.polarity))
-
     def is_negated(self) -> bool:
         return self.polarity == NEGATED
 
@@ -595,6 +576,19 @@ class Program(Record):
                 if lit.reads_relation():
                     keys.add(lit.atom.key)
         return frozenset(keys)
+
+
+def fresh_names(base: str, taken: set[str], k: int = 0) -> Iterator[str]:
+    """Names not in taken, each added to it as it is given: base (for
+    k = 0) or base<k>, then on from there, base<k+1>, base<k+2>, ...  The
+    one way rules, facts, proof-tree variables and demand predicates get
+    made-up names (r1, f1, T, m_p ...)."""
+    while True:
+        name = f"{base}{k}" if k else base
+        if name not in taken:
+            taken.add(name)
+            yield name
+        k += 1
 
 
 # ===========================================================================
@@ -1071,7 +1065,7 @@ def _push_infix(stack: list, op: str, args: tuple) -> None:
 
 @lru_cache(maxsize=4096)
 def _const_text(symbol: str, quoted: bool) -> str:
-    if not quoted or symbol in ("[]", "!", ";", "{}"):
+    if not quoted or symbol in ("[]", "!"):  # the reader reads both bare
         return symbol
     if pattern(r"[a-z][a-zA-Z0-9_]*\Z").match(symbol):
         return symbol
@@ -1080,7 +1074,7 @@ def _const_text(symbol: str, quoted: bool) -> str:
 
 
 def _functor_text(functor: str, quoted: bool) -> str:
-    if functor in OPERATORS:
+    if functor in OPERATORS or functor in ("[]", "!"):
         return f"'{functor}'" if quoted else functor
     return _const_text(functor, quoted)
 

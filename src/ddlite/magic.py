@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from .engine import EvalOptions, FactStore, evaluate
 from .errors import DdliteError
-from .kernel import Atom, Literal, PredKey, Program, Rule, Var, is_ground, term_vars
+from .kernel import (
+    Atom, Literal, PredKey, Program, Rule, Var, fresh_names, is_ground, term_vars,
+)
 
 TYPE_CHECKING = False  # typing is imported by type checkers alone
 if TYPE_CHECKING:
@@ -86,7 +88,7 @@ def magic_program(p: Program, goal: Atom) -> Optional[Program]:
     positions = _bound_positions(goal.key, bound, rules_of, full)
     pred_names = {key.name for key in p.pred_keys()}
     demand = {
-        key: _fresh(f"m_{key.name}", pred_names)
+        key: next(fresh_names(f"m_{key.name}", pred_names))
         for key, at in positions.items()
         if at and any(map(_reads_relation, rules_of.get(key, ())))
     }
@@ -98,7 +100,7 @@ def magic_program(p: Program, goal: Atom) -> Optional[Program]:
         return Atom(demand[atom.key], tuple(atom.args[i] for i in at))
 
     rule_names = {rule.name for rule in p.rules}
-    out = [Rule(_fresh("m_goal", rule_names), demand_atom(goal))]
+    out = [Rule(next(fresh_names("m_goal", rule_names)), demand_atom(goal))]
     for rule in p.rules:
         key = rule.head.key
         if key not in reached:
@@ -113,7 +115,7 @@ def magic_program(p: Program, goal: Atom) -> Optional[Program]:
             call = rule.body[j].atom
             if call.key in demand:
                 before = tuple(lit for lit in rule.body[:j] if _binds(lit))
-                name = _fresh(f"m_{rule.name}", rule_names)
+                name = next(fresh_names(f"m_{rule.name}", rule_names))
                 out.append(Rule(name, demand_atom(call), guard + before, rule.span))
         if guard:
             rule = Rule(rule.name, rule.head, guard + rule.body, rule.span)
@@ -186,13 +188,3 @@ def _bound_positions(
                     todo.append(call)
     return positions
 
-
-def _fresh(base: str, taken: set[str]) -> str:
-    """base, or base with the first number that makes it a name not in
-    taken; the name is added to taken."""
-    name, k = base, 0
-    while name in taken:
-        k += 1
-        name = f"{base}{k}"
-    taken.add(name)
-    return name

@@ -33,6 +33,7 @@ from .kernel import (
     SourceSpan,
     Term,
     Var,
+    fresh_names,
     mklist,
     pattern,
     rule_text,
@@ -132,9 +133,15 @@ def _comment(text: str) -> tuple[Optional[str], Optional[str]]:
     return ("directive", directive[1]) if directive else (None, None)
 
 
+_INF = float("inf")
+
+
 def _number(text: str) -> tuple[str, object]:
     if not text.isdecimal():
-        return "num", float(text)
+        value = float(text)
+        if value == _INF:  # past the largest float: it would print as inf
+            return "bad", "number is out of float range"
+        return "num", value
     try:
         return "num", int(text)
     except ValueError:  # more digits than int() converts (4,300 by default)
@@ -333,6 +340,12 @@ class TermParser(TokenCursor):
         last = self.lex_all()[-1]
         if last.kind == "bad":
             self.fail(last.value, last)
+
+    def fail(self, msg: str, tok: Optional[Token] = None):
+        tok = tok or self.peek()
+        if tok.kind == "directive":  # clauses() reads one only before a clause
+            msg = "name directive inside a clause"
+        super().fail(msg, tok)
 
     def begin_clause(self):
         self._clause_vars = set()
@@ -575,10 +588,10 @@ class TermParser(TokenCursor):
             self.fail(f"expected '.', found {tok.value!r}", tok)
         return head, body
 
-    def clauses(self) -> list[tuple[Optional[str], Rule]]:
-        """The clauses up to the end of the text, each with the name its
-        `% name:` directive gives, or None."""
-        raw: list[tuple[Optional[str], Rule]] = []
+    def clauses(self) -> list[tuple[Optional[str], Atom, list[Literal]]]:
+        """The clauses up to the end of the text, each as the name its
+        `% name:` directive gives, or None, its head and its body."""
+        raw: list[tuple[Optional[str], Atom, list[Literal]]] = []
         explicit: set[str] = set()
         while True:
             self._directive = None
@@ -602,7 +615,7 @@ class TermParser(TokenCursor):
                 if name in explicit:
                     raise ParseError(f"duplicate rule name {name!r}", head.span)
                 explicit.add(name)
-            raw.append((name, Rule(name or "", head, tuple(body), head.span)))
+            raw.append((name, head, body))
 
 
 def parse_program(text: str, filename: str = "<string>") -> Program:
@@ -614,18 +627,13 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
     """
     parser = TermParser(text, filename)
     raw = parser.read(parser.clauses)
-    taken = {name for name, _ in raw if name is not None}
-    rules: list[Rule] = []
-    k = 0
-    for name, rule in raw:
-        if name is None:
-            k += 1
-            while f"r{k}" in taken:
-                k += 1
-            name = f"r{k}"
-            taken.add(name)
-        rules.append(Rule(name, rule.head, rule.body, rule.span))
-    return Program(tuple(rules))
+    unnamed = fresh_names("r", {name for name, _, _ in raw if name is not None}, 1)
+    return Program(
+        tuple(
+            Rule(name or next(unnamed), head, tuple(body), head.span)
+            for name, head, body in raw
+        )
+    )
 
 
 def parse_atom(text: str, filename: str = "<atom>") -> Atom:

@@ -343,6 +343,8 @@ def char_tokens(text):
             if text[j : j + 1] in ("e", "E") and text[k : k + 1].isdecimal():
                 j = decimals(k)
             lit = text[i:j]
+            if not lit.isdecimal() and math.isinf(float(lit)):
+                return "%d:%d: number is out of float range" % at(i)
             out.append(("num", int(lit) if lit.isdecimal() else float(lit), *at(i), i))
             i = j
             continue
@@ -819,6 +821,8 @@ def _ref_word(text):
 
 def _ref_number(text):
     if not text.isdecimal():
+        if math.isinf(float(text)):
+            return "bad", "number is out of float range"
         return "num", float(text)
     try:
         return "num", int(text)
@@ -894,6 +898,12 @@ class _RefTermParser(_RefCursor):
         super().__init__(tokens, filename)
         self._anon = 0
         self._clause_vars = set()
+
+    def fail(self, msg, tok=None):
+        tok = tok or self.peek()
+        if tok.kind == "directive":  # read only before a clause
+            msg = "name directive inside a clause"
+        super().fail(msg, tok)
 
     def fresh_anon(self):
         while True:
@@ -1202,15 +1212,13 @@ def reference_text(t, quoted=True):
     """
 
     def const(symbol):
-        plain = re.fullmatch(r"[a-z][a-zA-Z0-9_]*", symbol) or symbol in (
-            "[]", "!", ";", "{}",
-        )
+        plain = re.fullmatch(r"[a-z][a-zA-Z0-9_]*", symbol) or symbol in ("[]", "!")
         if not quoted or plain:
             return symbol
         return "'" + symbol.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
     def functor(name):
-        if name in OPERATORS:
+        if name in OPERATORS or name in ("[]", "!"):
             return f"'{name}'" if quoted else name
         return const(name)
 

@@ -129,6 +129,37 @@ def test_an_integer_too_long_to_convert_is_a_parse_error(capsys, tmp_path):
     assert run(capsys, "eval", str(f)) == (1, "", message)
 
 
+def test_a_number_beyond_float_range_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "big.dl"
+    f.write_text("p(1e999).\n", encoding="utf-8")
+    message = "1:3: number is out of float range\n"
+    assert run(capsys, "eval", str(f)) == (1, "", f"error: {f}:{message}")
+    code, out, err = run(capsys, "prove", fx("route.dl"), "--atom", "p(1e999)")
+    assert (code, out, err) == (1, "", f"error: <atom>:{message}")
+    rules = tmp_path / "big.swrl"
+    rules.write_text(
+        "Implies(Antecedent(p(I-variable(x))) Consequent(q(I-variable(x) "
+        + "1" * 400 + ".0)))\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "swrl", str(rules))
+    assert (code, out) == (1, "") and err == f"error: {rules}:1:65: number is out of float range\n"
+
+
+def test_a_dump_of_special_symbols_reads_back(capsys, tmp_path):
+    f = tmp_path / "symbols.dl"
+    f.write_text(
+        "p(';'). p('{}'). p('[]'). p('!'). p(1.0e308).\n"
+        "p(';'(a)). p('{}'(a)). p('[]'(a)). p('!'(a)).\n",
+        encoding="utf-8",
+    )
+    code, dump, err = run(capsys, "eval", str(f))
+    assert (code, err) == (0, "")
+    again = tmp_path / "dump.dl"
+    again.write_text(dump, encoding="utf-8")
+    assert run(capsys, "eval", str(again)) == (0, dump, "")
+
+
 def test_missing_file_is_an_io_error(capsys):
     code, out, err = run(capsys, "parse", fx("does_not_exist.dl"))
     assert code == 2

@@ -1492,6 +1492,12 @@ def test_auto_pt_reproduces_the_handwritten_instrumentation():
     assert print_program(auto_pt(plain)) == print_program(instrumented)
 
 
+def test_auto_pt_names_tree_variables_the_rule_does_not_use():
+    (rule,) = auto_pt(parse_program("p(T, T2) :- q(T), q(T2).\nq(a).")).rules[:1]
+    assert term_text(rule.head) == "p(T, T2, T1)"
+    assert [term_text(lit.atom) for lit in rule.body[:2]] == ["q(T, T3)", "q(T2, T4)"]
+
+
 def test_auto_pt_leaves_external_relations_and_negation_alone():
     p = parse_program("% name: r1\ns(X) :- parent(X, Y), not(s(Y)).")
     out = auto_pt(p)
@@ -1577,6 +1583,8 @@ def test_facts_as_rules_skips_taken_names():
     rules = facts_as_rules(facts, taken=("f1", "r1"))
     assert [r.name for r in rules] == ["f2", "f3"]
     assert all(not r.body for r in rules)
+    facts.append(Atom("p", (Const("c"),)))
+    assert [r.name for r in facts_as_rules(facts, {"f1", "f3"})] == ["f2", "f4", "f5"]
 
 
 def test_dump_facts_reparses_to_the_same_facts():

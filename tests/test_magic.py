@@ -199,3 +199,6 @@ def test_demand_names_collide_with_no_predicate():
     demand = {r.head.key for r in program.rules} - p.pred_keys()
     assert sorted(map(str, demand)) == ["m_p2/1", "m_p3/1", "m_q/1"]
     assert _matching(evaluate(program), goal) == _matching(evaluate(p), goal) == {"q(a)"}
+    p = parse_program("m_p(a). e(a). p(X) :- e(X), m_p(X).")
+    program = magic_program(p, parse_atom("p(a)"))
+    assert {r.head.predicate for r in program.rules} - {"m_p", "e", "p"} == {"m_p1"}

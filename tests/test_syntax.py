@@ -288,6 +288,62 @@ def test_print_parse_roundtrip_on_fixture_programs():
         assert print_program(parse_program(text, name)) == text, name
 
 
+def test_special_symbols_and_the_largest_floats_read_back():
+    # ';' and '{}' are no tokens, and '[]'( or '!'( no functor, unquoted;
+    # the constants [] and ! read back bare
+    text = (
+        "p(';'). p('{}'). p([]). p(!). p(1.0e308). p(-1.7976931348623157e308).\n"
+        "p(';'(a)). p('{}'(a)). p('[]'(a)). p('!'(a, [])). ';'. '{}'(b).\n"
+    )
+    p = parse_program(text)
+    printed = print_program(p)
+    assert "p([]).\np(!).\n" in printed
+    assert "'[]'(a)" in printed and "p(';')" in printed and "p(1e+308)" in printed
+    assert parse_program(printed) == p
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (parse_program, "p(1e999)."),
+        (parse_program, "q(X) :- X is 2 * 18e307."),
+        (parse_atom, "p(1.5e309)"),
+        (parse_swrl, "Implies(Antecedent(p(I-variable(x))) "
+                     "Consequent(q(I-variable(x) 1" + "0" * 400 + ".5)))"),
+    ],
+)
+def test_a_number_beyond_float_range_is_a_parse_error(read, text):
+    # float() reads it as inf, which prints as the constant inf
+    with pytest.raises(ParseError, match="number is out of float range"):
+        read(text)
+
+
+def test_parsing_builds_one_rule_per_clause(monkeypatch):
+    built = []
+    init = kernel.Rule.__init__
+    monkeypatch.setattr(
+        kernel.Rule, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k)
+    )
+    parse_program("p(a).\n% name: b\nq(X) :- p(X).\nr(X) :- not(q(X)), p(X).\n")
+    assert len(built) == 3
+
+
+def test_unnamed_rules_count_on_past_the_names_taken():
+    p = parse_program("% name: r2\na.\nb.\nc.\nd.\n")
+    assert [r.name for r in p.rules] == ["r2", "r1", "r3", "r4"]
+
+
+def test_a_name_directive_inside_a_clause_is_an_error_at_its_percent_sign():
+    for text, where in [
+        ("p(X) :- % name: a\nq(X).", "1:9"),
+        ("p(X) % name: a\n:- q(X).", "1:6"),
+        ("p(\n % name: a\nX).", "2:2"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_program(text, "f.dl")
+        assert str(err.value) == f"f.dl:{where}: name directive inside a clause", text
+
+
 # ---------------------------------------------------------------------------
 # SWRL abstract syntax
 # ---------------------------------------------------------------------------
